@@ -405,17 +405,23 @@ def _key_string(combo) -> str:
     return ",".join(combo)
 
 
+def read_json(path, what: str):
+    """Parse the JSON file at ``path``; an unreadable or malformed file is a
+    SchemaError naming ``what`` the file should hold."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} file {path} is not JSON: {exc}") from None
+
+
 def load_channel(source) -> CqChannel:
     """Build a channel from a schema document, dict, or path to a JSON file."""
     if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise SchemaError(f"cannot read channel file {source}: {exc}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"channel file {source} is not JSON: {exc}") from None
+        doc = read_json(source, "channel")
     elif isinstance(source, dict):
         doc = source
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import tempfile
@@ -103,6 +104,15 @@ class RunConfig:
         )
         if cfg.grid < 2:
             raise SchemaError(f"--grid must be >= 2, got {cfg.grid}")
+        numbers = {
+            "--delta": (cfg.delta,),
+            "--param": cfg.params,
+            "--povm-angle": () if cfg.povm_angle is None else (cfg.povm_angle,),
+            "--lambda": cfg.lam or (),
+        }
+        for flag, values in numbers.items():
+            if not all(math.isfinite(v) for v in values):
+                raise SchemaError(f"{flag} must be finite, got {list(values)}")
         if cfg.delta < 0:
             raise SchemaError(f"--delta must be >= 0, got {cfg.delta}")
         if not 0 <= cfg.seed < 2**64:
@@ -471,17 +481,15 @@ def _cmd_region(cfg: RunConfig) -> int:
 
 
 def _bosonic_params(cfg: RunConfig):
-    import json
-
     from .bosonic import (
         BosonicICParams,
         DetectionMode,
         params_from_json,
     )
-    from .channels import SchemaError
+    from .channels import SchemaError, read_json
 
     if cfg.channel is not None:
-        doc = json.loads(Path(cfg.channel).read_text())
+        doc = read_json(cfg.channel, "bosonic parameter")
         params, mode = params_from_json(doc)
         if cfg.lam is not None:
             params = BosonicICParams(

@@ -5,6 +5,13 @@ All logarithms are base 2; every quantity is in bits.  Classical registers are
 treated as orthogonal diagonal blocks, so the entropy of a classical/quantum
 subset decomposes as H(p) + sum_c p(c) H(rho_c); subsets with no quantum label
 marginalize the table directly instead of building any matrix.
+
+Entropies are stacked eigensolves: each H(S) forms every group block
+sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
+of G tables sharing the conditional states, and diagonalizes them in one
+``np.linalg.eigvalsh`` call.  Reduced blocks are computed once per quantum
+subset and kept on the state.  Only user input (``ProbDist``, the table given
+to ``LabeledCqState``) is validated; intermediates are plain arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, InvariantError, partial_trace
+from .qstate import DensityMatrix, InvariantError, reduce_blocks
 
 PROB_SUM_TOL = 1e-10
 EIG_CUTOFF = 1e-12  # below the spectral noise floor of state validation
@@ -33,6 +40,8 @@ class ProbDist:
             raise InvariantError(
                 f"{len(symbols)} symbols but {w.size} weights"
             )
+        if not np.all(np.isfinite(w)):
+            raise InvariantError("weights must be finite")
         if w.size and float(w.min()) < -1e-12:
             raise InvariantError(f"negative weight {float(w.min()):.3e}")
         w = np.maximum(w, 0.0)
@@ -61,24 +70,23 @@ class ProbDist:
         return cls(symbols, w)
 
 
-def _entropy_bits(values, cutoff: float = 0.0) -> float:
+def _entropy_bits(values, cutoff: float = 0.0):
+    """-sum v log2 v over the last axis, counting only entries above cutoff."""
     v = np.asarray(values, dtype=float)
-    v = v[v > cutoff]
-    if v.size == 0:
-        return 0.0
-    return float(-np.sum(v * np.log2(v)))
+    v = np.where(v > cutoff, v, 1.0)  # 1 log 1 adds an exact zero
+    return -(v * np.log2(v)).sum(axis=-1)
 
 
 def shannon_entropy(p: ProbDist) -> float:
     """H(p) in bits, with 0 log 0 := 0."""
-    return _entropy_bits(p.weights)
+    return float(_entropy_bits(p.weights))
 
 
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log p - (1-p) log(1-p)."""
     if not 0.0 <= p <= 1.0:
         raise InvariantError(f"binary entropy argument {p!r} outside [0, 1]")
-    return _entropy_bits([p, 1.0 - p])
+    return float(_entropy_bits([p, 1.0 - p]))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -86,7 +94,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     Eigenvalues below 1e-12 contribute zero.
     """
-    return _entropy_bits(np.linalg.eigvalsh(rho.entries), cutoff=EIG_CUTOFF)
+    return float(_entropy_bits(np.linalg.eigvalsh(rho.entries), cutoff=EIG_CUTOFF))
 
 
 def g_thermal(n: float) -> float:
@@ -105,7 +113,12 @@ class LabeledCqState:
     ``registers`` is an ordered list of (name, alphabet) pairs; ``table`` maps
     each full classical symbol tuple to (probability, conditional
     DensityMatrix); ``quantum_names`` labels the subsystems of the conditional
-    matrices, one name per dims slot.
+    matrices, one name per dims slot.  Tuples missing from the table have
+    probability zero.
+
+    The table is held as arrays in its own row order (the register symbol
+    indices, probabilities and conditional matrices of each row), plus one
+    zero row that pads classical groups of unequal size.
     """
 
     def __init__(self, registers, table, quantum_names):
@@ -114,9 +127,9 @@ class LabeledCqState:
         self.quantum_names = tuple(str(n) for n in quantum_names)
         if set(self.register_names) & set(self.quantum_names):
             raise InvariantError("classical and quantum names overlap")
-        items = {}
+        index = [{s: i for i, s in enumerate(a)} for _, a in self.registers]
+        codes, probs, blocks = [], [], []
         dims = None
-        total = 0.0
         for key, (p, rho) in table.items():
             key = tuple(key)
             if len(key) != len(self.registers):
@@ -124,10 +137,15 @@ class LabeledCqState:
                     f"tuple {key} has {len(key)} symbols for "
                     f"{len(self.registers)} registers"
                 )
+            try:
+                codes.append([ix[s] for ix, s in zip(index, key)])
+            except KeyError:
+                raise InvariantError(f"tuple {key} is outside the alphabets") from None
             p = float(p)
+            if not np.isfinite(p):
+                raise InvariantError(f"non-finite probability at {key}")
             if p < -1e-12:
                 raise InvariantError(f"negative probability {p:.3e} at {key}")
-            p = max(p, 0.0)
             if not isinstance(rho, DensityMatrix):
                 raise InvariantError(f"conditional at {key} is not a DensityMatrix")
             if dims is None:
@@ -136,16 +154,22 @@ class LabeledCqState:
                 raise InvariantError(
                     f"conditional dims differ: {rho.dims} at {key} vs {dims}"
                 )
-            total += p
-            items[key] = (p, rho)
+            probs.append(max(p, 0.0))
+            blocks.append(rho.entries)
         if dims is not None and len(dims) != len(self.quantum_names):
             raise InvariantError(
                 f"{len(self.quantum_names)} quantum names for {len(dims)} dims"
             )
+        total = sum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvariantError(f"table probabilities sum to {total!r}, not 1")
-        self.table = items
         self.dims = dims
+        d = int(np.prod(dims))
+        self._codes = np.array(codes, dtype=np.intp).reshape(len(codes), -1)
+        self._probs = np.array([probs + [0.0]])
+        self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
+        self._slots = {}
+        self._reduced = {}
 
     def _split(self, names):
         names = set(names)
@@ -156,42 +180,71 @@ class LabeledCqState:
         quantum = [i for i, n in enumerate(self.quantum_names) if n in names]
         return classical, quantum
 
-    def entropy(self, names) -> float:
-        """Joint entropy H(S) of any mix of classical and quantum names, bits."""
+    def _group_slots(self, classical) -> np.ndarray:
+        """Rows grouped by their symbols on ``classical``: a (groups, members)
+        array of row indices, groups in order of first appearance and members
+        in table order, padded with the zero row."""
+        key = tuple(classical)
+        if key not in self._slots:
+            groups: dict[tuple, list] = {}
+            for row, code in enumerate(self._codes[:, key].tolist()):
+                groups.setdefault(tuple(code), []).append(row)
+            width = max(len(rows) for rows in groups.values())
+            slots = np.full((len(groups), width), len(self._codes))
+            for i, rows in enumerate(groups.values()):
+                slots[i, : len(rows)] = rows
+            self._slots[key] = slots
+        return self._slots[key]
+
+    def _reduced_blocks(self, quantum) -> np.ndarray:
+        key = tuple(quantum)
+        if key not in self._reduced:
+            self._reduced[key] = reduce_blocks(self._blocks, self.dims, key)
+        return self._reduced[key]
+
+    def entropy(self, names, probs=None):
+        """Joint entropy H(S) of any mix of classical and quantum names, bits.
+
+        With ``probs``, a stack of G probability tables of shape
+        (G, |A1|, ..., |Ak|) that replace the state's own probabilities and
+        share its conditional states, returns the G entropies as an array.
+        Entries of ``probs`` at tuples missing from the table are ignored.
+
+        H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
+        classical group c are summed in table order, and all group blocks go
+        through one stacked eigensolve.
+        """
         classical, quantum = self._split(names)
-        if not quantum:
-            marginal = {}
-            for key, (p, _) in self.table.items():
-                sub = tuple(key[i] for i in classical)
-                marginal[sub] = marginal.get(sub, 0.0) + p
-            return _entropy_bits(list(marginal.values()))
-        groups: dict[tuple, list] = {}
-        for key, (p, rho) in self.table.items():
-            if p <= 0.0:
-                continue
-            groups.setdefault(tuple(key[i] for i in classical), []).append((p, rho))
-        h = 0.0
-        weights = []
-        for members in groups.values():
-            pc = sum(p for p, _ in members)
-            weights.append(pc)
-            block = 0.0
-            for p, rho in members:
-                reduced = partial_trace(rho, quantum) if len(quantum) < len(
-                    self.dims
-                ) else rho
-                block = block + p * reduced.entries
-            block = block / pc
-            h += pc * _entropy_bits(np.linalg.eigvalsh(block), cutoff=EIG_CUTOFF)
-        return h + _entropy_bits(weights)
+        if probs is None:
+            rows = self._probs
+        else:
+            probs = np.asarray(probs, dtype=float)
+            rows = np.zeros((len(probs), len(self._codes) + 1))
+            rows[:, :-1] = probs[(slice(None),) + tuple(self._codes.T)]
+        slots = self._group_slots(classical)
+        members = rows[:, slots]  # (G, groups, members)
+        # cumulative sums keep the table-order accumulation of a row loop
+        weights = members.cumsum(axis=-1)[..., -1]
+        h = _entropy_bits(weights)
+        if quantum:
+            blocks = self._reduced_blocks(quantum)[slots]
+            mixed = (members[..., None, None] * blocks).cumsum(axis=2)[:, :, -1]
+            live = weights > 0.0
+            pc = weights[live]
+            spectra = np.linalg.eigvalsh(mixed[live] / pc[:, None, None])
+            terms = np.zeros(weights.shape)
+            terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
+            h = terms.cumsum(axis=-1)[:, -1] + h
+        return h if probs is not None else float(h[0])
 
 
-def conditional_mutual_information(state: LabeledCqState, a, b, c=()) -> float:
+def conditional_mutual_information(state: LabeledCqState, a, b, c=(), probs=None):
     """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), in bits.
 
     A and C must be classical register names; B may mix classical registers
     and quantum subsystem labels.  With C empty this is the plain mutual
-    information I(A;B).
+    information I(A;B).  ``probs`` is a stack of probability tables as in
+    ``LabeledCqState.entropy``; with it the result is an array.
     """
     a, b, c = set(a), set(b), set(c)
     if (a & b) or (a & c) or (b & c):
@@ -199,11 +252,11 @@ def conditional_mutual_information(state: LabeledCqState, a, b, c=()) -> float:
     quantum = set(state.quantum_names)
     if a & quantum or c & quantum:
         raise InvariantError("A and C must be classical register sets")
-    h_c = state.entropy(c) if c else 0.0
+    h_c = state.entropy(c, probs) if c else 0.0
     return (
-        state.entropy(a | c)
-        + state.entropy(b | c)
-        - state.entropy(a | b | c)
+        state.entropy(a | c, probs)
+        + state.entropy(b | c, probs)
+        - state.entropy(a | b | c, probs)
         - h_c
     )
 

@@ -18,9 +18,11 @@ from scipy.optimize import minimize
 from .channels import CqChannel, SchemaError
 from .entropic import LabeledCqState, ProbDist, conditional_mutual_information
 from .qstate import InvariantError
-from .regions import HalfspaceRegion, boundary_sample, fm_project, intersect
+from .regions import HalfspaceRegion, fm_project, intersect, radial_extents
 
 INFO_CLAMP = 1e-9
+# grid points evaluated per stacked entropy call; bounds sweep memory
+_GRID_CHUNK = 512
 
 
 def _clamp(value: float) -> float:
@@ -28,6 +30,15 @@ def _clamp(value: float) -> float:
     if value < -INFO_CLAMP:
         raise InvariantError(f"information quantity {value:.3e} below clamp")
     return max(value, 0.0)
+
+
+def _clamp_stack(values: np.ndarray) -> np.ndarray:
+    """``_clamp`` over an array of information quantities."""
+    if np.any(values < -INFO_CLAMP):
+        raise InvariantError(
+            f"information quantity {float(values.min()):.3e} below clamp"
+        )
+    return np.maximum(values, 0.0)
 
 
 def _receiver_names(ch: CqChannel):
@@ -52,6 +63,25 @@ def simplex_grid(k: int, resolution: int):
             prev = c
         parts.append(steps + k - 2 - prev)
         yield np.array(parts, dtype=float) / steps
+
+
+def _grid_chunks(k: int, resolution: int, size: int | None = None):
+    """``simplex_grid`` in order, as (n, k) arrays of at most ``size``
+    (default ``_GRID_CHUNK``) points."""
+    points = simplex_grid(k, resolution)
+    while chunk := list(itertools.islice(points, size or _GRID_CHUNK)):
+        yield np.array(chunk)
+
+
+def _grid_pairs(k1: int, k2: int, resolution: int):
+    """Product distributions p1(x1) p2(x2) over two simplex grids, first
+    grid outermost, as stacked (n, k1, k2) tables of at most
+    ``_GRID_CHUNK`` points."""
+    inner = np.concatenate(list(_grid_chunks(k2, resolution)))
+    for outer in _grid_chunks(k1, resolution, max(1, _GRID_CHUNK // len(inner))):
+        for lo in range(0, len(inner), _GRID_CHUNK):
+            w2 = inner[lo : lo + _GRID_CHUNK]
+            yield (outer[:, None, :, None] * w2[None, :, None, :]).reshape(-1, k1, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,29 +406,32 @@ def classical_capacity_BA(transition, tol: float = 1e-9, max_iter: int = 20000):
 def hsw_capacity(ch: CqChannel, grid_resolution: int = 21):
     """Maximum Holevo information over input distributions.
 
-    Simplex grid search followed by Nelder-Mead refinement in softmax
-    coordinates.  Returns (capacity in bits, maximizing ProbDist).
+    Simplex grid search (the first maximal grid point wins) followed by
+    Nelder-Mead refinement in softmax coordinates.  Returns (capacity in
+    bits, maximizing ProbDist).
     """
-    from .entropic import holevo_information
-
     if ch.n_inputs != 1:
         raise SchemaError("hsw_capacity needs a single-input channel")
     alphabet = ch.input_alphabets[0]
     k = len(alphabet)
+    state = p2p_state(ch, ProbDist.uniform(alphabet))
+    b = set(ch.output_names)
 
-    def chi(weights) -> float:
-        return holevo_information(ch, ProbDist(alphabet, weights))
+    def chi(weights: np.ndarray) -> np.ndarray:
+        """Holevo information of each row of an (n, k) weight stack."""
+        return conditional_mutual_information(state, {"X"}, b, probs=weights)
 
     best_w, best_v = None, -1.0
-    for w in simplex_grid(k, grid_resolution):
+    for w in _grid_chunks(k, grid_resolution):
         v = chi(w)
-        if v > best_v:
-            best_v, best_w = v, w
+        i = int(np.argmax(v))
+        if v[i] > best_v:
+            best_v, best_w = float(v[i]), w[i]
 
     def objective(z):
         z = z - np.max(z)
         w = np.exp(z)
-        return -chi(w / w.sum())
+        return -float(chi((w / w.sum())[None])[0])
 
     z0 = np.log(np.maximum(best_w, 1e-9))
     res = minimize(
@@ -436,14 +469,20 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
     Returns a list of (theta, R1, R2) like boundary_sample.
     """
     a1, a2 = ch.input_alphabets
-    radii = np.zeros(n_angles)
+    st = mac_state(ch, ProbDist.uniform(a1), ProbDist.uniform(a2))
+    b = set(ch.output_names)
+    coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     thetas = np.linspace(0.0, np.pi / 2, n_angles)
-    for w1 in simplex_grid(len(a1), grid):
-        p1 = ProbDist(a1, w1)
-        for w2 in simplex_grid(len(a2), grid):
-            region = mac_region(ch, p1, ProbDist(a2, w2))
-            for i, (_, r1, r2) in enumerate(boundary_sample(region, n_angles)):
-                radii[i] = max(radii[i], float(np.hypot(r1, r2)))
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    radii = np.zeros(n_angles)
+    for probs in _grid_pairs(len(a1), len(a2), grid):
+        bounds = np.stack([
+            conditional_mutual_information(st, {"X1"}, b, {"X2"}, probs=probs),
+            conditional_mutual_information(st, {"X2"}, b, {"X1"}, probs=probs),
+            conditional_mutual_information(st, {"X1", "X2"}, b, probs=probs),
+        ], axis=1)
+        t = radial_extents(coeffs, _clamp_stack(bounds), thetas)
+        radii = np.maximum(radii, np.hypot(t * cos, t * sin).max(axis=0))
     return [
         (float(th), float(r * np.cos(th)), float(r * np.sin(th)))
         for th, r in zip(thetas, radii)
@@ -493,18 +532,14 @@ def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
     grid."""
     a1, a2 = ch.input_alphabets
     b1, b2 = _receiver_names(ch)
-    for w1 in simplex_grid(len(a1), grid):
-        p1 = ProbDist(a1, w1)
-        for w2 in simplex_grid(len(a2), grid):
-            st = mac_state(ch, p1, ProbDist(a2, w2))
-            own1 = conditional_mutual_information(st, {"X1"}, {b1}, {"X2"})
-            cross1 = conditional_mutual_information(st, {"X1"}, {b2})
-            if own1 > cross1 + tol:
-                return False
-            own2 = conditional_mutual_information(st, {"X2"}, {b2}, {"X1"})
-            cross2 = conditional_mutual_information(st, {"X2"}, {b1})
-            if own2 > cross2 + tol:
-                return False
+    st = mac_state(ch, ProbDist.uniform(a1), ProbDist.uniform(a2))
+    for probs in _grid_pairs(len(a1), len(a2), grid):
+        own1 = conditional_mutual_information(st, {"X1"}, {b1}, {"X2"}, probs=probs)
+        cross1 = conditional_mutual_information(st, {"X1"}, {b2}, probs=probs)
+        own2 = conditional_mutual_information(st, {"X2"}, {b2}, {"X1"}, probs=probs)
+        cross2 = conditional_mutual_information(st, {"X2"}, {b1}, probs=probs)
+        if np.any(own1 > cross1 + tol) or np.any(own2 > cross2 + tol):
+            return False
     return True
 
 

@@ -25,6 +25,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvariantError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvariantError("matrix has non-finite entries")
     return m
 
 
@@ -112,15 +114,24 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise InvariantError("keep must name at least one subsystem")
     if any(k < 0 or k >= n for k in keep):
         raise InvariantError(f"keep indices {keep} out of range for {n} subsystems")
-    drop = [i for i in range(n) if i not in keep]
-    t = rho.entries.reshape(rho.dims + rho.dims)
-    dims = list(rho.dims)
+    return DensityMatrix(reduce_blocks(rho.entries, rho.dims, keep),
+                         [rho.dims[k] for k in keep])
+
+
+def reduce_blocks(blocks: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace of every matrix in a stack ``blocks`` of shape
+    (..., D, D) whose subsystem dimensions are ``dims``, keeping the sorted
+    subsystem indices ``keep``.  Returns raw arrays; nothing is validated.
+    """
+    lead = blocks.shape[:-2]
+    dims = list(dims)
+    t = blocks.reshape(lead + tuple(dims) + tuple(dims))
     # trace from the highest index down so earlier positions do not shift
-    for idx in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(dims))
+    for idx in reversed([i for i in range(len(dims)) if i not in keep]):
+        t = np.trace(t, axis1=len(lead) + idx, axis2=len(lead) + idx + len(dims))
         dims.pop(idx)
     d = int(np.prod(dims))
-    return DensityMatrix(t.reshape(d, d), dims)
+    return t.reshape(lead + (d, d))
 
 
 def eig_hermitian(rho: DensityMatrix) -> Spectrum:
@@ -157,6 +168,8 @@ def matrix_from_json(pairs, size: int) -> np.ndarray:
         raise InvariantError(
             f"matrix encoding has shape {arr.shape}, expected ({size * size}, 2)"
         )
+    if not np.all(np.isfinite(arr)):
+        raise InvariantError("matrix encoding has non-finite entries")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(size, size)
 
 

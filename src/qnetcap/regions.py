@@ -206,6 +206,26 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     return HalfspaceRegion(new_names, final)
 
 
+def radial_extents(coeffs, bounds, thetas) -> np.ndarray:
+    """Distance from the origin to the boundary of {c . R <= b, R >= 0}
+    along each direction (cos theta, sin theta), for a stack of bound
+    vectors that share one set of coefficient rows.
+
+    ``coeffs`` is (rows, 2), ``bounds`` is (G, rows); returns (G, angles).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    speed = coeffs[:, :1] * np.cos(thetas) + coeffs[:, 1:] * np.sin(thetas)
+    moving = speed > 1e-12
+    reach = np.where(moving, bounds[:, :, None] / np.where(moving, speed, 1.0), np.inf)
+    t = reach.min(axis=1, initial=np.inf)
+    unbounded = ~np.isfinite(t)
+    if np.any(unbounded):
+        theta = float(np.asarray(thetas)[np.nonzero(unbounded)[1][0]])
+        raise InvariantError(f"region unbounded along direction {theta:.4f}")
+    return np.maximum(t, 0.0)
+
+
 def boundary_sample(region: HalfspaceRegion, n_angles: int):
     """Radial boundary sweep of a 2-D region over theta in [0, pi/2].
 
@@ -216,19 +236,14 @@ def boundary_sample(region: HalfspaceRegion, n_angles: int):
         raise InvariantError(f"boundary sweep needs a 2-D region, got {region.dim}-D")
     if n_angles < 2:
         raise InvariantError("need at least 2 angles")
-    points = []
-    for theta in np.linspace(0.0, np.pi / 2, n_angles):
-        d = np.array([np.cos(theta), np.sin(theta)])
-        t = np.inf
-        for c, b in region.inequalities:
-            speed = float(c @ d)
-            if speed > 1e-12:
-                t = min(t, b / speed)
-        if not np.isfinite(t):
-            raise InvariantError(f"region unbounded along direction {theta:.4f}")
-        t = max(t, 0.0)
-        points.append((float(theta), float(t * d[0]), float(t * d[1])))
-    return points
+    thetas = np.linspace(0.0, np.pi / 2, n_angles)
+    coeffs = np.reshape([c for c, _ in region.inequalities], (-1, 2))
+    bounds = [[b for _, b in region.inequalities]]
+    t = radial_extents(coeffs, bounds, thetas)[0]
+    return [
+        (float(theta), float(r * np.cos(theta)), float(r * np.sin(theta)))
+        for theta, r in zip(thetas, t)
+    ]
 
 
 def export_boundary_csv(region: HalfspaceRegion, path, n_angles: int = 181) -> None:

@@ -266,6 +266,12 @@ class TestJsonInterchange:
         with pytest.raises(SchemaError):
             load_channel(doc)
 
+    def test_non_finite_entry_schema_error(self):
+        doc = dump_channel(builtin("bb84_p2p"))
+        doc["outputs"]["0"][0][0] = float("nan")
+        with pytest.raises(SchemaError, match="'0'"):
+            load_channel(doc)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(SchemaError):
             load_channel(tmp_path / "missing.json")

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from qnetcap.channels import CqChannel, dump_channel
+from qnetcap.channels import CqChannel, builtin, dump_channel
 from qnetcap.cli import main
 from qnetcap.qstate import DensityMatrix
 from qnetcap.regions import region_from_json
@@ -292,3 +292,60 @@ class TestThreadCap:
                            "bb84_p2p")
         assert code == 2
         assert "QNETCAP_THREADS" in err
+
+
+class TestMalformedInput:
+    """Non-finite numbers and malformed files are schema errors (exit 2)."""
+
+    def test_nan_channel_entry(self, capsys, tmp_path):
+        doc = dump_channel(builtin("bb84_p2p"))
+        doc["outputs"]["0"][0][0] = float("nan")
+        path = tmp_path / "nan_channel.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "capacity", "p2p-holevo", "--channel",
+                             str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_nan_delta(self, capsys):
+        code, out, err = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                             "--param", "0.3", "--delta", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--delta" in err
+
+    def test_nan_param(self, capsys):
+        code, out, err = run(capsys, "bosonic", "p2p", "--param", "0.9", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--param" in err
+
+    def test_nan_povm_angle(self, capsys):
+        code, out, err = run(capsys, "capacity", "p2p-classical", "--builtin",
+                             "bb84_p2p", "--povm-angle", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--povm-angle" in err
+
+    def test_infinite_lambda(self, capsys):
+        code, out, err = run(capsys, "bosonic", "hk", "--param", "0.3", "0.6",
+                             "0.6", "0.3", "100", "100", "1", "1",
+                             "--lambda", "0.8", "inf")
+        assert code == 2
+        assert out == ""
+        assert "--lambda" in err
+
+    def test_malformed_bosonic_json(self, capsys, tmp_path):
+        path = tmp_path / "bad_bosonic.json"
+        path.write_text('{"eta": [[0.3, 0.6], [0.6')
+        code, out, err = run(capsys, "bosonic", "hk", "--channel", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not JSON" in err
+
+    def test_unreadable_bosonic_json(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bosonic", "hk", "--channel", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from cq_loop import loop_entropy
 
 from qnetcap.entropic import (
     LabeledCqState,
@@ -65,6 +68,11 @@ class TestScalarEntropies:
         p = ProbDist("ab", [1.0 + 1e-13, -1e-13])
         assert p.prob("b") == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prob_dist_rejects_non_finite(self, bad):
+        with pytest.raises(InvariantError):
+            ProbDist("abc", [1.0, bad, 0.0])
+
 
 class TestGThermal:
     def test_zero(self):
@@ -128,6 +136,18 @@ class TestLabeledCqState:
                 ("B",),
             )
 
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(InvariantError):
+            LabeledCqState(
+                [("X", (0, 1))],
+                {(0,): (np.nan, pure_state(KET0)), (1,): (1.0, pure_state(KET1))},
+                ("B",),
+            )
+
+    def test_symbol_outside_alphabet_rejected(self):
+        with pytest.raises(InvariantError):
+            LabeledCqState([("X", (0,))], {(1,): (1.0, pure_state(KET0))}, ("B",))
+
     def test_two_quantum_parts_partial(self):
         rng = np.random.default_rng(23)
         r0, r1 = rand_two_part(rng, 2, 2), rand_two_part(rng, 2, 2)
@@ -189,3 +209,88 @@ class TestInformationInequalities:
         st = LabeledCqState([("X", (0, 1)), ("Y", (0, 1))], table, ("B",))
         assert np.isclose(conditional_mutual_information(st, {"X"}, {"B"}), 0.0, atol=1e-12)
         assert np.isclose(conditional_mutual_information(st, {"X"}, {"Y"}), 0.0, atol=1e-12)
+
+
+def all_subsets(names):
+    return [
+        set(s)
+        for r in range(1, len(names) + 1)
+        for s in itertools.combinations(names, r)
+    ]
+
+
+class TestStackedParity:
+    """The stacked kernel against the row loop in ``cq_loop``, to 1e-12."""
+
+    def assert_matches_loop(self, registers, table, quantum_names):
+        st = LabeledCqState(registers, table, quantum_names)
+        names = [n for n, _ in registers] + list(quantum_names)
+        for subset in all_subsets(names):
+            expect = loop_entropy(registers, table, quantum_names, subset)
+            assert abs(st.entropy(subset) - expect) <= 1e-12, subset
+
+    def test_marton_joint_over_subset_of_pairs(self):
+        rng = np.random.default_rng(3)
+        pairs = [("0", "0"), ("0", "1"), ("1", "1")]
+        probs = rng.dirichlet(np.ones(len(pairs)))
+        table = {pair: (p, rand_two_part(rng, 2, 2)) for pair, p in zip(pairs, probs)}
+        registers = [("U1", ("0", "1")), ("U2", ("0", "1"))]
+        self.assert_matches_loop(registers, table, ("B1", "B2"))
+
+    def test_relay_triples_with_zero_rows(self):
+        rng = np.random.default_rng(5)
+        triples = list(itertools.product("ab", "01", "01"))[:7]
+        probs = rng.dirichlet(np.ones(len(triples)))
+        probs[[1, 4]] = 0.0
+        probs /= probs.sum()
+        table = {t: (p, rand_two_part(rng, 2, 2)) for t, p in zip(triples, probs)}
+        registers = [("U", ("a", "b")), ("X", ("0", "1")), ("X1", ("0", "1"))]
+        self.assert_matches_loop(registers, table, ("B1", "B"))
+
+    def test_group_with_zero_probability(self):
+        rng = np.random.default_rng(7)
+        keys = list(itertools.product((0, 1, 2), (0, 1)))
+        probs = rng.dirichlet(np.ones(len(keys)))
+        probs[[k for k, (x, _) in enumerate(keys) if x == 2]] = 0.0
+        probs /= probs.sum()
+        table = {key: (p, rand_state(rng, 3)) for key, p in zip(keys, probs)}
+        registers = [("X", (0, 1, 2)), ("Y", (0, 1))]
+        self.assert_matches_loop(registers, table, ("B",))
+
+    def test_three_subsystems_reduced_over_middle(self):
+        rng = np.random.default_rng(11)
+        probs = rng.dirichlet(np.ones(3))
+        table = {}
+        for x, p in enumerate(probs):
+            g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+            m = g @ g.conj().T
+            table[(x,)] = (p, DensityMatrix(m / np.trace(m).real, (2, 3, 2)))
+        registers = [("X", (0, 1, 2))]
+        names = ("A", "M", "C")
+        st = LabeledCqState(registers, table, names)
+        for subset in ({"A", "C"}, {"X", "A", "C"}):
+            expect = loop_entropy(registers, table, names, subset)
+            assert abs(st.entropy(subset) - expect) <= 1e-12
+        self.assert_matches_loop(registers, table, names)
+
+    def test_stacked_tables_match_one_table_at_a_time(self):
+        rng = np.random.default_rng(13)
+        keys = list(itertools.product((0, 1), (0, 1, 2)))
+        states = {key: rand_two_part(rng, 2, 2) for key in keys}
+        registers = [("X", (0, 1)), ("Y", (0, 1, 2))]
+        names = ("B1", "B2")
+        stack = rng.dirichlet(np.ones(6), size=5)
+        stack[1, :3] = 0.0
+        stack[1] /= stack[1].sum()
+        stack[2, ::2] = 0.0
+        stack[2] /= stack[2].sum()
+        stack = stack.reshape(5, 2, 3)
+        st = LabeledCqState(
+            registers, {key: (1 / 6, rho) for key, rho in states.items()}, names
+        )
+        for subset in all_subsets(["X", "Y", "B1", "B2"]):
+            stacked = st.entropy(subset, probs=stack)
+            for g in range(len(stack)):
+                table = {key: (stack[g][key], rho) for key, rho in states.items()}
+                expect = loop_entropy(registers, table, names, subset)
+                assert abs(stacked[g] - expect) <= 1e-12, (subset, g)

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from cq_loop import loop_cmi, loop_entropy
 
-from qnetcap.channels import CqChannel, SchemaError, bb84_qmac, builtin
+from qnetcap import network
+from qnetcap.channels import CqChannel, SchemaError, bb84_qmac, builtin, theta_swap
 from qnetcap.entropic import (
     ProbDist,
     binary_entropy,
@@ -24,10 +26,13 @@ from qnetcap.network import (
     mac_region_union,
     mac_state,
     marton_region,
+    marton_state,
+    p2p_state,
     random_cmg_distribution,
     random_hk_distribution,
     relay_df_rate,
     relay_pdf_rate,
+    relay_state,
     sato_outer,
     si_capacity,
     simplex_grid,
@@ -36,7 +41,7 @@ from qnetcap.network import (
     vsi_capacity,
     vsi_check,
 )
-from qnetcap.qstate import DensityMatrix, InvariantError
+from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 from qnetcap.regions import boundary_sample
 
 H_BB84 = binary_entropy(np.cos(np.pi / 8) ** 2)  # ~0.6009
@@ -568,3 +573,131 @@ class TestCodeDistributionValidation:
             CodeDistribution.marton(
                 ProbDist((("0", "0"),), [1.0]), {("0", "0"): "9"}, ("0", "1")
             )
+
+
+def trine_channel():
+    angles = 2 * np.pi * np.arange(3) / 3
+    outputs = {
+        (str(k),): pure_state([np.cos(a / 2), np.sin(a / 2)])
+        for k, a in enumerate(angles)
+    }
+    return CqChannel((("0", "1", "2"),), outputs)
+
+
+def grid_pairs(ch, grid):
+    """Product distributions of a two-input channel on the simplex grid,
+    first input outermost, as (w1, w2, table) triples for the row loop."""
+    a1, a2 = ch.input_alphabets
+    for w1 in simplex_grid(len(a1), grid):
+        for w2 in simplex_grid(len(a2), grid):
+            table = {
+                (x1, x2): (w1[i] * w2[j], ch.output(x1, x2))
+                for i, x1 in enumerate(a1)
+                for j, x2 in enumerate(a2)
+            }
+            yield w1, w2, table
+
+
+class TestStackedSweeps:
+    """Grid sweeps and sparse builders against the row loop in ``cq_loop``."""
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+    def test_vsi_informations_match_per_point_states(self, theta):
+        ch = theta_swap(theta)
+        regs = [("X1", ch.input_alphabets[0]), ("X2", ch.input_alphabets[1])]
+        names = ch.output_names
+        b1, b2 = names
+        specs = {
+            "own1": ({"X1"}, {b1}, {"X2"}),
+            "cross1": ({"X1"}, {b2}, ()),
+            "own2": ({"X2"}, {b2}, {"X1"}),
+            "cross2": ({"X2"}, {b1}, ()),
+        }
+        points = list(grid_pairs(ch, 5))
+        stack = np.array([np.outer(w1, w2) for w1, w2, _ in points])
+        st = mac_state(ch, UNIF2, UNIF2)
+        loop = {}
+        for key, (a, b, c) in specs.items():
+            stacked = conditional_mutual_information(st, a, b, c, probs=stack)
+            loop[key] = np.array(
+                [loop_cmi(regs, t, names, a, b, c) for _, _, t in points])
+            assert np.max(np.abs(stacked - loop[key])) <= 1e-12, key
+        verdict = bool(np.all(loop["own1"] <= loop["cross1"] + 1e-9)
+                       and np.all(loop["own2"] <= loop["cross2"] + 1e-9))
+        assert vsi_check(ch, grid=5) == verdict
+
+    def test_mac_union_is_max_of_per_region_samples(self):
+        ch = bb84_qmac()
+        a1, a2 = ch.input_alphabets
+        radii = np.zeros(61)
+        for w1, w2, _ in grid_pairs(ch, 5):
+            region = mac_region(ch, ProbDist(a1, w1), ProbDist(a2, w2))
+            sample = boundary_sample(region, 61)
+            radii = np.maximum(radii, [np.hypot(r1, r2) for _, r1, r2 in sample])
+        union = mac_region_union(ch, grid=5)
+        thetas = np.linspace(0.0, np.pi / 2, 61)
+        assert [th for th, _, _ in union] == list(thetas)
+        got = np.array([[r1, r2] for _, r1, r2 in union])
+        want = np.stack([radii * np.cos(thetas), radii * np.sin(thetas)], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [lambda: builtin("bb84_p2p"), trine_channel])
+    def test_hsw_grid_holevo_values(self, make):
+        ch = make()
+        alphabet = ch.input_alphabets[0]
+        names = ch.output_names
+        grid = np.array(list(simplex_grid(len(alphabet), 11)))
+        st = p2p_state(ch, ProbDist.uniform(alphabet))
+        stacked = conditional_mutual_information(st, {"X"}, set(names), probs=grid)
+        loop = []
+        for w in grid:
+            table = {(x,): (w[i], ch.output(x)) for i, x in enumerate(alphabet)}
+            loop.append(loop_cmi([("X", alphabet)], table, names, {"X"}, set(names)))
+        assert np.max(np.abs(stacked - loop)) <= 1e-12
+        assert hsw_capacity(ch, grid_resolution=11)[0] >= max(loop) - 1e-12
+
+    def test_sweeps_spanning_several_chunks(self, monkeypatch):
+        inside, outside, qmac, trine = (
+            theta_swap(1.0), theta_swap(2.5), bb84_qmac(), trine_channel())
+        whole = (
+            vsi_check(inside, grid=11),
+            vsi_check(outside, grid=11),
+            mac_region_union(qmac, grid=11),
+            hsw_capacity(trine, grid_resolution=11),
+        )
+        monkeypatch.setattr(network, "_GRID_CHUNK", 7)
+        chunked = (
+            vsi_check(inside, grid=11),
+            vsi_check(outside, grid=11),
+            mac_region_union(qmac, grid=11),
+            hsw_capacity(trine, grid_resolution=11),
+        )
+        assert whole[:2] == chunked[:2] == (True, False)
+        assert np.max(np.abs(np.array(whole[2]) - np.array(chunked[2]))) <= 1e-12
+        assert abs(whole[3][0] - chunked[3][0]) <= 1e-12
+        assert np.max(np.abs(whole[3][1].weights - chunked[3][1].weights)) <= 1e-9
+
+    def test_sparse_builder_states_match_loop(self):
+        bc, rc = builtin("bb84_bc"), builtin("bb84_relay")
+        pairs = (("0", "0"), ("0", "1"), ("1", "1"))
+        f = {("0", "0"): "0", ("0", "1"): "1", ("1", "1"): "0"}
+        joint = ProbDist(pairs, [0.5, 0.3, 0.2])
+        marton = CodeDistribution.marton(joint, f, ("0", "1"))
+        triples = (("u", "0", "0"), ("u", "1", "0"), ("v", "0", "1"), ("v", "1", "1"))
+        relay = CodeDistribution.relay_pdf(ProbDist(triples, [0.4, 0.0, 0.6, 0.0]))
+        cases = [
+            (marton_state(bc, marton),
+             [("U1", ("0", "1")), ("U2", ("0", "1"))],
+             {pair: (p, bc.output(f[pair])) for pair, p in joint.items()},
+             bc.output_names),
+            (relay_state(rc, relay),
+             [("U", ("u", "v")), ("X", ("0", "1")), ("X1", ("0", "1"))],
+             {t: (p, rc.output(t[1], t[2])) for t, p in relay.parts["UXX1"].items()},
+             rc.output_names),
+        ]
+        for st, regs, table, names in cases:
+            everything = [n for n, _ in regs] + list(names)
+            for r in range(1, len(everything) + 1):
+                for subset in itertools.combinations(everything, r):
+                    expect = loop_entropy(regs, table, names, subset)
+                    assert abs(st.entropy(subset) - expect) <= 1e-12, subset

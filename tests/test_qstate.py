@@ -6,6 +6,7 @@ import pytest
 from qnetcap.qstate import (
     DensityMatrix,
     InvariantError,
+    reduce_blocks,
     density_matrix_from_json,
     density_matrix_to_json,
     eig_hermitian,
@@ -53,6 +54,13 @@ class TestValidation:
         rho = DensityMatrix(m, (2,))
         assert rho.dim == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = bad
+        with pytest.raises(InvariantError):
+            DensityMatrix(m, (2,))
+
     def test_entries_read_only(self):
         rho = pure_state(KET0)
         with pytest.raises(ValueError):
@@ -87,6 +95,16 @@ class TestOperations:
         ab = tensor_product(a, b)
         # keep indices are positions, not a permutation request
         assert partial_trace(ab, [1, 0]).dims == (2, 3)
+
+    def test_reduce_blocks_matches_partial_trace_per_matrix(self):
+        rng = np.random.default_rng(19)
+        states = [rand_state(rng, 12) for _ in range(3)]
+        stack = np.array([rho.entries for rho in states])
+        for keep in ([0], [1], [2], [0, 2], [0, 1, 2]):
+            reduced = reduce_blocks(stack, (2, 3, 2), keep)
+            for rho, block in zip(states, reduced):
+                one = partial_trace(DensityMatrix(rho.entries, (2, 3, 2)), keep)
+                assert np.array_equal(block, one.entries)
 
     def test_eig_descending(self):
         rho = DensityMatrix(np.diag([0.1, 0.6, 0.3]).astype(complex), (3,))
@@ -132,6 +150,12 @@ class TestJson:
         assert len(pairs) == 9 and len(pairs[0]) == 2
         back = matrix_from_json(pairs, 3)
         assert np.allclose(back, m)
+
+    def test_non_finite_encoding_rejected(self):
+        pairs = matrix_to_json(np.eye(2) / 2)
+        pairs[3] = [float("nan"), 0.0]
+        with pytest.raises(InvariantError):
+            matrix_from_json(pairs, 2)
 
     def test_row_major_order(self):
         m = np.array([[1.0, 2.0j], [3.0, 4.0]])
