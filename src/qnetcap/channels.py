@@ -184,7 +184,7 @@ class Povm:
     def complete(cls, elements, labels=None, remainder_label=None, info=None,
                  completeness_tol=POVM_COMPLETENESS_TOL) -> "Povm":
         """Append the remainder I - sum(elements) as a final outcome."""
-        mats = [np.array(e, dtype=complex) for e in elements]
+        mats = [np.asarray(e, dtype=complex) for e in elements]
         d = mats[0].shape[0]
         remainder = np.eye(d, dtype=complex) - sum(mats)
         if labels is None:

@@ -2,9 +2,19 @@
 
 Builds explicit n-fold typical and conditionally typical projectors, the
 square-root measurement over a random codebook, and the exact average
-error probability of that measurement.  Everything is dense linear
-algebra on matrices of dimension dim^n, so a hard budget keeps n small;
-there are no asymptotics here, only exact numbers at desk scale.
+error probability of that measurement.  There are no asymptotics here,
+only exact numbers at desk scale.
+
+Each typical projector is spanned by product eigenvectors, so the
+decoder works from its orthonormal columns V (d x r, d = dim^n) rather
+than from dense d x d products: the detection operators are
+P_m = W_m W_m^dagger with W_m = P_avg V_m, the square-root measurement
+is Lambda_m = B_m B_m^dagger with B = S^{-1/2} W and S = W W^dagger
+(the Gram form of Hausladen et al., PRA 54, 1869, 1996), and the
+operator-union diagnostic reads Tr[P_k rho_m] off the columns, applying
+the product state rho_m one channel use at a time.  The projectors and
+the returned POVM are still dense d x d matrices, so a byte budget on
+the dense matrices a call keeps bounds n.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -17,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -27,8 +36,9 @@ from .channels import CqChannel, Povm, SchemaError
 from .entropic import ProbDist, shannon_entropy, von_neumann_entropy
 from .qstate import DensityMatrix, InvariantError, eig_hermitian
 
-# n * log2(dim) above this would need matrices beyond 2^14 dimensions
-DIMENSION_BUDGET_BITS = 14
+# bytes of dense complex d x d matrices one call may keep at once
+DENSE_BUDGET_BYTES = 2**30
+COMPLEX_BYTES = 16
 
 PROJECTOR_TOL = 1e-8
 SRM_COMPLETENESS_TOL = 1e-8
@@ -36,18 +46,33 @@ PINV_RELATIVE_CUTOFF = 1e-10
 EIG_FLOOR = 1e-12
 
 
-def _check_budget(dim, n):
-    bits = n * math.log2(dim)
-    if bits > DIMENSION_BUDGET_BITS + 1e-9:
+def _check_budget(dim, n, mats):
+    """Reject a call that would keep ``mats`` dense dim^n x dim^n matrices
+    beyond the byte budget, before anything is allocated."""
+    need = mats * COMPLEX_BYTES * dim ** (2 * n)
+    if need > DENSE_BUDGET_BYTES:
         raise SchemaError(
-            f"blocklength {n} over a dimension-{dim} output needs "
-            f"2^{bits:.1f}-dimensional matrices; the budget is 2^{DIMENSION_BUDGET_BITS}"
+            f"blocklength {n} over a dimension-{dim} output keeps {mats} dense "
+            f"{dim}^{n} x {dim}^{n} matrices, {need / 2**30:.3g} GiB; "
+            f"the budget is {DENSE_BUDGET_BYTES / 2**30:.3g} GiB"
         )
+
+
+def _srm_matrices(m_count):
+    """Dense matrices alive while an SRM is built: the projector set
+    (average plus one per codeword) and the POVM (one per codeword plus
+    the remainder)."""
+    return 2 * (m_count + 1)
 
 
 def message_count(n, rate):
     """Codebook size for rate R at blocklength n, never below one."""
-    return max(1, round(2.0 ** (n * rate)))
+    try:
+        return max(1, round(2.0 ** (n * rate)))
+    except OverflowError:
+        raise SchemaError(
+            f"rate {rate} at blocklength {n} asks for over 2^1024 codewords"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -99,13 +124,14 @@ def _positive_logs(evals):
     return logs
 
 
-def _sequence_projector(bases, logs, n, dim, center, delta):
-    """Projector onto product eigenvectors whose per-sequence sample
-    entropy sits within delta of the target value.
+def _sequence_columns(bases, logs, n, dim, center, delta):
+    """Orthonormal columns: the product eigenvectors whose per-sequence
+    sample entropy sits within delta of the target value.
 
     ``bases[i]`` and ``logs[i]`` give position i's eigenvectors and log
     eigenvalues; a sequence with any zero-weight eigenvector is never
-    typical.
+    typical.  When every sequence is typical the columns are the
+    standard basis, so the projector is exactly the identity.
     """
     total = reduce(np.add.outer, logs).ravel() if n > 1 else logs[0]
     with np.errstate(invalid="ignore"):
@@ -115,44 +141,47 @@ def _sequence_projector(bases, logs, n, dim, center, delta):
         return np.eye(full, dtype=complex)
     sel = np.flatnonzero(mask)
     if len(sel) == 0:
-        return np.zeros((full, full), dtype=complex)
+        return np.zeros((full, 0), dtype=complex)
     digits = np.stack(np.unravel_index(sel, (dim,) * n), axis=1)
     cols = np.ones((len(sel), 1), dtype=complex)
     for pos in range(n):
         u = bases[pos][:, digits[:, pos]].T
         cols = (cols[:, :, None] * u[:, None, :]).reshape(len(sel), -1)
-    v = cols.T
+    return cols.T
+
+
+def _span_projector(v):
+    """Dense projector V V^dagger onto orthonormal columns V."""
+    if v.shape[1] == v.shape[0]:
+        return np.eye(v.shape[0], dtype=complex)
     return v @ v.conj().T
+
+
+def _check_delta(delta):
+    if delta < 0:
+        raise SchemaError(f"typicality width must be >= 0, got {delta}")
 
 
 def typical_projector(rho, n, delta):
     """Projector onto the delta-typical subspace of n copies of rho."""
-    if delta < 0:
-        raise SchemaError(f"typicality width must be >= 0, got {delta}")
+    _check_delta(delta)
     dim = rho.dim
-    _check_budget(dim, n)
+    _check_budget(dim, n, 1)
     spec = eig_hermitian(rho)
     h = von_neumann_entropy(rho)
     logs = _positive_logs(spec.eigenvalues)
-    return _sequence_projector([spec.eigenvectors] * n, [logs] * n, n, dim, h, delta)
+    return _span_projector(
+        _sequence_columns([spec.eigenvectors] * n, [logs] * n, n, dim, h, delta)
+    )
 
 
-def cond_typical_projector(ch, xn, delta):
-    """Projector onto outputs typical for the given input word.
-
-    The typicality center is the empirical conditional entropy: the mean
-    output entropy of the symbols actually appearing in ``xn``.
-    """
-    if delta < 0:
-        raise SchemaError(f"typicality width must be >= 0, got {delta}")
+def _cond_typical_columns(ch, word, delta):
+    _check_delta(delta)
     if ch.n_inputs != 1:
         raise SchemaError("conditionally typical projectors need a single-input channel")
-    word = tuple(str(s) for s in xn)
     n = len(word)
     if n == 0:
         raise SchemaError("empty input word")
-    dim = ch.output_dim
-    _check_budget(dim, n)
     decomp = {}
     for x in dict.fromkeys(word):
         spec = eig_hermitian(ch.output(x))
@@ -164,7 +193,18 @@ def cond_typical_projector(ch, xn, delta):
     h_emp = float(np.mean([decomp[x][2] for x in word]))
     bases = [decomp[x][0] for x in word]
     logs = [decomp[x][1] for x in word]
-    return _sequence_projector(bases, logs, n, dim, h_emp, delta)
+    return _sequence_columns(bases, logs, n, ch.output_dim, h_emp, delta)
+
+
+def cond_typical_projector(ch, xn, delta):
+    """Projector onto outputs typical for the given input word.
+
+    The typicality center is the empirical conditional entropy: the mean
+    output entropy of the symbols actually appearing in ``xn``.
+    """
+    word = tuple(str(s) for s in xn)
+    _check_budget(ch.output_dim, len(word), 1)
+    return _span_projector(_cond_typical_columns(ch, word, delta))
 
 
 def _validate_projector(p, what):
@@ -174,14 +214,38 @@ def _validate_projector(p, what):
         raise InvariantError(f"{what} is not idempotent")
 
 
+def _validate_columns(p, v, what):
+    """V has orthonormal columns and V V^dagger = p, so p is a projector."""
+    if v.ndim != 2 or v.shape[0] != p.shape[0]:
+        raise SchemaError(f"{what} columns have shape {v.shape}, want ({p.shape[0]}, r)")
+    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
+        raise InvariantError(f"{what} columns are not orthonormal")
+    if np.max(np.abs(_span_projector(v) - p)) > PROJECTOR_TOL:
+        raise InvariantError(f"{what} differs from the span of its columns")
+
+
+def _projector_columns(p):
+    """Orthonormal columns spanning the range of a projector."""
+    evals, evecs = np.linalg.eigh(p)
+    return evecs[:, evals > 0.5]
+
+
 @dataclass(frozen=True)
 class ProjectorSet:
     """Average-output typical projector plus one conditional projector
-    per codeword, all at the same typicality width."""
+    per codeword, all at the same typicality width.
+
+    ``columns`` holds orthonormal columns V_m with conditional[m] equal
+    to V_m V_m^dagger; the decoder reads these.  When given they are
+    checked against the dense projectors, which also proves those are
+    projectors; when omitted they are taken from an eigendecomposition
+    of each validated conditional projector.
+    """
 
     average: np.ndarray
     conditional: tuple
     delta: float
+    columns: tuple = None
 
     def __post_init__(self):
         avg = np.array(self.average, dtype=complex)
@@ -190,12 +254,21 @@ class ProjectorSet:
         for m, c in enumerate(conds):
             if c.shape != avg.shape:
                 raise SchemaError(f"projector {m} has shape {c.shape}, want {avg.shape}")
-            _validate_projector(c, f"conditional projector {m}")
-        avg.setflags(write=False)
-        for c in conds:
-            c.setflags(write=False)
+        if self.columns is None:
+            for m, c in enumerate(conds):
+                _validate_projector(c, f"conditional projector {m}")
+            cols = tuple(_projector_columns(c) for c in conds)
+        else:
+            cols = tuple(np.array(v, dtype=complex) for v in self.columns)
+            if len(cols) != len(conds):
+                raise SchemaError(f"{len(cols)} column sets for {len(conds)} projectors")
+            for m, (c, v) in enumerate(zip(conds, cols)):
+                _validate_columns(c, v, f"conditional projector {m}")
+        for a in (avg,) + conds + cols:
+            a.setflags(write=False)
         object.__setattr__(self, "average", avg)
         object.__setattr__(self, "conditional", conds)
+        object.__setattr__(self, "columns", cols)
 
 
 def _codebook_frequencies(ch, codebook):
@@ -219,16 +292,22 @@ def projector_set(ch, codebook, delta):
     """
     if ch.n_inputs != 1:
         raise SchemaError("decoder simulation needs a single-input channel")
+    _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
     freq = _codebook_frequencies(ch, codebook)
     mean = sum(
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
     )
     rho_bar = DensityMatrix(mean, ch.dims)
     avg = typical_projector(rho_bar, codebook.n, delta)
-    conds = tuple(
-        cond_typical_projector(ch, w, delta) for w in codebook.codewords
+    cols = tuple(
+        _cond_typical_columns(ch, w, delta) for w in codebook.codewords
     )
-    return ProjectorSet(average=avg, conditional=conds, delta=delta)
+    return ProjectorSet(
+        average=avg,
+        conditional=tuple(_span_projector(v) for v in cols),
+        delta=delta,
+        columns=cols,
+    )
 
 
 def _word_state(ch, word):
@@ -236,25 +315,45 @@ def _word_state(ch, word):
     return reduce(np.kron, mats) if len(mats) > 1 else mats[0]
 
 
-def _detection_operators(projs):
-    pbar = projs.average
-    return [pbar @ c @ pbar for c in projs.conditional]
+def _word_state_times(ch, word, w):
+    """(rho_{x_1} (x) ... (x) rho_{x_n}) @ w, one channel use at a time,
+    without forming the d x d word state."""
+    dim = ch.output_dim
+    d, r = w.shape
+    out = w
+    for i, x in enumerate(word):
+        out = np.matmul(
+            ch.output(x).entries, out.reshape(dim**i, dim, d // dim ** (i + 1) * r)
+        )
+    return out.reshape(d, r)
+
+
+def _detection_columns(projs):
+    """W = [W_1 ... W_M] with W_m = P_avg V_m, so the detection operator
+    P_m = P_avg C_m P_avg equals W_m W_m^dagger; also the column indices
+    where each W_m after the first starts."""
+    w = projs.average @ np.concatenate(projs.columns, axis=1)
+    starts = np.cumsum([v.shape[1] for v in projs.columns])[:-1]
+    return w, starts
 
 
 def square_root_measurement(ch, codebook, delta, projs=None):
     """Square-root (pretty good) measurement for the codebook.
 
-    Each detection operator P_m sandwiches the codeword's conditional
-    projector between average projectors; the POVM normalizes them by
-    S^{-1/2} on the support of S = sum P_m and appends the remainder as
-    a "fail" outcome.  The support rank and pseudo-inverse cutoff are
-    reported in the POVM's info dict so rank deficiency is visible
-    rather than silently absorbed.
+    Each detection operator P_m = W_m W_m^dagger sandwiches the
+    codeword's conditional projector between average projectors; the
+    POVM normalizes them by S^{-1/2} on the support of
+    S = sum P_m = W W^dagger, as Lambda_m = B_m B_m^dagger with
+    B = S^{-1/2} W, and appends the remainder as a "fail" outcome.  The
+    support rank and pseudo-inverse cutoff are reported in the POVM's
+    info dict so rank deficiency is visible rather than silently
+    absorbed.
     """
+    _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
         projs = projector_set(ch, codebook, delta)
-    ps = _detection_operators(projs)
-    s = sum(ps)
+    w, starts = _detection_columns(projs)
+    s = w @ w.conj().T
     s = (s + s.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(s)
     top = float(evals[-1]) if len(evals) else 0.0
@@ -262,8 +361,8 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     keep = evals > cutoff
     inv_root = (evecs[:, keep] * evals[keep] ** -0.5) @ evecs[:, keep].conj().T
     lams = []
-    for p in ps:
-        lam = inv_root @ p @ inv_root
+    for b in np.split(inv_root @ w, starts, axis=1):
+        lam = b @ b.conj().T
         lams.append((lam + lam.conj().T) / 2.0)
     info = {
         "s_rank": int(keep.sum()),
@@ -288,8 +387,8 @@ def exact_error(ch, codebook, povm):
         )
     errs = []
     for m, word in enumerate(codebook.codewords):
-        rho = _word_state(ch, word)
-        hit = float(np.trace(povm.elements[m] @ rho).real)
+        # Tr[Lambda rho] as an elementwise sum; rho is Hermitian
+        hit = float(np.vdot(_word_state(ch, word), povm.elements[m]).real)
         errs.append(1.0 - hit)
     return float(np.clip(np.mean(errs), 0.0, 1.0))
 
@@ -299,19 +398,21 @@ def hn_diagnostic(ch, codebook, projs):
 
     An operator-union bound on the square-root measurement's error,
     evaluated exactly.  It is a diagnostic column, often far above the
-    exact error (and above 1) at these blocklengths.
+    exact error (and above 1) at these blocklengths.  Tr[P_k rho_m] is
+    the sum over W_k's columns of w^dagger rho_m w.
     """
-    ps = _detection_operators(projs)
-    eye = np.eye(ps[0].shape[0], dtype=complex)
+    if len(projs.conditional) != codebook.M:
+        raise SchemaError(
+            f"{len(projs.conditional)} conditional projectors for {codebook.M} messages"
+        )
+    w, starts = _detection_columns(projs)
     vals = []
     for m, word in enumerate(codebook.codewords):
-        rho = _word_state(ch, word)
-        miss = float(np.trace((eye - ps[m]) @ rho).real)
-        confuse = sum(
-            float(np.trace(ps[k] @ rho).real)
-            for k in range(codebook.M)
-            if k != m
-        )
+        trace = np.prod([np.trace(ch.output(x).entries) for x in word]).real
+        per_col = np.sum(w.conj() * _word_state_times(ch, word, w), axis=0).real
+        hits = np.array([c.sum() for c in np.split(per_col, starts)])
+        miss = trace - hits[m]
+        confuse = hits.sum() - hits[m]
         vals.append(2.0 * miss + 4.0 * confuse)
     return float(np.mean(vals))
 
@@ -325,7 +426,7 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     alphabet = ch.input_alphabets[0]
     # reject the whole sweep before computing anything
     for n in blocklengths:
-        _check_budget(ch.output_dim, n)
+        _check_budget(ch.output_dim, n, _srm_matrices(message_count(n, rate)))
     rows = []
     for n in blocklengths:
         for seed in seeds:

@@ -146,6 +146,14 @@ class TestPovm:
         assert povm.labels == ("a", None)
         assert np.allclose(povm.elements[1], np.diag([0.75, 0.5]))
 
+    def test_complete_does_not_alias_caller_arrays(self):
+        element = np.diag([0.25, 0.5]).astype(complex)
+        povm = Povm.complete([element])
+        element[0, 0] = 1.0
+        assert np.array_equal(povm.elements[0], np.diag([0.25, 0.5]))
+        assert np.array_equal(povm.elements[1], np.diag([0.75, 0.5]))
+        assert not povm.elements[0].flags.writeable
+
     def test_measurement_probabilities(self):
         povm = Povm.qubit_projective(0.0)
         p = measurement_probabilities(povm, pure_state(KET_PLUS))

@@ -229,7 +229,7 @@ class TestSim:
         assert len(lines) == 1 + 4 * 2
 
     def test_quantum_budget_violation(self, capsys, tmp_path):
-        # dim-4 outputs at n=8 exceed the 2^14 matrix budget
+        # one dense 4^8 x 4^8 matrix alone exceeds the byte budget
         rng = np.random.default_rng(0)
         table = {}
         for x in ("a", "b"):
@@ -245,6 +245,22 @@ class TestSim:
                            "--param", "0.3", "1")
         assert code == 2
         assert "error" in err
+
+    def test_quantum_codebook_budget_violation(self, capsys):
+        # rate 2 asks for 65536 codewords at n = 8, about 128 GiB of dense
+        # projectors and POVM elements; the sweep is rejected up front
+        code, out, err = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                             "--param", "2.0")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_quantum_codebook_size_overflow(self, capsys):
+        code, out, err = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                             "--param", "1000")
+        assert code == 2
+        assert out == ""
+        assert "codewords" in err
 
     def test_classical_deterministic(self, capsys):
         outs = []

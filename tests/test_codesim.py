@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import srm_dense
 
 from qnetcap.channels import CqChannel, Povm, SchemaError, builtin
 from qnetcap.codesim import (
@@ -75,7 +76,7 @@ class TestTypicalProjector:
 
     def test_maximally_mixed_identity(self):
         proj = typical_projector(diag_state(0.5, 0.5), 4, 0.1)
-        assert np.allclose(proj, np.eye(16))
+        assert np.array_equal(proj, np.eye(16))
 
     @pytest.mark.parametrize("delta", [0.2, 0.25, 0.35, 0.6])
     def test_binomial_tail_oracle(self, delta):
@@ -131,6 +132,13 @@ class TestTypicalProjector:
         with pytest.raises(SchemaError):
             typical_projector(diag_state(0.25, 0.25, 0.25, 0.25), 8, 0.1)
 
+    def test_budget_counts_every_matrix(self):
+        # one 2^13 x 2^13 complex matrix is 1 GiB; a projector set keeps
+        # M + 1 of them, so it is rejected before anything is allocated
+        cb = Codebook(n=13, codewords=(("0",) * 13,))
+        with pytest.raises(SchemaError, match="budget"):
+            projector_set(builtin("bb84_p2p"), cb, 0.4)
+
     def test_projector_is_projector(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -185,6 +193,35 @@ class TestProjectorSet:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             ProjectorSet(average=np.eye(4), conditional=(np.eye(8),), delta=0.3)
+
+    def test_columns_checked_against_projectors(self):
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(InvariantError):
+            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
+                         columns=(eye[:, :2],))
+        with pytest.raises(InvariantError):
+            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
+                         columns=(2.0 * eye,))
+        with pytest.raises(SchemaError):
+            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
+                         columns=(eye, eye))
+
+    @pytest.mark.parametrize("rate", [0.3, 0.6])
+    def test_dense_built_matches_projector_set(self, rate):
+        ch = mixed_channel()
+        cb = Codebook.random(("a", "b"), 6, rate, seed=3)
+        projs = projector_set(ch, cb, 0.3)
+        dense = ProjectorSet(average=projs.average,
+                             conditional=projs.conditional, delta=0.3)
+        for v, c in zip(dense.columns, projs.conditional):
+            assert np.max(np.abs(v @ v.conj().T - c)) <= 1e-12
+        a = square_root_measurement(ch, cb, 0.3, projs=projs)
+        b = square_root_measurement(ch, cb, 0.3, projs=dense)
+        assert a.info["s_rank"] == b.info["s_rank"]
+        for ea, eb in zip(a.elements, b.elements):
+            assert np.max(np.abs(ea - eb)) <= 1e-12
+        assert abs(exact_error(ch, cb, a) - exact_error(ch, cb, b)) <= 1e-12
+        assert abs(hn_diagnostic(ch, cb, projs) - hn_diagnostic(ch, cb, dense)) <= 1e-12
 
 
 class TestSquareRootMeasurement:
@@ -275,6 +312,13 @@ class TestSquareRootMeasurement:
         assert povm.labels[-1] == "fail"
         assert len(povm.elements) == cb.M + 1
 
+    def test_diagnostic_needs_one_projector_per_message(self):
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 4, 0.5, seed=9)
+        fewer = Codebook(n=4, codewords=cb.codewords[:-1])
+        with pytest.raises(SchemaError):
+            hn_diagnostic(ch, cb, projector_set(ch, fewer, 0.4))
+
     def test_relabeling_invariance(self):
         ch = builtin("bb84_p2p")
         cb = Codebook.random(("0", "1"), 4, 0.5, seed=9)
@@ -306,6 +350,72 @@ class TestExactError:
         lone = Povm([np.eye(4, dtype=complex)], labels=(0,))
         with pytest.raises(SchemaError):
             exact_error(ch, cb, lone)
+
+
+def assert_dense_parity(ch, cb, delta):
+    """Column-form SRM, exact error and diagnostic against the dense
+    sandwich reference in ``srm_dense``."""
+    projs = projector_set(ch, cb, delta)
+    povm = square_root_measurement(ch, cb, delta, projs=projs)
+    ref = srm_dense.square_root_measurement(ch, cb, delta, projs=projs)
+    assert povm.info["s_rank"] == ref.info["s_rank"]
+    assert abs(povm.info["pinv_cutoff"] - ref.info["pinv_cutoff"]) <= (
+        1e-12 * ref.info["pinv_cutoff"]
+    )
+    assert povm.labels == ref.labels
+    for e, r in zip(povm.elements, ref.elements, strict=True):
+        assert np.max(np.abs(e - r)) <= 1e-12
+    err = exact_error(ch, cb, povm)
+    assert abs(err - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
+    hn = hn_diagnostic(ch, cb, projs)
+    assert abs(hn - srm_dense.hn_diagnostic(ch, cb, projs)) <= 1e-12
+    return projs, povm
+
+
+class TestDenseParity:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_criterion_seven_trials(self, n):
+        ch = builtin("bb84_p2p")
+        for seed in range(20):
+            assert_dense_parity(ch, Codebook.random(("0", "1"), n, 0.3, seed), 0.4)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("rate", [0.3, 0.6])
+    def test_mixed_channel(self, n, rate):
+        # conditional ranks above one, unlike the pure BB84 outputs
+        ch = mixed_channel()
+        for seed in range(5):
+            cb = Codebook.random(("a", "b"), n, rate, seed)
+            projs, _ = assert_dense_parity(ch, cb, 0.4)
+            assert max(v.shape[1] for v in projs.columns) > 1
+
+    def test_all_typical_and_empty_windows(self):
+        # under a prior on "b" the average state is maximally mixed, so
+        # every sequence is typical for it and for the word bbbb; at width
+        # 0.01 no sequence is typical for aaaa or abab
+        ch = mixed_channel()
+        prior = ProbDist(("a", "b"), [0.0, 1.0])
+        words = (tuple("aaaa"), tuple("bbbb"), tuple("abab"))
+        cb = Codebook(n=4, codewords=words, prior=prior)
+        projs, povm = assert_dense_parity(ch, cb, 0.01)
+        assert np.array_equal(projs.average, np.eye(16))
+        assert np.array_equal(projs.conditional[1], np.eye(16))
+        assert [v.shape[1] for v in projs.columns] == [0, 16, 0]
+        assert povm.info["s_rank"] == 16
+
+    def test_zero_support(self):
+        # no length-6 sequence is 0.2-typical for diag(0.9, 0.1), so the
+        # average projector and every detection operator vanish
+        ch = mixed_channel()
+        prior = ProbDist(("a", "b"), [1.0, 0.0])
+        cb = Codebook(n=6, codewords=(tuple("aaaaaa"), tuple("bbbbbb")), prior=prior)
+        projs, povm = assert_dense_parity(ch, cb, 0.2)
+        assert not projs.average.any()
+        assert povm.info["s_rank"] == 0
+        assert povm.info["pinv_cutoff"] == 0.0
+        assert not any(e.any() for e in povm.elements[:-1])
+        assert np.array_equal(povm.elements[-1], np.eye(64))
+        assert exact_error(ch, cb, povm) == 1.0
 
 
 class TestErrorTrend:
