@@ -72,7 +72,7 @@ class RunConfig:
     builtin: str | None = None
     channel: str | None = None
     params: tuple = ()
-    grid: int = 21
+    grid: int | None = 21
     delta: float = 0.4
     seed: int = 0
     out: str | None = None
@@ -102,7 +102,7 @@ class RunConfig:
             uniform=getattr(args, "uniform", False),
             povm_angle=getattr(args, "povm_angle", None),
         )
-        if cfg.grid < 2:
+        if cfg.grid is not None and cfg.grid < 2:
             raise SchemaError(f"--grid must be >= 2, got {cfg.grid}")
         numbers = {
             "--delta": (cfg.delta,),
@@ -168,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("p2p-classical", "p2p-holevo"):
         sp = cap_sub.add_parser(name)
         _add_channel_flags(sp)
-        _add_common_flags(sp)
+        # accepted for old command lines; capacities are computed without a grid
+        _add_common_flags(sp, grid=None)
         if name == "p2p-classical":
             sp.add_argument(
                 "--povm-angle",
@@ -328,9 +329,17 @@ def _cmd_capacity(cfg: RunConfig) -> int:
         else:
             povm = Povm.computational(ch.output_dim)
         transition = induced_classical_channel(ch, povm)
-        value, dist = classical_capacity_BA(transition)
+        result = classical_capacity_BA(transition)
     else:
-        value, dist = hsw_capacity(ch, grid_resolution=cfg.grid)
+        result = hsw_capacity(ch)
+    if cfg.grid is not None:
+        print("note: --grid has no effect on capacity; the iteration needs no grid",
+              file=sys.stderr)
+    if not result.converged:
+        print(f"warning: capacity iteration stopped after {result.iterations} steps"
+              f" with certified gap {result.upper - result.value:.3e} bits",
+              file=sys.stderr)
+    value, dist = result
     print(format(value, ".10g"))
     if cfg.out is not None:
         import json

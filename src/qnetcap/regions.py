@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .qstate import InvariantError
 
@@ -102,6 +101,14 @@ def _normalize_rows(rows):
         seen.add(key)
         out.append((c, b))
     return out
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: importing
+    scipy.optimize takes about 0.5 s and only the LP pruning needs it."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _lp_prune(rows, dim):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,47 @@ class TestCapacity:
                            "bb84_p2p", "--grid", "1")
         assert code == 2
         assert "--grid" in err
+
+    @pytest.mark.parametrize("sub", ["p2p-holevo", "p2p-classical"])
+    def test_grid_has_no_effect(self, capsys, sub):
+        args = ("capacity", sub, "--builtin", "bb84_p2p")
+        _, plain, plain_err = run(capsys, *args)
+        code, out, err = run(capsys, *args, "--grid", "5")
+        assert code == 0 and out == plain and plain_err == ""
+        assert err.startswith("note: --grid has no effect") and err.count("\n") == 1
+
+    def test_unconverged_warning(self, capsys, tmp_path):
+        # |0>, |+>, |1>: the optimum drops |+>, which the iteration only
+        # approaches sublinearly, so it stops at its iteration limit
+        vectors = ([1, 0], [2**-0.5, 2**-0.5], [0, 1])
+        ch = CqChannel((("0", "p", "1"),), {
+            (x,): DensityMatrix(np.outer(v, v).astype(complex), (2,))
+            for x, v in zip(("0", "p", "1"), vectors)
+        })
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(dump_channel(ch)))
+        code, out, err = run(capsys, "capacity", "p2p-holevo", "--channel", str(path))
+        assert code == 0 and abs(float(out) - 1.0) < 1e-8
+        assert err.startswith("warning: capacity iteration stopped after 20000 steps")
+        assert "gap" in err and err.count("\n") == 1
+
+    def test_scipy_optimize_not_imported(self):
+        import subprocess
+        import sys
+
+        import qnetcap
+
+        script = (
+            "import sys, qnetcap.cli, qnetcap.network, qnetcap.bosonic, qnetcap.codesim\n"
+            "from qnetcap.channels import builtin\n"
+            "qnetcap.network.hsw_capacity(builtin('bb84_p2p'))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestRegion:

@@ -147,6 +147,20 @@ class TestBlahutArimoto:
         with pytest.raises(InvariantError):
             classical_capacity_BA([[0.5, 0.2], [0.5, 0.5]])
 
+    def test_certificate(self):
+        exact = binary_entropy(0.2) - 0.4
+        done = classical_capacity_BA([[1.0, 0.0], [0.5, 0.5]])
+        assert done.converged and done.upper - done.value < 1e-9
+        assert done.value <= exact + 1e-12 and exact <= done.upper + 1e-12
+        cut = classical_capacity_BA([[1.0, 0.0], [0.5, 0.5]], max_iter=3)
+        assert not cut.converged and cut.iterations == 3
+        assert cut.value <= exact <= cut.upper
+        assert cut.upper - cut.value > 1e-3
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(SchemaError):
+            classical_capacity_BA(np.eye(2), max_iter=-1)
+
 
 class TestHswCapacity:
     def test_bb84(self):
@@ -157,7 +171,7 @@ class TestHswCapacity:
     def test_identical_outputs(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), (2,))
         ch = CqChannel((("0", "1"),), {("0",): rho, ("1",): rho})
-        c, _ = hsw_capacity(ch, grid_resolution=5)
+        c, _ = hsw_capacity(ch)
         assert np.isclose(c, 0.0, atol=1e-9)
 
     def test_matches_ba_on_embedded_classical(self):
@@ -171,6 +185,77 @@ class TestHswCapacity:
         c_ba, _ = classical_capacity_BA(t)
         c_hsw, _ = hsw_capacity(ch)
         assert np.isclose(c_hsw, c_ba, atol=1e-4)
+
+    @pytest.mark.parametrize("name", [
+        "bb84_p2p", "trine", "bb84_four", "qutrit_mub", "embedded_classical",
+        "qutrit_random_0", "qutrit_random_1", "qutrit_random_2",
+    ])
+    def test_certificate(self, name):
+        ch = HSW_SETS[name]()
+        alphabet = ch.input_alphabets[0]
+        res = hsw_capacity(ch)
+        assert res.converged and res.upper - res.value <= 1e-9
+        st = p2p_state(ch, ProbDist.uniform(alphabet))
+        b = set(ch.output_names)
+        chi = conditional_mutual_information(
+            st, {"X"}, b, probs=res.distribution.weights[None])
+        assert abs(res.value - chi[0]) <= 1e-12
+        grid = np.array(list(simplex_grid(len(alphabet), 11)))
+        best = conditional_mutual_information(st, {"X"}, b, probs=grid).max()
+        assert res.value >= best - 1e-9
+
+    def test_bb84_value(self):
+        assert abs(hsw_capacity(builtin("bb84_p2p")).value - 0.600876036692856) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["qutrit_mub", "qutrit_random_0"])
+    def test_global_unitary_invariance(self, name):
+        ch = HSW_SETS[name]()
+        base = hsw_capacity(ch)
+        for seed in range(3):
+            u = random_unitary(3, seed)
+            turned = hsw_capacity(rotated(ch, u))
+            assert abs(turned.value - base.value) <= 1e-12
+            assert abs(turned.iterations - base.iterations) <= 1
+
+    def test_tight_boundary_reports_certificate(self):
+        ch = state_set([[1, 0], [1, 1], [0, 1]])  # |0>, |+>, |1>: C = 1
+        res = hsw_capacity(ch)
+        assert res.value <= 1.0 <= res.upper
+        assert res.converged == (res.upper - res.value < 1e-9)
+        assert res.converged or res.iterations == 20000
+        cut = hsw_capacity(ch, max_iter=10)
+        assert not cut.converged and cut.iterations == 10
+        assert cut.value <= 1.0 <= cut.upper
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_rank_deficient_sigma(self, seed):
+        # the two BB84 states inside a qutrit, as they are (sigma has an
+        # exact zero eigenvalue) or rotated (a roundoff one); without the
+        # support cutoff, log2 of either turns the iteration into NaN
+        u = np.eye(3) if seed is None else random_unitary(3, seed)
+        outputs = {}
+        for x, v in (("0", [1, 0, 0]), ("1", [1, 1, 0])):
+            w = u @ np.array(v, dtype=complex)
+            outputs[(x,)] = pure_state(w / np.linalg.norm(w))
+        ch = CqChannel((("0", "1"),), outputs)
+        sigma = sum(rho.entries for rho in outputs.values()) / 2
+        w = np.linalg.eigvalsh(sigma)
+        assert w[0] <= network.SUPPORT_RELATIVE_CUTOFF * w[-1]
+        res = hsw_capacity(ch)
+        assert res.converged and abs(res.value - H_BB84) <= 1e-12
+        assert abs(res.upper - H_BB84) <= 1e-9
+
+    def test_result_unpacks_as_pair(self):
+        res = hsw_capacity(builtin("bb84_p2p"))
+        c, p = res
+        assert (c, p) == (res[0], res[1]) == (res.value, res.distribution)
+
+    def test_grid_resolution_has_no_effect(self):
+        ch = trine_channel()
+        with pytest.warns(DeprecationWarning, match="grid_resolution"):
+            old = hsw_capacity(ch, grid_resolution=11)
+        new = hsw_capacity(ch)
+        assert old.value == new.value and old.iterations == new.iterations
 
 
 class TestMacRegion:
@@ -584,6 +669,62 @@ def trine_channel():
     return CqChannel((("0", "1", "2"),), outputs)
 
 
+def state_set(vectors):
+    """Single-input channel sending the k-th (normalised) vector for "k"."""
+    outputs = {
+        (str(k),): pure_state(np.asarray(v, dtype=complex) / np.linalg.norm(v))
+        for k, v in enumerate(vectors)
+    }
+    return CqChannel((tuple(str(k) for k in range(len(vectors))),), outputs)
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(ch, u):
+    outputs = {
+        key: DensityMatrix(u @ rho.entries @ u.conj().T, rho.dims)
+        for key, rho in ch.outputs.items()
+    }
+    return CqChannel(ch.input_alphabets, outputs)
+
+
+def random_qutrit_set(seed, k=5):
+    """k random mixed qutrit states of rank at most two."""
+    rng = np.random.default_rng(seed)
+    outputs = {}
+    for x in range(k):
+        g = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        rho = g @ g.conj().T
+        outputs[(str(x),)] = DensityMatrix(rho / np.trace(rho).real, (3,))
+    return CqChannel((tuple(str(x) for x in range(k)),), outputs)
+
+
+def embedded_classical():
+    t = np.random.default_rng(13).dirichlet(np.ones(3), size=3)
+    outputs = {
+        (str(x),): DensityMatrix(np.diag(t[x]).astype(complex), (3,))
+        for x in range(3)
+    }
+    return CqChannel((("0", "1", "2"),), outputs)
+
+
+_W3 = np.exp(2j * np.pi / 3)
+HSW_SETS = {
+    "bb84_p2p": lambda: builtin("bb84_p2p"),
+    "trine": trine_channel,
+    "bb84_four": lambda: state_set([[1, 0], [0, 1], [1, 1], [1, -1]]),
+    "qutrit_mub": lambda: state_set(
+        [np.eye(3)[k] for k in range(3)]
+        + [[1, _W3**k, _W3 ** (2 * k)] for k in range(3)]),
+    "embedded_classical": embedded_classical,
+    **{f"qutrit_random_{i}": (lambda i=i: random_qutrit_set(i)) for i in range(3)},
+}
+
+
 def grid_pairs(ch, grid):
     """Product distributions of a two-input channel on the simplex grid,
     first input outermost, as (w1, w2, table) triples for the row loop."""
@@ -654,7 +795,7 @@ class TestStackedSweeps:
             table = {(x,): (w[i], ch.output(x)) for i, x in enumerate(alphabet)}
             loop.append(loop_cmi([("X", alphabet)], table, names, {"X"}, set(names)))
         assert np.max(np.abs(stacked - loop)) <= 1e-12
-        assert hsw_capacity(ch, grid_resolution=11)[0] >= max(loop) - 1e-12
+        assert hsw_capacity(ch)[0] >= max(loop) - 1e-12
 
     def test_sweeps_spanning_several_chunks(self, monkeypatch):
         inside, outside, qmac, trine = (
@@ -663,14 +804,14 @@ class TestStackedSweeps:
             vsi_check(inside, grid=11),
             vsi_check(outside, grid=11),
             mac_region_union(qmac, grid=11),
-            hsw_capacity(trine, grid_resolution=11),
+            hsw_capacity(trine),
         )
         monkeypatch.setattr(network, "_GRID_CHUNK", 7)
         chunked = (
             vsi_check(inside, grid=11),
             vsi_check(outside, grid=11),
             mac_region_union(qmac, grid=11),
-            hsw_capacity(trine, grid_resolution=11),
+            hsw_capacity(trine),
         )
         assert whole[:2] == chunked[:2] == (True, False)
         assert np.max(np.abs(np.array(whole[2]) - np.array(chunked[2]))) <= 1e-12
