@@ -350,54 +350,6 @@ def _cmd_capacity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _random_bc_superposition(bc, seed):
-    import numpy as np
-
-    from .entropic import ProbDist
-    from .network import CodeDistribution
-
-    rng = np.random.default_rng(seed)
-    alphabet = bc.input_alphabets[0]
-    w_syms = ("0", "1")
-    w = ProbDist(w_syms, rng.dirichlet([2.0] * len(w_syms)))
-    x_given_w = {
-        s: ProbDist(alphabet, rng.dirichlet([2.0] * len(alphabet)))
-        for s in w_syms
-    }
-    return CodeDistribution.superposition(w, x_given_w)
-
-
-def _random_bc_marton(bc, seed):
-    import itertools
-
-    import numpy as np
-
-    from .entropic import ProbDist
-    from .network import CodeDistribution
-
-    rng = np.random.default_rng(seed)
-    alphabet = bc.input_alphabets[0]
-    pairs = tuple(itertools.product(("0", "1"), repeat=2))
-    joint = ProbDist(pairs, rng.dirichlet([2.0] * len(pairs)))
-    f = {pair: str(rng.choice(alphabet)) for pair in pairs}
-    return CodeDistribution.marton(joint, f, alphabet)
-
-
-def _random_relay_pdf(rc, seed):
-    import itertools
-
-    import numpy as np
-
-    from .entropic import ProbDist
-    from .network import CodeDistribution
-
-    rng = np.random.default_rng(seed)
-    x_alpha, x1_alpha = rc.input_alphabets
-    triples = tuple(itertools.product(("0", "1"), x_alpha, x1_alpha))
-    joint = ProbDist(triples, rng.dirichlet([2.0] * len(triples)))
-    return CodeDistribution.relay_pdf(joint)
-
-
 def _cmg_oracle_status(ch, dist, grid=50, tol=1e-6) -> tuple[float, bool]:
     import numpy as np
 
@@ -430,6 +382,9 @@ def _cmd_region(cfg: RunConfig) -> int:
         marton_region,
         random_cmg_distribution,
         random_hk_distribution,
+        random_marton_distribution,
+        random_relay_distribution,
+        random_superposition_distribution,
         relay_pdf_rate,
         sato_outer,
         si_capacity,
@@ -468,15 +423,15 @@ def _cmd_region(cfg: RunConfig) -> int:
         _emit_region(cmg_region(ch, dist), cfg.out)
         return EXIT_OK
     if sub == "bc-superposition":
-        dist = _random_bc_superposition(ch, cfg.seed)
+        dist = random_superposition_distribution(ch, cfg.seed)
         _emit_region(superposition_region(ch, dist), cfg.out)
         return EXIT_OK
     if sub == "bc-marton":
-        dist = _random_bc_marton(ch, cfg.seed)
+        dist = random_marton_distribution(ch, cfg.seed)
         _emit_region(marton_region(ch, dist), cfg.out)
         return EXIT_OK
     # relay-pdf: a single rate, not a region
-    dist = _random_relay_pdf(ch, cfg.seed)
+    dist = random_relay_distribution(ch, cfg.seed)
     rate = relay_pdf_rate(ch, dist)
     print(format(rate, ".10g"))
     if cfg.out is not None:

@@ -1,16 +1,24 @@
 """Capacity and achievable-rate computations for finite-dimensional network
-channels: point-to-point, multiple access, interference, broadcast, and relay
-models built from a CqChannel plus a code distribution.
+channels: point-to-point, multiple access, interference, broadcast, and relay.
 
-Every rate bound is an entropic quantity of one joint classical-quantum
-state; this module builds those states and assembles the inequality systems.
+A ``CodeDistribution`` is a random-coding scheme's input distribution: its
+parts, its deterministic input maps and its structure (factors in sampling
+order, register order, how each channel input is read).  Every network rate
+bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``; each region
+names its terms as data, evaluates each distinct term once and sums them
+row by row.  ``random_cmg_distribution``, ``random_hk_distribution``,
+``random_superposition_distribution``, ``random_marton_distribution`` and
+``random_relay_distribution`` draw seeded distributions.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same system.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -83,19 +91,48 @@ def _grid_pairs(k1: int, k2: int, resolution: int):
 # ---------------------------------------------------------------------------
 # code distributions
 
+# Structure of each kind of distribution: its factors in sampling order as
+# (part, registers drawn, registers conditioned on), the register order of
+# its joint state, and each channel input as a register or as a (map,
+# registers) pair.  Register names are separated by spaces.
+_LAYOUTS = {
+    "p2p": ([("X", "X", "")], "X", ["X"]),
+    "mac": ([("X1", "X1", ""), ("X2", "X2", "")], "X1 X2", ["X1", "X2"]),
+    "coded-time-share": (
+        [("Q", "Q", ""), ("X1|Q", "X1", "Q"), ("X2|Q", "X2", "Q")],
+        "Q X1 X2", ["X1", "X2"]),
+    "hk": (
+        [("Q", "Q", ""), ("U1|Q", "U1", "Q"), ("U2|Q", "U2", "Q"),
+         ("W1|Q", "W1", "Q"), ("W2|Q", "W2", "Q")],
+        "Q U1 U2 W1 W2", [("f1", "U1 W1"), ("f2", "U2 W2")]),
+    "cmg": (
+        [("Q", "Q", ""), ("W1|Q", "W1", "Q"), ("W2|Q", "W2", "Q"),
+         ("X1|W1Q", "X1", "W1 Q"), ("X2|W2Q", "X2", "W2 Q")],
+        "Q W1 X1 W2 X2", ["X1", "X2"]),
+    "superposition": ([("W", "W", ""), ("X|W", "X", "W")], "W X", ["X"]),
+    "marton": ([("U1U2", "U1 U2", "")], "U1 U2", [("f", "U1 U2")]),
+    "relay-pdf": ([("UXX1", "U X X1", "")], "U X X1", ["X", "X1"]),
+}
+
+
 class CodeDistribution:
     """Input-distribution structure of a random-coding scheme.
 
-    ``parts`` maps register names to either a ProbDist (unconditional) or a
-    dict from conditioning tuples to ProbDists; ``maps`` holds deterministic
-    symbol maps (the functions turning auxiliary symbols into channel
-    inputs).  Use the per-kind classmethods.
+    ``parts`` maps part names to either a ProbDist (unconditional) or a
+    dict from conditioning symbols (a tuple when there are several) to
+    ProbDists; ``maps`` holds deterministic symbol maps (the functions
+    turning auxiliary symbols into channel inputs).  ``factors``,
+    ``registers`` and ``inputs`` record the kind's structure from
+    ``_LAYOUTS``.  Use the per-kind classmethods.
     """
 
     def __init__(self, kind: str, parts: dict, maps: dict | None = None):
+        if kind not in _LAYOUTS:
+            raise SchemaError(f"unknown distribution kind {kind!r}")
         self.kind = kind
         self.parts = dict(parts)
         self.maps = dict(maps) if maps else {}
+        self.factors, self.registers, self.inputs = _LAYOUTS[kind]
 
     @staticmethod
     def _conditional(table: dict, domain) -> dict:
@@ -207,158 +244,87 @@ class CodeDistribution:
         return cls("relay-pdf", {"UXX1": joint})
 
 
-def _expect_kind(dist: CodeDistribution, *kinds):
-    if dist.kind not in kinds:
-        raise SchemaError(f"need a {' or '.join(kinds)} distribution, got {dist.kind}")
-
 
 # ---------------------------------------------------------------------------
-# joint-state builders
+# the joint state and its information terms
 
-def p2p_state(ch: CqChannel, p: ProbDist) -> LabeledCqState:
-    if ch.n_inputs != 1:
-        raise SchemaError("point-to-point state needs a single-input channel")
-    alphabet = ch.input_alphabets[0]
-    table = {(x,): (p.prob(x), ch.output(x)) for x in alphabet}
-    return LabeledCqState([("X", alphabet)], table, ch.output_names)
+def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
+    """The joint classical-quantum state of ``dist``'s registers and
+    ``ch``'s outputs: one row per choice of register symbols, holding its
+    probability and the channel output at the inputs those symbols give.
 
-
-def mac_state(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> LabeledCqState:
-    if ch.n_inputs != 2:
-        raise SchemaError("MAC state needs a two-input channel")
-    a1, a2 = ch.input_alphabets
-    table = {
-        (x1, x2): (p1.prob(x1) * p2.prob(x2), ch.output(x1, x2))
-        for x1 in a1
-        for x2 in a2
-    }
-    return LabeledCqState([("X1", a1), ("X2", a2)], table, ch.output_names)
-
-
-def cts_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    """State for coded time sharing: p(q) p(x1|q) p(x2|q) x rho_{x1,x2}."""
-    _expect_kind(dist, "coded-time-share")
-    q = dist.parts["Q"]
-    a1, a2 = ch.input_alphabets
-    table = {}
-    for qs in q.symbols:
-        p1, p2 = dist.parts["X1|Q"][qs], dist.parts["X2|Q"][qs]
-        for x1 in a1:
-            for x2 in a2:
-                table[(qs, x1, x2)] = (
-                    q.prob(qs) * p1.prob(x1) * p2.prob(x2),
-                    ch.output(x1, x2),
-                )
-    regs = [("Q", q.symbols), ("X1", a1), ("X2", a2)]
-    return LabeledCqState(regs, table, ch.output_names)
-
-
-def hk_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    _expect_kind(dist, "hk")
-    q = dist.parts["Q"]
-    f1, f2 = dist.maps["f1"], dist.maps["f2"]
-    u1a = next(iter(dist.parts["U1|Q"].values())).symbols
-    u2a = next(iter(dist.parts["U2|Q"].values())).symbols
-    w1a = next(iter(dist.parts["W1|Q"].values())).symbols
-    w2a = next(iter(dist.parts["W2|Q"].values())).symbols
-    table = {}
-    for qs in q.symbols:
-        pu1 = dist.parts["U1|Q"][qs]
-        pu2 = dist.parts["U2|Q"][qs]
-        pw1 = dist.parts["W1|Q"][qs]
-        pw2 = dist.parts["W2|Q"][qs]
-        for u1, u2, w1, w2 in itertools.product(u1a, u2a, w1a, w2a):
-            prob = (
-                q.prob(qs)
-                * pu1.prob(u1)
-                * pu2.prob(u2)
-                * pw1.prob(w1)
-                * pw2.prob(w2)
-            )
-            rho = ch.output(f1[(u1, w1)], f2[(u2, w2)])
-            table[(qs, u1, u2, w1, w2)] = (prob, rho)
-    regs = [
-        ("Q", q.symbols),
-        ("U1", u1a),
-        ("U2", u2a),
-        ("W1", w1a),
-        ("W2", w2a),
-    ]
-    return LabeledCqState(regs, table, ch.output_names)
+    Rows nest the factors in sampling order.  A channel-input register runs
+    over the channel's alphabet and an auxiliary register over its
+    distribution's symbols; a joint factor runs over its joint symbols and
+    puts its weight on its first register and 1.0 on the others.  A row's
+    probability is the product of its register weights in register order.
+    """
+    if ch.n_inputs != len(dist.inputs):
+        raise SchemaError(f"a {dist.kind} distribution needs a "
+                          f"{len(dist.inputs)}-input channel, got {ch.n_inputs}")
+    alphabets = {r: a for r, a in zip(dist.inputs, ch.input_alphabets)
+                 if isinstance(r, str)}
+    drawn, rows = [], [((), ())]  # (symbols, weights) in sampling order
+    for key, regs, given in dist.factors:
+        regs, at = regs.split(), [drawn.index(g) for g in given.split()]
+        pds = dist.parts[key] if at else {(): dist.parts[key]}
+        if len(regs) > 1:
+            for k, r in enumerate(regs):
+                alphabets.setdefault(r, tuple(dict.fromkeys(
+                    s[k] for pd in pds.values() for s in pd.symbols)))
+            choices = {c: [(s, (float(w),) + (1.0,) * (len(s) - 1)) for s, w in pd.items()]
+                       for c, pd in pds.items()}
+        else:
+            alphabet = alphabets.setdefault(regs[0], next(iter(pds.values())).symbols)
+            for pd in pds.values():
+                if set(pd.symbols) != set(alphabet):
+                    raise SchemaError(f"{key} is over {pd.symbols}, but {regs[0]} "
+                                      f"takes the alphabet {alphabet}")
+            choices = {c: [((s,), (pd.prob(s),)) for s in alphabet] for c, pd in pds.items()}
+        # conditional parts are keyed by one symbol, or a tuple of several
+        pick = operator.itemgetter(*at) if at else (lambda symbols: ())
+        rows = [(s + cs, w + cw) for s, w in rows for cs, cw in choices[pick(s)]]
+        drawn += regs
+    names = dist.registers.split()
+    if drawn != names:
+        arrange = operator.itemgetter(*map(drawn.index, names))
+        rows = [(arrange(s), arrange(w)) for s, w in rows]
+    reads = [(None, operator.itemgetter(names.index(r))) if isinstance(r, str) else
+             (dist.maps[r[0]], operator.itemgetter(*map(names.index, r[1].split())))
+             for r in dist.inputs]
+    table = {s: (math.prod(w), ch.output(*[get(s) if f is None else f[get(s)]
+                                           for f, get in reads]))
+             for s, w in rows}
+    return LabeledCqState([(r, alphabets[r]) for r in names], table, ch.output_names)
 
 
-def cmg_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    _expect_kind(dist, "cmg")
-    q = dist.parts["Q"]
-    a1, a2 = ch.input_alphabets
-    w1a = next(iter(dist.parts["W1|Q"].values())).symbols
-    w2a = next(iter(dist.parts["W2|Q"].values())).symbols
-    table = {}
-    for qs in q.symbols:
-        pw1, pw2 = dist.parts["W1|Q"][qs], dist.parts["W2|Q"][qs]
-        for w1, w2 in itertools.product(w1a, w2a):
-            px1 = dist.parts["X1|W1Q"][(w1, qs)]
-            px2 = dist.parts["X2|W2Q"][(w2, qs)]
-            for x1, x2 in itertools.product(a1, a2):
-                prob = (
-                    q.prob(qs)
-                    * pw1.prob(w1)
-                    * px1.prob(x1)
-                    * pw2.prob(w2)
-                    * px2.prob(x2)
-                )
-                table[(qs, w1, x1, w2, x2)] = (prob, ch.output(x1, x2))
-    regs = [
-        ("Q", q.symbols),
-        ("W1", w1a),
-        ("X1", a1),
-        ("W2", w2a),
-        ("X2", a2),
-    ]
-    return LabeledCqState(regs, table, ch.output_names)
+# perfbench/layertrace.py counts state builds by wrapping these names; ROADMAP (A) deletes this line
+p2p_state = mac_state = cts_state = hk_state = cmg_state = superposition_state = marton_state = relay_state = joint_state  # noqa: E501
 
 
-def superposition_state(bc: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    _expect_kind(dist, "superposition")
-    if bc.n_inputs != 1:
-        raise SchemaError("broadcast needs a single-input channel")
-    w = dist.parts["W"]
-    alphabet = bc.input_alphabets[0]
-    table = {}
-    for ws in w.symbols:
-        px = dist.parts["X|W"][ws]
-        for x in alphabet:
-            table[(ws, x)] = (w.prob(ws) * px.prob(x), bc.output(x))
-    return LabeledCqState(
-        [("W", w.symbols), ("X", alphabet)], table, bc.output_names
-    )
+def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict) -> dict:
+    """Each I(A;B|C) of ``terms`` (name -> (A, B, C), register and output
+    names separated by spaces, B1 and B2 standing for receivers 1 and 2) on
+    the joint state of a ``kind`` distribution, clamped; equal terms are
+    evaluated once."""
+    if dist.kind != kind:
+        raise SchemaError(f"need a {kind} distribution, got {dist.kind}")
+    st = joint_state(ch, dist)
+    receivers = dict(zip(("B1", "B2"), _receiver_names(ch)))
+    values, out = {}, {}
+    for name, spec in terms.items():
+        key = tuple(frozenset(receivers.get(n, n) for n in part.split()) for part in spec)
+        if key not in values:
+            values[key] = _clamp(conditional_mutual_information(st, *key))
+        out[name] = values[key]
+    return out
 
 
-def marton_state(bc: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    _expect_kind(dist, "marton")
-    if bc.n_inputs != 1:
-        raise SchemaError("broadcast needs a single-input channel")
-    joint = dist.parts["U1U2"]
-    f = dist.maps["f"]
-    u1a = tuple(dict.fromkeys(u1 for u1, _ in joint.symbols))
-    u2a = tuple(dict.fromkeys(u2 for _, u2 in joint.symbols))
-    table = {}
-    for (u1, u2), prob in joint.items():
-        table[(u1, u2)] = (float(prob), bc.output(f[(u1, u2)]))
-    return LabeledCqState([("U1", u1a), ("U2", u2a)], table, bc.output_names)
-
-
-def relay_state(rc: CqChannel, dist: CodeDistribution) -> LabeledCqState:
-    _expect_kind(dist, "relay-pdf")
-    if rc.n_inputs != 2:
-        raise SchemaError("relay needs a two-input channel (x, x1)")
-    joint = dist.parts["UXX1"]
-    ua = tuple(dict.fromkeys(u for u, _, _ in joint.symbols))
-    table = {}
-    for (u, x, x1), prob in joint.items():
-        table[(u, x, x1)] = (float(prob), rc.output(x, x1))
-    regs = [("U", ua), ("X", rc.input_alphabets[0]), ("X1", rc.input_alphabets[1])]
-    return LabeledCqState(regs, table, rc.output_names)
+def _rows(values: dict, rows) -> list:
+    """Half-space rows (coeffs, bound) from (coeffs, [term names]); each
+    bound is summed left to right from its first term."""
+    return [(c, functools.reduce(operator.add, map(values.get, names)))
+            for c, names in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +440,15 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # multiple access
 
+_MAC_TERMS = {"X1": ("X1", "B1 B2", "X2"), "X2": ("X2", "B1 B2", "X1"),
+              "X1X2": ("X1 X2", "B1 B2", "")}
+
+
 def mac_region(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> HalfspaceRegion:
     """Pentagon {R1 <= I(X1;B|X2), R2 <= I(X2;B|X1), R1+R2 <= I(X1X2;B)}."""
-    st = mac_state(ch, p1, p2)
-    b = set(ch.output_names)
-    i1 = conditional_mutual_information(st, {"X1"}, b, {"X2"})
-    i2 = conditional_mutual_information(st, {"X2"}, b, {"X1"})
-    i12 = conditional_mutual_information(st, {"X1", "X2"}, b)
+    t = _informations(ch, CodeDistribution.mac(p1, p2), "mac", _MAC_TERMS)
     return HalfspaceRegion(
-        ("R1", "R2"),
-        [([1, 0], _clamp(i1)), ([0, 1], _clamp(i2)), ([1, 1], _clamp(i12))],
+        ("R1", "R2"), [([1, 0], t["X1"]), ([0, 1], t["X2"]), ([1, 1], t["X1X2"])]
     )
 
 
@@ -493,7 +458,7 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
     Returns a list of (theta, R1, R2) like boundary_sample.
     """
     a1, a2 = ch.input_alphabets
-    st = mac_state(ch, ProbDist.uniform(a1), ProbDist.uniform(a2))
+    st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     b = set(ch.output_names)
     coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     thetas = np.linspace(0.0, np.pi / 2, n_angles)
@@ -513,37 +478,25 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
     ]
 
 
+_CORNER_TERMS = {
+    "X1;B1": ("X1", "B1", ""), "X1;B2": ("X1", "B2", ""),
+    "X2;B1": ("X2", "B1", ""), "X2;B2": ("X2", "B2", ""),
+    "X1;B1|X2": ("X1", "B1", "X2"), "X2;B2|X1": ("X2", "B2", "X1"),
+}
+
+
 def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> dict:
     """Interference-channel rate pairs reachable by decoding orders.
 
     P1: rx1 decodes both (interference first), rx2 treats its signal last;
     P4: both receivers decode only their own sender.  Keys "P1".."P4".
     """
-    st = mac_state(ch, p1, p2)
-    b1, b2 = _receiver_names(ch)
-    i = {
-        ("X1", "B1"): conditional_mutual_information(st, {"X1"}, {b1}),
-        ("X1", "B2"): conditional_mutual_information(st, {"X1"}, {b2}),
-        ("X2", "B1"): conditional_mutual_information(st, {"X2"}, {b1}),
-        ("X2", "B2"): conditional_mutual_information(st, {"X2"}, {b2}),
-        ("X1", "B1|X2"): conditional_mutual_information(st, {"X1"}, {b1}, {"X2"}),
-        ("X2", "B2|X1"): conditional_mutual_information(st, {"X2"}, {b2}, {"X1"}),
-    }
-    i = {k: _clamp(v) for k, v in i.items()}
+    i = _informations(ch, CodeDistribution.mac(p1, p2), "mac", _CORNER_TERMS)
     return {
-        "P1": (
-            i[("X1", "B1|X2")],
-            min(i[("X2", "B1")], i[("X2", "B2")]),
-        ),
-        "P2": (
-            min(i[("X1", "B1|X2")], i[("X1", "B2")]),
-            min(i[("X2", "B1")], i[("X2", "B2|X1")]),
-        ),
-        "P3": (
-            min(i[("X1", "B1")], i[("X1", "B2")]),
-            i[("X2", "B2|X1")],
-        ),
-        "P4": (i[("X1", "B1")], i[("X2", "B2")]),
+        "P1": (i["X1;B1|X2"], min(i["X2;B1"], i["X2;B2"])),
+        "P2": (min(i["X1;B1|X2"], i["X1;B2"]), min(i["X2;B1"], i["X2;B2|X1"])),
+        "P3": (min(i["X1;B1"], i["X1;B2"]), i["X2;B2|X1"]),
+        "P4": (i["X1;B1"], i["X2;B2"]),
     }
 
 
@@ -556,7 +509,7 @@ def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
     grid."""
     a1, a2 = ch.input_alphabets
     b1, b2 = _receiver_names(ch)
-    st = mac_state(ch, ProbDist.uniform(a1), ProbDist.uniform(a2))
+    st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     for probs in _grid_pairs(len(a1), len(a2), grid):
         own1 = conditional_mutual_information(st, {"X1"}, {b1}, {"X2"}, probs=probs)
         cross1 = conditional_mutual_information(st, {"X1"}, {b2}, probs=probs)
@@ -567,78 +520,110 @@ def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
     return True
 
 
-def _ic_bounds(ch: CqChannel, dist: CodeDistribution):
-    st = cts_state(ch, dist)
-    b1, b2 = _receiver_names(ch)
-    r1 = conditional_mutual_information(st, {"X1"}, {b1}, {"X2", "Q"})
-    r2 = conditional_mutual_information(st, {"X2"}, {b2}, {"X1", "Q"})
-    return st, b1, b2, _clamp(r1), _clamp(r2)
+_IC_TERMS = {
+    "R1": ("X1", "B1", "X2 Q"), "R2": ("X2", "B2", "X1 Q"),
+    "X1X2;B1": ("X1 X2", "B1", "Q"), "X1X2;B2": ("X1 X2", "B2", "Q"),
+    "X1X2;B1B2": ("X1 X2", "B1 B2", "Q"),
+}
+
+
+def _ic_informations(ch: CqChannel, dist: CodeDistribution, *sums) -> dict:
+    """The rectangle terms R1, R2 and the ``sums`` of _IC_TERMS."""
+    terms = {n: _IC_TERMS[n] for n in ("R1", "R2", *sums)}
+    return _informations(ch, dist, "coded-time-share", terms)
 
 
 def vsi_capacity(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Rectangle {R1 <= I(X1;B1|X2 Q), R2 <= I(X2;B2|X1 Q)} for one coded
     time-sharing distribution; the capacity region under very strong
     interference is the union of these over distributions."""
-    _, _, _, r1, r2 = _ic_bounds(ch, dist)
-    return HalfspaceRegion(("R1", "R2"), [([1, 0], r1), ([0, 1], r2)])
+    t = _ic_informations(ch, dist)
+    return HalfspaceRegion(("R1", "R2"), [([1, 0], t["R1"]), ([0, 1], t["R2"])])
 
 
 def si_capacity(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Adds the strong-interference sum bound
     min{I(X1X2;B1|Q), I(X1X2;B2|Q)} to the rectangle."""
-    st, b1, b2, r1, r2 = _ic_bounds(ch, dist)
-    s1 = conditional_mutual_information(st, {"X1", "X2"}, {b1}, {"Q"})
-    s2 = conditional_mutual_information(st, {"X1", "X2"}, {b2}, {"Q"})
+    t = _ic_informations(ch, dist, "X1X2;B1", "X1X2;B2")
     rows = [
-        ([1, 0], r1),
-        ([0, 1], r2),
-        ([1, 1], _clamp(min(s1, s2))),
+        ([1, 0], t["R1"]),
+        ([0, 1], t["R2"]),
+        ([1, 1], min(t["X1X2;B1"], t["X1X2;B2"])),
     ]
     return HalfspaceRegion(("R1", "R2"), rows)
 
 
 def sato_outer(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Outer bound with the joint-output sum rate I(X1X2;B1B2|Q)."""
-    st, b1, b2, r1, r2 = _ic_bounds(ch, dist)
-    joint = {b1, b2}
-    s = conditional_mutual_information(st, {"X1", "X2"}, joint, {"Q"})
-    rows = [([1, 0], r1), ([0, 1], r2), ([1, 1], _clamp(s))]
+    t = _ic_informations(ch, dist, "X1X2;B1B2")
+    rows = [([1, 0], t["R1"]), ([0, 1], t["R2"]), ([1, 1], t["X1X2;B1B2"])]
     return HalfspaceRegion(("R1", "R2"), rows)
 
 
 # ---------------------------------------------------------------------------
 # interference: Han-Kobayashi and common-message splitting
 
+# receiver m decodes its personal message U_m and both common messages W1, W2
+_HK_TERMS = {
+    "U1W1;B1|W2Q": ("U1 W1", "B1", "W2 Q"),
+    "U1;B1|W1W2Q": ("U1", "B1", "W1 W2 Q"),
+    "W2;B1|U1W1Q": ("W2", "B1", "U1 W1 Q"),
+    "U1W2;B1|W1Q": ("U1 W2", "B1", "W1 Q"),
+    "U1W1W2;B1|Q": ("U1 W1 W2", "B1", "Q"),
+    "U2W2;B2|W1Q": ("U2 W2", "B2", "W1 Q"),
+    "U2;B2|W1W2Q": ("U2", "B2", "W1 W2 Q"),
+    "W1;B2|U2W2Q": ("W1", "B2", "U2 W2 Q"),
+    "U2W1;B2|W2Q": ("U2 W1", "B2", "W2 Q"),
+    "U2W1W2;B2|Q": ("U2 W1 W2", "B2", "Q"),
+}
+_HK_ROWS = [
+    ([1, 0], ["U1W1;B1|W2Q"]),
+    ([1, 0], ["U1;B1|W1W2Q", "W1;B2|U2W2Q"]),
+    ([0, 1], ["U2W2;B2|W1Q"]),
+    ([0, 1], ["W2;B1|U1W1Q", "U2;B2|W1W2Q"]),
+    ([1, 1], ["U1W1W2;B1|Q", "U2;B2|W1W2Q"]),
+    ([1, 1], ["U1;B1|W1W2Q", "U2W1W2;B2|Q"]),
+    ([1, 1], ["U1W2;B1|W1Q", "U2W1;B2|W2Q"]),
+    ([2, 1], ["U1;B1|W1W2Q", "U2W1;B2|W2Q", "U1W1W2;B1|Q"]),
+    ([1, 2], ["U1W2;B1|W1Q", "U2;B2|W1W2Q", "U2W1W2;B2|Q"]),
+]
+
+
 def hk_region(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Nine-inequality achievable region from personal messages U and common
     messages W decoded at both receivers."""
-    st = hk_state(ch, dist)
-    b1, b2 = _receiver_names(ch)
+    t = _informations(ch, dist, "hk", _HK_TERMS)
+    return HalfspaceRegion(("R1", "R2"), _rows(t, _HK_ROWS))
 
-    def info(a, b, c):
-        return _clamp(conditional_mutual_information(st, set(a), {b}, set(c)))
 
-    rows = [
-        ([1, 0], info(("U1", "W1"), b1, ("W2", "Q"))),
-        ([1, 0], info(("U1",), b1, ("W1", "W2", "Q"))
-         + info(("W1",), b2, ("U2", "W2", "Q"))),
-        ([0, 1], info(("U2", "W2"), b2, ("W1", "Q"))),
-        ([0, 1], info(("W2",), b1, ("U1", "W1", "Q"))
-         + info(("U2",), b2, ("W1", "W2", "Q"))),
-        ([1, 1], info(("U1", "W1", "W2"), b1, ("Q",))
-         + info(("U2",), b2, ("W1", "W2", "Q"))),
-        ([1, 1], info(("U1",), b1, ("W1", "W2", "Q"))
-         + info(("U2", "W1", "W2"), b2, ("Q",))),
-        ([1, 1], info(("U1", "W2"), b1, ("W1", "Q"))
-         + info(("U2", "W1"), b2, ("W2", "Q"))),
-        ([2, 1], info(("U1",), b1, ("W1", "W2", "Q"))
-         + info(("U2", "W1"), b2, ("W2", "Q"))
-         + info(("U1", "W1", "W2"), b1, ("Q",))),
-        ([1, 2], info(("U1", "W2"), b1, ("W1", "Q"))
-         + info(("U2",), b2, ("W1", "W2", "Q"))
-         + info(("U2", "W1", "W2"), b2, ("Q",))),
-    ]
-    return HalfspaceRegion(("R1", "R2"), rows)
+_CMG_TERMS = {
+    "a1": ("X1", "B1", "W1 W2 Q"),
+    "b1": ("X1", "B1", "W2 Q"),
+    "c1": ("X1 W2", "B1", "W1 Q"),
+    "d1": ("X1 W2", "B1", "Q"),
+    "a2": ("X2", "B2", "W1 W2 Q"),
+    "b2": ("X2", "B2", "W1 Q"),
+    "c2": ("X2 W1", "B2", "W2 Q"),
+    "d2": ("X2 W1", "B2", "Q"),
+}
+_CMG_ROWS = [
+    ([1, 0], ["b1"]),
+    ([1, 0], ["a1", "c2"]),
+    ([0, 1], ["b2"]),
+    ([0, 1], ["a2", "c1"]),
+    ([1, 1], ["d1", "a2"]),
+    ([1, 1], ["a1", "d2"]),
+    ([1, 1], ["c1", "c2"]),
+    ([2, 1], ["d1", "a1", "c2"]),
+    ([1, 2], ["d2", "a2", "c1"]),
+]
+# each receiver's system over the split rates (R1p, R1c, R2p, R2c)
+_CMG_SPLIT_ROWS = (
+    [([1, 0, 0, 0], ["a1"]), ([1, 1, 0, 0], ["b1"]),
+     ([1, 0, 0, 1], ["c1"]), ([1, 1, 0, 1], ["d1"])],
+    [([0, 0, 1, 0], ["a2"]), ([0, 0, 1, 1], ["b2"]),
+     ([0, 1, 1, 0], ["c2"]), ([0, 1, 1, 1], ["d2"])],
+)
 
 
 def cmg_informations(ch: CqChannel, dist: CodeDistribution) -> dict:
@@ -647,39 +632,12 @@ def cmg_informations(ch: CqChannel, dist: CodeDistribution) -> dict:
     For receiver 1: a1 = I(X1;B1|W1W2Q), b1 = I(X1;B1|W2Q),
     c1 = I(X1W2;B1|W1Q), d1 = I(X1W2;B1|Q); receiver 2 swaps roles.
     """
-    st = cmg_state(ch, dist)
-    b1, b2 = _receiver_names(ch)
-
-    def info(a, b, c):
-        return _clamp(conditional_mutual_information(st, set(a), {b}, set(c)))
-
-    return {
-        "a1": info(("X1",), b1, ("W1", "W2", "Q")),
-        "b1": info(("X1",), b1, ("W2", "Q")),
-        "c1": info(("X1", "W2"), b1, ("W1", "Q")),
-        "d1": info(("X1", "W2"), b1, ("Q",)),
-        "a2": info(("X2",), b2, ("W1", "W2", "Q")),
-        "b2": info(("X2",), b2, ("W1", "Q")),
-        "c2": info(("X2", "W1"), b2, ("W2", "Q")),
-        "d2": info(("X2", "W1"), b2, ("Q",)),
-    }
+    return _informations(ch, dist, "cmg", _CMG_TERMS)
 
 
 def cmg_region(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Nine-inequality common-message region in the net rates (R1, R2)."""
-    q = cmg_informations(ch, dist)
-    rows = [
-        ([1, 0], q["b1"]),
-        ([1, 0], q["a1"] + q["c2"]),
-        ([0, 1], q["b2"]),
-        ([0, 1], q["a2"] + q["c1"]),
-        ([1, 1], q["d1"] + q["a2"]),
-        ([1, 1], q["a1"] + q["d2"]),
-        ([1, 1], q["c1"] + q["c2"]),
-        ([2, 1], q["d1"] + q["a1"] + q["c2"]),
-        ([1, 2], q["d2"] + q["a2"] + q["c1"]),
-    ]
-    return HalfspaceRegion(("R1", "R2"), rows)
+    return HalfspaceRegion(("R1", "R2"), _rows(cmg_informations(ch, dist), _CMG_ROWS))
 
 
 def cmg_split_systems(ch: CqChannel, dist: CodeDistribution):
@@ -688,25 +646,7 @@ def cmg_split_systems(ch: CqChannel, dist: CodeDistribution):
     common rates as a three-sender MAC."""
     q = cmg_informations(ch, dist)
     names = ("R1p", "R1c", "R2p", "R2c")
-    sys1 = HalfspaceRegion(
-        names,
-        [
-            ([1, 0, 0, 0], q["a1"]),
-            ([1, 1, 0, 0], q["b1"]),
-            ([1, 0, 0, 1], q["c1"]),
-            ([1, 1, 0, 1], q["d1"]),
-        ],
-    )
-    sys2 = HalfspaceRegion(
-        names,
-        [
-            ([0, 0, 1, 0], q["a2"]),
-            ([0, 0, 1, 1], q["b2"]),
-            ([0, 1, 1, 0], q["c2"]),
-            ([0, 1, 1, 1], q["d2"]),
-        ],
-    )
-    return sys1, sys2
+    return tuple(HalfspaceRegion(names, _rows(q, rows)) for rows in _CMG_SPLIT_ROWS)
 
 
 def cmg_region_via_projection(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
@@ -723,36 +663,26 @@ def cmg_region_via_projection(ch: CqChannel, dist: CodeDistribution) -> Halfspac
 def superposition_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Cloud-center coding: receiver 2 decodes the cloud W at rate R,
     receiver 1 decodes W and the satellite X at extra rate R1."""
-    st = superposition_state(bc, dist)
     if len(bc.output_names) != 2:
         raise SchemaError("superposition needs a two-output broadcast channel")
-    b1, b2 = bc.output_names
-    r1 = conditional_mutual_information(st, {"X"}, {b1}, {"W"})
-    r = conditional_mutual_information(st, {"W"}, {b2})
-    total = conditional_mutual_information(st, {"X"}, {b1})
-    rows = [
-        ([1, 0], _clamp(r1)),
-        ([0, 1], _clamp(r)),
-        ([1, 1], _clamp(total)),
-    ]
+    t = _informations(bc, dist, "superposition", {
+        "X;B1|W": ("X", "B1", "W"), "W;B2": ("W", "B2", ""), "X;B1": ("X", "B1", "")})
+    rows = [([1, 0], t["X;B1|W"]), ([0, 1], t["W;B2"]), ([1, 1], t["X;B1"])]
     return HalfspaceRegion(("R1", "R"), rows)
 
 
 def marton_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Binning over correlated auxiliaries U1, U2 with x = f(u1, u2)."""
-    st = marton_state(bc, dist)
     if len(bc.output_names) != 2:
         raise SchemaError("marton needs a two-output broadcast channel")
-    b1, b2 = bc.output_names
-    i1 = _clamp(conditional_mutual_information(st, {"U1"}, {b1}))
-    i2 = _clamp(conditional_mutual_information(st, {"U2"}, {b2}))
-    i_uu = _clamp(conditional_mutual_information(st, {"U1"}, {"U2"}))
+    t = _informations(bc, dist, "marton", {
+        "U1;B1": ("U1", "B1", ""), "U2;B2": ("U2", "B2", ""), "U1;U2": ("U1", "U2", "")})
     # the binning penalty can exceed the single-user rates; an empty claim
     # is a zero claim, not a negative one
     rows = [
-        ([1, 0], i1),
-        ([0, 1], i2),
-        ([1, 1], max(0.0, i1 + i2 - i_uu)),
+        ([1, 0], t["U1;B1"]),
+        ([0, 1], t["U2;B2"]),
+        ([1, 1], max(0.0, t["U1;B1"] + t["U2;B2"] - t["U1;U2"])),
     ]
     return HalfspaceRegion(("R1", "R2"), rows)
 
@@ -760,14 +690,14 @@ def marton_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
 def relay_pdf_rate(rc: CqChannel, dist: CodeDistribution) -> float:
     """Partial decode-and-forward: the relay decodes the part U of the
     message; rate min{I(X X1;B), I(U;B1|X1) + I(X;B|X1 U)}."""
-    st = relay_state(rc, dist)
     if len(rc.output_names) != 2:
         raise SchemaError("relay needs a two-output channel (B1, B)")
-    b_relay, b_dest = rc.output_names
-    direct = conditional_mutual_information(st, {"X", "X1"}, {b_dest})
-    relay_part = conditional_mutual_information(st, {"U"}, {b_relay}, {"X1"})
-    rest = conditional_mutual_information(st, {"X"}, {b_dest}, {"X1", "U"})
-    return _clamp(min(_clamp(direct), _clamp(relay_part) + _clamp(rest)))
+    # receiver 1 is the relay, receiver 2 the destination
+    t = _informations(rc, dist, "relay-pdf", {
+        "XX1;B": ("X X1", "B2", ""), "U;B1|X1": ("U", "B1", "X1"),
+        "X;B|X1U": ("X", "B2", "X1 U")})
+    return min(t["XX1;B"], t["U;B1|X1"] + t["X;B|X1U"])
+
 
 
 def relay_df_rate(rc: CqChannel, joint_xx1: ProbDist) -> float:
@@ -823,3 +753,38 @@ def random_hk_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDis
         for u, w in itertools.product(a2, a2)
     }
     return CodeDistribution.hk(q, u1, u2, w1, w2, f1, f2, a1, a2)
+
+
+def random_superposition_distribution(bc: CqChannel, seed: int) -> CodeDistribution:
+    """Seeded superposition distribution: a binary cloud W and X given W,
+    each drawn from a Dirichlet(2) prior."""
+    rng = np.random.default_rng(seed)
+    alphabet = bc.input_alphabets[0]
+    w_syms = ("0", "1")
+    w = ProbDist(w_syms, rng.dirichlet([2.0] * len(w_syms)))
+    x_given_w = {
+        s: ProbDist(alphabet, rng.dirichlet([2.0] * len(alphabet)))
+        for s in w_syms
+    }
+    return CodeDistribution.superposition(w, x_given_w)
+
+
+def random_marton_distribution(bc: CqChannel, seed: int) -> CodeDistribution:
+    """Seeded Marton distribution: a Dirichlet(2) joint over binary (u1, u2)
+    and a uniformly drawn map to the channel input."""
+    rng = np.random.default_rng(seed)
+    alphabet = bc.input_alphabets[0]
+    pairs = tuple(itertools.product(("0", "1"), repeat=2))
+    joint = ProbDist(pairs, rng.dirichlet([2.0] * len(pairs)))
+    f = {pair: str(rng.choice(alphabet)) for pair in pairs}
+    return CodeDistribution.marton(joint, f, alphabet)
+
+
+def random_relay_distribution(rc: CqChannel, seed: int) -> CodeDistribution:
+    """Seeded partial decode-and-forward distribution: a Dirichlet(2) joint
+    over (u, x, x1) with a binary U."""
+    rng = np.random.default_rng(seed)
+    x_alpha, x1_alpha = rc.input_alphabets
+    triples = tuple(itertools.product(("0", "1"), x_alpha, x1_alpha))
+    joint = ProbDist(triples, rng.dirichlet([2.0] * len(triples)))
+    return CodeDistribution.relay_pdf(joint)

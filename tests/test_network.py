@@ -18,21 +18,19 @@ from qnetcap.network import (
     cmg_informations,
     cmg_region,
     cmg_region_via_projection,
-    cts_state,
     hk_region,
-    hk_state,
     hsw_capacity,
+    joint_state,
     mac_region,
     mac_region_union,
-    mac_state,
     marton_region,
-    marton_state,
-    p2p_state,
     random_cmg_distribution,
     random_hk_distribution,
+    random_marton_distribution,
+    random_relay_distribution,
+    random_superposition_distribution,
     relay_df_rate,
     relay_pdf_rate,
-    relay_state,
     sato_outer,
     si_capacity,
     simplex_grid,
@@ -195,7 +193,7 @@ class TestHswCapacity:
         alphabet = ch.input_alphabets[0]
         res = hsw_capacity(ch)
         assert res.converged and res.upper - res.value <= 1e-9
-        st = p2p_state(ch, ProbDist.uniform(alphabet))
+        st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
         b = set(ch.output_names)
         chi = conditional_mutual_information(
             st, {"X"}, b, probs=res.distribution.weights[None])
@@ -279,7 +277,7 @@ class TestMacRegion:
         for _ in range(5):
             p1 = ProbDist(("0", "1"), rng.dirichlet([1, 1]))
             p2 = ProbDist(("0", "1"), rng.dirichlet([1, 1]))
-            st = mac_state(ch, p1, p2)
+            st = joint_state(ch, CodeDistribution.mac(p1, p2))
             i1 = conditional_mutual_information(st, {"X1"}, {"B"})
             i2c = conditional_mutual_information(st, {"X2"}, {"B"}, {"X1"})
             i12 = conditional_mutual_information(st, {"X1", "X2"}, {"B"})
@@ -317,7 +315,7 @@ class TestThetaSwapClosedForms:
             a2, b2_ = rng.dirichlet([1, 1])
             p1 = ProbDist(("0", "1"), [a1, b1_])
             p2 = ProbDist(("0", "1"), [a2, b2_])
-            st = mac_state(ch, p1, p2)
+            st = joint_state(ch, CodeDistribution.mac(p1, p2))
             h = st.entropy
             # output entropy of each receiver
             assert np.isclose(
@@ -427,7 +425,7 @@ class TestHkRegion:
         ch = builtin("bb84_qmac")
         dist = hk_assignment(ch, True, True, UNIF2, UNIF2)
         region = hk_region(ch, dist)
-        st = mac_state(ch, UNIF2, UNIF2)
+        st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
         i1 = conditional_mutual_information(st, {"X1"}, {"B"})
         i2 = conditional_mutual_information(st, {"X2"}, {"B"})
         assert region.contains([i1 - 1e-9, i2 - 1e-9])
@@ -437,7 +435,7 @@ class TestHkRegion:
         ch = builtin("theta_swap", [1.5])
         dist = hk_assignment(ch, False, False, UNIF2, UNIF2)
         region = hk_region(ch, dist)
-        st = mac_state(ch, UNIF2, UNIF2)
+        st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
         s1 = conditional_mutual_information(st, {"X1", "X2"}, {"B1"})
         s2 = conditional_mutual_information(st, {"X1", "X2"}, {"B2"})
         cap = min(s1, s2)
@@ -445,6 +443,18 @@ class TestHkRegion:
             b for c, b in region.inequalities if np.allclose(c, [1, 1])
         ]
         assert np.isclose(min(sums), cap, atol=1e-9)
+
+    def test_each_distinct_term_evaluated_once(self, monkeypatch):
+        real, calls = network.conditional_mutual_information, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conditional_mutual_information", counted)
+        ch = theta_swap(1.2)
+        hk_region(ch, random_hk_distribution(ch, 0))
+        assert len(calls) == len(set(calls)) == 10
 
     def test_contains_successive_decoding_corners(self):
         ch = builtin("theta_swap", [1.2])
@@ -526,8 +536,6 @@ class TestBroadcast:
         assert bounds[(0.0, 1.0)] > 0.1
 
     def test_superposition_markov_identity(self):
-        from qnetcap.network import superposition_state
-
         bc = builtin("bb84_bc")
         rng = np.random.default_rng(31)
         w = ProbDist(("0", "1"), rng.dirichlet([1, 1]))
@@ -535,7 +543,7 @@ class TestBroadcast:
             s: ProbDist(("0", "1"), rng.dirichlet([1, 1])) for s in ("0", "1")
         }
         dist = CodeDistribution.superposition(w, x_given_w)
-        st = superposition_state(bc, dist)
+        st = joint_state(bc, dist)
         lhs = conditional_mutual_information(st, {"W", "X"}, {"B1"})
         rhs = conditional_mutual_information(st, {"X"}, {"B1"})
         assert np.isclose(lhs, rhs, atol=1e-9)
@@ -659,6 +667,70 @@ class TestCodeDistributionValidation:
                 ProbDist((("0", "0"),), [1.0]), {("0", "0"): "9"}, ("0", "1")
             )
 
+    def test_conditional_rows_share_an_alphabet(self):
+        w1 = {"0": ProbDist(("a", "b"), [0.5, 0.5]), "1": ProbDist(("a", "c"), [0.5, 0.5])}
+        dist = CodeDistribution.cmg(
+            UNIF2, w1, {q: UNIF2 for q in "01"},
+            {(w, q): UNIF2 for w in "ab" for q in "01"},
+            {(w, q): UNIF2 for w in "01" for q in "01"},
+        )
+        with pytest.raises(SchemaError, match="W1"):
+            cmg_region(builtin("bb84_qmac"), dist)
+
+    def test_input_distribution_covers_channel_alphabet(self):
+        ch, one = builtin("bb84_qmac"), ProbDist(("0",), [1.0])
+        with pytest.raises(SchemaError, match="X1"):
+            vsi_capacity(ch, CodeDistribution.no_time_share(one, UNIF2))
+        with pytest.raises(SchemaError, match="X2"):
+            mac_region(ch, UNIF2, one)
+
+
+# region entry point: (channel it takes, distribution it takes)
+ENTRY_POINTS = {
+    "mac_region": ("ic", "pair"),
+    "successive_decoding_corners": ("ic", "pair"),
+    "vsi_capacity": ("ic", "cts"),
+    "si_capacity": ("ic", "cts"),
+    "sato_outer": ("ic", "cts"),
+    "hk_region": ("ic", "hk"),
+    "cmg_informations": ("ic", "cmg"),
+    "cmg_region": ("ic", "cmg"),
+    "cmg_split_systems": ("ic", "cmg"),
+    "cmg_region_via_projection": ("ic", "cmg"),
+    "superposition_region": ("bc", "superposition"),
+    "marton_region": ("bc", "marton"),
+    "relay_pdf_rate": ("relay", "relay"),
+    "relay_df_rate": ("relay", "xx1"),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_point_rejects_wrong_kind_and_channel(name):
+    qmac, bc, rc = builtin("bb84_qmac"), builtin("bb84_bc"), builtin("bb84_relay")
+    right = {"ic": qmac, "bc": bc, "relay": rc}
+    # same outputs, wrong number of inputs
+    wrong = {"ic": builtin("bb84_p2p"), "bc": theta_swap(1.2), "relay": bc}
+    pairs = tuple(itertools.product("01", "01"))
+    dists = {
+        "cts": uniform_no_ts(),
+        "hk": random_hk_distribution(qmac, 0),
+        "cmg": random_cmg_distribution(qmac, 0),
+        "superposition": random_superposition_distribution(bc, 0),
+        "marton": random_marton_distribution(bc, 0),
+        "relay": random_relay_distribution(rc, 0),
+    }
+    fn = getattr(network, name)
+    channel, kind = ENTRY_POINTS[name]
+    args = {"pair": (UNIF2, UNIF2), "xx1": (ProbDist(pairs, [0.25] * 4),)}
+    args.update((k, (d,)) for k, d in dists.items())
+    fn(right[channel], *args[kind])
+    with pytest.raises(SchemaError):
+        fn(wrong[channel], *args[kind])
+    if kind in dists:
+        for other in dists.keys() - {kind}:
+            with pytest.raises(SchemaError):
+                fn(right[channel], dists[other])
+
 
 def trine_channel():
     angles = 2 * np.pi * np.arange(3) / 3
@@ -756,7 +828,7 @@ class TestStackedSweeps:
         }
         points = list(grid_pairs(ch, 5))
         stack = np.array([np.outer(w1, w2) for w1, w2, _ in points])
-        st = mac_state(ch, UNIF2, UNIF2)
+        st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
         loop = {}
         for key, (a, b, c) in specs.items():
             stacked = conditional_mutual_information(st, a, b, c, probs=stack)
@@ -788,7 +860,7 @@ class TestStackedSweeps:
         alphabet = ch.input_alphabets[0]
         names = ch.output_names
         grid = np.array(list(simplex_grid(len(alphabet), 11)))
-        st = p2p_state(ch, ProbDist.uniform(alphabet))
+        st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
         stacked = conditional_mutual_information(st, {"X"}, set(names), probs=grid)
         loop = []
         for w in grid:
@@ -827,14 +899,58 @@ class TestStackedSweeps:
         triples = (("u", "0", "0"), ("u", "1", "0"), ("v", "0", "1"), ("v", "1", "1"))
         relay = CodeDistribution.relay_pdf(ProbDist(triples, [0.4, 0.0, 0.6, 0.0]))
         cases = [
-            (marton_state(bc, marton),
+            (joint_state(bc, marton),
              [("U1", ("0", "1")), ("U2", ("0", "1"))],
              {pair: (p, bc.output(f[pair])) for pair, p in joint.items()},
              bc.output_names),
-            (relay_state(rc, relay),
+            (joint_state(rc, relay),
              [("U", ("u", "v")), ("X", ("0", "1")), ("X1", ("0", "1"))],
              {t: (p, rc.output(t[1], t[2])) for t, p in relay.parts["UXX1"].items()},
              rc.output_names),
+        ]
+        ic, bits = theta_swap(1.2), ("0", "1")
+        rng = np.random.default_rng(5)
+
+        def draw(symbols=bits):
+            return ProbDist(symbols, rng.dirichlet(np.ones(len(symbols))))
+
+        def product_case(ch, dist, regs, prob, inputs):
+            """joint_state next to the table over every symbol tuple, with
+            probability prob(*row) and output ch.output(*inputs(*row))."""
+            table = {row: (prob(*row), ch.output(*inputs(*row)))
+                     for row in itertools.product(*(a for _, a in regs))}
+            return joint_state(ch, dist), regs, table, ch.output_names
+
+        p2p, px, p1, p2 = builtin("bb84_p2p"), draw(), draw(), draw()
+        cts = CodeDistribution.coded_time_share(
+            draw(), {q: draw() for q in bits}, {q: draw() for q in bits})
+        sup = CodeDistribution.superposition(draw(("a", "b", "c")), {w: draw() for w in "abc"})
+        hk, cmg = random_hk_distribution(ic, 3), random_cmg_distribution(ic, 3)
+        t, h, g = cts.parts, hk.parts, cmg.parts
+        cases += [
+            product_case(p2p, CodeDistribution.p2p(px), [("X", bits)], px.prob,
+                         lambda x: (x,)),
+            product_case(ic, CodeDistribution.mac(p1, p2), [("X1", bits), ("X2", bits)],
+                         lambda x1, x2: p1.prob(x1) * p2.prob(x2), lambda *x: x),
+            product_case(ic, cts, [("Q", bits), ("X1", bits), ("X2", bits)],
+                         lambda q, x1, x2: (t["Q"].prob(q) * t["X1|Q"][q].prob(x1)
+                                            * t["X2|Q"][q].prob(x2)),
+                         lambda q, *x: x),
+            product_case(ic, hk, [(n, bits) for n in ("Q", "U1", "U2", "W1", "W2")],
+                         lambda q, u1, u2, w1, w2: (
+                             h["Q"].prob(q) * h["U1|Q"][q].prob(u1) * h["U2|Q"][q].prob(u2)
+                             * h["W1|Q"][q].prob(w1) * h["W2|Q"][q].prob(w2)),
+                         lambda q, u1, u2, w1, w2: (hk.maps["f1"][(u1, w1)],
+                                                    hk.maps["f2"][(u2, w2)])),
+            product_case(ic, cmg, [(n, bits) for n in ("Q", "W1", "X1", "W2", "X2")],
+                         lambda q, w1, x1, w2, x2: (
+                             g["Q"].prob(q) * g["W1|Q"][q].prob(w1)
+                             * g["X1|W1Q"][(w1, q)].prob(x1) * g["W2|Q"][q].prob(w2)
+                             * g["X2|W2Q"][(w2, q)].prob(x2)),
+                         lambda q, w1, x1, w2, x2: (x1, x2)),
+            product_case(bc, sup, [("W", ("a", "b", "c")), ("X", bits)],
+                         lambda w, x: sup.parts["W"].prob(w) * sup.parts["X|W"][w].prob(x),
+                         lambda w, x: (x,)),
         ]
         for st, regs, table, names in cases:
             everything = [n for n, _ in regs] + list(names)
