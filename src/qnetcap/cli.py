@@ -314,8 +314,9 @@ def _load_cq_channel(cfg: RunConfig, builtin_params=None):
 
 def _uniform_pair(ch):
     from .entropic import ProbDist
+    from .network import input_pair
 
-    return tuple(ProbDist.uniform(a) for a in ch.input_alphabets[:2])
+    return tuple(ProbDist.uniform(a) for a in input_pair(ch))
 
 
 def _cmd_capacity(cfg: RunConfig) -> int:
@@ -351,25 +352,28 @@ def _cmd_capacity(cfg: RunConfig) -> int:
 
 
 def _cmg_oracle_status(ch, dist, grid=50, tol=1e-6) -> tuple[float, bool]:
+    """The share of a grid x grid square of rate pairs on which the direct
+    and projected common-message regions agree about membership (to
+    ``tol``), and whether the two regions are exactly equal."""
     import numpy as np
 
     from .network import cmg_region, cmg_region_via_projection
+    from .regions import equivalent
 
     direct = cmg_region(ch, dist)
     projected = cmg_region_via_projection(ch, dist)
     top = 1.05 * max(
         bound for r in (direct, projected) for _, bound in r.inequalities
     )
-    agree = 0
-    total = grid * grid
-    for r1 in np.linspace(0.0, top, grid):
-        for r2 in np.linspace(0.0, top, grid):
-            if direct.contains((r1, r2), tol=tol) == projected.contains(
-                (r1, r2), tol=tol
-            ):
-                agree += 1
-    fraction = agree / total
-    return fraction, fraction >= 0.999
+    r1, r2 = np.meshgrid(np.linspace(0.0, top, grid), np.linspace(0.0, top, grid),
+                         indexing="ij")
+
+    def inside(region):
+        return np.all([c[0] * r1 + c[1] * r2 <= bound + tol
+                       for c, bound in region.inequalities], axis=0)
+
+    fraction = np.count_nonzero(inside(direct) == inside(projected)) / (grid * grid)
+    return fraction, equivalent(direct, projected)
 
 
 def _cmd_region(cfg: RunConfig) -> int:

@@ -170,6 +170,7 @@ class LabeledCqState:
         self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
         self._slots = {}
         self._reduced = {}
+        self._entropies = {}
 
     def _split(self, names):
         names = set(names)
@@ -212,10 +213,14 @@ class LabeledCqState:
 
         H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
         classical group c are summed in table order, and all group blocks go
-        through one stacked eigensolve.
+        through one stacked eigensolve.  Without ``probs`` each subset is
+        evaluated once per state and its value kept.
         """
         classical, quantum = self._split(names)
         if probs is None:
+            key = (tuple(classical), tuple(quantum))
+            if key in self._entropies:
+                return self._entropies[key]
             rows = self._probs
         else:
             probs = np.asarray(probs, dtype=float)
@@ -235,7 +240,10 @@ class LabeledCqState:
             terms = np.zeros(weights.shape)
             terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
             h = terms.cumsum(axis=-1)[:, -1] + h
-        return h if probs is not None else float(h[0])
+        if probs is not None:
+            return h
+        self._entropies[key] = float(h[0])
+        return self._entropies[key]
 
 
 def conditional_mutual_information(state: LabeledCqState, a, b, c=(), probs=None):

@@ -59,6 +59,14 @@ def _receiver_names(ch: CqChannel):
     return ch.output_names[0], ch.output_names[1]
 
 
+def input_pair(ch: CqChannel):
+    """The two input alphabets of a two-input channel; any other channel is
+    a schema error."""
+    if ch.n_inputs != 2:
+        raise SchemaError(f"expected a two-input channel, got {ch.n_inputs} input(s)")
+    return ch.input_alphabets
+
+
 def simplex_grid(k: int, resolution: int):
     """All probability vectors of length k with entries on a uniform grid of
     ``resolution`` points per edge."""
@@ -457,7 +465,7 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
 
     Returns a list of (theta, R1, R2) like boundary_sample.
     """
-    a1, a2 = ch.input_alphabets
+    a1, a2 = input_pair(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     b = set(ch.output_names)
     coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -507,7 +515,7 @@ def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
     I(X2;B2|X1) <= I(X2;B1) for every product input distribution on the
     grid."""
-    a1, a2 = ch.input_alphabets
+    a1, a2 = input_pair(ch)
     b1, b2 = _receiver_names(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     for probs in _grid_pairs(len(a1), len(a2), grid):
@@ -723,7 +731,7 @@ def random_cmg_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDi
     """Seeded fully random common-message distribution; W alphabets match
     the channel input alphabets."""
     rng = np.random.default_rng(seed)
-    a1, a2 = ch.input_alphabets
+    a1, a2 = input_pair(ch)
     qa = tuple(str(i) for i in range(q_size))
     q = ProbDist(qa, rng.dirichlet(np.ones(q_size)))
     w1 = _dirichlet_rows(rng, qa, a1)
@@ -737,7 +745,7 @@ def random_hk_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDis
     """Seeded random split-message distribution with random deterministic
     input maps; U and W alphabets match the channel input alphabets."""
     rng = np.random.default_rng(seed)
-    a1, a2 = ch.input_alphabets
+    a1, a2 = input_pair(ch)
     qa = tuple(str(i) for i in range(q_size))
     q = ProbDist(qa, rng.dirichlet(np.ones(q_size)))
     u1 = _dirichlet_rows(rng, qa, a1)
@@ -784,7 +792,7 @@ def random_relay_distribution(rc: CqChannel, seed: int) -> CodeDistribution:
     """Seeded partial decode-and-forward distribution: a Dirichlet(2) joint
     over (u, x, x1) with a binary U."""
     rng = np.random.default_rng(seed)
-    x_alpha, x1_alpha = rc.input_alphabets
+    x_alpha, x1_alpha = input_pair(rc)
     triples = tuple(itertools.product(("0", "1"), x_alpha, x1_alpha))
     joint = ProbDist(triples, rng.dirichlet([2.0] * len(triples)))
     return CodeDistribution.relay_pdf(joint)

@@ -2,7 +2,9 @@
 
 A region is a finite list of inequalities c . R <= b over named nonnegative
 rate coordinates.  This module provides membership, intersection,
-Fourier-Motzkin projection onto new coordinates (with LP redundancy pruning),
+Fourier-Motzkin projection onto new coordinates with redundancy pruning
+(exact polygon geometry onto one or two coordinates, LPs onto more), the
+exact equality test ``equivalent`` for regions of one or two coordinates,
 2-D boundary sampling for plots, JSON/CSV export, and the polymatroid sanity
 checks for split-rate systems.
 """
@@ -20,6 +22,10 @@ MEMBERSHIP_TOL = 1e-7
 BOUND_CLAMP = 1e-9
 # raw FM output grows fast; prune mid-elimination past this row count
 PRUNE_THRESHOLD = 64
+# a row is redundant when its bound is attained within this much
+PRUNE_TOL = 1e-9
+# a polygon vertex or ray may violate a row by this much
+VERTEX_TOL = 1e-9
 
 
 class HalfspaceRegion:
@@ -105,15 +111,17 @@ def _normalize_rows(rows):
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call: importing
-    scipy.optimize takes about 0.5 s and only the LP pruning needs it."""
+    scipy.optimize takes about 0.3 s and only the LP pruning of systems over
+    more than two coordinates needs it."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
 
 
-def _lp_prune(rows, dim):
+def _lp_prune(rows, dim, free=0):
     """Drop rows whose bound cannot be attained: maximize c . z over the
-    remaining rows (z >= 0); if the optimum stays below b the row is
+    remaining rows (z >= 0, except the last ``free`` coordinates, whose
+    signs only rows state); if the optimum stays below b the row is
     redundant."""
     rows = list(rows)
     keep = list(range(len(rows)))
@@ -126,12 +134,74 @@ def _lp_prune(rows, dim):
             -c,
             A_ub=a_ub,
             b_ub=b_ub,
-            bounds=[(0, None)] * dim,
+            bounds=[(0, None)] * (dim - free) + [(None, None)] * free,
             method="highs",
         )
-        if res.status == 0 and -res.fun <= b + 1e-9:
+        if res.status == 0 and -res.fun <= b + PRUNE_TOL:
             keep.remove(i)
     return [rows[j] for j in keep]
+
+
+def _support_2d(rows, dim):
+    """The support function of the polygon {c . R <= b for (c, b) in rows,
+    R >= 0} over ``dim`` = 1 or 2 coordinates: ``support(c, active)`` is
+    max c . R over the polygon of the ``active`` rows (a boolean mask, all
+    rows when None), or inf when that polygon is unbounded along c.  A 1-D
+    system is the 2-D one with R2 = 0.  Every b must be >= 0, so the origin
+    is feasible.
+
+    Built once per row set: every pairwise intersection of the rows and the
+    two axes, with the rows each violates by more than VERTEX_TOL, and the
+    candidate recession rays (both axes and +- the perpendicular of each
+    row), with the rows each ray climbs.  A query masks columns of these
+    tables; no row set is solved again.  Every candidate that meets the
+    active rows lies in their polygon and every vertex and extreme ray of
+    it is a candidate, so the maximum over candidates is exact.
+    """
+    coeffs = np.zeros((len(rows), 2))
+    coeffs[:, :dim] = np.reshape([c for c, _ in rows], (-1, dim))
+    bounds = np.array([b for _, b in rows], dtype=float)
+    lines = np.concatenate([coeffs, -np.eye(2)])
+    rhs = np.concatenate([bounds, [0.0, 0.0]])
+    i, j = np.triu_indices(len(lines), 1)
+    det = lines[i, 0] * lines[j, 1] - lines[i, 1] * lines[j, 0]
+    crossing = np.abs(det) > 1e-12  # parallel lines do not meet
+    i, j, det = i[crossing], j[crossing], det[crossing]
+    points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
+                       lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
+    outside = points @ coeffs.T > bounds + VERTEX_TOL
+    inside = np.all(points >= -VERTEX_TOL, axis=1)
+    perps = coeffs[:, ::-1] * [-1.0, 1.0]
+    rays = np.concatenate([np.eye(2), perps, -perps])
+    rays = rays[np.any(rays != 0.0, axis=1)]
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rays = rays[np.all(rays >= -VERTEX_TOL, axis=1)]
+    climbing = rays @ coeffs.T > VERTEX_TOL
+
+    def support(c, active=None):
+        c = np.asarray(c, dtype=float)
+        if active is None:
+            active = np.ones(len(bounds), dtype=bool)
+        unblocked = ~np.any(climbing[:, active], axis=1)
+        if np.any(rays[unblocked, : c.size] @ c > VERTEX_TOL):
+            return np.inf
+        meets = inside & ~np.any(outside[:, active], axis=1)
+        return float(np.max(points[meets, : c.size] @ c))
+
+    return support
+
+
+def _exact_prune(rows, dim):
+    """``_lp_prune`` over one or two coordinates, by exact polygon geometry:
+    rows are tested in order, each against the rows still kept other than
+    itself, and dropped when their support value is at most b + PRUNE_TOL;
+    a row along which the others are unbounded is kept."""
+    support = _support_2d(rows, dim)
+    keep = np.ones(len(rows), dtype=bool)
+    for i, (c, b) in enumerate(rows):
+        keep[i] = False
+        keep[i] = not support(c, keep) <= b + PRUNE_TOL
+    return [row for row, kept in zip(rows, keep) if kept]
 
 
 def _eliminate_variable(rows, col):
@@ -161,8 +231,10 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
 
     ``keep_matrix`` rows express each new coordinate as a nonnegative
     combination of the old ones (e.g. R1 = R1p + R1c).  Old coordinates are
-    eliminated one at a time (fewest pairings first) with LP redundancy
-    pruning to keep the system small.
+    eliminated one at a time (fewest pairings first); past PRUNE_THRESHOLD
+    rows the system is pruned by LP.  The final rows are pruned exactly
+    (``_exact_prune``) onto one or two coordinates and by LP onto more;
+    both keep the same rows in the same order.
     """
     m = np.array(keep_matrix, dtype=float)
     new_names = tuple(str(n) for n in new_names)
@@ -200,17 +272,38 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
         remaining.remove(col)
         rows = _normalize_rows(_eliminate_variable(rows, col))
         if len(rows) > PRUNE_THRESHOLD:
-            rows = _lp_prune(rows, k + n)
+            # the old coordinates are free in these LPs: elimination reads
+            # R >= 0 only from rows, so those rows must stay
+            rows = _lp_prune(rows, k + n, free=n)
     if not rows:
         raise InvariantError("projection produced an empty inequality system")
 
     final = [(c[:k].copy(), b) for c, b in rows]
     final = _normalize_rows(final)
-    final = _lp_prune(final, k)
+    final = _exact_prune(final, k) if k <= 2 else _lp_prune(final, k)
     if not final:
         # every constraint was redundant against nonnegativity alone
         raise InvariantError("projection produced an unbounded region")
     return HalfspaceRegion(new_names, final)
+
+
+def equivalent(a: HalfspaceRegion, b: HalfspaceRegion, tol: float = MEMBERSHIP_TOL) -> bool:
+    """Whether two regions over the same one or two coordinates are the
+    same set: every row of each is implied by the other (its support value
+    over the other region is at most its bound + ``tol``).  A region that is
+    unbounded along a row of the other is therefore never equivalent."""
+    if a.coordinate_names != b.coordinate_names:
+        raise InvariantError(
+            f"coordinate names differ: {a.coordinate_names} vs {b.coordinate_names}"
+        )
+    if a.dim > 2:
+        raise InvariantError(f"exact comparison needs at most 2 coordinates, got {a.dim}")
+
+    def implied(rows, region):
+        support = _support_2d(region.inequalities, region.dim)
+        return all(support(c) <= bound + tol for c, bound in rows)
+
+    return implied(a.inequalities, b) and implied(b.inequalities, a)
 
 
 def radial_extents(coeffs, bounds, thetas) -> np.ndarray:

@@ -44,7 +44,7 @@ from qnetcap.network import (
     vsi_check,
 )
 from qnetcap.qstate import DensityMatrix
-from qnetcap.regions import polymatroid_slacks
+from qnetcap.regions import equivalent, polymatroid_slacks
 
 
 def bound_of(region, coeff):
@@ -150,10 +150,12 @@ def test_common_message_projection_oracle(gate):
     t0 = time.perf_counter()
     ch = builtin("bb84_qmac")
     fractions = []
+    exact = []
     for seed in (1, 2, 3):
         dist = random_cmg_distribution(ch, seed)
         direct = cmg_region(ch, dist)
         projected = cmg_region_via_projection(ch, dist)
+        exact.append(equivalent(direct, projected))
         top = 1.05 * max(
             b for r in (direct, projected) for _, b in r.inequalities
         )
@@ -167,15 +169,17 @@ def test_common_message_projection_oracle(gate):
     elapsed = time.perf_counter() - t0
     checks = {
         "membership agreement": all(f >= 0.999 for f in fractions),
+        "exact equality": all(exact),
         "runtime": elapsed < 120.0,
     }
     gate.record(
         4,
         "common-message projection oracle",
         all(checks.values()),
-        "agreement " + " / ".join(f"{f:.4f}" for f in fractions) + f", {elapsed:.1f} s",
+        "agreement " + " / ".join(f"{f:.4f}" for f in fractions)
+        + f", exactly equal {sum(exact)}/3, {elapsed:.1f} s",
     )
-    assert not failed(checks), (failed(checks), fractions)
+    assert not failed(checks), (failed(checks), fractions, exact)
 
 
 def test_split_rate_orderings(gate):

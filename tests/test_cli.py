@@ -9,7 +9,7 @@ import pytest
 from qnetcap.channels import CqChannel, builtin, dump_channel
 from qnetcap.cli import main
 from qnetcap.qstate import DensityMatrix
-from qnetcap.regions import region_from_json
+from qnetcap.regions import HalfspaceRegion, region_from_json
 
 H_BB84 = 0.6008760366928562
 
@@ -108,13 +108,19 @@ class TestCapacity:
             "import sys, qnetcap.cli, qnetcap.network, qnetcap.bosonic, qnetcap.codesim\n"
             "from qnetcap.channels import builtin\n"
             "qnetcap.network.hsw_capacity(builtin('bb84_p2p'))\n"
+            "ch = builtin('bb84_qmac')\n"
+            "qnetcap.network.cmg_region_via_projection("
+            "ch, qnetcap.network.random_cmg_distribution(ch, 2))\n"
+            "qnetcap.cli.main(['region', 'cmg', '--builtin', 'bb84_qmac', '--seed', '1',"
+            " '--oracle'])\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout.startswith("oracle agreement: 1.000000\n")
+        assert done.stdout.endswith("}\nFalse\n")
 
 
 class TestRegion:
@@ -161,6 +167,43 @@ class TestRegion:
                            "--seed", "1", "--oracle")
         assert code == 0
         assert "oracle agreement" in out
+
+    def test_cmg_oracle_disagreement_exits_3(self, capsys, monkeypatch):
+        import qnetcap.network as network
+
+        real = network.cmg_region_via_projection
+        seen = []
+
+        def shrunk(ch, dist):
+            # one facet pulled in by 2%: the grid sees it on few points
+            region = real(ch, dist)
+            rows = list(region.inequalities)
+            rows[-1] = (rows[-1][0], 0.98 * rows[-1][1])
+            seen.append((network.cmg_region(ch, dist), HalfspaceRegion(region.coordinate_names,
+                                                                       rows)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(network, "cmg_region_via_projection", shrunk)
+        code, out, err = run(capsys, "region", "cmg", "--builtin", "bb84_qmac",
+                             "--seed", "1", "--oracle")
+        assert code == 3 and "disagree" in err
+        # the reference: one contains() call per grid point
+        direct, projected = seen[0]
+        top = 1.05 * max(b for r in seen[0] for _, b in r.inequalities)
+        axis = np.linspace(0.0, top, 50)
+        agree = sum(direct.contains((x, y), tol=1e-6) == projected.contains((x, y), tol=1e-6)
+                    for x in axis for y in axis)
+        assert 0.999 <= agree / 2500 < 1.0
+        assert out == f"oracle agreement: {agree / 2500:.6f}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("mac", "--uniform"), ("mac", "--grid", "5"), ("vsi",), ("si",), ("sato",),
+        ("hk",), ("cmg",), ("relay-pdf",),
+    ], ids=" ".join)
+    def test_one_input_channel_is_schema_error(self, capsys, argv):
+        code, out, err = run(capsys, "region", *argv, "--builtin", "bb84_p2p")
+        assert code == 2 and out == ""
+        assert err == "error: expected a two-input channel, got 1 input(s)\n"
 
     def test_hk_region_json(self, capsys, tmp_path):
         path = tmp_path / "hk.json"

@@ -294,3 +294,23 @@ class TestStackedParity:
                 table = {key: (stack[g][key], rho) for key, rho in states.items()}
                 expect = loop_entropy(registers, table, names, subset)
                 assert abs(stacked[g] - expect) <= 1e-12, (subset, g)
+
+
+class TestEntropyMemo:
+    def test_kept_values_equal_a_fresh_state(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        keys = list(itertools.product((0, 1), (0, 1, 2)))
+        weights = rng.dirichlet(np.ones(len(keys)))
+        table = {key: (w, rand_two_part(rng, 2, 2)) for key, w in zip(keys, weights)}
+        args = ([("X", (0, 1)), ("Y", (0, 1, 2))], table, ("B1", "B2"))
+        subsets = all_subsets(["X", "Y", "B1", "B2"])
+        st = LabeledCqState(*args)
+        first = [st.entropy(subset) for subset in subsets]
+        solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or real(m))
+        again = [st.entropy(subset) for subset in reversed(subsets)][::-1]
+        assert not solves
+        monkeypatch.undo()
+        fresh = [LabeledCqState(*args).entropy(subset) for subset in subsets]
+        assert first == again == fresh

@@ -456,6 +456,28 @@ class TestHkRegion:
         hk_region(ch, random_hk_distribution(ch, 0))
         assert len(calls) == len(set(calls)) == 10
 
+    def test_each_distinct_entropy_diagonalized_once(self, monkeypatch):
+        real_cmi, terms = network.conditional_mutual_information, []
+
+        def recorded(st, a, b, c=()):
+            terms.append((set(a), set(b), set(c)))
+            return real_cmi(st, a, b, c)
+
+        real_eig, solves = np.linalg.eigvalsh, []
+
+        def counted(m):
+            solves.append(len(m))
+            return real_eig(m)
+
+        ch = theta_swap(1.2)
+        dist = random_hk_distribution(ch, 0)
+        monkeypatch.setattr(network, "conditional_mutual_information", recorded)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        hk_region(ch, dist)
+        # B holds the quantum outputs: H(BC) and H(ABC) need an eigensolve
+        quantum = {frozenset(s) for a, b, c in terms for s in (b | c, a | b | c)}
+        assert len(solves) == len(quantum) < 2 * len(terms)
+
     def test_contains_successive_decoding_corners(self):
         ch = builtin("theta_swap", [1.2])
         corners = successive_decoding_corners(ch, UNIF2, UNIF2)

@@ -1,13 +1,21 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from qnetcap import regions
+from qnetcap.channels import builtin, theta_swap
+from qnetcap.network import cmg_region, cmg_region_via_projection, random_cmg_distribution
 from qnetcap.qstate import InvariantError
 from qnetcap.regions import (
+    PRUNE_THRESHOLD,
     HalfspaceRegion,
+    _exact_prune,
+    _lp_prune,
     boundary_sample,
+    equivalent,
     export_boundary_csv,
     fm_project,
     intersect,
@@ -25,6 +33,34 @@ def rand_region(rng, dim, n_rows):
         c[rng.integers(dim)] += 0.5  # keep every direction bounded
         rows.append((c, rng.uniform(0.5, 2.0)))
     return HalfspaceRegion([f"R{i}" for i in range(dim)], rows)
+
+
+def assert_matches_lp_oracle(region, m, proj, rng, span=3.0):
+    """Membership in ``proj`` agrees with LP feasibility of {R in region,
+    m . R = q} at 200 points q drawn from [0, span)^k, except within a hair
+    of the boundary."""
+    a_ub = np.array([c for c, _ in region.inequalities])
+    b_ub = np.array([b for _, b in region.inequalities])
+    agree = 0
+    for _ in range(200):
+        q = rng.uniform(0.0, span, size=len(m))
+        res = linprog(
+            np.zeros(region.dim),
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=m,
+            b_eq=q,
+            bounds=[(0, None)] * region.dim,
+            method="highs",
+        )
+        feasible = res.status == 0
+        member = proj.contains(q, tol=1e-7)
+        if feasible == member:
+            agree += 1
+        else:
+            # disagreement allowed only within a hair of the boundary
+            assert proj.contains(q, tol=1e-5) != proj.contains(q, tol=-1e-5)
+    assert agree >= 198
 
 
 class TestConstruction:
@@ -118,28 +154,46 @@ class TestFmProject:
         r = rand_region(rng, 4, 6)
         m = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         proj = fm_project(r, m, ("R1", "R2"))
+        assert_matches_lp_oracle(r, m, proj, rng)
+
+    def test_three_coordinates_prune_by_lp(self, monkeypatch):
+        lp_calls, real = [], regions.linprog
+        monkeypatch.setattr(regions, "linprog",
+                            lambda *a, **kw: lp_calls.append(1) or real(*a, **kw))
+        rng = np.random.default_rng(8)
+        r = rand_region(rng, 5, 6)
+        m = np.array([[1.0, 1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0, 1.0]])
+        proj = fm_project(r, m, ("R1", "R2", "R3"))
+        assert lp_calls
+        assert_matches_lp_oracle(r, m, proj, rng, span=2.0)
+
+    @pytest.mark.parametrize("seed,n_rows", [(0, 7), (2, 8)])
+    def test_elimination_past_prune_threshold(self, monkeypatch, seed, n_rows):
+        # the intermediate LP prune must keep the rows R >= 0 that later
+        # eliminations read: without them seed 0 projects to an empty system
+        # and seed 2 loses the facet (1, 0.92) . R <= 1.628
+        widths = []
+        real = regions._lp_prune
+
+        def spy(rows, dim, free=0):
+            widths.append((len(rows), dim))
+            return real(rows, dim, free)
+
+        monkeypatch.setattr(regions, "_lp_prune", spy)
+        rng = np.random.default_rng(seed)
+        r = rand_region(rng, 4, n_rows)
+        m = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        proj = fm_project(r, m, ("R1", "R2"))
+        assert any(n > PRUNE_THRESHOLD and dim == 6 for n, dim in widths)
+        assert_matches_lp_oracle(r, m, proj, rng, span=1.8)
         a_ub = np.array([c for c, _ in r.inequalities])
         b_ub = np.array([b for _, b in r.inequalities])
-        agree = 0
-        for _ in range(200):
-            q = rng.uniform(0.0, 3.0, size=2)
-            res = linprog(
-                np.zeros(4),
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=m,
-                b_eq=q,
-                bounds=[(0, None)] * 4,
-                method="highs",
-            )
-            feasible = res.status == 0
-            member = proj.contains(q, tol=1e-7)
-            if feasible == member:
-                agree += 1
-            else:
-                # disagreement allowed only within a hair of the boundary
-                assert proj.contains(q, tol=1e-5) != proj.contains(q, tol=-1e-5)
-        assert agree >= 198
+        for c, b in proj.inequalities:
+            res = linprog(-(c @ m), A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 4,
+                          method="highs")
+            assert abs(-res.fun - b) < 1e-7
 
     def test_unbounded_projection_rejected(self):
         r = HalfspaceRegion(("x", "y"), [([1, 0], 1.0)])
@@ -155,6 +209,104 @@ class TestFmProject:
         proj = fm_project(sys1, [[1, 1]], ("R1",))
         assert proj.contains([0.8])
         assert not proj.contains([0.81])
+
+
+def assert_same_prune(rows, dim):
+    """The exact prune keeps the very row objects the LP prune keeps, in
+    the same order."""
+    rows = [(np.array(c, dtype=float), float(b)) for c, b in rows]
+    by_lp, exact = _lp_prune(rows, dim), _exact_prune(rows, dim)
+    assert [id(row) for row in exact] == [id(row) for row in by_lp]
+    return exact
+
+
+class TestExactPrune:
+    def test_duplicate_rows_after_scaling(self):
+        kept = assert_same_prune(
+            [([1, 1], 1.0), ([2, 2], 2.0), ([1, 0], 0.8), ([0, 3], 2.4), ([0, 1], 0.8)], 2)
+        assert len(kept) == 3
+
+    def test_three_rows_through_one_vertex(self):
+        kept = assert_same_prune(
+            [([1, 0], 0.5), ([0, 1], 0.5), ([1, 1], 1.0), ([2, 1], 1.5), ([1, 2], 1.5)], 2)
+        assert len(kept) == 2
+
+    def test_row_touching_one_vertex(self):
+        kept = assert_same_prune(
+            [([1, 2], 3.0), ([1, 0], 1.0), ([0, 1], 1.0), ([1, 1], 2.0), ([1, 1], 1.9)], 2)
+        assert len(kept) == 3
+
+    def test_unbounded_direction(self):
+        # R2 is free above x - y <= 0.5: rows along it are kept
+        kept = assert_same_prune(
+            [([1, 0], 1.0), ([1, -1], 0.5), ([2, -1], 5.0), ([-1, 0], 0.0), ([-1, 1], 4.0)], 2)
+        assert len(kept) == 3
+
+    def test_one_coordinate(self):
+        kept = assert_same_prune([([1], 0.8), ([2], 1.0), ([1], 0.9), ([-1], 0.0)], 1)
+        assert [float(b) for _, b in kept] == [1.0]
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            rows = [(rng.uniform(-0.3, 1.0, size=2), rng.uniform(0.0, 2.0))
+                    for _ in range(int(rng.integers(1, 9)))]
+            assert_same_prune(rows, 2)
+
+    @pytest.mark.parametrize("channel", ["bb84_qmac", "theta_swap(1.2)"])
+    def test_seeded_common_message_systems(self, monkeypatch, channel):
+        finals = []
+        real = regions._exact_prune
+
+        def spy(rows, dim):
+            finals.append(rows)
+            return real(rows, dim)
+
+        monkeypatch.setattr(regions, "_exact_prune", spy)
+        ch = builtin("bb84_qmac") if channel == "bb84_qmac" else theta_swap(1.2)
+        for q_size, seed in itertools.product((1, 2, 3), (0, 1)):
+            dist = random_cmg_distribution(ch, seed, q_size=q_size)
+            projected = cmg_region_via_projection(ch, dist)
+            assert equivalent(projected, cmg_region(ch, dist))
+        assert len(finals) == 6
+        for rows in finals:
+            assert_same_prune(rows, 2)
+
+
+PENTAGON = [([1, 0], 0.6), ([0, 1], 0.6), ([1, 1], 1.0)]
+
+
+class TestEquivalent:
+    def test_redundant_rows_written_differently(self):
+        a = HalfspaceRegion(("R1", "R2"), PENTAGON)
+        b = HalfspaceRegion(("R1", "R2"), [([2, 2], 2.0), ([1, 0], 0.9), ([0, 1], 0.6),
+                                           ([2, 1], 1.7), ([1, 0], 0.6)])
+        assert equivalent(a, b) and equivalent(b, a)
+
+    def test_shifted_facet(self):
+        a = HalfspaceRegion(("R1", "R2"), PENTAGON)
+        b = HalfspaceRegion(("R1", "R2"), PENTAGON[:2] + [([1, 1], 1.001)])
+        assert not equivalent(a, b) and not equivalent(b, a)
+        assert equivalent(a, b, tol=1e-2)
+
+    def test_unbounded_against_bounded(self):
+        half = HalfspaceRegion(("R1", "R2"), [([1, 0], 1.0)])
+        box = HalfspaceRegion(("R1", "R2"), [([1, 0], 1.0), ([0, 1], 5.0)])
+        assert not equivalent(half, box) and not equivalent(box, half)
+        assert equivalent(half, HalfspaceRegion(("R1", "R2"), [([2, 0], 2.0), ([3, -1], 4.0)]))
+
+    def test_one_coordinate(self):
+        a = HalfspaceRegion(("R1",), [([1], 1.0)])
+        assert equivalent(a, HalfspaceRegion(("R1",), [([2], 2.0), ([1], 1.5)]))
+        assert not equivalent(a, HalfspaceRegion(("R1",), [([1], 0.9)]))
+
+    def test_mismatch_rejected(self):
+        a = HalfspaceRegion(("R1", "R2"), PENTAGON)
+        with pytest.raises(InvariantError):
+            equivalent(a, HalfspaceRegion(("S1", "S2"), PENTAGON))
+        cube = HalfspaceRegion(("x", "y", "z"), [([1, 1, 1], 1.0)])
+        with pytest.raises(InvariantError):
+            equivalent(cube, cube)
 
 
 class TestBoundary:
