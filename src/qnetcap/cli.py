@@ -365,14 +365,10 @@ def _cmg_oracle_status(ch, dist, grid=50, tol=1e-6) -> tuple[float, bool]:
     top = 1.05 * max(
         bound for r in (direct, projected) for _, bound in r.inequalities
     )
-    r1, r2 = np.meshgrid(np.linspace(0.0, top, grid), np.linspace(0.0, top, grid),
-                         indexing="ij")
-
-    def inside(region):
-        return np.all([c[0] * r1 + c[1] * r2 <= bound + tol
-                       for c, bound in region.inequalities], axis=0)
-
-    fraction = np.count_nonzero(inside(direct) == inside(projected)) / (grid * grid)
+    axis = np.linspace(0.0, top, grid)
+    agree = sum(direct.contains((r1, r2), tol=tol) == projected.contains((r1, r2), tol=tol)
+                for r1 in axis for r2 in axis)
+    fraction = agree / (grid * grid)
     return fraction, equivalent(direct, projected)
 
 

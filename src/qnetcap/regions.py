@@ -233,8 +233,12 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     combination of the old ones (e.g. R1 = R1p + R1c).  Old coordinates are
     eliminated one at a time (fewest pairings first); past PRUNE_THRESHOLD
     rows the system is pruned by LP.  The final rows are pruned exactly
-    (``_exact_prune``) onto one or two coordinates and by LP onto more;
-    both keep the same rows in the same order.
+    (``_exact_prune``) onto one or two coordinates and by LP onto more.
+    The two prunes agree up to their tolerances (PRUNE_TOL and VERTEX_TOL
+    here, the LP solver's own feasibility tolerance there): a row redundant
+    by a margin between the two can be kept by one and dropped by the
+    other.  They keep the same rows in the same order on the systems of the
+    test suite and on the seeded common-message systems.
     """
     m = np.array(keep_matrix, dtype=float)
     new_names = tuple(str(n) for n in new_names)
@@ -287,11 +291,12 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     return HalfspaceRegion(new_names, final)
 
 
-def equivalent(a: HalfspaceRegion, b: HalfspaceRegion, tol: float = MEMBERSHIP_TOL) -> bool:
+def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
     """Whether two regions over the same one or two coordinates are the
     same set: every row of each is implied by the other (its support value
-    over the other region is at most its bound + ``tol``).  A region that is
-    unbounded along a row of the other is therefore never equivalent."""
+    over the other region is at most its bound + MEMBERSHIP_TOL).  A region
+    that is unbounded along a row of the other is therefore never
+    equivalent."""
     if a.coordinate_names != b.coordinate_names:
         raise InvariantError(
             f"coordinate names differ: {a.coordinate_names} vs {b.coordinate_names}"
@@ -301,7 +306,7 @@ def equivalent(a: HalfspaceRegion, b: HalfspaceRegion, tol: float = MEMBERSHIP_T
 
     def implied(rows, region):
         support = _support_2d(region.inequalities, region.dim)
-        return all(support(c) <= bound + tol for c, bound in rows)
+        return all(support(c) <= bound + MEMBERSHIP_TOL for c, bound in rows)
 
     return implied(a.inequalities, b) and implied(b.inequalities, a)
 

@@ -287,7 +287,6 @@ class TestEquivalent:
         a = HalfspaceRegion(("R1", "R2"), PENTAGON)
         b = HalfspaceRegion(("R1", "R2"), PENTAGON[:2] + [([1, 1], 1.001)])
         assert not equivalent(a, b) and not equivalent(b, a)
-        assert equivalent(a, b, tol=1e-2)
 
     def test_unbounded_against_bounded(self):
         half = HalfspaceRegion(("R1", "R2"), [([1, 0], 1.0)])
