@@ -131,21 +131,16 @@ class Povm:
     """
 
     def __init__(self, elements, labels=None, info=None, completeness_tol=POVM_COMPLETENESS_TOL):
-        mats = tuple(np.array(e, dtype=complex) for e in elements)
-        if not mats:
-            raise SchemaError("empty POVM")
-        d = mats[0].shape[0]
+        mats = _check_hermitian(tuple(np.array(e, dtype=complex) for e in elements))
         for k, e in enumerate(mats):
-            if e.shape != (d, d):
-                raise SchemaError(f"element {k} has shape {e.shape}, want {(d, d)}")
-            if np.max(np.abs(e - e.conj().T)) > 1e-9:
-                raise InvariantError(f"element {k} is not Hermitian")
             low = float(np.linalg.eigvalsh(e)[0])
             if low < POVM_PSD_TOL:
                 raise InvariantError(f"element {k} has eigenvalue {low:.3e}")
-            e.setflags(write=False)
-        total = sum(mats)
-        defect = float(np.max(np.abs(total - np.eye(d))))
+        self._finish(mats, labels, info, completeness_tol)
+
+    def _finish(self, mats, labels, info, completeness_tol):
+        d = mats[0].shape[0]
+        defect = float(np.max(np.abs(sum(mats) - np.eye(d))))
         if defect > completeness_tol:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
         self.elements = mats
@@ -184,17 +179,67 @@ class Povm:
     def complete(cls, elements, labels=None, remainder_label=None, info=None,
                  completeness_tol=POVM_COMPLETENESS_TOL) -> "Povm":
         """Append the remainder I - sum(elements) as a final outcome."""
-        mats = [np.asarray(e, dtype=complex) for e in elements]
-        d = mats[0].shape[0]
-        remainder = np.eye(d, dtype=complex) - sum(mats)
-        if labels is None:
-            labels = tuple(range(len(mats)))
-        return cls(
-            mats + [remainder],
-            labels=tuple(labels) + (remainder_label,),
-            info=info,
-            completeness_tol=completeness_tol,
-        )
+        mats, labels = _with_remainder(elements, labels, remainder_label)
+        return cls(mats, labels=labels, info=info, completeness_tol=completeness_tol)
+
+    @classmethod
+    def from_factors(cls, factors, labels=None, remainder_label=None, info=None,
+                     completeness_tol=POVM_COMPLETENESS_TOL) -> "Povm":
+        """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
+        I - sum_k B_k B_k^dagger as a final outcome, as in ``complete``.
+
+        Positivity is certified from the factors instead of by an eigensolve
+        of every d x d element: each B_k B_k^dagger is positive semidefinite
+        by construction, and the remainder's least eigenvalue is
+        1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
+        smaller of B^dagger B and B B^dagger.  Shape, Hermiticity and
+        completeness are checked on the dense elements as in ``__init__``.
+        """
+        bs = [np.asarray(b, dtype=complex) for b in factors]
+        if not bs:
+            raise SchemaError("empty POVM")
+        d = bs[0].shape[0]
+        for k, b in enumerate(bs):
+            if b.ndim != 2 or b.shape[0] != d:
+                raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
+        lams = []
+        for b in bs:
+            lam = b @ b.conj().T
+            lams.append((lam + lam.conj().T) / 2.0)
+        mats, labels = _with_remainder(lams, labels, remainder_label)
+        _check_hermitian(mats)
+        stack = np.concatenate(bs, axis=1)
+        gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
+        low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
+        if not low >= POVM_PSD_TOL:
+            raise InvariantError(f"element {len(bs)} has eigenvalue {low:.3e}")
+        povm = cls.__new__(cls)
+        povm._finish(mats, labels, info, completeness_tol)
+        return povm
+
+
+def _check_hermitian(mats):
+    """Check that complex elements are square, Hermitian and of one size,
+    and make them read-only."""
+    if not mats:
+        raise SchemaError("empty POVM")
+    d = mats[0].shape[0]
+    for k, e in enumerate(mats):
+        if e.shape != (d, d):
+            raise SchemaError(f"element {k} has shape {e.shape}, want {(d, d)}")
+        if np.max(np.abs(e - e.conj().T)) > 1e-9:
+            raise InvariantError(f"element {k} is not Hermitian")
+        e.setflags(write=False)
+    return mats
+
+
+def _with_remainder(elements, labels, remainder_label):
+    """Elements and labels with I - sum(elements) appended."""
+    mats = [np.asarray(e, dtype=complex) for e in elements]
+    remainder = np.eye(mats[0].shape[0], dtype=complex) - sum(mats)
+    if labels is None:
+        labels = tuple(range(len(mats)))
+    return (*mats, remainder), tuple(labels) + (remainder_label,)
 
 
 def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

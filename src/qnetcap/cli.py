@@ -351,17 +351,14 @@ def _cmd_capacity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmg_oracle_status(ch, dist, grid=50, tol=1e-6) -> tuple[float, bool]:
+def _cmg_oracle_status(direct, projected, grid=50, tol=1e-6) -> tuple[float, bool]:
     """The share of a grid x grid square of rate pairs on which the direct
     and projected common-message regions agree about membership (to
     ``tol``), and whether the two regions are exactly equal."""
     import numpy as np
 
-    from .network import cmg_region, cmg_region_via_projection
     from .regions import equivalent
 
-    direct = cmg_region(ch, dist)
-    projected = cmg_region_via_projection(ch, dist)
     top = 1.05 * max(
         bound for r in (direct, projected) for _, bound in r.inequalities
     )
@@ -376,6 +373,7 @@ def _cmd_region(cfg: RunConfig) -> int:
     from .network import (
         CodeDistribution,
         cmg_region,
+        cmg_regions,
         hk_region,
         mac_region,
         mac_region_union,
@@ -415,12 +413,15 @@ def _cmd_region(cfg: RunConfig) -> int:
     if sub == "cmg":
         dist = random_cmg_distribution(ch, cfg.seed)
         if cfg.oracle:
-            fraction, ok = _cmg_oracle_status(ch, dist)
+            region, projected = cmg_regions(ch, dist)
+            fraction, ok = _cmg_oracle_status(region, projected)
             print(f"oracle agreement: {fraction:.6f}")
             if not ok:
                 print("error: region routes disagree", file=sys.stderr)
                 return EXIT_INVARIANT
-        _emit_region(cmg_region(ch, dist), cfg.out)
+        else:
+            region = cmg_region(ch, dist)
+        _emit_region(region, cfg.out)
         return EXIT_OK
     if sub == "bc-superposition":
         dist = random_superposition_distribution(ch, cfg.seed)
@@ -509,6 +510,15 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _whole(value, what):
+    """A finite --param value that must be a whole number, as an int."""
+    from .channels import SchemaError
+
+    if value != int(value):
+        raise SchemaError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
 def _cmd_sim(cfg: RunConfig) -> int:
     from .channels import Povm, SchemaError, induced_classical_channel
     from .entropic import ProbDist
@@ -520,7 +530,7 @@ def _cmd_sim(cfg: RunConfig) -> int:
         if not 1 <= len(cfg.params) <= 2:
             raise SchemaError("expected rate R and optional codebook count")
         rate = cfg.params[0]
-        count = int(cfg.params[1]) if len(cfg.params) == 2 else 5
+        count = _whole(cfg.params[1], "codebook count") if len(cfg.params) == 2 else 5
         if count < 1:
             raise SchemaError(f"codebook count must be >= 1, got {count}")
         rows = srm_error_sweep(
@@ -536,7 +546,8 @@ def _cmd_sim(cfg: RunConfig) -> int:
 
     if len(cfg.params) != 3:
         raise SchemaError("expected parameters: rate R, blocklength n, trials")
-    rate, n, trials = cfg.params[0], int(cfg.params[1]), int(cfg.params[2])
+    rate = cfg.params[0]
+    n, trials = _whole(cfg.params[1], "blocklength"), _whole(cfg.params[2], "trial count")
     transition = induced_classical_channel(ch, Povm.computational(ch.output_dim))
     p = ProbDist.uniform(ch.input_alphabets[0])
     res = classical_typical_decode_sim(

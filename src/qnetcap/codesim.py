@@ -8,13 +8,19 @@ only exact numbers at desk scale.
 Each typical projector is spanned by product eigenvectors, so the
 decoder works from its orthonormal columns V (d x r, d = dim^n) rather
 than from dense d x d products: the detection operators are
-P_m = W_m W_m^dagger with W_m = P_avg V_m, the square-root measurement
-is Lambda_m = B_m B_m^dagger with B = S^{-1/2} W and S = W W^dagger
-(the Gram form of Hausladen et al., PRA 54, 1869, 1996), and the
-operator-union diagnostic reads Tr[P_k rho_m] off the columns, applying
-the product state rho_m one channel use at a time.  The projectors and
-the returned POVM are still dense d x d matrices, so a byte budget on
-the dense matrices a call keeps bounds n.
+P_m = W_m W_m^dagger with W_m = P_avg V_m, and the square-root
+measurement is Lambda_m = B_m B_m^dagger with B = S^{-1/2} W and
+S = W W^dagger (the Gram form of Hausladen et al., PRA 54, 1869, 1996),
+taken from the thin SVD of W, so S is never formed.  Hits
+Tr[Lambda_m rho_m] and the operator-union diagnostic's Tr[P_k rho_m]
+are read off the columns, applying the product state rho_m one channel
+use at a time.  ``srm_error_sweep`` therefore forms no d x d operator:
+no projector, S, POVM element or word state.  ``projector_set`` and
+``square_root_measurement`` still return dense d x d matrices; the
+POVM's positivity is certified from its factors B_m rather than by an
+eigensolve per element.  A byte budget on those dense matrices bounds
+n, and it also bounds the sweep, so the sweep accepts exactly the
+codebooks whose dense measurement could be built.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -66,7 +72,9 @@ def _srm_matrices(m_count):
 
 
 def message_count(n, rate):
-    """Codebook size for rate R at blocklength n, never below one."""
+    """Codebook size for rate R >= 0 at blocklength n, never below one."""
+    if not rate >= 0:
+        raise SchemaError(f"rate must be >= 0, got {rate}")
     try:
         return max(1, round(2.0 ** (n * rate)))
     except OverflowError:
@@ -162,17 +170,18 @@ def _check_delta(delta):
         raise SchemaError(f"typicality width must be >= 0, got {delta}")
 
 
+def _typical_columns(rho, n, delta):
+    spec = eig_hermitian(rho)
+    logs = _positive_logs(spec.eigenvalues)
+    return _sequence_columns([spec.eigenvectors] * n, [logs] * n, n, rho.dim,
+                             von_neumann_entropy(rho), delta)
+
+
 def typical_projector(rho, n, delta):
     """Projector onto the delta-typical subspace of n copies of rho."""
     _check_delta(delta)
-    dim = rho.dim
-    _check_budget(dim, n, 1)
-    spec = eig_hermitian(rho)
-    h = von_neumann_entropy(rho)
-    logs = _positive_logs(spec.eigenvalues)
-    return _span_projector(
-        _sequence_columns([spec.eigenvectors] * n, [logs] * n, n, dim, h, delta)
-    )
+    _check_budget(rho.dim, n, 1)
+    return _span_projector(_typical_columns(rho, n, delta))
 
 
 def _cond_typical_columns(ch, word, delta):
@@ -214,12 +223,16 @@ def _validate_projector(p, what):
         raise InvariantError(f"{what} is not idempotent")
 
 
+def _check_orthonormal(v, what):
+    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
+        raise InvariantError(f"{what} columns are not orthonormal")
+
+
 def _validate_columns(p, v, what):
     """V has orthonormal columns and V V^dagger = p, so p is a projector."""
     if v.ndim != 2 or v.shape[0] != p.shape[0]:
         raise SchemaError(f"{what} columns have shape {v.shape}, want ({p.shape[0]}, r)")
-    if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
-        raise InvariantError(f"{what} columns are not orthonormal")
+    _check_orthonormal(v, what)
     if np.max(np.abs(_span_projector(v) - p)) > PROJECTOR_TOL:
         raise InvariantError(f"{what} differs from the span of its columns")
 
@@ -236,21 +249,28 @@ class ProjectorSet:
     per codeword, all at the same typicality width.
 
     ``columns`` holds orthonormal columns V_m with conditional[m] equal
-    to V_m V_m^dagger; the decoder reads these.  When given they are
-    checked against the dense projectors, which also proves those are
+    to V_m V_m^dagger, and ``average_columns`` the columns of the average
+    projector; the decoder reads these.  When given they are checked
+    against the dense projectors, which also proves those are
     projectors; when omitted they are taken from an eigendecomposition
-    of each validated conditional projector.
+    of each validated projector.
     """
 
     average: np.ndarray
     conditional: tuple
     delta: float
     columns: tuple = None
+    average_columns: np.ndarray = None
 
     def __post_init__(self):
         avg = np.array(self.average, dtype=complex)
         conds = tuple(np.array(c, dtype=complex) for c in self.conditional)
-        _validate_projector(avg, "average projector")
+        if self.average_columns is None:
+            _validate_projector(avg, "average projector")
+            avg_cols = _projector_columns(avg)
+        else:
+            avg_cols = np.array(self.average_columns, dtype=complex)
+            _validate_columns(avg, avg_cols, "average projector")
         for m, c in enumerate(conds):
             if c.shape != avg.shape:
                 raise SchemaError(f"projector {m} has shape {c.shape}, want {avg.shape}")
@@ -264,11 +284,12 @@ class ProjectorSet:
                 raise SchemaError(f"{len(cols)} column sets for {len(conds)} projectors")
             for m, (c, v) in enumerate(zip(conds, cols)):
                 _validate_columns(c, v, f"conditional projector {m}")
-        for a in (avg,) + conds + cols:
+        for a in (avg, avg_cols) + conds + cols:
             a.setflags(write=False)
         object.__setattr__(self, "average", avg)
         object.__setattr__(self, "conditional", conds)
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "average_columns", avg_cols)
 
 
 def _codebook_frequencies(ch, codebook):
@@ -283,30 +304,39 @@ def _codebook_frequencies(ch, codebook):
     return ProbDist(alphabet, [counts[s] / total for s in alphabet])
 
 
-def projector_set(ch, codebook, delta):
-    """Build the decoder's projectors for a codebook.
+def _check_single_input(ch):
+    if ch.n_inputs != 1:
+        raise SchemaError("decoder simulation needs a single-input channel")
+
+
+def _decoder_columns(ch, codebook, delta):
+    """Orthonormal columns of the average typical projector and of each
+    codeword's conditional typical projector.
 
     The average projector is the typical projector of the mean output
     state under the codebook's prior (or its empirical symbol
     frequencies when no prior is recorded).
     """
-    if ch.n_inputs != 1:
-        raise SchemaError("decoder simulation needs a single-input channel")
-    _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
     freq = _codebook_frequencies(ch, codebook)
     mean = sum(
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
     )
-    rho_bar = DensityMatrix(mean, ch.dims)
-    avg = typical_projector(rho_bar, codebook.n, delta)
-    cols = tuple(
-        _cond_typical_columns(ch, w, delta) for w in codebook.codewords
-    )
+    avg = _typical_columns(DensityMatrix(mean, ch.dims), codebook.n, delta)
+    return avg, tuple(_cond_typical_columns(ch, w, delta) for w in codebook.codewords)
+
+
+def projector_set(ch, codebook, delta):
+    """Build the decoder's projectors for a codebook (see
+    ``_decoder_columns`` for the average projector)."""
+    _check_single_input(ch)
+    _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
+    avg, cols = _decoder_columns(ch, codebook, delta)
     return ProjectorSet(
-        average=avg,
+        average=_span_projector(avg),
         conditional=tuple(_span_projector(v) for v in cols),
         delta=delta,
         columns=cols,
+        average_columns=avg,
     )
 
 
@@ -328,13 +358,32 @@ def _word_state_times(ch, word, w):
     return out.reshape(d, r)
 
 
-def _detection_columns(projs):
+def _detection_columns(avg_cols, cols):
     """W = [W_1 ... W_M] with W_m = P_avg V_m, so the detection operator
     P_m = P_avg C_m P_avg equals W_m W_m^dagger; also the column indices
-    where each W_m after the first starts."""
-    w = projs.average @ np.concatenate(projs.columns, axis=1)
-    starts = np.cumsum([v.shape[1] for v in projs.columns])[:-1]
-    return w, starts
+    where each W_m after the first starts.  P_avg is applied through its
+    columns, and not at all when it is the identity."""
+    v = np.concatenate(cols, axis=1)
+    if avg_cols.shape[1] < avg_cols.shape[0]:
+        v = avg_cols @ (avg_cols.conj().T @ v)
+    return v, np.cumsum([c.shape[1] for c in cols])[:-1]
+
+
+def _srm_factors(w):
+    """B = S^{-1/2} W with S = W W^dagger inverted on its support, from
+    the thin SVD W = U Sigma X^dagger as B = U_keep X_keep^dagger; also
+    the support rank and the cutoff.
+
+    The support keeps sigma^2 above ``PINV_RELATIVE_CUTOFF`` times the
+    largest sigma^2, the largest eigenvalue of S.  The SVD works on the
+    smaller side of W, so neither the d x d S nor the Gram matrix
+    W^dagger W is formed.
+    """
+    u, sigma, xh = np.linalg.svd(w, full_matrices=False)
+    evals = sigma**2
+    cutoff = PINV_RELATIVE_CUTOFF * float(evals[0]) if len(evals) else 0.0
+    keep = evals > cutoff
+    return u[:, keep] @ xh[keep], int(keep.sum()), cutoff
 
 
 def square_root_measurement(ch, codebook, delta, projs=None):
@@ -344,7 +393,8 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     codeword's conditional projector between average projectors; the
     POVM normalizes them by S^{-1/2} on the support of
     S = sum P_m = W W^dagger, as Lambda_m = B_m B_m^dagger with
-    B = S^{-1/2} W, and appends the remainder as a "fail" outcome.  The
+    B = S^{-1/2} W (see ``_srm_factors``), and appends the remainder as
+    a "fail" outcome; positivity is certified from the factors B_m.  The
     support rank and pseudo-inverse cutoff are reported in the POVM's
     info dict so rank deficiency is visible rather than silently
     absorbed.
@@ -352,27 +402,16 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
         projs = projector_set(ch, codebook, delta)
-    w, starts = _detection_columns(projs)
-    s = w @ w.conj().T
-    s = (s + s.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(s)
-    top = float(evals[-1]) if len(evals) else 0.0
-    cutoff = PINV_RELATIVE_CUTOFF * max(top, 0.0)
-    keep = evals > cutoff
-    inv_root = (evecs[:, keep] * evals[keep] ** -0.5) @ evecs[:, keep].conj().T
-    lams = []
-    for b in np.split(inv_root @ w, starts, axis=1):
-        lam = b @ b.conj().T
-        lams.append((lam + lam.conj().T) / 2.0)
+    w, starts = _detection_columns(projs.average_columns, projs.columns)
+    b, rank, cutoff = _srm_factors(w)
     info = {
-        "s_rank": int(keep.sum()),
-        "dim": s.shape[0],
+        "s_rank": rank,
+        "dim": w.shape[0],
         "pinv_cutoff": cutoff,
         "delta": projs.delta,
     }
-    return Povm.complete(
-        lams,
-        labels=tuple(range(len(lams))),
+    return Povm.from_factors(
+        np.split(b, starts, axis=1),
         remainder_label="fail",
         info=info,
         completeness_tol=SRM_COMPLETENESS_TOL,
@@ -393,6 +432,22 @@ def exact_error(ch, codebook, povm):
     return float(np.clip(np.mean(errs), 0.0, 1.0))
 
 
+def _column_weights(ch, word, cols):
+    """<c| rho_word |c> for each column c."""
+    return np.sum(cols.conj() * _word_state_times(ch, word, cols), axis=0).real
+
+
+def _hn_bound(ch, codewords, w, starts):
+    vals = []
+    for m, word in enumerate(codewords):
+        trace = np.prod([np.trace(ch.output(x).entries) for x in word]).real
+        hits = np.array([c.sum() for c in np.split(_column_weights(ch, word, w), starts)])
+        miss = trace - hits[m]
+        confuse = hits.sum() - hits[m]
+        vals.append(2.0 * miss + 4.0 * confuse)
+    return float(np.mean(vals))
+
+
 def hn_diagnostic(ch, codebook, projs):
     """Average of 2 Tr[(I - P_m) rho_m] + 4 sum_{k != m} Tr[P_k rho_m].
 
@@ -405,24 +460,20 @@ def hn_diagnostic(ch, codebook, projs):
         raise SchemaError(
             f"{len(projs.conditional)} conditional projectors for {codebook.M} messages"
         )
-    w, starts = _detection_columns(projs)
-    vals = []
-    for m, word in enumerate(codebook.codewords):
-        trace = np.prod([np.trace(ch.output(x).entries) for x in word]).real
-        per_col = np.sum(w.conj() * _word_state_times(ch, word, w), axis=0).real
-        hits = np.array([c.sum() for c in np.split(per_col, starts)])
-        miss = trace - hits[m]
-        confuse = hits.sum() - hits[m]
-        vals.append(2.0 * miss + 4.0 * confuse)
-    return float(np.mean(vals))
+    w, starts = _detection_columns(projs.average_columns, projs.columns)
+    return _hn_bound(ch, codebook.codewords, w, starts)
 
 
 def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     """Exact error and diagnostic rows over blocklengths and seeds.
 
     Returns (n, R, seed, delta, exact_error, hn_bound) tuples in sweep
-    order, one per (blocklength, seed) pair.
+    order, one per (blocklength, seed) pair.  Each row comes from the
+    projector columns alone: the hit Tr[Lambda_m rho_m] is the sum over
+    B_m's columns of b^dagger rho_m b, so no projector, S, POVM element
+    or word state is formed.
     """
+    _check_single_input(ch)
     alphabet = ch.input_alphabets[0]
     # reject the whole sweep before computing anything
     for n in blocklengths:
@@ -431,16 +482,24 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     for n in blocklengths:
         for seed in seeds:
             cb = Codebook.random(alphabet, n, rate, seed, prior)
-            projs = projector_set(ch, cb, delta)
-            povm = square_root_measurement(ch, cb, delta, projs=projs)
+            avg, cols = _decoder_columns(ch, cb, delta)
+            _check_orthonormal(avg, "average projector")
+            for m, v in enumerate(cols):
+                _check_orthonormal(v, f"conditional projector {m}")
+            w, starts = _detection_columns(avg, cols)
+            b, _, _ = _srm_factors(w)
+            errs = [
+                1.0 - _column_weights(ch, word, bm).sum()
+                for word, bm in zip(cb.codewords, np.split(b, starts, axis=1))
+            ]
             rows.append(
                 (
                     n,
                     rate,
                     seed,
                     delta,
-                    exact_error(ch, cb, povm),
-                    hn_diagnostic(ch, cb, projs),
+                    float(np.clip(np.mean(errs), 0.0, 1.0)),
+                    _hn_bound(ch, cb.codewords, w, starts),
                 )
             )
     return rows

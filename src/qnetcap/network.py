@@ -643,26 +643,43 @@ def cmg_informations(ch: CqChannel, dist: CodeDistribution) -> dict:
     return _informations(ch, dist, "cmg", _CMG_TERMS)
 
 
+def _cmg_direct(q: dict) -> HalfspaceRegion:
+    return HalfspaceRegion(("R1", "R2"), _rows(q, _CMG_ROWS))
+
+
+def _cmg_split(q: dict):
+    names = ("R1p", "R1c", "R2p", "R2c")
+    return tuple(HalfspaceRegion(names, _rows(q, rows)) for rows in _CMG_SPLIT_ROWS)
+
+
+def _cmg_projected(q: dict) -> HalfspaceRegion:
+    keep = [[1, 1, 0, 0], [0, 0, 1, 1]]
+    return fm_project(intersect(*_cmg_split(q)), keep, ("R1", "R2"))
+
+
 def cmg_region(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Nine-inequality common-message region in the net rates (R1, R2)."""
-    return HalfspaceRegion(("R1", "R2"), _rows(cmg_informations(ch, dist), _CMG_ROWS))
+    return _cmg_direct(cmg_informations(ch, dist))
 
 
 def cmg_split_systems(ch: CqChannel, dist: CodeDistribution):
     """The two receivers' four-inequality systems over the split rates
     (R1p, R1c, R2p, R2c): receiver m decodes its personal rate and both
     common rates as a three-sender MAC."""
-    q = cmg_informations(ch, dist)
-    names = ("R1p", "R1c", "R2p", "R2c")
-    return tuple(HalfspaceRegion(names, _rows(q, rows)) for rows in _CMG_SPLIT_ROWS)
+    return _cmg_split(cmg_informations(ch, dist))
 
 
 def cmg_region_via_projection(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Project the intersected split-rate systems onto R1 = R1p + R1c,
     R2 = R2p + R2c; the direct nine-inequality region must agree."""
-    sys1, sys2 = cmg_split_systems(ch, dist)
-    keep = [[1, 1, 0, 0], [0, 0, 1, 1]]
-    return fm_project(intersect(sys1, sys2), keep, ("R1", "R2"))
+    return _cmg_projected(cmg_informations(ch, dist))
+
+
+def cmg_regions(ch: CqChannel, dist: CodeDistribution):
+    """``cmg_region`` and ``cmg_region_via_projection`` from one
+    evaluation of the eight terms."""
+    q = cmg_informations(ch, dist)
+    return _cmg_direct(q), _cmg_projected(q)
 
 
 # ---------------------------------------------------------------------------

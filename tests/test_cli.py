@@ -9,7 +9,7 @@ import pytest
 from qnetcap.channels import CqChannel, builtin, dump_channel
 from qnetcap.cli import main
 from qnetcap.qstate import DensityMatrix
-from qnetcap.regions import HalfspaceRegion, region_from_json
+from qnetcap.regions import HalfspaceRegion, region_from_json, save_region_json
 
 H_BB84 = 0.6008760366928562
 
@@ -171,19 +171,18 @@ class TestRegion:
     def test_cmg_oracle_disagreement_exits_3(self, capsys, monkeypatch):
         import qnetcap.network as network
 
-        real = network.cmg_region_via_projection
+        real = network.cmg_regions
         seen = []
 
         def shrunk(ch, dist):
             # one facet pulled in by 2%: the grid sees it on few points
-            region = real(ch, dist)
+            direct, region = real(ch, dist)
             rows = list(region.inequalities)
             rows[-1] = (rows[-1][0], 0.98 * rows[-1][1])
-            seen.append((network.cmg_region(ch, dist), HalfspaceRegion(region.coordinate_names,
-                                                                       rows)))
-            return seen[-1][1]
+            seen.append((direct, HalfspaceRegion(region.coordinate_names, rows)))
+            return seen[-1]
 
-        monkeypatch.setattr(network, "cmg_region_via_projection", shrunk)
+        monkeypatch.setattr(network, "cmg_regions", shrunk)
         code, out, err = run(capsys, "region", "cmg", "--builtin", "bb84_qmac",
                              "--seed", "1", "--oracle")
         assert code == 3 and "disagree" in err
@@ -195,6 +194,27 @@ class TestRegion:
                     for x in axis for y in axis)
         assert 0.999 <= agree / 2500 < 1.0
         assert out == f"oracle agreement: {agree / 2500:.6f}\n"
+
+    def test_cmg_oracle_evaluates_terms_once(self, capsys, monkeypatch, tmp_path):
+        import qnetcap.network as network
+
+        real, builds = network.joint_state, []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "joint_state", counted)
+        path = tmp_path / "cmg.json"
+        code, out, _ = run(capsys, "region", "cmg", "--builtin", "bb84_qmac",
+                           "--seed", "1", "--oracle", "--out", str(path))
+        assert code == 0 and out == "oracle agreement: 1.000000\n"
+        assert len(builds) == 1
+        # the emitted region is the direct one
+        ref = tmp_path / "direct.json"
+        ch = builtin("bb84_qmac")
+        save_region_json(network.cmg_region(ch, network.random_cmg_distribution(ch, 1)), ref)
+        assert path.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ("mac", "--uniform"), ("mac", "--grid", "5"), ("vsi",), ("si",), ("sato",),
@@ -346,6 +366,25 @@ class TestSim:
         assert code == 2
         assert out == ""
         assert "codewords" in err
+
+    def test_quantum_negative_rate(self, capsys):
+        code, out, err = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                             "--param", "-0.3")
+        assert code == 2
+        assert out == ""
+        assert "rate" in err
+
+    @pytest.mark.parametrize("sub,params,what", [
+        ("quantum", ("0.3", "2.7"), "codebook count"),
+        ("classical", ("0.1", "12.5", "20"), "blocklength"),
+        ("classical", ("0.1", "12", "20.9"), "trial count"),
+    ])
+    def test_fractional_counts(self, capsys, sub, params, what):
+        code, out, err = run(capsys, "sim", sub, "--builtin", "bb84_p2p",
+                             "--param", *params)
+        assert code == 2
+        assert out == ""
+        assert what in err
 
     def test_classical_deterministic(self, capsys):
         outs = []

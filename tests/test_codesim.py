@@ -56,6 +56,8 @@ class TestCodebook:
         assert cb.M == 1
 
     def test_validation(self):
+        with pytest.raises(SchemaError, match="rate"):
+            Codebook.random(("0", "1"), 4, -0.3, seed=0)
         with pytest.raises(SchemaError):
             Codebook(n=3, codewords=())
         with pytest.raises(SchemaError):
@@ -205,6 +207,9 @@ class TestProjectorSet:
         with pytest.raises(SchemaError):
             ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
                          columns=(eye, eye))
+        with pytest.raises(InvariantError):
+            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
+                         average_columns=eye[:, :2])
 
     @pytest.mark.parametrize("rate", [0.3, 0.6])
     def test_dense_built_matches_projector_set(self, rate):
@@ -330,6 +335,47 @@ class TestSquareRootMeasurement:
         assert np.isclose(e1, e2, atol=1e-10)
 
 
+class TestFactorPovm:
+    @staticmethod
+    def srm_factors():
+        ch = mixed_channel()
+        cb = Codebook.random(("a", "b"), 5, 0.6, seed=2)
+        projs = projector_set(ch, cb, 0.4)
+        povm = square_root_measurement(ch, cb, 0.4, projs=projs)
+        # B_m B_m^dagger = Lambda_m for B_m = Lambda_m^{1/2} restricted
+        # to its range
+        factors = []
+        for lam in povm.elements[:-1]:
+            evals, evecs = np.linalg.eigh(lam)
+            keep = evals > 1e-12
+            factors.append(evecs[:, keep] * np.sqrt(evals[keep]))
+        return povm, factors
+
+    def test_matches_dense_elements(self):
+        povm, factors = self.srm_factors()
+        rebuilt = Povm.from_factors(factors, remainder_label="fail")
+        assert rebuilt.labels == povm.labels
+        for a, b in zip(rebuilt.elements, povm.elements, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-10
+
+    def test_rejects_scaled_factor_like_dense_check(self):
+        povm, factors = self.srm_factors()
+        m = max(range(len(factors)), key=lambda k: factors[k].shape[1])
+        factors[m] = 1.01 * factors[m]
+        with pytest.raises(InvariantError, match="eigenvalue"):
+            Povm.from_factors(factors, remainder_label="fail")
+        scaled = list(povm.elements[:-1])
+        scaled[m] = 1.01**2 * scaled[m]
+        with pytest.raises(InvariantError, match="eigenvalue"):
+            Povm.complete(scaled, remainder_label="fail")
+
+    def test_shape_checks(self):
+        with pytest.raises(SchemaError):
+            Povm.from_factors([])
+        with pytest.raises(SchemaError):
+            Povm.from_factors([np.eye(4)[:, :2], np.eye(2)])
+
+
 class TestExactError:
     def test_uniform_guess(self):
         ch = builtin("bb84_p2p")
@@ -352,9 +398,11 @@ class TestExactError:
             exact_error(ch, cb, lone)
 
 
-def assert_dense_parity(ch, cb, delta):
+def assert_dense_parity(ch, cb, delta, rate=None):
     """Column-form SRM, exact error and diagnostic against the dense
-    sandwich reference in ``srm_dense``."""
+    sandwich reference in ``srm_dense``; given the ``rate`` that drew the
+    random codebook ``cb``, also the sweep row for its blocklength, rate
+    and seed."""
     projs = projector_set(ch, cb, delta)
     povm = square_root_measurement(ch, cb, delta, projs=projs)
     ref = srm_dense.square_root_measurement(ch, cb, delta, projs=projs)
@@ -368,7 +416,13 @@ def assert_dense_parity(ch, cb, delta):
     err = exact_error(ch, cb, povm)
     assert abs(err - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
     hn = hn_diagnostic(ch, cb, projs)
-    assert abs(hn - srm_dense.hn_diagnostic(ch, cb, projs)) <= 1e-12
+    ref_hn = srm_dense.hn_diagnostic(ch, cb, projs)
+    assert abs(hn - ref_hn) <= 1e-12
+    if rate is not None:
+        (row,) = srm_error_sweep(ch, rate, (cb.n,), delta, (cb.seed,))
+        assert row[:4] == (cb.n, rate, cb.seed, delta)
+        assert abs(row[4] - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
+        assert abs(row[5] - ref_hn) <= 1e-12
     return projs, povm
 
 
@@ -377,7 +431,7 @@ class TestDenseParity:
     def test_criterion_seven_trials(self, n):
         ch = builtin("bb84_p2p")
         for seed in range(20):
-            assert_dense_parity(ch, Codebook.random(("0", "1"), n, 0.3, seed), 0.4)
+            assert_dense_parity(ch, Codebook.random(("0", "1"), n, 0.3, seed), 0.4, 0.3)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("rate", [0.3, 0.6])
@@ -386,8 +440,19 @@ class TestDenseParity:
         ch = mixed_channel()
         for seed in range(5):
             cb = Codebook.random(("a", "b"), n, rate, seed)
-            projs, _ = assert_dense_parity(ch, cb, 0.4)
+            projs, _ = assert_dense_parity(ch, cb, 0.4, rate)
             assert max(v.shape[1] for v in projs.columns) > 1
+
+    def test_sweep_builds_no_projectors_or_povm(self, monkeypatch):
+        import qnetcap.codesim as codesim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a dense object")
+
+        monkeypatch.setattr(codesim, "ProjectorSet", refuse)
+        monkeypatch.setattr(codesim, "Povm", refuse)
+        rows = srm_error_sweep(mixed_channel(), 0.6, (2, 5), 0.4, range(2))
+        assert [r[:3] for r in rows] == [(2, 0.6, 0), (2, 0.6, 1), (5, 0.6, 0), (5, 0.6, 1)]
 
     def test_all_typical_and_empty_windows(self):
         # under a prior on "b" the average state is maximally mixed, so
