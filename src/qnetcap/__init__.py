@@ -2,6 +2,7 @@
 
 Subpackages are organized by layer:
 
+* ``errors``    error types and standard-library-only input checks
 * ``qstate``    dense density-matrix core (construction, composition, spectra)
 * ``entropic``  entropy and information functionals over labeled cq states
 * ``channels``  channel models, worked example channels, JSON loading
@@ -21,6 +22,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = (
+    "errors",
     "qstate",
     "entropic",
     "channels",

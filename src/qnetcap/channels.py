@@ -10,15 +10,14 @@ classical channels).
 from __future__ import annotations
 
 import itertools
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .entropic import ProbDist
+from .errors import InvariantError, SchemaError, read_json
 from .qstate import (
     DensityMatrix,
-    InvariantError,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -32,10 +31,6 @@ KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 KET_MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
-
-
-class SchemaError(ValueError):
-    """A document, name, or argument does not match the expected structure."""
 
 
 class CqChannel:
@@ -448,19 +443,6 @@ def _key_string(combo) -> str:
         if "," in s:
             raise SchemaError(f"symbol {s!r} contains a comma")
     return ",".join(combo)
-
-
-def read_json(path, what: str):
-    """Parse the JSON file at ``path``; an unreadable or malformed file is a
-    SchemaError naming ``what`` the file should hold."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read {what} file {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what} file {path} is not JSON: {exc}") from None
 
 
 def load_channel(source) -> CqChannel:

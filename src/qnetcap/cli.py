@@ -84,7 +84,7 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        from .channels import SchemaError
+        from .errors import SchemaError
 
         cfg = cls(
             command=args.command,
@@ -363,8 +363,8 @@ def _cmg_oracle_status(direct, projected, grid=50, tol=1e-6) -> tuple[float, boo
         bound for r in (direct, projected) for _, bound in r.inequalities
     )
     axis = np.linspace(0.0, top, grid)
-    agree = sum(direct.contains((r1, r2), tol=tol) == projected.contains((r1, r2), tol=tol)
-                for r1 in axis for r2 in axis)
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    agree = int(np.sum(direct.contains(points, tol=tol) == projected.contains(points, tol=tol)))
     fraction = agree / (grid * grid)
     return fraction, equivalent(direct, projected)
 
@@ -445,16 +445,14 @@ def _cmd_region(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bosonic_params(cfg: RunConfig):
+def _bosonic_params(cfg: RunConfig, doc):
     from .bosonic import (
         BosonicICParams,
         DetectionMode,
         params_from_json,
     )
-    from .channels import SchemaError, read_json
 
-    if cfg.channel is not None:
-        doc = read_json(cfg.channel, "bosonic parameter")
+    if doc is not None:
         params, mode = params_from_json(doc)
         if cfg.lam is not None:
             params = BosonicICParams(
@@ -463,10 +461,6 @@ def _bosonic_params(cfg: RunConfig):
                 cfg.lam[0], cfg.lam[1],
             )
     else:
-        if len(cfg.params) != 8:
-            raise SchemaError(
-                "expected 8 parameters: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2"
-            )
         lam = cfg.lam if cfg.lam is not None else (1.0, 1.0)
         params = BosonicICParams(*cfg.params, lam[0], lam[1])
         mode = DetectionMode.JOINT
@@ -476,6 +470,20 @@ def _bosonic_params(cfg: RunConfig):
 
 
 def _cmd_bosonic(cfg: RunConfig) -> int:
+    from .errors import SchemaError, read_json
+
+    # flag and JSON-syntax errors are reported before numpy is imported
+    doc = None
+    if cfg.subcommand == "p2p":
+        if len(cfg.params) != 2:
+            raise SchemaError("expected 2 parameters: eta NB")
+    elif cfg.channel is not None:
+        doc = read_json(cfg.channel, "bosonic parameter")
+    elif len(cfg.params) != 8:
+        raise SchemaError(
+            "expected 8 parameters: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2"
+        )
+
     import numpy as np
 
     from .bosonic import (
@@ -486,11 +494,8 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
         c_holevo,
         c_homodyne,
     )
-    from .channels import SchemaError
 
     if cfg.subcommand == "p2p":
-        if len(cfg.params) != 2:
-            raise SchemaError("expected 2 parameters: eta NB")
         eta, nb = cfg.params
         rows = [
             (ns, c_homodyne(eta, ns, nb), c_heterodyne(eta, ns, nb),
@@ -499,7 +504,7 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
         ]
         _emit_rows("NS,hom,het,holevo", rows, cfg.out)
         return EXIT_OK
-    params, mode = _bosonic_params(cfg)
+    params, mode = _bosonic_params(cfg, doc)
     if cfg.subcommand == "hk":
         _emit_region(bosonic_hk_region(params, mode), cfg.out)
         return EXIT_OK
@@ -510,29 +515,32 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _whole(value, what):
-    """A finite --param value that must be a whole number, as an int."""
-    from .channels import SchemaError
-
-    if value != int(value):
-        raise SchemaError(f"{what} must be a whole number, got {value}")
-    return int(value)
-
-
 def _cmd_sim(cfg: RunConfig) -> int:
-    from .channels import Povm, SchemaError, induced_classical_channel
+    from .errors import SchemaError, whole_number
+
+    # the --param checks need only the flags, so they run before numpy loads
+    if cfg.subcommand == "quantum":
+        if not 1 <= len(cfg.params) <= 2:
+            raise SchemaError("expected rate R and optional codebook count")
+        rate = cfg.params[0]
+        count = (whole_number(cfg.params[1], "codebook count")
+                 if len(cfg.params) == 2 else 5)
+        if count < 1:
+            raise SchemaError(f"codebook count must be >= 1, got {count}")
+    else:
+        if len(cfg.params) != 3:
+            raise SchemaError("expected parameters: rate R, blocklength n, trials")
+        rate = cfg.params[0]
+        n = whole_number(cfg.params[1], "blocklength")
+        trials = whole_number(cfg.params[2], "trial count")
+
+    from .channels import Povm, induced_classical_channel
     from .entropic import ProbDist
 
     ch = _load_cq_channel(cfg, builtin_params=())
     if cfg.subcommand == "quantum":
         from .codesim import srm_error_sweep
 
-        if not 1 <= len(cfg.params) <= 2:
-            raise SchemaError("expected rate R and optional codebook count")
-        rate = cfg.params[0]
-        count = _whole(cfg.params[1], "codebook count") if len(cfg.params) == 2 else 5
-        if count < 1:
-            raise SchemaError(f"codebook count must be >= 1, got {count}")
         rows = srm_error_sweep(
             ch,
             rate=rate,
@@ -544,10 +552,6 @@ def _cmd_sim(cfg: RunConfig) -> int:
         return EXIT_OK
     from .codesim import classical_typical_decode_sim
 
-    if len(cfg.params) != 3:
-        raise SchemaError("expected parameters: rate R, blocklength n, trials")
-    rate = cfg.params[0]
-    n, trials = _whole(cfg.params[1], "blocklength"), _whole(cfg.params[2], "trial count")
     transition = induced_classical_channel(ch, Povm.computational(ch.output_dim))
     p = ProbDist.uniform(ch.input_alphabets[0])
     res = classical_typical_decode_sim(
@@ -587,8 +591,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from .channels import SchemaError
-    from .qstate import InvariantError
+    from .errors import InvariantError, SchemaError
 
     try:
         cfg = RunConfig.from_args(args)

@@ -33,18 +33,23 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .channels import CqChannel, Povm, SchemaError
+from .channels import CqChannel, Povm
 from .entropic import ProbDist, shannon_entropy, von_neumann_entropy
-from .qstate import DensityMatrix, InvariantError, eig_hermitian
+from .errors import InvariantError, SchemaError, whole_number
+from .qstate import DensityMatrix, eig_hermitian
 
-# bytes of dense complex d x d matrices one call may keep at once
+# bytes of dense arrays one call may keep at once: complex d x d matrices
+# for the quantum decoder, one trial's draws for the classical one
 DENSE_BUDGET_BYTES = 2**30
 COMPLEX_BYTES = 16
+# bytes of draws the classical decoder works on per chunk of trials
+CLASSICAL_CHUNK_BYTES = 2**19
 
 PROJECTOR_TOL = 1e-8
 SRM_COMPLETENESS_TOL = 1e-8
@@ -166,8 +171,8 @@ def _span_projector(v):
 
 
 def _check_delta(delta):
-    if delta < 0:
-        raise SchemaError(f"typicality width must be >= 0, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise SchemaError(f"typicality width must be finite and >= 0, got {delta}")
 
 
 def _typical_columns(rho, n, delta):
@@ -536,6 +541,13 @@ class ClassicalDecodeResult:
         return self.errors / self.trials
 
 
+def _trial_bytes(m_count, n, outputs):
+    """Bytes one decoding trial keeps: per codebook symbol its uniform, its
+    index and two gathered logs; per output symbol its uniform, its index
+    and the row CDF it is compared against."""
+    return 8 * (4 * m_count * n + (outputs + 2) * n)
+
+
 def classical_typical_decode_sim(transition, p, rate, n, delta, trials, seed=0):
     """Monte-Carlo typical-set decoder over random classical codebooks.
 
@@ -545,17 +557,37 @@ def classical_typical_decode_sim(transition, p, rate, n, delta, trials, seed=0):
     when the output is conditionally typical for it (empirical centers,
     same rule as the quantum decoder) and succeed only on a unique,
     correct match.
+
+    Random stream: ``np.random.default_rng(seed)`` gives one uniform per
+    draw, consumed trial by trial in order; within a trial the M x n
+    codebook comes first (row-major), then the n output symbols.  Each
+    uniform u picks the first symbol whose normalised cumulative
+    probability exceeds u, as ``Generator.choice`` does, so the tally is
+    the one a loop of ``rng.choice`` calls would give.  Trials run in
+    chunks of about ``CLASSICAL_CHUNK_BYTES``; a codebook whose single
+    trial would keep more than ``DENSE_BUDGET_BYTES`` is a SchemaError.
     """
     t = np.array(transition, dtype=float)
     if t.ndim != 2:
         raise SchemaError("transition must be a matrix")
     if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-10:
         raise InvariantError("transition rows must be probability vectors")
-    if n < 1 or trials < 1 or rate < 0 or delta < 0:
-        raise SchemaError("need n >= 1, trials >= 1, rate >= 0, delta >= 0")
+    n = whole_number(n, "blocklength")
+    trials = whole_number(trials, "trial count")
+    if n < 1 or trials < 1:
+        raise SchemaError(f"need n >= 1 and trials >= 1, got n={n}, trials={trials}")
+    _check_delta(delta)
     weights = np.asarray(p.weights, dtype=float)
     if len(weights) != t.shape[0]:
         raise SchemaError(f"prior has {len(weights)} symbols, transition {t.shape[0]} rows")
+    m_count = message_count(n, rate)
+    per_trial = _trial_bytes(m_count, n, t.shape[1])
+    if per_trial > DENSE_BUDGET_BYTES:
+        raise SchemaError(
+            f"rate {rate} at blocklength {n} gives {m_count} codewords; one trial "
+            f"keeps {per_trial / 2**30:.3g} GiB, the budget is "
+            f"{DENSE_BUDGET_BYTES / 2**30:.3g} GiB"
+        )
     out = weights @ t
     h_out = shannon_entropy(ProbDist(range(t.shape[1]), out))
     with np.errstate(divide="ignore"):
@@ -564,29 +596,33 @@ def classical_typical_decode_sim(transition, p, rate, n, delta, trials, seed=0):
     h_rows = np.array(
         [shannon_entropy(ProbDist(range(t.shape[1]), row)) for row in t]
     )
-    m_count = message_count(n, rate)
+    prior_cdf = weights.cumsum()
+    prior_cdf /= prior_cdf[-1]
+    row_cdf = t.cumsum(axis=1)
+    row_cdf /= row_cdf[:, -1:]
+    words = m_count * n
+    chunk = max(1, CLASSICAL_CHUNK_BYTES // per_trial)
     rng = np.random.default_rng(seed)
     errors = atypical = none = multi = wrong = 0
-    for _ in range(trials):
-        cb = rng.choice(len(weights), size=(m_count, n), p=weights)
-        xn = cb[0]
-        yn = np.array([rng.choice(t.shape[1], p=t[x]) for x in xn])
-        if abs(-log_out[yn].sum() / n - h_out) > delta:
-            atypical += 1
-            errors += 1
-            continue
-        sample = -log_t[cb, yn[None, :]].sum(axis=1) / n
-        centers = h_rows[cb].mean(axis=1)
+    for done in range(0, trials, chunk):
+        k = min(chunk, trials - done)
+        u = rng.random((k, words + n))
+        cb = prior_cdf.searchsorted(u[:, :words], side="right").reshape(k, m_count, n)
+        xn = cb[:, 0, :]
+        yn = np.sum(row_cdf[xn] <= u[:, words:, None], axis=2)
+        off = np.abs(-log_out[yn].sum(axis=1) / n - h_out) > delta
+        sample = -log_t[cb, yn[:, None, :]].sum(axis=2) / n
+        centers = h_rows[cb].mean(axis=2)
         with np.errstate(invalid="ignore"):
-            matches = np.flatnonzero(np.abs(sample - centers) <= delta)
-        if len(matches) != 1 or matches[0] != 0:
-            errors += 1
-        if len(matches) == 0:
-            none += 1
-        elif len(matches) > 1:
-            multi += 1
-        if np.any(matches != 0):
-            wrong += 1
+            matches = np.abs(sample - centers) <= delta
+        count = matches.sum(axis=1)
+        own = matches[:, 0]
+        typical = ~off
+        atypical += int(off.sum())
+        errors += int(np.sum(off | (count != 1) | ~own))
+        none += int(np.sum(typical & (count == 0)))
+        multi += int(np.sum(typical & (count > 1)))
+        wrong += int(np.sum(typical & (count > own)))
     return ClassicalDecodeResult(
         trials=trials,
         errors=errors,

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantError
+
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-10
-
-
-class InvariantError(ValueError):
-    """A numerical invariant failed (non-PSD state, negative information, ...)."""
 
 
 def _as_complex_matrix(entries) -> np.ndarray:

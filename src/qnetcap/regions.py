@@ -62,13 +62,19 @@ class HalfspaceRegion:
     def dim(self) -> int:
         return len(self.coordinate_names)
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
-        p = np.asarray(point, dtype=float).reshape(-1)
-        if p.size != self.dim:
-            raise InvariantError(f"point of length {p.size} in {self.dim}-D region")
-        if np.any(p < -tol):
-            return False
-        return all(float(c @ p) <= b + tol for c, b in self.inequalities)
+    def contains(self, point, tol: float = MEMBERSHIP_TOL):
+        """Whether ``point`` satisfies every row and R >= 0 to within ``tol``.
+        An (N, k) array of N points gives a bool array of N verdicts."""
+        p = np.asarray(point, dtype=float)
+        points = p if p.ndim == 2 else p.reshape(1, -1)
+        if points.shape[1] != self.dim:
+            raise InvariantError(
+                f"point of length {points.shape[1]} in {self.dim}-D region"
+            )
+        inside = np.all(points >= -tol, axis=1)
+        for c, b in self.inequalities:
+            inside &= points @ c <= b + tol
+        return inside if p.ndim == 2 else bool(inside[0])
 
     def __repr__(self) -> str:
         return (

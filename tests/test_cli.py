@@ -386,6 +386,14 @@ class TestSim:
         assert out == ""
         assert what in err
 
+    @pytest.mark.parametrize("params", [("1.0", "40", "1"), ("2.0", "30", "1")])
+    def test_classical_codebook_budget_violation(self, capsys, params):
+        code, out, err = run(capsys, "sim", "classical", "--builtin", "bb84_p2p",
+                             "--param", *params)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_classical_deterministic(self, capsys):
         outs = []
         for _ in range(2):
@@ -483,6 +491,36 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "not JSON" in err
+
+    def test_flag_errors_reported_before_numpy(self, tmp_path):
+        import subprocess
+        import sys
+
+        import qnetcap
+
+        (tmp_path / "bad_bosonic.json").write_text('{"eta": [[0.3, 0.6], [0.6')
+        script = (
+            "import sys\n"
+            "from qnetcap.cli import main\n"
+            "codes = [main(line.split()) for line in (\n"
+            "    'sim quantum --builtin bb84_p2p --param 0.3 --delta nan',\n"
+            "    'bosonic hk --channel bad_bosonic.json',\n"
+            "    'bosonic p2p --param 0.9 nan',\n"
+            "    'capacity p2p-classical --builtin bb84_p2p --povm-angle nan',\n"
+            ")]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == "[2, 2, 2, 2] False\n"
+        assert done.stderr == (
+            "error: --delta must be finite, got [nan]\n"
+            "error: bosonic parameter file bad_bosonic.json is not JSON:"
+            " Expecting ',' delimiter: line 1 column 26 (char 25)\n"
+            "error: --param must be finite, got [0.9, nan]\n"
+            "error: --povm-angle must be finite, got [nan]\n"
+        )
 
     def test_unreadable_bosonic_json(self, capsys, tmp_path):
         code, out, err = run(capsys, "bosonic", "hk", "--channel", str(tmp_path))

@@ -2,13 +2,15 @@ import itertools
 import math
 from functools import reduce
 
+import classical_loop
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import srm_dense
 
-from qnetcap.channels import CqChannel, Povm, SchemaError, builtin
+from qnetcap.channels import CqChannel, Povm, SchemaError, builtin, induced_classical_channel
 from qnetcap.codesim import (
+    CLASSICAL_CHUNK_BYTES,
     ClassicalDecodeResult,
     Codebook,
     ProjectorSet,
@@ -21,6 +23,7 @@ from qnetcap.codesim import (
     projector_set,
     square_root_measurement,
     srm_error_sweep,
+    _trial_bytes,
     typical_projector,
 )
 from qnetcap.entropic import ProbDist, binary_entropy, von_neumann_entropy
@@ -127,6 +130,13 @@ class TestTypicalProjector:
         means = [sums[n] / len(ps) for n in (2, 4, 6, 8)]
         assert all(b >= a for a, b in zip(means, means[1:]))
         assert means[-1] >= 0.9
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+    def test_width_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(SchemaError, match="typicality width"):
+            typical_projector(diag_state(0.5, 0.5), 4, delta)
+        with pytest.raises(SchemaError, match="typicality width"):
+            srm_error_sweep(builtin("bb84_p2p"), 0.3, [4], delta, [0])
 
     def test_budget_enforced(self):
         with pytest.raises(SchemaError):
@@ -570,3 +580,72 @@ class TestClassicalSim:
             classical_typical_decode_sim(
                 np.eye(3), p, 0.3, 4, 0.3, 10
             )
+
+    @pytest.mark.parametrize("kw", [
+        {"delta": math.nan},
+        {"delta": math.inf},
+        {"n": 12.5},
+        {"trials": 10.5},
+        {"rate": math.nan},
+        # one trial of 2^40 and 2^60 codewords of length 40 and 30
+        {"rate": 1.0, "n": 40},
+        {"rate": 2.0, "n": 30},
+    ])
+    def test_invalid_input_is_schema_error(self, kw):
+        args = {"rate": 0.1, "n": 12, "delta": 0.4, "trials": 10, **kw}
+        with pytest.raises(SchemaError):
+            classical_typical_decode_sim(
+                np.eye(2), ProbDist(("0", "1"), [0.5, 0.5]), **args
+            )
+
+    def test_whole_float_counts_accepted(self):
+        p = ProbDist(("0", "1"), [0.5, 0.5])
+        a = classical_typical_decode_sim(np.eye(2), p, 0.3, 8.0, 0.3, 20.0, seed=1)
+        b = classical_typical_decode_sim(np.eye(2), p, 0.3, 8, 0.3, 20, seed=1)
+        assert a == b and type(a.trials) is int
+
+
+def _bb84_computational():
+    ch = builtin("bb84_p2p")
+    transition = induced_classical_channel(ch, Povm.computational(ch.output_dim))
+    return transition, ProbDist.uniform(ch.input_alphabets[0])
+
+
+class TestClassicalLoopParity:
+    """The vectorised decoder draws the same random stream as the per-trial
+    loop in ``classical_loop`` and must give the same tally."""
+
+    @staticmethod
+    def assert_parity(transition, prior, rate, n, delta, trials, seed):
+        fast = classical_typical_decode_sim(transition, prior, rate, n, delta, trials, seed)
+        loop = classical_loop.classical_typical_decode_sim(
+            transition, prior, rate, n, delta, trials, seed
+        )
+        assert fast == loop
+        return fast
+
+    def test_readme_configuration(self):
+        transition, prior = _bb84_computational()
+        for seed in range(20):
+            self.assert_parity(transition, prior, 0.1, 12, 0.4, 2000, seed)
+
+    @pytest.mark.parametrize("transition,weights,rate,n,delta,trials", [
+        # delta 0: only the sent word itself can match
+        (np.eye(2), [0.5, 0.5], 0.3, 6, 0.0, 200),
+        # non-uniform prior
+        ([[0.9, 0.1], [0.2, 0.8]], [0.7, 0.3], 0.3, 10, 0.3, 300),
+        # three outputs with a zero entry: -inf logs in the samples
+        ([[0.5, 0.0, 0.5], [0.1, 0.6, 0.3]], [0.4, 0.6], 0.25, 9, 0.35, 300),
+        # narrow window: about half the outputs are atypical
+        ([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5], 0.2, 10, 0.02, 300),
+    ])
+    def test_configurations(self, transition, weights, rate, n, delta, trials):
+        prior = ProbDist(tuple("abc"[: len(weights)]), weights)
+        res = self.assert_parity(transition, prior, rate, n, delta, trials, seed=5)
+        assert res.errors > 0
+
+    def test_several_chunks(self):
+        transition, prior = _bb84_computational()
+        m = message_count(12, 1.0)
+        assert 50 * _trial_bytes(m, 12, 2) > 3 * CLASSICAL_CHUNK_BYTES
+        self.assert_parity(transition, prior, 1.0, 12, 0.4, 50, seed=2)

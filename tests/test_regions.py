@@ -7,7 +7,12 @@ from scipy.optimize import linprog
 
 from qnetcap import regions
 from qnetcap.channels import builtin, theta_swap
-from qnetcap.network import cmg_region, cmg_region_via_projection, random_cmg_distribution
+from qnetcap.network import (
+    cmg_region,
+    cmg_region_via_projection,
+    cmg_regions,
+    random_cmg_distribution,
+)
 from qnetcap.qstate import InvariantError
 from qnetcap.regions import (
     PRUNE_THRESHOLD,
@@ -102,6 +107,33 @@ class TestMembership:
                 c @ p <= b + 1e-7 for c, b in r.inequalities
             )
             assert r.contains(p) == direct
+
+    def test_stacked_points(self):
+        rng = np.random.default_rng(4)
+        r = rand_region(rng, 3, 5)
+        points = rng.uniform(-0.2, 2.0, size=(200, 3))
+        verdicts = r.contains(points)
+        assert verdicts.dtype == bool and verdicts.shape == (200,)
+        assert verdicts.tolist() == [r.contains(p) for p in points]
+        assert type(r.contains(points[0])) is bool
+        with pytest.raises(InvariantError):
+            r.contains(points[:, :2])
+
+    @pytest.mark.parametrize("name", ["bb84_qmac", "theta_swap(1.2)"])
+    def test_stacked_verdicts_match_scalar_dot(self, name):
+        # the CLI oracle's 50 x 50 grid: one matrix product per row must give
+        # the verdict of one c @ p per point, point by point
+        ch = builtin(name)
+        for seed in range(20):
+            regions_ = cmg_regions(ch, random_cmg_distribution(ch, seed))
+            top = 1.05 * max(b for r in regions_ for _, b in r.inequalities)
+            axis = np.linspace(0.0, top, 50)
+            grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            for r in regions_:
+                # grid points are nonnegative, so only the rows decide
+                scalar = [all(float(c @ p) <= b + 1e-6 for c, b in r.inequalities)
+                          for p in grid]
+                assert r.contains(grid, tol=1e-6).tolist() == scalar
 
 
 class TestIntersect:
