@@ -8,17 +8,19 @@ eta12 and eta22, and the remaining port of each receiver admits thermal
 background photons.  Everything here is scalar arithmetic; no field
 state is ever represented numerically.
 
-Coherent detection is parameterized by a bandwidth exponent i (1 for
-homodyne, 0 for heterodyne), giving the rate
+Every rate is one function of signal power P received over
+treat-as-noise power U at a receiver whose environment port carries
+etabar N_B thermal photons.  Coherent detection is parameterized by a
+bandwidth exponent i (1 for homodyne, 0 for heterodyne), giving
 
-    (1/2^i) log2(1 + 4^i P / (4^i U + 2^i etabar N_B + 1))
+    (1/2^i) log2(1 + 4^i P / (4^i U + 2^i etabar N_B + 1)),
 
-for signal power P received over treat-as-noise power U.  Joint
-detection replaces each such term by the thermal-entropy difference
-g(P + base) - g(base) with base = U + etabar N_B, applied term by term
-in every inequality.  For the Han-Kobayashi region the coherent forms
-are the authoritative ones and the joint-detection variant is this
-same substitution carried through each bound.
+and joint detection gives g(P + base) - g(base), base = U + etabar N_B.
+The point-to-point capacities are this rate at U = 0, the very-strong
+and strong interference thresholds compare it across receivers, and the
+Han-Kobayashi bounds add it up, alike in every mode.  A silent sender
+puts a zero rate on both sides of its half of each threshold, which
+therefore holds (0 against 0) in every mode.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from .regions import HalfspaceRegion
 CONDITION_TOL = 1e-12
 
 ETA_CONSISTENCY_TOL = 1e-9
+
+_TRANSMISSIVITY = "a transmissivity in [0, 1]"
+_PHOTON_NUMBER = "a photon number >= 0"
 
 
 class DetectionMode(Enum):
@@ -94,18 +99,13 @@ class BosonicICParams:
     lambda2: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta11", "eta12", "eta21", "eta22"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise SchemaError(f"{name} = {v} is not a transmissivity in [0, 1]")
-        for name in ("NS1", "NS2", "NB1", "NB2"):
-            v = getattr(self, name)
-            if v < 0.0 or not math.isfinite(v):
-                raise SchemaError(f"{name} = {v} must be a photon number >= 0")
-        for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise SchemaError(f"{name} = {v} is not a power fraction in [0, 1]")
+        for names, upper, what in (
+            (("eta11", "eta12", "eta21", "eta22"), 1.0, _TRANSMISSIVITY),
+            (("NS1", "NS2", "NB1", "NB2"), math.inf, _PHOTON_NUMBER),
+            (("lambda1", "lambda2"), 1.0, "a power fraction in [0, 1]"),
+        ):
+            for name in names:
+                _check_range(name, getattr(self, name), upper, what)
         # no sender may emit more power than it puts in, and no receiver
         # may collect more than unit power across its input ports
         for a, b in (
@@ -190,64 +190,50 @@ def gamma(x):
 def c_homodyne(eta, N_S, N_B):
     """Single-quadrature detection capacity of the lossy thermal channel."""
     _check_p2p(eta, N_S, N_B)
-    return 0.5 * math.log2(1.0 + 4.0 * eta * N_S / (2.0 * (1.0 - eta) * N_B + 1.0))
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.HOMODYNE)
 
 
 def c_heterodyne(eta, N_S, N_B):
     """Dual-quadrature detection capacity of the lossy thermal channel."""
     _check_p2p(eta, N_S, N_B)
-    return math.log2(1.0 + eta * N_S / ((1.0 - eta) * N_B + 1.0))
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.HETERODYNE)
 
 
 def c_holevo(eta, N_S, N_B):
     """Joint-detection rate of coherent encodings over the lossy thermal
     channel: the entropy gained by the signal over the background alone."""
     _check_p2p(eta, N_S, N_B)
-    base = (1.0 - eta) * N_B
-    return g_thermal(eta * N_S + base) - g_thermal(base)
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.JOINT)
+
+
+def _check_range(name, value, upper, what):
+    if not (math.isfinite(value) and 0.0 <= value <= upper):
+        raise SchemaError(f"{name} = {value} is not {what}")
 
 
 def _check_p2p(eta, N_S, N_B):
-    if not (0.0 <= eta <= 1.0):
-        raise SchemaError(f"transmissivity {eta} outside [0, 1]")
-    if N_S < 0 or N_B < 0:
-        raise SchemaError("photon numbers must be >= 0")
+    _check_range("eta", eta, 1.0, _TRANSMISSIVITY)
+    _check_range("N_S", N_S, math.inf, _PHOTON_NUMBER)
+    _check_range("N_B", N_B, math.inf, _PHOTON_NUMBER)
 
 
-def _coherent_rate(P, U, etabar, N_B, i):
-    four, two = 4.0**i, 2.0**i
+def _rate(P, U, etabar, N_B, mode):
+    """Rate of signal power P over treat-as-noise power U at a receiver
+    whose environment port (fraction etabar) admits N_B thermal photons."""
+    if mode is DetectionMode.JOINT:
+        base = U + etabar * N_B
+        return g_thermal(P + base) - g_thermal(base)
+    four, two = 4.0**mode.exponent, 2.0**mode.exponent
     return (1.0 / two) * math.log2(
         1.0 + four * P / (four * U + two * etabar * N_B + 1.0)
     )
 
 
-def _joint_rate(P, U, etabar, N_B):
-    base = U + etabar * N_B
-    return g_thermal(P + base) - g_thermal(base)
-
-
-def _receiver_rates(params, mode, U1=0.0, U2=0.0):
+def _receiver_rates(p, mode, U1=0.0, U2=0.0):
     """Per-receiver rate functions with fixed treat-as-noise powers."""
-    if mode is DetectionMode.JOINT:
-        t1 = lambda P: _joint_rate(P, U1, params.etabar1, params.NB1)
-        t2 = lambda P: _joint_rate(P, U2, params.etabar2, params.NB2)
-    else:
-        i = mode.exponent
-        t1 = lambda P: _coherent_rate(P, U1, params.etabar1, params.NB1, i)
-        t2 = lambda P: _coherent_rate(P, U2, params.etabar2, params.NB2, i)
+    t1 = lambda P: _rate(P, U1, p.etabar1, p.NB1, mode)
+    t2 = lambda P: _rate(P, U2, p.etabar2, p.NB2, mode)
     return t1, t2
-
-
-def _vacuum_floor(params, i):
-    """Detection noise power denominators (the +1 keeps them positive)."""
-    two = 2.0**i
-    d1 = two * params.etabar1 * params.NB1 + 1.0
-    d2 = two * params.etabar2 * params.NB2 + 1.0
-    return d1, d2
-
-
-def _holevo_gain(P, base):
-    return g_thermal(P + base) - g_thermal(base)
 
 
 def bosonic_vsi(params, mode):
@@ -255,34 +241,18 @@ def bosonic_vsi(params, mode):
 
     The condition asks that each receiver can decode the other sender's
     whole message, with its own signal still treated as noise, at least
-    as fast as the intended receiver could with no interference at all.
-    When it holds the returned rectangle is the capacity region; the
-    rectangle is returned either way.
+    as fast as the intended receiver could with no interference at all;
+    a silent sender's half reads 0 <= 0.  When it holds the returned
+    rectangle is the capacity region; it is returned either way.
     """
     p = params
     mode = DetectionMode.parse(mode)
-    if mode is DetectionMode.JOINT:
-        base1 = p.etabar1 * p.NB1
-        base2 = p.etabar2 * p.NB2
-        cond = (
-            _holevo_gain(p.eta22 * p.NS2, base2)
-            <= _holevo_gain(p.eta21 * p.NS2, p.eta11 * p.NS1 + base1)
-            + CONDITION_TOL
-        ) and (
-            _holevo_gain(p.eta11 * p.NS1, base1)
-            <= _holevo_gain(p.eta12 * p.NS1, p.eta22 * p.NS2 + base2)
-            + CONDITION_TOL
-        )
-    else:
-        i = mode.exponent
-        d1, d2 = _vacuum_floor(p, i)
-        four = 4.0**i
-        cond = (
-            p.eta21 * d2 >= p.eta22 * (four * p.eta11 * p.NS1 + d1) - CONDITION_TOL
-        ) and (
-            p.eta12 * d1 >= p.eta11 * (four * p.eta22 * p.NS2 + d2) - CONDITION_TOL
-        )
     t1, t2 = _receiver_rates(p, mode)
+    x1, x2 = _receiver_rates(p, mode, U1=p.eta11 * p.NS1, U2=p.eta22 * p.NS2)
+    cond = (
+        t2(p.eta22 * p.NS2) <= x1(p.eta21 * p.NS2) + CONDITION_TOL
+        and t1(p.eta11 * p.NS1) <= x2(p.eta12 * p.NS1) + CONDITION_TOL
+    )
     region = HalfspaceRegion(
         ("R1", "R2"),
         [([1.0, 0.0], t1(p.eta11 * p.NS1)), ([0.0, 1.0], t2(p.eta22 * p.NS2))],
@@ -293,29 +263,19 @@ def bosonic_vsi(params, mode):
 def bosonic_si(params, mode):
     """Strong-interference test and the two-receiver pentagon.
 
-    The condition compares cross and direct couplings against the two
-    receivers' noise floors with the interfering signal already removed.
-    When it holds the pentagon (individual bounds plus the smaller of
-    the two receivers' total-power sum bounds) is the capacity region.
+    The condition asks that each sender's signal, over thermal noise
+    alone, reach the other receiver at a rate no lower than its own; a
+    silent sender's half reads 0 >= 0.  When it holds the pentagon
+    (individual bounds plus the smaller of the two receivers'
+    total-power sum bounds) is the capacity region.
     """
     p = params
     mode = DetectionMode.parse(mode)
-    if mode is DetectionMode.JOINT:
-        base1 = p.etabar1 * p.NB1
-        base2 = p.etabar2 * p.NB2
-        cond = (
-            _holevo_gain(p.eta21 * p.NS2, base1)
-            >= _holevo_gain(p.eta22 * p.NS2, base2) - CONDITION_TOL
-        ) and (
-            _holevo_gain(p.eta12 * p.NS1, base2)
-            >= _holevo_gain(p.eta11 * p.NS1, base1) - CONDITION_TOL
-        )
-    else:
-        d1, d2 = _vacuum_floor(p, mode.exponent)
-        cond = (p.eta21 * d2 >= p.eta22 * d1 - CONDITION_TOL) and (
-            p.eta12 * d1 >= p.eta11 * d2 - CONDITION_TOL
-        )
     t1, t2 = _receiver_rates(p, mode)
+    cond = (
+        t1(p.eta21 * p.NS2) >= t2(p.eta22 * p.NS2) - CONDITION_TOL
+        and t2(p.eta12 * p.NS1) >= t1(p.eta11 * p.NS1) - CONDITION_TOL
+    )
     sum_bound = min(
         t1(p.eta11 * p.NS1 + p.eta21 * p.NS2),
         t2(p.eta22 * p.NS2 + p.eta12 * p.NS1),

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 EXIT_OK = 0
@@ -303,13 +303,21 @@ def _emit_rows(header, rows, out):
 # command handlers
 
 
-def _load_cq_channel(cfg: RunConfig, builtin_params=None):
+def _read_channel(cfg: RunConfig):
+    """The ``--channel`` document, read before any numerical import so a
+    file that is not JSON is reported first; None for ``--builtin``."""
+    from .errors import read_json
+
+    return None if cfg.channel is None else read_json(cfg.channel, "channel")
+
+
+def _load_cq_channel(cfg: RunConfig, doc, builtin_params=None):
     from .channels import builtin, load_channel
 
-    if cfg.builtin is not None:
+    if doc is None:
         params = cfg.params if builtin_params is None else builtin_params
         return builtin(cfg.builtin, params=params)
-    return load_channel(cfg.channel)
+    return load_channel(doc)
 
 
 def _uniform_pair(ch):
@@ -320,10 +328,12 @@ def _uniform_pair(ch):
 
 
 def _cmd_capacity(cfg: RunConfig) -> int:
+    doc = _read_channel(cfg)
+
     from .channels import Povm, induced_classical_channel
     from .network import classical_capacity_BA, hsw_capacity
 
-    ch = _load_cq_channel(cfg)
+    ch = _load_cq_channel(cfg, doc)
     if cfg.subcommand == "p2p-classical":
         if cfg.povm_angle is not None:
             povm = Povm.qubit_projective(cfg.povm_angle)
@@ -370,6 +380,8 @@ def _cmg_oracle_status(direct, projected, grid=50, tol=1e-6) -> tuple[float, boo
 
 
 def _cmd_region(cfg: RunConfig) -> int:
+    doc = _read_channel(cfg)
+
     from .network import (
         CodeDistribution,
         cmg_region,
@@ -390,7 +402,7 @@ def _cmd_region(cfg: RunConfig) -> int:
         vsi_capacity,
     )
 
-    ch = _load_cq_channel(cfg)
+    ch = _load_cq_channel(cfg, doc)
     sub = cfg.subcommand
     if sub == "mac":
         if cfg.uniform:
@@ -446,24 +458,14 @@ def _cmd_region(cfg: RunConfig) -> int:
 
 
 def _bosonic_params(cfg: RunConfig, doc):
-    from .bosonic import (
-        BosonicICParams,
-        DetectionMode,
-        params_from_json,
-    )
+    from .bosonic import BosonicICParams, DetectionMode, params_from_json
 
     if doc is not None:
         params, mode = params_from_json(doc)
-        if cfg.lam is not None:
-            params = BosonicICParams(
-                params.eta11, params.eta12, params.eta21, params.eta22,
-                params.NS1, params.NS2, params.NB1, params.NB2,
-                cfg.lam[0], cfg.lam[1],
-            )
     else:
-        lam = cfg.lam if cfg.lam is not None else (1.0, 1.0)
-        params = BosonicICParams(*cfg.params, lam[0], lam[1])
-        mode = DetectionMode.JOINT
+        params, mode = BosonicICParams(*cfg.params), DetectionMode.JOINT
+    if cfg.lam is not None:
+        params = replace(params, lambda1=cfg.lam[0], lambda2=cfg.lam[1])
     if cfg.mode is not None:
         mode = DetectionMode.parse(cfg.mode)
     return params, mode
@@ -533,11 +535,12 @@ def _cmd_sim(cfg: RunConfig) -> int:
         rate = cfg.params[0]
         n = whole_number(cfg.params[1], "blocklength")
         trials = whole_number(cfg.params[2], "trial count")
+    doc = _read_channel(cfg)
 
     from .channels import Povm, induced_classical_channel
     from .entropic import ProbDist
 
-    ch = _load_cq_channel(cfg, builtin_params=())
+    ch = _load_cq_channel(cfg, doc, builtin_params=())
     if cfg.subcommand == "quantum":
         from .codesim import srm_error_sweep
 

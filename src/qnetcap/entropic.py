@@ -100,8 +100,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def g_thermal(n: float) -> float:
     """Entropy g(N) = (N+1) log(N+1) - N log N of a thermal state with mean
     photon number N; g(0) = 0."""
-    if n < 0:
-        raise InvariantError(f"mean photon number {n!r} is negative")
+    if not 0 <= n < np.inf:
+        raise InvariantError(f"mean photon number {n!r} is not finite and >= 0")
     if n == 0:
         return 0.0
     return float((n + 1) * np.log2(n + 1) - n * np.log2(n))

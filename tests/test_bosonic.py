@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qnetcap.bosonic import (
+    CONDITION_TOL,
     BosonicICParams,
     DetectionMode,
     bosonic_hk_region,
@@ -17,6 +18,7 @@ from qnetcap.bosonic import (
     params_to_json,
 )
 from qnetcap.channels import SchemaError
+from qnetcap.qstate import InvariantError
 from qnetcap.entropic import g_thermal
 from qnetcap.regions import boundary_sample
 
@@ -39,6 +41,43 @@ def strong_int_params(lam1=1.0, lam2=1.0):
     )
 
 
+def random_passive_network(rng):
+    """A seeded random passive network with positive powers, or None when
+    the drawn couplings are not passive."""
+    e11, e22 = rng.uniform(0.01, 0.5, size=2)
+    e12 = rng.uniform(0.0, 1.0 - e11)
+    e21 = e11 * e12 / e22
+    if e21 + e22 > 1.0 or e21 + e11 > 1.0 or e12 + e22 > 1.0:
+        return None
+    ns1, ns2 = 10.0 ** rng.uniform(-2, 2, size=2)
+    nb1, nb2 = rng.uniform(0.0, 3.0, size=2)
+    return BosonicICParams(e11, e12, e21, e22, ns1, ns2, nb1, nb2)
+
+
+def linear_vsi(p, i):
+    """The very-strong test of coherent detection written as linear
+    inequalities over the detection noise floors; it divides out the
+    senders' powers, so it holds only while both are positive."""
+    four, two = 4.0**i, 2.0**i
+    d1 = two * p.etabar1 * p.NB1 + 1.0
+    d2 = two * p.etabar2 * p.NB2 + 1.0
+    return (
+        p.eta21 * d2 >= p.eta22 * (four * p.eta11 * p.NS1 + d1) - CONDITION_TOL
+    ) and (
+        p.eta12 * d1 >= p.eta11 * (four * p.eta22 * p.NS2 + d2) - CONDITION_TOL
+    )
+
+
+def linear_si(p, i):
+    """The strong test of coherent detection in the same linear form."""
+    two = 2.0**i
+    d1 = two * p.etabar1 * p.NB1 + 1.0
+    d2 = two * p.etabar2 * p.NB2 + 1.0
+    return (p.eta21 * d2 >= p.eta22 * d1 - CONDITION_TOL) and (
+        p.eta12 * d1 >= p.eta11 * d2 - CONDITION_TOL
+    )
+
+
 def bound_of(region, coeff):
     vals = [b for c, b in region.inequalities if np.allclose(c, coeff)]
     assert vals, f"no {coeff} row"
@@ -56,6 +95,35 @@ class TestScalars:
     def test_g_thermal_anchor(self):
         assert g_thermal(0.0) == 0.0
         assert g_thermal(1.0) == 2.0
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, -0.5])
+    def test_g_thermal_rejects_non_finite_and_negative(self, n):
+        with pytest.raises(InvariantError):
+            g_thermal(n)
+
+    @pytest.mark.parametrize("fn", [c_homodyne, c_heterodyne, c_holevo])
+    @pytest.mark.parametrize(
+        "args",
+        [(0.9, math.nan, 1.0), (0.9, math.inf, 1.0), (math.nan, 1.0, 1.0),
+         (0.9, 1.0, math.inf), (0.9, 1.0, math.nan), (0.9, -1.0, 1.0)],
+    )
+    def test_p2p_rejects_non_finite(self, fn, args):
+        with pytest.raises(SchemaError):
+            fn(*args)
+
+    def test_p2p_equal_written_out_formulas(self):
+        for eta in np.linspace(0.0, 1.0, 23).tolist():
+            for ns in [0.0] + np.geomspace(0.01, 100.0, 40).tolist():
+                for nb in (0.0, 0.3, 1.0, 10.0):
+                    hom = 0.5 * math.log2(
+                        1.0 + 4.0 * eta * ns / (2.0 * (1.0 - eta) * nb + 1.0)
+                    )
+                    het = math.log2(1.0 + eta * ns / ((1.0 - eta) * nb + 1.0))
+                    base = (1.0 - eta) * nb
+                    holevo = g_thermal(eta * ns + base) - g_thermal(base)
+                    assert c_homodyne(eta, ns, nb) == hom
+                    assert c_heterodyne(eta, ns, nb) == het
+                    assert c_holevo(eta, ns, nb) == holevo
 
     def test_p2p_formulas(self):
         assert np.isclose(
@@ -230,6 +298,49 @@ class TestSi:
                     seen_vsi += 1
                     assert si_cond, (mode, p)
         assert seen_vsi > 0
+
+
+class TestThresholdsAsRates:
+    @pytest.mark.parametrize(
+        "couplings, floors",
+        [
+            ((0.3, 0.6, 0.6, 0.3), (1.0, 1.0)),
+            ((1 / 16, 1 / 2, 1 / 2, 1 / 16), (1.0, 1.0)),
+            ((0.2, 0.6, 0.3, 0.4), (0.0, 2.0)),  # etabar2 = 0, NB1 = 0
+            ((0.5, 0.0, 0.0, 0.5), (1.0, 1.0)),
+        ],
+    )
+    @pytest.mark.parametrize("powers", [(0.0, 100.0), (100.0, 0.0), (0.0, 0.0)])
+    def test_zero_power_verdicts_agree_across_modes(self, couplings, floors, powers):
+        # the receivers' noise floors are equal, so with one sender silent
+        # every mode compares the same coupled powers
+        p = BosonicICParams(*couplings, *powers, *floors)
+        for test in (bosonic_vsi, bosonic_si):
+            verdicts = {mode: test(p, mode)[0] for mode in ("hom", "het", "joint")}
+            assert len(set(verdicts.values())) == 1, (test.__name__, verdicts)
+
+    def test_silent_sender_half_holds(self):
+        p = BosonicICParams(0.3, 0.6, 0.6, 0.3, 0.0, 100.0, 1.0, 1.0)
+        for mode in ("hom", "het", "joint"):
+            assert bosonic_vsi(p, mode)[0], mode
+
+    def test_coherent_verdicts_match_linear_form(self):
+        rng = np.random.default_rng(11)
+        checked, held = 0, {"vsi": 0, "si": 0}
+        while checked < 1000:
+            p = random_passive_network(rng)
+            if p is None:
+                continue
+            checked += 1
+            for mode, i in (("hom", 1), ("het", 0)):
+                vsi = bosonic_vsi(p, mode)[0]
+                si = bosonic_si(p, mode)[0]
+                assert vsi == linear_vsi(p, i), (mode, p)
+                assert si == linear_si(p, i), (mode, p)
+                held["vsi"] += vsi
+                held["si"] += si
+        # both verdicts occur, so the comparison is not vacuous
+        assert 0 < held["vsi"] < 2000 and 0 < held["si"] < 2000, held
 
 
 class TestHkRegion:

@@ -499,6 +499,7 @@ class TestMalformedInput:
         import qnetcap
 
         (tmp_path / "bad_bosonic.json").write_text('{"eta": [[0.3, 0.6], [0.6')
+        (tmp_path / "bad.json").write_text('{"alphabets": [["0", "1"]], "dims": [2')
         script = (
             "import sys\n"
             "from qnetcap.cli import main\n"
@@ -507,20 +508,25 @@ class TestMalformedInput:
             "    'bosonic hk --channel bad_bosonic.json',\n"
             "    'bosonic p2p --param 0.9 nan',\n"
             "    'capacity p2p-classical --builtin bb84_p2p --povm-angle nan',\n"
+            "    'capacity p2p-holevo --channel bad.json',\n"
+            "    'region mac --channel bad.json',\n"
+            "    'sim quantum --channel bad.json --param 0.3',\n"
             ")]\n"
             "print(codes, 'numpy' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)
-        assert done.stdout == "[2, 2, 2, 2] False\n"
+        assert done.stdout == "[2, 2, 2, 2, 2, 2, 2] False\n"
+        bad_channel = ("error: channel file bad.json is not JSON: Expecting ',' delimiter:"
+                       " line 1 column 39 (char 38)\n")
         assert done.stderr == (
             "error: --delta must be finite, got [nan]\n"
             "error: bosonic parameter file bad_bosonic.json is not JSON:"
             " Expecting ',' delimiter: line 1 column 26 (char 25)\n"
             "error: --param must be finite, got [0.9, nan]\n"
             "error: --povm-angle must be finite, got [nan]\n"
-        )
+        ) + 3 * bad_channel
 
     def test_unreadable_bosonic_json(self, capsys, tmp_path):
         code, out, err = run(capsys, "bosonic", "hk", "--channel", str(tmp_path))
