@@ -16,6 +16,7 @@ to ``LabeledCqState``) is validated; intermediates are plain arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def g_thermal(n: float) -> float:
     """Entropy g(N) = (N+1) log(N+1) - N log N of a thermal state with mean
-    photon number N; g(0) = 0."""
+    photon number N, g(0) = 0, as (log1p(N) + N log1p(1/N)) log2(e), which
+    does not cancel at large N; below 1e-300, where 1/N overflows,
+    N log1p(1/N) is N (log1p(N) - ln N)."""
     if not 0 <= n < np.inf:
         raise InvariantError(f"mean photon number {n!r} is not finite and >= 0")
     if n == 0:
         return 0.0
-    return float((n + 1) * np.log2(n + 1) - n * np.log2(n))
+    tail = math.log1p(1 / n) if n > 1e-300 else math.log1p(n) - math.log(n)
+    return (math.log1p(n) + n * tail) * math.log2(math.e)
 
 
 class LabeledCqState:

@@ -2,11 +2,10 @@
 
 A region is a finite list of inequalities c . R <= b over named nonnegative
 rate coordinates.  This module provides membership, intersection,
-Fourier-Motzkin projection onto new coordinates with redundancy pruning
-(exact polygon geometry onto one or two coordinates, LPs onto more), the
-exact equality test ``equivalent`` for regions of one or two coordinates,
-2-D boundary sampling for plots, JSON/CSV export, and the polymatroid sanity
-checks for split-rate systems.
+Fourier-Motzkin projection onto one or two new coordinates with exact
+redundancy pruning, the exact equality test ``equivalent`` for regions of one
+or two coordinates, 2-D boundary sampling for plots, JSON/CSV export, and the
+polymatroid sanity checks for split-rate systems.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from .qstate import InvariantError
 
 MEMBERSHIP_TOL = 1e-7
 BOUND_CLAMP = 1e-9
-# raw FM output grows fast; prune mid-elimination past this row count
-PRUNE_THRESHOLD = 64
 # a row is redundant when its bound is attained within this much
 PRUNE_TOL = 1e-9
 # a polygon vertex or ray may violate a row by this much
@@ -92,14 +89,15 @@ def intersect(a: HalfspaceRegion, b: HalfspaceRegion) -> HalfspaceRegion:
 
 
 def _normalize_rows(rows):
-    """Scale rows to unit max coefficient, drop tautologies, dedupe.
+    """Scale rows to unit max coefficient, drop tautologies, dedupe; entries
+    after (c, b) ride along as part of the dedupe key.
 
     A row with no coefficients left and a negative bound is an infeasibility
     witness; the caller decides how to report it.
     """
     out = []
     seen = set()
-    for c, b in rows:
+    for c, b, *rest in rows:
         scale = float(np.max(np.abs(c)))
         if scale < 1e-12:
             if b < -1e-9:
@@ -107,150 +105,139 @@ def _normalize_rows(rows):
             continue
         c = c / scale
         b = b / scale
-        key = tuple(np.round(c, 10)) + (round(b, 10),)
+        key = (*np.round(c, 10), round(b, 10), *rest)
         if key in seen:
             continue
         seen.add(key)
-        out.append((c, b))
+        out.append((c, b, *rest))
     return out
 
 
+# perfbench/layertrace.py counts LP calls by wrapping this name; the library makes none
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call: importing
-    scipy.optimize takes about 0.3 s and only the LP pruning of systems over
-    more than two coordinates needs it."""
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
 
 
-def _lp_prune(rows, dim, free=0):
-    """Drop rows whose bound cannot be attained: maximize c . z over the
-    remaining rows (z >= 0, except the last ``free`` coordinates, whose
-    signs only rows state); if the optimum stays below b the row is
-    redundant."""
-    rows = list(rows)
-    keep = list(range(len(rows)))
-    for i in list(keep):
-        others = [j for j in keep if j != i]
-        c, b = rows[i]
-        a_ub = np.array([rows[j][0] for j in others]) if others else None
-        b_ub = np.array([rows[j][1] for j in others]) if others else None
-        res = linprog(
-            -c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(0, None)] * (dim - free) + [(None, None)] * free,
-            method="highs",
-        )
-        if res.status == 0 and -res.fun <= b + PRUNE_TOL:
-            keep.remove(i)
-    return [rows[j] for j in keep]
-
-
-def _support_2d(rows, dim):
-    """The support function of the polygon {c . R <= b for (c, b) in rows,
-    R >= 0} over ``dim`` = 1 or 2 coordinates: ``support(c, active)`` is
-    max c . R over the polygon of the ``active`` rows (a boolean mask, all
-    rows when None), or inf when that polygon is unbounded along c.  A 1-D
-    system is the 2-D one with R2 = 0.  Every b must be >= 0, so the origin
-    is feasible.
+class _Polygon:
+    """The polygon {c . R <= b for the active (c, b) of rows, R >= 0} over
+    ``dim`` = 1 or 2 coordinates (1-D is 2-D with R2 = 0), every row active
+    at first.  Every b must be >= 0, so the origin is feasible.
 
     Built once per row set: every pairwise intersection of the rows and the
-    two axes, with the rows each violates by more than VERTEX_TOL, and the
-    candidate recession rays (both axes and +- the perpendicular of each
-    row), with the rows each ray climbs.  A query masks columns of these
-    tables; no row set is solved again.  Every candidate that meets the
-    active rows lies in their polygon and every vertex and extreme ray of
-    it is a candidate, so the maximum over candidates is exact.
+    two axes, and the candidate recession rays (both axes and +- the
+    perpendicular of each row), each with a count of the active rows it
+    violates by more than VERTEX_TOL or climbs; switching a row moves one
+    column of counts.  Every candidate that meets the active rows lies in
+    their polygon and every vertex and extreme ray of it is a candidate, so
+    the maximum over candidates is exact.
     """
-    coeffs = np.zeros((len(rows), 2))
-    coeffs[:, :dim] = np.reshape([c for c, _ in rows], (-1, dim))
-    bounds = np.array([b for _, b in rows], dtype=float)
-    lines = np.concatenate([coeffs, -np.eye(2)])
-    rhs = np.concatenate([bounds, [0.0, 0.0]])
-    i, j = np.triu_indices(len(lines), 1)
-    det = lines[i, 0] * lines[j, 1] - lines[i, 1] * lines[j, 0]
-    crossing = np.abs(det) > 1e-12  # parallel lines do not meet
-    i, j, det = i[crossing], j[crossing], det[crossing]
-    points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
-                       lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
-    outside = points @ coeffs.T > bounds + VERTEX_TOL
-    inside = np.all(points >= -VERTEX_TOL, axis=1)
-    perps = coeffs[:, ::-1] * [-1.0, 1.0]
-    rays = np.concatenate([np.eye(2), perps, -perps])
-    rays = rays[np.any(rays != 0.0, axis=1)]
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    rays = rays[np.all(rays >= -VERTEX_TOL, axis=1)]
-    climbing = rays @ coeffs.T > VERTEX_TOL
 
-    def support(c, active=None):
+    def __init__(self, rows, dim):
+        coeffs = np.zeros((len(rows), 2))
+        coeffs[:, :dim] = np.reshape([c for c, _ in rows], (-1, dim))
+        bounds = np.array([b for _, b in rows], dtype=float)
+        lines = np.concatenate([coeffs, -np.eye(2)])
+        rhs = np.concatenate([bounds, [0.0, 0.0]])
+        i, j = np.triu_indices(len(lines), 1)
+        det = lines[i, 0] * lines[j, 1] - lines[i, 1] * lines[j, 0]
+        crossing = np.abs(det) > 1e-12  # parallel lines do not meet
+        i, j, det = i[crossing], j[crossing], det[crossing]
+        points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
+                           lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
+        self.points = points[np.all(points >= -VERTEX_TOL, axis=1)]
+        self.outside = self.points @ coeffs.T > bounds + VERTEX_TOL
+        perps = coeffs[:, ::-1] * [-1.0, 1.0]
+        rays = np.concatenate([np.eye(2), perps, -perps])
+        rays = rays[np.any(rays != 0.0, axis=1)]
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        self.rays = rays[np.all(rays >= -VERTEX_TOL, axis=1)]
+        self.climbing = self.rays @ coeffs.T > VERTEX_TOL
+        self.violated = self.outside.sum(axis=1)
+        self.blocked = self.climbing.sum(axis=1)
+
+    def switch(self, i, step):
+        """Make row ``i`` active (step +1) or inactive (step -1)."""
+        self.violated += step * self.outside[:, i]
+        self.blocked += step * self.climbing[:, i]
+
+    def support(self, c):
+        """max c . R over the polygon of the active rows, or inf when it is
+        unbounded along c."""
         c = np.asarray(c, dtype=float)
-        if active is None:
-            active = np.ones(len(bounds), dtype=bool)
-        unblocked = ~np.any(climbing[:, active], axis=1)
-        if np.any(rays[unblocked, : c.size] @ c > VERTEX_TOL):
+        if np.any(self.rays[self.blocked == 0, : c.size] @ c > VERTEX_TOL):
             return np.inf
-        meets = inside & ~np.any(outside[:, active], axis=1)
-        return float(np.max(points[meets, : c.size] @ c))
-
-    return support
+        return float(np.max(self.points[self.violated == 0, : c.size] @ c))
 
 
 def _exact_prune(rows, dim):
-    """``_lp_prune`` over one or two coordinates, by exact polygon geometry:
-    rows are tested in order, each against the rows still kept other than
-    itself, and dropped when their support value is at most b + PRUNE_TOL;
-    a row along which the others are unbounded is kept."""
-    support = _support_2d(rows, dim)
-    keep = np.ones(len(rows), dtype=bool)
+    """Drop redundant rows over one or two coordinates: rows are tested in
+    order, each against the rows still kept other than itself, and dropped
+    when their support value is at most b + PRUNE_TOL; a row along which the
+    others are unbounded is kept."""
+    polygon = _Polygon(rows, dim)
+    kept = []
     for i, (c, b) in enumerate(rows):
-        keep[i] = False
-        keep[i] = not support(c, keep) <= b + PRUNE_TOL
-    return [row for row, kept in zip(rows, keep) if kept]
+        polygon.switch(i, -1)
+        if not polygon.support(c) <= b + PRUNE_TOL:
+            polygon.switch(i, +1)
+            kept.append(rows[i])
+    return kept
 
 
-def _eliminate_variable(rows, col):
-    """One Fourier-Motzkin step removing the variable at index ``col``."""
-    zero, pos, neg = [], [], []
-    for c, b in rows:
-        v = c[col]
+def _eliminate_variable(rows, col, max_history):
+    """One Fourier-Motzkin step removing the variable at index ``col`` from
+    rows (c, b, history); a combined row whose history has more than
+    ``max_history`` members is not formed."""
+    combined, pos, neg = [], [], []
+    for row in rows:
+        v = row[0][col]
         if abs(v) < 1e-12:
-            zero.append((c, b))
+            combined.append(row)
         elif v > 0:
-            pos.append((c, b))
+            pos.append(row)
         else:
-            neg.append((c, b))
-    combined = list(zero)
-    for cp, bp in pos:
-        for cn, bn in neg:
+            neg.append(row)
+    for cp, bp, hp in pos:
+        for cn, bn, hn in neg:
+            if (hp | hn).bit_count() > max_history:
+                continue
             # scale so the col coefficients cancel exactly
             c = cp * (-cn[col]) + cn * cp[col]
             b = bp * (-cn[col]) + bn * cp[col]
             c[col] = 0.0
-            combined.append((c, b))
+            combined.append((c, b, hp | hn))
     return combined
 
 
 def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegion:
-    """Project onto new coordinates s = M . R by Fourier-Motzkin elimination.
+    """Project onto one or two new coordinates s = M . R by Fourier-Motzkin
+    elimination.
 
     ``keep_matrix`` rows express each new coordinate as a nonnegative
     combination of the old ones (e.g. R1 = R1p + R1c).  Old coordinates are
-    eliminated one at a time (fewest pairings first); past PRUNE_THRESHOLD
-    rows the system is pruned by LP.  The final rows are pruned exactly
-    (``_exact_prune``) onto one or two coordinates and by LP onto more.
-    The two prunes agree up to their tolerances (PRUNE_TOL and VERTEX_TOL
-    here, the LP solver's own feasibility tolerance there): a row redundant
-    by a margin between the two can be kept by one and dropped by the
-    other.  They keep the same rows in the same order on the systems of the
-    test suite and on the seeded common-message systems.
+    eliminated one at a time (fewest pairings first); the final rows are
+    pruned exactly (``_exact_prune``).
+
+    Each row carries its history, the original rows it combines, as a
+    bitmask.  After s eliminations a row is lambda . (A, b) with lambda >= 0
+    supported on its history and lambda . A_E = 0 over the s eliminated
+    columns A_E.  The extreme rays of that cone give the projection; their
+    supports have at most s + 1 members, so a row with a longer history is
+    redundant and is not formed (Kohler's rule: D. A. Kohler, 1967;
+    J.-L. Imbert, "Fourier's elimination: which to choose?", PPCP 1993).
+    Each extreme ray is one of the step before or combines two, so all are
+    formed with their supports as histories, if rows that differ in history
+    are never merged.
     """
     m = np.array(keep_matrix, dtype=float)
     new_names = tuple(str(n) for n in new_names)
     k, n = m.shape
     if len(new_names) != k:
         raise InvariantError(f"{len(new_names)} names for {k} map rows")
+    if k > 2:
+        raise InvariantError(f"projection onto {k} coordinates; at most 2 are supported")
     if n != region.dim:
         raise InvariantError(f"map over {n} coordinates, region has {region.dim}")
     if np.any(m < 0):
@@ -269,30 +256,24 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
         row[k + i] = -1.0
         rows.append((row, 0.0))
 
-    rows = _normalize_rows(rows)
+    rows = _normalize_rows([(c, b, 1 << i) for i, (c, b) in enumerate(rows)])
     remaining = list(range(k, k + n))
     while remaining:
         # fewest-products heuristic
         def cost(col):
-            p = sum(1 for c, _ in rows if c[col] > 1e-12)
-            q = sum(1 for c, _ in rows if c[col] < -1e-12)
+            p = sum(1 for c, _, _ in rows if c[col] > 1e-12)
+            q = sum(1 for c, _, _ in rows if c[col] < -1e-12)
             return p * q
 
         col = min(remaining, key=cost)
         remaining.remove(col)
-        rows = _normalize_rows(_eliminate_variable(rows, col))
-        if len(rows) > PRUNE_THRESHOLD:
-            # the old coordinates are free in these LPs: elimination reads
-            # R >= 0 only from rows, so those rows must stay
-            rows = _lp_prune(rows, k + n, free=n)
-    if not rows:
-        raise InvariantError("projection produced an empty inequality system")
+        eliminated = n - len(remaining)
+        rows = _normalize_rows(_eliminate_variable(rows, col, eliminated + 1))
 
-    final = [(c[:k].copy(), b) for c, b in rows]
-    final = _normalize_rows(final)
-    final = _exact_prune(final, k) if k <= 2 else _lp_prune(final, k)
+    final = _normalize_rows([(c[:k].copy(), b) for c, b, _ in rows])
+    final = _exact_prune(final, k)
     if not final:
-        # every constraint was redundant against nonnegativity alone
+        # no constraint is left, or each is redundant against nonnegativity
         raise InvariantError("projection produced an unbounded region")
     return HalfspaceRegion(new_names, final)
 
@@ -311,7 +292,7 @@ def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
         raise InvariantError(f"exact comparison needs at most 2 coordinates, got {a.dim}")
 
     def implied(rows, region):
-        support = _support_2d(region.inequalities, region.dim)
+        support = _Polygon(region.inequalities, region.dim).support
         return all(support(c) <= bound + MEMBERSHIP_TOL for c, bound in rows)
 
     return implied(a.inequalities, b) and implied(b.inequalities, a)

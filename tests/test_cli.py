@@ -98,29 +98,39 @@ class TestCapacity:
         assert err.startswith("warning: capacity iteration stopped after 20000 steps")
         assert "gap" in err and err.count("\n") == 1
 
-    def test_scipy_optimize_not_imported(self):
+    def test_scipy_optimize_not_imported(self, tmp_path):
+        # every qnetcap module and all nine README commands, in one fresh
+        # interpreter, load no scipy module at all
         import subprocess
         import sys
 
         import qnetcap
 
+        readme = (Path(qnetcap.__file__).parents[2] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```")[1]
+        commands = [line for line in block.splitlines() if line.startswith("qnetcap ")]
+        assert len(commands) == 9
         script = (
-            "import sys, qnetcap.cli, qnetcap.network, qnetcap.bosonic, qnetcap.codesim\n"
+            "import importlib, pkgutil, shlex, sys\n"
+            "import qnetcap\n"
+            "for mod in pkgutil.iter_modules(qnetcap.__path__):\n"
+            "    importlib.import_module('qnetcap.' + mod.name)\n"
             "from qnetcap.channels import builtin\n"
             "qnetcap.network.hsw_capacity(builtin('bb84_p2p'))\n"
             "ch = builtin('bb84_qmac')\n"
             "qnetcap.network.cmg_region_via_projection("
             "ch, qnetcap.network.random_cmg_distribution(ch, 2))\n"
-            "qnetcap.cli.main(['region', 'cmg', '--builtin', 'bb84_qmac', '--seed', '1',"
-            " '--oracle'])\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "for line in sys.argv[1:]:\n"
+            "    assert qnetcap.cli.main(shlex.split(line)[1:]) == 0, line\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("oracle agreement: 1.000000\n")
-        assert done.stdout.endswith("}\nFalse\n")
+        assert "oracle agreement: 1.000000\n" in done.stdout
+        assert done.stdout.endswith("\n[]\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["curves.csv", "pentagon.csv"]
 
 
 class TestRegion:
@@ -276,6 +286,15 @@ class TestBosonic:
         ns, hom, het, holevo = map(float, last.split(","))
         assert ns > 90
         assert holevo > het > hom
+
+    def test_p2p_huge_thermal_noise(self, capsys):
+        # at NB = 1e15 a cancelling thermal entropy once printed a Holevo
+        # rate of -4 with exit 0
+        code, out, _ = run(capsys, "bosonic", "p2p", "--param", "0.5", "1e15", "--grid", "2")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "NS,hom,het,holevo" and len(lines) == 3
+        assert all(float(line.split(",")[3]) >= 0.0 for line in lines[1:])
 
     def test_vsi_condition_printed(self, capsys):
         code, out, _ = run(capsys, "bosonic", "vsi", "--mode", "het",

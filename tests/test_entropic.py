@@ -1,3 +1,4 @@
+import decimal
 import itertools
 
 import numpy as np
@@ -91,6 +92,25 @@ class TestGThermal:
         xs = np.linspace(0.0, 10.0, 50)
         gs = [g_thermal(x) for x in xs]
         assert all(b > a for a, b in zip(gs, gs[1:]))
+
+    def test_against_decimal_oracle(self):
+        # (N+1) ln(N+1) - N ln N cancels all but ~100 of 400 digits at N = 1e300
+        ctx = decimal.Context(prec=400)
+        for n in np.geomspace(1e-12, 1e300, 60).tolist():
+            big = decimal.Decimal(n)
+            up = ctx.add(big, 1)
+            nats = ctx.subtract(ctx.multiply(up, ctx.ln(up)), ctx.multiply(big, ctx.ln(big)))
+            exact = ctx.divide(nats, ctx.ln(2))
+            assert abs(g_thermal(n) - float(exact)) <= 1e-15 * float(exact)
+
+    def test_large_photon_numbers(self):
+        assert g_thermal(1e15) == pytest.approx(51.2716164641994, rel=1e-15)
+        assert g_thermal(1e17) == pytest.approx(57.91547265397412, rel=1e-15)
+
+    def test_subnormal_photon_number(self):
+        # 1/N overflows here; g(N) ~ N (1 - ln N) / ln 2
+        n = 1e-310
+        assert g_thermal(n) == pytest.approx(n * (1 - np.log(n)) / np.log(2), rel=1e-12)
 
 
 class TestLabeledCqState:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from lp_prune import lp_prune
 from scipy.optimize import linprog
 
 from qnetcap import regions
@@ -15,10 +16,8 @@ from qnetcap.network import (
 )
 from qnetcap.qstate import InvariantError
 from qnetcap.regions import (
-    PRUNE_THRESHOLD,
     HalfspaceRegion,
     _exact_prune,
-    _lp_prune,
     boundary_sample,
     equivalent,
     export_boundary_csv,
@@ -188,37 +187,27 @@ class TestFmProject:
         proj = fm_project(r, m, ("R1", "R2"))
         assert_matches_lp_oracle(r, m, proj, rng)
 
-    def test_three_coordinates_prune_by_lp(self, monkeypatch):
-        lp_calls, real = [], regions.linprog
-        monkeypatch.setattr(regions, "linprog",
-                            lambda *a, **kw: lp_calls.append(1) or real(*a, **kw))
+    def test_more_than_two_coordinates_rejected(self, monkeypatch):
+        lp_calls = []
+        monkeypatch.setattr(regions, "linprog", lambda *a, **kw: lp_calls.append(1))
         rng = np.random.default_rng(8)
         r = rand_region(rng, 5, 6)
         m = np.array([[1.0, 1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 1.0, 1.0, 0.0],
                       [0.0, 0.0, 0.0, 0.0, 1.0]])
-        proj = fm_project(r, m, ("R1", "R2", "R3"))
-        assert lp_calls
-        assert_matches_lp_oracle(r, m, proj, rng, span=2.0)
+        with pytest.raises(InvariantError, match="at most 2"):
+            fm_project(r, m, ("R1", "R2", "R3"))
+        assert not lp_calls
 
     @pytest.mark.parametrize("seed,n_rows", [(0, 7), (2, 8)])
-    def test_elimination_past_prune_threshold(self, monkeypatch, seed, n_rows):
-        # the intermediate LP prune must keep the rows R >= 0 that later
-        # eliminations read: without them seed 0 projects to an empty system
-        # and seed 2 loses the facet (1, 0.92) . R <= 1.628
-        widths = []
-        real = regions._lp_prune
-
-        def spy(rows, dim, free=0):
-            widths.append((len(rows), dim))
-            return real(rows, dim, free)
-
-        monkeypatch.setattr(regions, "_lp_prune", spy)
+    def test_elimination_past_prune_threshold(self, seed, n_rows):
+        # unpruned, these eliminations grow past 64 rows; a prune that drops
+        # the rows R >= 0 that later eliminations read projects seed 0 to an
+        # empty system and loses seed 2's facet (1, 0.92) . R <= 1.628
         rng = np.random.default_rng(seed)
         r = rand_region(rng, 4, n_rows)
         m = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         proj = fm_project(r, m, ("R1", "R2"))
-        assert any(n > PRUNE_THRESHOLD and dim == 6 for n, dim in widths)
         assert_matches_lp_oracle(r, m, proj, rng, span=1.8)
         a_ub = np.array([c for c, _ in r.inequalities])
         b_ub = np.array([b for _, b in r.inequalities])
@@ -226,6 +215,19 @@ class TestFmProject:
             res = linprog(-(c @ m), A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 4,
                           method="highs")
             assert abs(-res.fun - b) < 1e-7
+
+    def test_same_row_from_two_histories(self):
+        # a degenerate system in which one intermediate row arises from two
+        # sets of original rows: keeping only the first history makes
+        # Kohler's rule drop the facet (1, -1/3) . s <= 5/6 two steps later
+        rows = [([1, 1, 2, 0, 2], 2), ([1, 2, 1, 1, 1], 3), ([2, 1, 2, 1, 0], 3),
+                ([2, 2, 0, 2, 0], 3), ([2, 0, 0, 0, 1], 2), ([0, 1, 0, 0, 1], 3),
+                ([0, 2, 2, 1, 0], 1), ([1, 0, 0, 0, 0], 1), ([0, 1, 0, 0, 0], 2),
+                ([0, 0, 1, 0, 0], 3), ([0, 0, 0, 1, 0], 3), ([0, 0, 0, 0, 1], 1)]
+        r = HalfspaceRegion([f"x{i}" for i in range(5)], rows)
+        proj = fm_project(r, [[0, 1, 1, 0, 1], [0, 1, 0, 1, 1]], ("s1", "s2"))
+        facets = [([-1, 1], 1.0), ([1, 1 / 3], 5 / 3), ([1, -1], 0.5), ([1, -1 / 3], 5 / 6)]
+        assert equivalent(proj, HalfspaceRegion(("s1", "s2"), facets))
 
     def test_unbounded_projection_rejected(self):
         r = HalfspaceRegion(("x", "y"), [([1, 0], 1.0)])
@@ -247,7 +249,7 @@ def assert_same_prune(rows, dim):
     """The exact prune keeps the very row objects the LP prune keeps, in
     the same order."""
     rows = [(np.array(c, dtype=float), float(b)) for c, b in rows]
-    by_lp, exact = _lp_prune(rows, dim), _exact_prune(rows, dim)
+    by_lp, exact = lp_prune(rows, dim), _exact_prune(rows, dim)
     assert [id(row) for row in exact] == [id(row) for row in by_lp]
     return exact
 
