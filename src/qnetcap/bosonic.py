@@ -29,8 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .channels import SchemaError
-from .entropic import g_thermal
+from .errors import InvariantError, SchemaError
 from .regions import HalfspaceRegion
 
 # slack for the strong/very-strong threshold tests, so parameter sets
@@ -38,6 +37,9 @@ from .regions import HalfspaceRegion
 CONDITION_TOL = 1e-12
 
 ETA_CONSISTENCY_TOL = 1e-9
+
+# a rate below -RATE_TOL is a numerical fault, never a result
+RATE_TOL = 1e-12
 
 _TRANSMISSIVITY = "a transmissivity in [0, 1]"
 _PHOTON_NUMBER = "a photon number >= 0"
@@ -217,16 +219,54 @@ def _check_p2p(eta, N_S, N_B):
     _check_range("N_B", N_B, math.inf, _PHOTON_NUMBER)
 
 
+def _x_psi(x, c):
+    """x psi(c/x) for psi(u) = u - ln(1 + u), and its limit c at x = 0.
+    Below u = 1 it sums psi(u) = 2 s^2/(1 - s) - 2 (s^3/3 + s^5/5 + ...)
+    for s = u/(2 + u), from ln(1 + u) = 2 atanh(s), so it does not cancel."""
+    u = c / x if x else math.inf
+    if u >= 1.0:
+        return c - x * math.log1p(u) if u < math.inf else c
+    s = u / (2.0 + u)
+    s2 = s * s
+    total, term, k = 2.0 * s2 / (1.0 - s), 2.0 * s * s2, 3
+    while term > 1e-17 * total:
+        total -= term / k
+        term *= s2
+        k += 2
+    return x * total
+
+
+def _thermal_gain(P, a):
+    """g(a + P) - g(a) in nats, as P ln(1 + 1/b) + [a psi(P/a) -
+    (a+1) psi(P/(a+1))] for P <= 1 and as ln(1 + P/(a+1)) + [a psi(1/a) -
+    b psi(1/b)] above, with b = a + P and psi as in ``_x_psi``.  Each
+    bracket is >= 0 and small against the term before it, so the
+    difference keeps its relative precision however large a is."""
+    b = a + P
+    if not math.isfinite(b):
+        raise InvariantError(f"mean photon number {b!r} is not finite")
+    if P == 0.0:
+        return 0.0
+    if P <= 1.0:
+        # ln(1 + 1/b) as in g_thermal, where 1/b may overflow
+        tail = math.log1p(1.0 / b) if b > 1e-300 else math.log1p(b) - math.log(b)
+        return P * tail + (_x_psi(a, P) - _x_psi(a + 1.0, P))
+    return math.log1p(P / (a + 1.0)) + (_x_psi(a, 1.0) - _x_psi(b, 1.0))
+
+
 def _rate(P, U, etabar, N_B, mode):
     """Rate of signal power P over treat-as-noise power U at a receiver
-    whose environment port (fraction etabar) admits N_B thermal photons."""
+    whose environment port (fraction etabar) admits N_B thermal photons.
+    A result below -RATE_TOL (or nan) is an InvariantError."""
     if mode is DetectionMode.JOINT:
-        base = U + etabar * N_B
-        return g_thermal(P + base) - g_thermal(base)
-    four, two = 4.0**mode.exponent, 2.0**mode.exponent
-    return (1.0 / two) * math.log2(
-        1.0 + four * P / (four * U + two * etabar * N_B + 1.0)
-    )
+        nats = _thermal_gain(P, U + etabar * N_B)
+    else:
+        four, two = 4.0**mode.exponent, 2.0**mode.exponent
+        nats = math.log1p(four * P / (four * U + two * etabar * N_B + 1.0)) / two
+    rate = nats / math.log(2.0)
+    if not rate >= -RATE_TOL:
+        raise InvariantError(f"rate {rate!r} at signal power {P!r} is negative")
+    return rate
 
 
 def _receiver_rates(p, mode, U1=0.0, U2=0.0):

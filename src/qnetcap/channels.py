@@ -47,6 +47,8 @@ class CqChannel:
         if not 1 <= len(alphabets) <= 2:
             raise SchemaError(f"{len(alphabets)} input alphabets; need 1 or 2")
         for a in alphabets:
+            if not a:
+                raise SchemaError("empty input alphabet")
             if len(a) != len(set(a)):
                 raise SchemaError(f"alphabet {a} has repeated symbols")
         if input_names is None:
@@ -131,13 +133,14 @@ class Povm:
             low = float(np.linalg.eigvalsh(e)[0])
             if low < POVM_PSD_TOL:
                 raise InvariantError(f"element {k} has eigenvalue {low:.3e}")
-        self._finish(mats, labels, info, completeness_tol)
-
-    def _finish(self, mats, labels, info, completeness_tol):
-        d = mats[0].shape[0]
-        defect = float(np.max(np.abs(sum(mats) - np.eye(d))))
+        defect = float(np.max(np.abs(sum(mats) - np.eye(mats[0].shape[0]))))
         if defect > completeness_tol:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
+        self._finish(mats, labels, info)
+
+    def _finish(self, mats, labels, info):
+        for e in mats:
+            e.setflags(write=False)
         self.elements = mats
         self.labels = tuple(labels) if labels is not None else tuple(range(len(mats)))
         if len(self.labels) != len(mats):
@@ -178,17 +181,17 @@ class Povm:
         return cls(mats, labels=labels, info=info, completeness_tol=completeness_tol)
 
     @classmethod
-    def from_factors(cls, factors, labels=None, remainder_label=None, info=None,
-                     completeness_tol=POVM_COMPLETENESS_TOL) -> "Povm":
+    def from_factors(cls, factors, labels=None, remainder_label=None, info=None) -> "Povm":
         """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
         I - sum_k B_k B_k^dagger as a final outcome, as in ``complete``.
 
-        Positivity is certified from the factors instead of by an eigensolve
-        of every d x d element: each B_k B_k^dagger is positive semidefinite
-        by construction, and the remainder's least eigenvalue is
-        1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
-        smaller of B^dagger B and B B^dagger.  Shape, Hermiticity and
-        completeness are checked on the dense elements as in ``__init__``.
+        Only the factors are checked.  Each element (L + L^dagger)/2, with
+        L = B_k B_k^dagger, is exactly Hermitian and the remainder makes the
+        sum the identity, so no dense check could fail.  Positivity is
+        certified from the factors instead of by an eigensolve per element:
+        each B_k B_k^dagger is positive semidefinite, and the remainder's
+        least eigenvalue is 1 - lambda_max(B^dagger B) for B = [B_1 ... B_K],
+        read from the smaller of B^dagger B and B B^dagger.
         """
         bs = [np.asarray(b, dtype=complex) for b in factors]
         if not bs:
@@ -197,25 +200,20 @@ class Povm:
         for k, b in enumerate(bs):
             if b.ndim != 2 or b.shape[0] != d:
                 raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
-        lams = []
-        for b in bs:
-            lam = b @ b.conj().T
-            lams.append((lam + lam.conj().T) / 2.0)
+        lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in bs)]
         mats, labels = _with_remainder(lams, labels, remainder_label)
-        _check_hermitian(mats)
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
         if not low >= POVM_PSD_TOL:
             raise InvariantError(f"element {len(bs)} has eigenvalue {low:.3e}")
         povm = cls.__new__(cls)
-        povm._finish(mats, labels, info, completeness_tol)
+        povm._finish(mats, labels, info)
         return povm
 
 
 def _check_hermitian(mats):
-    """Check that complex elements are square, Hermitian and of one size,
-    and make them read-only."""
+    """Check that complex elements are square, Hermitian and of one size."""
     if not mats:
         raise SchemaError("empty POVM")
     d = mats[0].shape[0]
@@ -224,7 +222,6 @@ def _check_hermitian(mats):
             raise SchemaError(f"element {k} has shape {e.shape}, want {(d, d)}")
         if np.max(np.abs(e - e.conj().T)) > 1e-9:
             raise InvariantError(f"element {k} is not Hermitian")
-        e.setflags(write=False)
     return mats
 
 
@@ -240,7 +237,7 @@ def _with_remainder(elements, labels, remainder_label):
 def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     """Outcome distribution Tr[E_y rho] over the POVM's labels."""
     if povm.dim != rho.dim:
-        raise InvariantError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
+        raise SchemaError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
     p = np.array([np.trace(e @ rho.entries).real for e in povm.elements])
     return np.clip(p, 0.0, None)
 
@@ -463,7 +460,7 @@ def load_channel(source) -> CqChannel:
     alphabets = tuple(tuple(str(s) for s in a) for a in alphabets)
     dims = doc["dims"]
     if not isinstance(dims, list) or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
     ):
         raise SchemaError("'dims' must be a list of positive integers")
     dims = tuple(dims)

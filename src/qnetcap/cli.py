@@ -23,6 +23,8 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .errors import InvariantError, SchemaError, read_json, whole_number
+
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
@@ -44,10 +46,6 @@ _REGION_KINDS = (
 _SIM_BLOCKLENGTHS = (2, 4, 6, 8)
 
 
-class _ThreadCapError(Exception):
-    pass
-
-
 def _apply_thread_cap():
     """Honor QNETCAP_THREADS before any numeric library is imported."""
     cap = os.environ.get("QNETCAP_THREADS")
@@ -56,9 +54,9 @@ def _apply_thread_cap():
     try:
         value = int(cap)
     except ValueError:
-        raise _ThreadCapError(f"QNETCAP_THREADS must be an integer, got {cap!r}")
+        raise SchemaError(f"QNETCAP_THREADS must be an integer, got {cap!r}")
     if value < 1:
-        raise _ThreadCapError(f"QNETCAP_THREADS must be >= 1, got {value}")
+        raise SchemaError(f"QNETCAP_THREADS must be >= 1, got {value}")
     for var in _THREAD_VARS:
         os.environ[var] = str(value)
 
@@ -84,8 +82,6 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        from .errors import SchemaError
-
         cfg = cls(
             command=args.command,
             subcommand=getattr(args, "subcommand", ""),
@@ -253,17 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _deliver(write, out):
-    """Run ``write(path)``, then rename into place or print to stdout."""
-    if out is None:
-        fd, tmp = tempfile.mkstemp(suffix=".tmp")
-        os.close(fd)
-        try:
-            write(tmp)
-            sys.stdout.write(Path(tmp).read_text())
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        return
+    """Run ``write(path)`` on a temporary file beside ``out``, then rename
+    it into place, so a failed run leaves no partial file."""
     target = os.path.abspath(os.fspath(out))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp~")
     os.close(fd)
@@ -290,13 +277,12 @@ def _emit_region(region, out):
 
 
 def _emit_rows(header, rows, out):
-    def write(path):
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(format(v, ".10g") for v in row) + "\n")
-
-    _deliver(write, out)
+    lines = [header] + [",".join(format(v, ".10g") for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _deliver(lambda p: Path(p).write_text(text), out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +292,13 @@ def _emit_rows(header, rows, out):
 def _read_channel(cfg: RunConfig):
     """The ``--channel`` document, read before any numerical import so a
     file that is not JSON is reported first; None for ``--builtin``."""
-    from .errors import read_json
-
     return None if cfg.channel is None else read_json(cfg.channel, "channel")
 
 
 def _load_cq_channel(cfg: RunConfig, doc, builtin_params=None):
     from .channels import builtin, load_channel
 
-    if doc is None:
+    if cfg.channel is None:
         params = cfg.params if builtin_params is None else builtin_params
         return builtin(cfg.builtin, params=params)
     return load_channel(doc)
@@ -460,7 +444,7 @@ def _cmd_region(cfg: RunConfig) -> int:
 def _bosonic_params(cfg: RunConfig, doc):
     from .bosonic import BosonicICParams, DetectionMode, params_from_json
 
-    if doc is not None:
+    if cfg.channel is not None:
         params, mode = params_from_json(doc)
     else:
         params, mode = BosonicICParams(*cfg.params), DetectionMode.JOINT
@@ -472,8 +456,6 @@ def _bosonic_params(cfg: RunConfig, doc):
 
 
 def _cmd_bosonic(cfg: RunConfig) -> int:
-    from .errors import SchemaError, read_json
-
     # flag and JSON-syntax errors are reported before numpy is imported
     doc = None
     if cfg.subcommand == "p2p":
@@ -518,8 +500,6 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
 
 
 def _cmd_sim(cfg: RunConfig) -> int:
-    from .errors import SchemaError, whole_number
-
     # the --param checks need only the flags, so they run before numpy loads
     if cfg.subcommand == "quantum":
         if not 1 <= len(cfg.params) <= 2:
@@ -588,13 +568,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         _apply_thread_cap()
-    except _ThreadCapError as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import InvariantError, SchemaError
 
     try:
         cfg = RunConfig.from_args(args)

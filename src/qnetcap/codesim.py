@@ -15,12 +15,14 @@ taken from the thin SVD of W, so S is never formed.  Hits
 Tr[Lambda_m rho_m] and the operator-union diagnostic's Tr[P_k rho_m]
 are read off the columns, applying the product state rho_m one channel
 use at a time.  ``srm_error_sweep`` therefore forms no d x d operator:
-no projector, S, POVM element or word state.  ``projector_set`` and
-``square_root_measurement`` still return dense d x d matrices; the
-POVM's positivity is certified from its factors B_m rather than by an
-eigensolve per element.  A byte budget on those dense matrices bounds
-n, and it also bounds the sweep, so the sweep accepts exactly the
-codebooks whose dense measurement could be built.
+no projector, S, POVM element or word state.  The columns are the data
+of a ``ProjectorSet``; its dense projectors are derived from them.
+``projector_set`` and ``square_root_measurement`` still return dense
+d x d matrices; the POVM's positivity is certified from its factors B_m
+rather than by an eigensolve per element.  A byte budget on those dense
+matrices bounds n, and it also bounds the sweep, so the sweep accepts
+exactly the codebooks whose dense measurement could be built.  Each
+check runs once, at the entry point where its input arrives.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -34,7 +36,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -52,6 +54,7 @@ COMPLEX_BYTES = 16
 CLASSICAL_CHUNK_BYTES = 2**19
 
 PROJECTOR_TOL = 1e-8
+# for dense-element SRMs; the factor form is complete by construction
 SRM_COMPLETENESS_TOL = 1e-8
 PINV_RELATIVE_CUTOFF = 1e-10
 EIG_FLOOR = 1e-12
@@ -76,8 +79,14 @@ def _srm_matrices(m_count):
     return 2 * (m_count + 1)
 
 
+def _check_blocklength(n):
+    if not n >= 1:
+        raise SchemaError(f"blocklength must be >= 1, got {n}")
+
+
 def message_count(n, rate):
-    """Codebook size for rate R >= 0 at blocklength n, never below one."""
+    """Codebook size for rate R >= 0 at blocklength n >= 1, never below one."""
+    _check_blocklength(n)
     if not rate >= 0:
         raise SchemaError(f"rate must be >= 0, got {rate}")
     try:
@@ -98,6 +107,7 @@ class Codebook:
     prior: object = None
 
     def __post_init__(self):
+        _check_blocklength(self.n)
         words = tuple(tuple(str(s) for s in w) for w in self.codewords)
         if not words:
             raise SchemaError("codebook needs at least one codeword")
@@ -175,6 +185,12 @@ def _check_delta(delta):
         raise SchemaError(f"typicality width must be finite and >= 0, got {delta}")
 
 
+def _check_decoder_args(ch, delta):
+    if ch.n_inputs != 1:
+        raise SchemaError("decoder simulation needs a single-input channel")
+    _check_delta(delta)
+
+
 def _typical_columns(rho, n, delta):
     spec = eig_hermitian(rho)
     logs = _positive_logs(spec.eigenvalues)
@@ -184,30 +200,30 @@ def _typical_columns(rho, n, delta):
 
 def typical_projector(rho, n, delta):
     """Projector onto the delta-typical subspace of n copies of rho."""
+    _check_blocklength(n)
     _check_delta(delta)
     _check_budget(rho.dim, n, 1)
     return _span_projector(_typical_columns(rho, n, delta))
 
 
-def _cond_typical_columns(ch, word, delta):
-    _check_delta(delta)
-    if ch.n_inputs != 1:
-        raise SchemaError("conditionally typical projectors need a single-input channel")
-    n = len(word)
-    if n == 0:
-        raise SchemaError("empty input word")
-    decomp = {}
-    for x in dict.fromkeys(word):
+def _symbol_spectra(ch, symbols):
+    """Eigenvectors, log eigenvalues and entropy of each symbol's output
+    state, one eigensolve per distinct symbol."""
+    spectra = {}
+    for x in dict.fromkeys(symbols):
         spec = eig_hermitian(ch.output(x))
-        decomp[x] = (
-            spec.eigenvectors,
-            _positive_logs(spec.eigenvalues),
-            von_neumann_entropy(ch.output(x)),
-        )
-    h_emp = float(np.mean([decomp[x][2] for x in word]))
-    bases = [decomp[x][0] for x in word]
-    logs = [decomp[x][1] for x in word]
-    return _sequence_columns(bases, logs, n, ch.output_dim, h_emp, delta)
+        spectra[x] = (spec.eigenvectors, _positive_logs(spec.eigenvalues),
+                      von_neumann_entropy(ch.output(x)))
+    return spectra
+
+
+def _cond_typical_columns(spectra, word, dim, delta):
+    """Columns of the conditional typical projector of ``word`` from the
+    per-symbol ``spectra`` of ``_symbol_spectra``."""
+    h_emp = float(np.mean([spectra[x][2] for x in word]))
+    bases = [spectra[x][0] for x in word]
+    logs = [spectra[x][1] for x in word]
+    return _sequence_columns(bases, logs, len(word), dim, h_emp, delta)
 
 
 def cond_typical_projector(ch, xn, delta):
@@ -217,15 +233,12 @@ def cond_typical_projector(ch, xn, delta):
     output entropy of the symbols actually appearing in ``xn``.
     """
     word = tuple(str(s) for s in xn)
+    _check_decoder_args(ch, delta)
+    if not word:
+        raise SchemaError("empty input word")
     _check_budget(ch.output_dim, len(word), 1)
-    return _span_projector(_cond_typical_columns(ch, word, delta))
-
-
-def _validate_projector(p, what):
-    if np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
-        raise InvariantError(f"{what} is not Hermitian")
-    if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
-        raise InvariantError(f"{what} is not idempotent")
+    spectra = _symbol_spectra(ch, word)
+    return _span_projector(_cond_typical_columns(spectra, word, ch.output_dim, delta))
 
 
 def _check_orthonormal(v, what):
@@ -233,68 +246,45 @@ def _check_orthonormal(v, what):
         raise InvariantError(f"{what} columns are not orthonormal")
 
 
-def _validate_columns(p, v, what):
-    """V has orthonormal columns and V V^dagger = p, so p is a projector."""
-    if v.ndim != 2 or v.shape[0] != p.shape[0]:
-        raise SchemaError(f"{what} columns have shape {v.shape}, want ({p.shape[0]}, r)")
-    _check_orthonormal(v, what)
-    if np.max(np.abs(_span_projector(v) - p)) > PROJECTOR_TOL:
-        raise InvariantError(f"{what} differs from the span of its columns")
-
-
-def _projector_columns(p):
-    """Orthonormal columns spanning the range of a projector."""
-    evals, evecs = np.linalg.eigh(p)
-    return evecs[:, evals > 0.5]
-
-
 @dataclass(frozen=True)
 class ProjectorSet:
     """Average-output typical projector plus one conditional projector
-    per codeword, all at the same typicality width.
+    per codeword, all at the same typicality width, as orthonormal columns.
 
-    ``columns`` holds orthonormal columns V_m with conditional[m] equal
-    to V_m V_m^dagger, and ``average_columns`` the columns of the average
-    projector; the decoder reads these.  When given they are checked
-    against the dense projectors, which also proves those are
-    projectors; when omitted they are taken from an eigendecomposition
-    of each validated projector.
+    ``average_columns`` is a d x r matrix V and ``columns`` one d x r_m
+    matrix V_m per codeword; the decoder reads only these.  The
+    constructor checks that every block has d rows (SchemaError) and
+    orthonormal columns (InvariantError), so each V V^dagger is a
+    projector, and derives the dense ``average`` and ``conditional``
+    projectors from them.  All arrays are read-only.
     """
 
-    average: np.ndarray
-    conditional: tuple
+    average_columns: np.ndarray
+    columns: tuple
     delta: float
-    columns: tuple = None
-    average_columns: np.ndarray = None
+    average: np.ndarray = field(init=False, repr=False)
+    conditional: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        avg = np.array(self.average, dtype=complex)
-        conds = tuple(np.array(c, dtype=complex) for c in self.conditional)
-        if self.average_columns is None:
-            _validate_projector(avg, "average projector")
-            avg_cols = _projector_columns(avg)
-        else:
-            avg_cols = np.array(self.average_columns, dtype=complex)
-            _validate_columns(avg, avg_cols, "average projector")
-        for m, c in enumerate(conds):
-            if c.shape != avg.shape:
-                raise SchemaError(f"projector {m} has shape {c.shape}, want {avg.shape}")
-        if self.columns is None:
-            for m, c in enumerate(conds):
-                _validate_projector(c, f"conditional projector {m}")
-            cols = tuple(_projector_columns(c) for c in conds)
-        else:
-            cols = tuple(np.array(v, dtype=complex) for v in self.columns)
-            if len(cols) != len(conds):
-                raise SchemaError(f"{len(cols)} column sets for {len(conds)} projectors")
-            for m, (c, v) in enumerate(zip(conds, cols)):
-                _validate_columns(c, v, f"conditional projector {m}")
-        for a in (avg, avg_cols) + conds + cols:
+        avg = np.array(self.average_columns, dtype=complex)
+        cols = tuple(np.array(v, dtype=complex) for v in self.columns)
+        blocks = {"average projector": avg}
+        blocks.update((f"conditional projector {m}", v) for m, v in enumerate(cols))
+        rows = avg.shape[:1] if avg.ndim == 2 else None
+        for what, v in blocks.items():
+            if v.ndim != 2 or v.shape[:1] != rows:
+                raise SchemaError(f"{what} columns have shape {v.shape}; every block "
+                                  "needs two axes and the same row count")
+        for what, v in blocks.items():
+            _check_orthonormal(v, what)
+        dense = _span_projector(avg)
+        conds = tuple(_span_projector(v) for v in cols)
+        for a in (avg, dense) + cols + conds:
             a.setflags(write=False)
-        object.__setattr__(self, "average", avg)
-        object.__setattr__(self, "conditional", conds)
+        object.__setattr__(self, "average_columns", avg)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "average_columns", avg_cols)
+        object.__setattr__(self, "average", dense)
+        object.__setattr__(self, "conditional", conds)
 
 
 def _codebook_frequencies(ch, codebook):
@@ -307,11 +297,6 @@ def _codebook_frequencies(ch, codebook):
             counts[s] += 1
     total = codebook.n * codebook.M
     return ProbDist(alphabet, [counts[s] / total for s in alphabet])
-
-
-def _check_single_input(ch):
-    if ch.n_inputs != 1:
-        raise SchemaError("decoder simulation needs a single-input channel")
 
 
 def _decoder_columns(ch, codebook, delta):
@@ -327,22 +312,22 @@ def _decoder_columns(ch, codebook, delta):
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
     )
     avg = _typical_columns(DensityMatrix(mean, ch.dims), codebook.n, delta)
-    return avg, tuple(_cond_typical_columns(ch, w, delta) for w in codebook.codewords)
+    spectra = _symbol_spectra(ch, (x for w in codebook.codewords for x in w))
+    return avg, tuple(
+        _cond_typical_columns(spectra, w, ch.output_dim, delta) for w in codebook.codewords
+    )
 
 
 def projector_set(ch, codebook, delta):
     """Build the decoder's projectors for a codebook (see
     ``_decoder_columns`` for the average projector)."""
-    _check_single_input(ch)
+    _check_decoder_args(ch, delta)
+    unknown = {x for w in codebook.codewords for x in w} - set(ch.input_alphabets[0])
+    if unknown:
+        raise SchemaError(f"codeword symbol {min(unknown)!r} is not a channel input")
     _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
     avg, cols = _decoder_columns(ch, codebook, delta)
-    return ProjectorSet(
-        average=_span_projector(avg),
-        conditional=tuple(_span_projector(v) for v in cols),
-        delta=delta,
-        columns=cols,
-        average_columns=avg,
-    )
+    return ProjectorSet(avg, cols, delta)
 
 
 def _word_state(ch, word):
@@ -419,7 +404,6 @@ def square_root_measurement(ch, codebook, delta, projs=None):
         np.split(b, starts, axis=1),
         remainder_label="fail",
         info=info,
-        completeness_tol=SRM_COMPLETENESS_TOL,
     )
 
 
@@ -478,7 +462,7 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     B_m's columns of b^dagger rho_m b, so no projector, S, POVM element
     or word state is formed.
     """
-    _check_single_input(ch)
+    _check_decoder_args(ch, delta)
     alphabet = ch.input_alphabets[0]
     # reject the whole sweep before computing anything
     for n in blocklengths:
@@ -488,9 +472,6 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
         for seed in seeds:
             cb = Codebook.random(alphabet, n, rate, seed, prior)
             avg, cols = _decoder_columns(ch, cb, delta)
-            _check_orthonormal(avg, "average projector")
-            for m, v in enumerate(cols):
-                _check_orthonormal(v, f"conditional projector {m}")
             w, starts = _detection_columns(avg, cols)
             b, _, _ = _srm_factors(w)
             errs = [

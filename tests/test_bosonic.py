@@ -1,8 +1,10 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
+import qnetcap.bosonic as bosonic
 from qnetcap.bosonic import (
     CONDITION_TOL,
     BosonicICParams,
@@ -27,6 +29,37 @@ def g_oracle(n):
     if n <= 0.0:
         return 0.0
     return (n + 1.0) * math.log2(n + 1.0) - n * math.log2(n)
+
+
+def decimal_context(*photons):
+    """A context whose digits outlast the cancellations of g(N) =
+    (N+1) ln(N+1) - N ln N at these photon numbers and of differences of
+    g down to the smallest of them."""
+    big = max(1.0, *photons)
+    small = min(p for p in photons if p > 0)
+    return decimal.Context(prec=40 + int(2 * math.log10(big) + max(0.0, -math.log10(small))))
+
+
+def exact_thermal_gain(P, base):
+    """g(base + P) - g(base) in bits, in decimal arithmetic."""
+    ctx = decimal_context(P, base)
+
+    def g(n):
+        if n == 0:
+            return decimal.Decimal(0)
+        up = ctx.add(n, 1)
+        return ctx.subtract(ctx.multiply(up, ctx.ln(up)), ctx.multiply(n, ctx.ln(n)))
+
+    a, p = decimal.Decimal(base), decimal.Decimal(P)
+    return float(ctx.divide(ctx.subtract(g(ctx.add(a, p)), g(a)), ctx.ln(2)))
+
+
+def exact_coherent(P, noise, four):
+    """(1/2^i) log2(1 + 4^i P / noise) for 4^i = ``four``, in decimal."""
+    ctx = decimal.Context(prec=60)
+    four = decimal.Decimal(four)
+    ratio = ctx.divide(ctx.multiply(four, decimal.Decimal(P)), decimal.Decimal(noise))
+    return float(ctx.divide(ctx.ln(ctx.add(1, ratio)), ctx.multiply(ctx.ln(2), ctx.sqrt(four))))
 
 
 def carleial_params(ns):
@@ -112,18 +145,42 @@ class TestScalars:
             fn(*args)
 
     def test_p2p_equal_written_out_formulas(self):
+        # the written-out formulas in decimal arithmetic, on the inputs
+        # the capacities see after their own float products
         for eta in np.linspace(0.0, 1.0, 23).tolist():
             for ns in [0.0] + np.geomspace(0.01, 100.0, 40).tolist():
                 for nb in (0.0, 0.3, 1.0, 10.0):
-                    hom = 0.5 * math.log2(
-                        1.0 + 4.0 * eta * ns / (2.0 * (1.0 - eta) * nb + 1.0)
-                    )
-                    het = math.log2(1.0 + eta * ns / ((1.0 - eta) * nb + 1.0))
-                    base = (1.0 - eta) * nb
-                    holevo = g_thermal(eta * ns + base) - g_thermal(base)
-                    assert c_homodyne(eta, ns, nb) == hom
-                    assert c_heterodyne(eta, ns, nb) == het
-                    assert c_holevo(eta, ns, nb) == holevo
+                    P, base = eta * ns, (1.0 - eta) * nb
+                    for fn, exact in (
+                        (c_homodyne, exact_coherent(P, 2.0 * base + 1.0, 4.0)),
+                        (c_heterodyne, exact_coherent(P, base + 1.0, 1.0)),
+                        (c_holevo, exact_thermal_gain(P, base) if P else 0.0),
+                    ):
+                        assert fn(eta, ns, nb) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_holevo_gain_against_decimal_oracle(self):
+        # g(P + U) - g(U) once cancelled to 1e-13 bits at U = 5e14 and to
+        # 0 at U = 5e305; here it keeps its relative precision throughout
+        for P in (1e-12, 1e-3, 0.5, 1.0, 1.5, 50.0, 1e6, 1e20):
+            for base in (0.0, 1e-12, 0.3, 1.0, 1e3, 5e14, 1e40):
+                exact = exact_thermal_gain(P, base)
+                got = bosonic._rate(P, base, 0.0, 0.0, DetectionMode.JOINT)
+                assert got == pytest.approx(exact, rel=2e-15, abs=0.0), (P, base)
+
+    @pytest.mark.parametrize("nb", [1e15, 1e306])
+    def test_holevo_bounds_coherent_rates_under_huge_noise(self, nb):
+        for ns in (0.01, 100.0):
+            hom, het, holevo = (fn(0.5, ns, nb) for fn in (c_homodyne, c_heterodyne, c_holevo))
+            assert holevo == pytest.approx(exact_thermal_gain(0.5 * ns, 0.5 * nb), rel=1e-14)
+            assert holevo >= max(hom, het) > 0.0
+
+    def test_negative_rate_is_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(bosonic, "_thermal_gain", lambda P, base: -1e-9)
+        with pytest.raises(InvariantError, match="negative"):
+            c_holevo(0.9, 1.0, 1.0)
+        with pytest.raises(InvariantError, match="negative"):
+            bosonic_hk_region(strong_int_params(0.8, 0.8), "joint")
+        assert c_homodyne(0.9, 1.0, 1.0) > 0.0
 
     def test_p2p_formulas(self):
         assert np.isclose(

@@ -62,6 +62,11 @@ class TestCqChannel:
                 },
             )
 
+    @pytest.mark.parametrize("alphabets", [((),), (("0",), ())])
+    def test_empty_alphabet_rejected(self, alphabets):
+        with pytest.raises(SchemaError, match="empty input alphabet"):
+            CqChannel(alphabets, {})
+
     def test_symbols_canonicalized(self):
         ch = CqChannel(
             ((0, 1),),
@@ -158,6 +163,12 @@ class TestPovm:
         povm = Povm.qubit_projective(0.0)
         p = measurement_probabilities(povm, pure_state(KET_PLUS))
         assert np.allclose(p, [0.5, 0.5])
+
+    def test_dimension_mismatch_is_schema_error(self):
+        # a POVM that does not fit the state is a wrong pairing of inputs
+        qutrit = pure_state(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(SchemaError, match="POVM dim 2 vs state dim 3"):
+            measurement_probabilities(Povm.qubit_projective(0.3), qutrit)
 
 
 class TestInducedClassical:
@@ -266,6 +277,12 @@ class TestJsonInterchange:
         doc = dump_channel(builtin("bb84_p2p"))
         doc["outputs"]["1"] = [[1.5, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.5, 0.0]]
         with pytest.raises(InvariantError, match="'1'"):
+            load_channel(doc)
+
+    def test_boolean_dimension_schema_error(self):
+        doc = dump_channel(builtin("bb84_p2p"))
+        doc["dims"] = [True]
+        with pytest.raises(SchemaError, match="dims"):
             load_channel(doc)
 
     def test_bad_matrix_size_schema_error(self):

@@ -39,6 +39,16 @@ class TestCapacity:
         assert code == 0
         assert abs(float(out) - 0.3991) < 1e-3
 
+    def test_povm_angle_on_qutrit_is_schema_error(self, capsys, tmp_path):
+        # the angle flag names a qubit measurement; a qutrit channel does not fit it
+        ket = np.array([1.0, 0.0, 0.0])
+        qutrit = DensityMatrix(np.outer(ket, ket).astype(complex), (3,))
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(dump_channel(CqChannel((("0",),), {("0",): qutrit}))))
+        code, out, err = run(capsys, "capacity", "p2p-classical", "--channel",
+                             str(path), "--povm-angle", "0.3")
+        assert (code, out, err) == (2, "", "error: POVM dim 2 vs state dim 3\n")
+
     def test_grid_refinement_monotone(self, capsys):
         values = []
         for grid in ("5", "41"):
@@ -296,6 +306,16 @@ class TestBosonic:
         assert lines[0] == "NS,hom,het,holevo" and len(lines) == 3
         assert all(float(line.split(",")[3]) >= 0.0 for line in lines[1:])
 
+    @pytest.mark.parametrize("nb", ["1e15", "1e306"])
+    def test_p2p_rates_survive_huge_thermal_noise(self, capsys, nb):
+        # the rates once cancelled: at NB = 1e15 the Holevo rate printed
+        # below the homodyne one, and at NB = 1e306 all three printed 0
+        code, out, _ = run(capsys, "bosonic", "p2p", "--param", "0.5", nb, "--grid", "2")
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            _, hom, het, holevo = map(float, line.split(","))
+            assert holevo >= max(hom, het) > 0.0
+
     def test_vsi_condition_printed(self, capsys):
         code, out, _ = run(capsys, "bosonic", "vsi", "--mode", "het",
                            "--param", "0.0625", "0.5", "0.5", "0.0625",
@@ -433,6 +453,19 @@ class TestSim:
         assert lines[0].startswith("n,R,seed,delta,trials")
         assert len(lines) == 2
 
+    def test_rows_to_stdout_need_no_file(self, capsys, monkeypatch):
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stdout output went through a file")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        code, out, _ = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                           "--param", "0.3", "1", "--delta", "0.4")
+        assert code == 0
+        assert out.split("\n")[0] == "n,R,seed,delta,exact_error,hn_bound"
+        assert len(out.strip().split("\n")) == 1 + 4
+
     def test_no_partial_output_on_error(self, capsys, tmp_path):
         path = tmp_path / "never.csv"
         code, _, _ = run(capsys, "sim", "classical", "--builtin", "bb84_p2p",
@@ -463,6 +496,48 @@ class TestThreadCap:
 
 class TestMalformedInput:
     """Non-finite numbers and malformed files are schema errors (exit 2)."""
+
+    MATRIX = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    CHANNEL_DOCS = {
+        "empty alphabet": {"alphabets": [[]], "dims": [2], "outputs": {}},
+        "second alphabet empty": {"alphabets": [["0"], []], "dims": [2], "outputs": {}},
+        "no alphabets": {"alphabets": [], "dims": [2], "outputs": {}},
+        "three alphabets": {"alphabets": [["0"], ["0"], ["0"]], "dims": [2], "outputs": {}},
+        "alphabets not lists": {"alphabets": "01", "dims": [2], "outputs": {}},
+        "repeated symbol": {"alphabets": [["0", "0"]], "dims": [2], "outputs": {"0": MATRIX}},
+        "comma in symbol": {"alphabets": [["a,b"]], "dims": [2], "outputs": {}},
+        "no dims": {"alphabets": [["0"]], "dims": [], "outputs": {"0": [[1.0, 0.0]]}},
+        "three dims": {"alphabets": [["0"]], "dims": [1, 1, 1], "outputs": {"0": [[1.0, 0.0]]}},
+        "zero dim": {"alphabets": [["0"]], "dims": [0], "outputs": {"0": []}},
+        "boolean dim": {"alphabets": [["0"]], "dims": [True], "outputs": {"0": [[1.0, 0.0]]}},
+        "outputs not an object": {"alphabets": [["0"]], "dims": [2], "outputs": []},
+        "missing outputs": {"alphabets": [["0"]], "dims": [2]},
+        "missing output": {"alphabets": [["0", "1"]], "dims": [2], "outputs": {"0": MATRIX}},
+        "unknown output": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": MATRIX, "9": MATRIX}},
+        "matrix not numbers": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": "junk"}},
+        "matrix too short": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": [[1.0, 0.0]]}},
+        "document a list": [1, 2],
+        "document null": None,
+    }
+
+    @pytest.mark.parametrize("doc", CHANNEL_DOCS.values(), ids=CHANNEL_DOCS.keys())
+    @pytest.mark.parametrize("family", [("capacity", "p2p-holevo"), ("region", "mac"),
+                                        ("sim", "quantum", "--param", "0.3")],
+                             ids=lambda f: f[0])
+    def test_malformed_channel_document(self, capsys, tmp_path, family, doc):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *family, "--channel", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_null_bosonic_document(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text("null")
+        code, out, err = run(capsys, "bosonic", "hk", "--channel", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: bosonic parameter document must be an object\n"
 
     def test_nan_channel_entry(self, capsys, tmp_path):
         doc = dump_channel(builtin("bb84_p2p"))

@@ -197,46 +197,66 @@ class TestCondTypicalProjector:
 
 class TestProjectorSet:
     def test_rejects_non_projector(self):
-        with pytest.raises(InvariantError):
-            ProjectorSet(
-                average=0.5 * np.eye(4), conditional=(np.eye(4),), delta=0.3
-            )
+        # columns that are not orthonormal span no projector V V^dagger
+        eye = np.eye(4, dtype=complex)
+        skew = np.stack([eye[:, 0], (eye[:, 0] + eye[:, 1]) / np.sqrt(2)], axis=1)
+        for avg, cols in [(eye, (2.0 * eye,)), (eye, (skew,)), (eye[:, :2] * 0.5, ())]:
+            with pytest.raises(InvariantError, match="not orthonormal"):
+                ProjectorSet(avg, cols, 0.3)
 
     def test_shape_mismatch(self):
+        eye4, eye8 = np.eye(4), np.eye(8)
         with pytest.raises(SchemaError):
-            ProjectorSet(average=np.eye(4), conditional=(np.eye(8),), delta=0.3)
+            ProjectorSet(eye4, (eye8[:, :2],), 0.3)
+        with pytest.raises(SchemaError):
+            ProjectorSet(eye4, (eye4, eye4[0]), 0.3)
+        with pytest.raises(SchemaError):
+            ProjectorSet(eye4[0], (), 0.3)
 
-    def test_columns_checked_against_projectors(self):
+    def test_dense_projectors_derived_from_columns(self):
         eye = np.eye(4, dtype=complex)
-        with pytest.raises(InvariantError):
-            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
-                         columns=(eye[:, :2],))
-        with pytest.raises(InvariantError):
-            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
-                         columns=(2.0 * eye,))
-        with pytest.raises(SchemaError):
-            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
-                         columns=(eye, eye))
-        with pytest.raises(InvariantError):
-            ProjectorSet(average=eye, conditional=(eye,), delta=0.3,
-                         average_columns=eye[:, :2])
+        v = np.stack([eye[:, 0], (eye[:, 1] + 1j * eye[:, 2]) / np.sqrt(2)], axis=1)
+        projs = ProjectorSet(eye, (v, eye[:, :0]), 0.3)
+        assert np.array_equal(projs.average, eye)
+        assert np.array_equal(projs.conditional[0], v @ v.conj().T)
+        assert not projs.conditional[1].any() and projs.conditional[1].shape == (4, 4)
+        arrays = (projs.average_columns, projs.average) + projs.columns + projs.conditional
+        assert not any(a.flags.writeable for a in arrays)
 
-    @pytest.mark.parametrize("rate", [0.3, 0.6])
-    def test_dense_built_matches_projector_set(self, rate):
+    def test_projector_set_round_trips_its_columns(self):
         ch = mixed_channel()
-        cb = Codebook.random(("a", "b"), 6, rate, seed=3)
+        cb = Codebook.random(("a", "b"), 6, 0.6, seed=3)
         projs = projector_set(ch, cb, 0.3)
-        dense = ProjectorSet(average=projs.average,
-                             conditional=projs.conditional, delta=0.3)
-        for v, c in zip(dense.columns, projs.conditional):
-            assert np.max(np.abs(v @ v.conj().T - c)) <= 1e-12
-        a = square_root_measurement(ch, cb, 0.3, projs=projs)
-        b = square_root_measurement(ch, cb, 0.3, projs=dense)
-        assert a.info["s_rank"] == b.info["s_rank"]
-        for ea, eb in zip(a.elements, b.elements):
-            assert np.max(np.abs(ea - eb)) <= 1e-12
-        assert abs(exact_error(ch, cb, a) - exact_error(ch, cb, b)) <= 1e-12
-        assert abs(hn_diagnostic(ch, cb, projs) - hn_diagnostic(ch, cb, dense)) <= 1e-12
+        again = ProjectorSet(projs.average_columns, projs.columns, projs.delta)
+        assert np.array_equal(again.average, projs.average)
+        for a, b in zip(again.conditional, projs.conditional, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_entry_points_check_arguments(self):
+        ch = mixed_channel()
+        cb = Codebook.random(("a", "b"), 3, 0.6, seed=0)
+        for delta in (math.nan, -0.1, math.inf):
+            with pytest.raises(SchemaError):
+                projector_set(ch, cb, delta)
+            with pytest.raises(SchemaError):
+                srm_error_sweep(ch, 0.6, (3,), delta, (0,))
+            with pytest.raises(SchemaError):
+                cond_typical_projector(ch, ("a", "b"), delta)
+        with pytest.raises(SchemaError, match="'z' is not a channel input"):
+            projector_set(ch, Codebook(n=2, codewords=(("a", "z"),)), 0.3)
+        with pytest.raises(SchemaError):
+            projector_set(builtin("bb84_qmac"), cb, 0.3)
+        with pytest.raises(SchemaError):
+            srm_error_sweep(builtin("bb84_qmac"), 0.6, (3,), 0.3, (0,))
+
+    def test_zero_blocklength_rejected(self):
+        ch = mixed_channel()
+        with pytest.raises(SchemaError, match="blocklength"):
+            Codebook(n=0, codewords=((),))
+        with pytest.raises(SchemaError, match="blocklength"):
+            srm_error_sweep(ch, 0.3, (2, 0), 0.4, (0,))
+        with pytest.raises(SchemaError, match="blocklength"):
+            typical_projector(ch.output("a"), 0, 0.4)
 
 
 class TestSquareRootMeasurement:
@@ -378,6 +398,16 @@ class TestFactorPovm:
         scaled[m] = 1.01**2 * scaled[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
             Povm.complete(scaled, remainder_label="fail")
+
+    def test_elements_exactly_hermitian_and_complete(self):
+        # the seeded SRM and a POVM rebuilt from other factors of its
+        # elements; from_factors checks neither property on the dense side
+        srm, factors = self.srm_factors()
+        for povm in (srm, Povm.from_factors(factors, remainder_label="fail")):
+            for e in povm.elements:
+                assert np.array_equal(e, e.conj().T)
+                assert not e.flags.writeable
+            assert np.max(np.abs(sum(povm.elements) - np.eye(povm.dim))) <= 1e-14
 
     def test_shape_checks(self):
         with pytest.raises(SchemaError):
