@@ -182,13 +182,6 @@ def params_from_json(doc):
     return params, mode
 
 
-def gamma(x):
-    """Gaussian channel rate 0.5 * log2(1 + SNR) in bits."""
-    if x < 0:
-        raise SchemaError(f"signal-to-noise ratio must be >= 0, got {x}")
-    return 0.5 * math.log2(1.0 + x)
-
-
 def c_homodyne(eta, N_S, N_B):
     """Single-quadrature detection capacity of the lossy thermal channel."""
     _check_p2p(eta, N_S, N_B)

@@ -63,35 +63,35 @@ def _apply_thread_cap():
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flag bundle for one command invocation."""
+    """Validated flag bundle for one command invocation; defaults are the parser's."""
 
     command: str
     subcommand: str
-    builtin: str | None = None
-    channel: str | None = None
-    params: tuple = ()
-    grid: int | None = 21
-    delta: float = 0.4
-    seed: int = 0
-    out: str | None = None
-    mode: str | None = None
-    lam: tuple | None = None
-    oracle: bool = False
-    uniform: bool = False
-    povm_angle: float | None = None
+    builtin: str | None
+    channel: str | None
+    params: tuple
+    grid: int | None
+    delta: float
+    seed: int
+    out: str | None
+    mode: str | None
+    lam: tuple | None
+    oracle: bool
+    uniform: bool
+    povm_angle: float | None
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         cfg = cls(
             command=args.command,
-            subcommand=getattr(args, "subcommand", ""),
+            subcommand=args.subcommand,
             builtin=getattr(args, "builtin", None),
-            channel=getattr(args, "channel", None),
-            params=tuple(getattr(args, "param", ()) or ()),
-            grid=getattr(args, "grid", 21),
-            delta=getattr(args, "delta", 0.4),
-            seed=getattr(args, "seed", 0),
-            out=getattr(args, "out", None),
+            channel=args.channel,
+            params=tuple(args.param),
+            grid=args.grid,
+            delta=args.delta,
+            seed=args.seed,
+            out=args.out,
             mode=getattr(args, "mode", None),
             lam=tuple(args.lam) if getattr(args, "lam", None) else None,
             oracle=getattr(args, "oracle", False),

@@ -42,7 +42,8 @@ from functools import reduce
 import numpy as np
 
 from .channels import CqChannel, Povm
-from .entropic import ProbDist, shannon_entropy, von_neumann_entropy
+from .entropic import (ProbDist, shannon_entropy, transition_matrix,
+                       von_neumann_entropy)
 from .errors import InvariantError, SchemaError, whole_number
 from .qstate import DensityMatrix, eig_hermitian
 
@@ -186,8 +187,7 @@ def _check_delta(delta):
 
 
 def _check_decoder_args(ch, delta):
-    if ch.n_inputs != 1:
-        raise SchemaError("decoder simulation needs a single-input channel")
+    ch.single_alphabet()
     _check_delta(delta)
 
 
@@ -548,11 +548,7 @@ def classical_typical_decode_sim(transition, p, rate, n, delta, trials, seed=0):
     chunks of about ``CLASSICAL_CHUNK_BYTES``; a codebook whose single
     trial would keep more than ``DENSE_BUDGET_BYTES`` is a SchemaError.
     """
-    t = np.array(transition, dtype=float)
-    if t.ndim != 2:
-        raise SchemaError("transition must be a matrix")
-    if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-10:
-        raise InvariantError("transition rows must be probability vectors")
+    t = transition_matrix(transition)
     n = whole_number(n, "blocklength")
     trials = whole_number(trials, "trial count")
     if n < 1 or trials < 1:

@@ -11,7 +11,8 @@ sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
 of G tables sharing the conditional states, and diagonalizes them in one
 ``np.linalg.eigvalsh`` call.  Reduced blocks are computed once per quantum
 subset and kept on the state.  Only user input (``ProbDist``, the table given
-to ``LabeledCqState``) is validated; intermediates are plain arrays.
+to ``LabeledCqState``, a transition matrix) is validated, each by the one
+probability rule of ``_probabilities``; intermediates are plain arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +22,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SchemaError
 from .qstate import DensityMatrix, InvariantError, reduce_blocks
 
 PROB_SUM_TOL = 1e-10
+PROB_NEGATIVE_TOL = 1e-12
 EIG_CUTOFF = 1e-12  # below the spectral noise floor of state validation
+
+
+def _probabilities(values, what: str) -> np.ndarray:
+    """The one definition of a probability vector, applied along the last
+    axis of ``values``: every entry finite, none below -PROB_NEGATIVE_TOL
+    (smaller negatives are roundoff, returned as 0), and each sum within
+    PROB_SUM_TOL of 1.  Otherwise an InvariantError naming ``what``."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise InvariantError(f"{what} must be finite")
+    if (v < -PROB_NEGATIVE_TOL).any():
+        raise InvariantError(f"{what} have a negative entry {float(v.min()):.3e}")
+    v = np.maximum(v, 0.0)
+    off = np.abs(v.sum(axis=-1, keepdims=True) - 1.0)
+    if (off > PROB_SUM_TOL).any():
+        worst = v.sum(axis=-1).flat[off.argmax()]
+        raise InvariantError(f"{what} sum to {float(worst)!r}, not 1")
+    return v
+
+
+def transition_matrix(transition) -> np.ndarray:
+    """A channel's p(y|x) as a float matrix whose rows pass
+    ``_probabilities``; anything but a matrix is a SchemaError."""
+    t = np.asarray(transition, dtype=float)
+    if t.ndim != 2:
+        raise SchemaError("transition must be a matrix")
+    return _probabilities(t, "transition rows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,18 +66,12 @@ class ProbDist:
 
     def __init__(self, symbols, weights):
         symbols = tuple(symbols)
-        w = np.array(weights, dtype=float).reshape(-1)
+        w = np.asarray(weights, dtype=float).reshape(-1)
         if len(symbols) != w.size:
             raise InvariantError(
                 f"{len(symbols)} symbols but {w.size} weights"
             )
-        if not np.all(np.isfinite(w)):
-            raise InvariantError("weights must be finite")
-        if w.size and float(w.min()) < -1e-12:
-            raise InvariantError(f"negative weight {float(w.min()):.3e}")
-        w = np.maximum(w, 0.0)
-        if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
-            raise InvariantError(f"weights sum to {float(w.sum())!r}, not 1")
+        w = _probabilities(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "weights", w)
@@ -85,9 +109,7 @@ def shannon_entropy(p: ProbDist) -> float:
 
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log p - (1-p) log(1-p)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError(f"binary entropy argument {p!r} outside [0, 1]")
-    return float(_entropy_bits([p, 1.0 - p]))
+    return float(_entropy_bits(_probabilities([p, 1.0 - p], "[p, 1 - p]")))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -145,11 +167,6 @@ class LabeledCqState:
                 codes.append([ix[s] for ix, s in zip(index, key)])
             except KeyError:
                 raise InvariantError(f"tuple {key} is outside the alphabets") from None
-            p = float(p)
-            if not np.isfinite(p):
-                raise InvariantError(f"non-finite probability at {key}")
-            if p < -1e-12:
-                raise InvariantError(f"negative probability {p:.3e} at {key}")
             if not isinstance(rho, DensityMatrix):
                 raise InvariantError(f"conditional at {key} is not a DensityMatrix")
             if dims is None:
@@ -158,19 +175,17 @@ class LabeledCqState:
                 raise InvariantError(
                     f"conditional dims differ: {rho.dims} at {key} vs {dims}"
                 )
-            probs.append(max(p, 0.0))
+            probs.append(float(p))
             blocks.append(rho.entries)
         if dims is not None and len(dims) != len(self.quantum_names):
             raise InvariantError(
                 f"{len(self.quantum_names)} quantum names for {len(dims)} dims"
             )
-        total = sum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise InvariantError(f"table probabilities sum to {total!r}, not 1")
+        probs = _probabilities(probs, "table probabilities")
         self.dims = dims
         d = int(np.prod(dims))
         self._codes = np.array(codes, dtype=np.intp).reshape(len(codes), -1)
-        self._probs = np.array([probs + [0.0]])
+        self._probs = np.append(probs, 0.0)[None]
         self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
         self._slots = {}
         self._reduced = {}
@@ -283,9 +298,7 @@ def cq_state(alphabet, conditionals, p: ProbDist, register="X", quantum_names=("
 
 def holevo_information(channel, p: ProbDist) -> float:
     """I(X;B) of the joint state induced by a single-input cq channel."""
-    if len(channel.input_alphabets) != 1:
-        raise InvariantError("holevo_information needs a single-input channel")
-    alphabet = channel.input_alphabets[0]
+    alphabet = channel.single_alphabet()
     conditionals = {x: channel.outputs[(x,)] for x in alphabet}
     state = cq_state(alphabet, conditionals, p, quantum_names=channel.output_names)
     return conditional_mutual_information(state, {"X"}, set(channel.output_names))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import CqChannel, SchemaError
 from .entropic import (LabeledCqState, ProbDist, conditional_mutual_information,
-                       von_neumann_entropy)
+                       transition_matrix, von_neumann_entropy)
 from .qstate import InvariantError
 from .regions import HalfspaceRegion, fm_project, intersect, radial_extents
 
@@ -385,14 +385,7 @@ def _blahut_arimoto(divergences, symbols, tol: float, max_iter: int) -> Capacity
 def classical_capacity_BA(transition, tol: float = 1e-9, max_iter: int = 20000):
     """Blahut-Arimoto capacity of a discrete memoryless channel whose
     ``transition`` rows are p(y|x); a CapacityResult over row indices."""
-    t = np.asarray(transition, dtype=float)
-    if t.ndim != 2:
-        raise SchemaError("transition must be a matrix")
-    if np.any(t < -1e-12):
-        raise InvariantError("negative transition probability")
-    t = np.clip(t, 0.0, None)
-    if np.max(np.abs(t.sum(axis=1) - 1.0)) > 1e-9:
-        raise InvariantError("transition rows must sum to 1")
+    t = transition_matrix(transition)
     with np.errstate(divide="ignore", invalid="ignore"):
         logt = np.where(t > 0, np.log2(np.where(t > 0, t, 1.0)), 0.0)
 
@@ -414,12 +407,10 @@ def hsw_capacity(ch: CqChannel, tol: float = 1e-9, max_iter: int = 20000, *,
     D(rho_x || sigma) = -H(rho_x) - Tr[rho_x log sigma] on sigma's support
     (``SUPPORT_RELATIVE_CUTOFF``).  ``grid_resolution`` has no effect.
     """
-    if ch.n_inputs != 1:
-        raise SchemaError("hsw_capacity needs a single-input channel")
+    alphabet = ch.single_alphabet()
     if grid_resolution is not None:
         warnings.warn("hsw_capacity no longer searches a grid; grid_resolution "
                       "has no effect", DeprecationWarning, stacklevel=2)
-    alphabet = ch.input_alphabets[0]
     rhos = np.stack([ch.output(x).entries for x in alphabet])
     neg_h = -np.array([von_neumann_entropy(ch.output(x)) for x in alphabet])
 
@@ -784,7 +775,7 @@ def random_superposition_distribution(bc: CqChannel, seed: int) -> CodeDistribut
     """Seeded superposition distribution: a binary cloud W and X given W,
     each drawn from a Dirichlet(2) prior."""
     rng = np.random.default_rng(seed)
-    alphabet = bc.input_alphabets[0]
+    alphabet = bc.single_alphabet()
     w_syms = ("0", "1")
     w = ProbDist(w_syms, rng.dirichlet([2.0] * len(w_syms)))
     x_given_w = {
@@ -798,7 +789,7 @@ def random_marton_distribution(bc: CqChannel, seed: int) -> CodeDistribution:
     """Seeded Marton distribution: a Dirichlet(2) joint over binary (u1, u2)
     and a uniformly drawn map to the channel input."""
     rng = np.random.default_rng(seed)
-    alphabet = bc.input_alphabets[0]
+    alphabet = bc.single_alphabet()
     pairs = tuple(itertools.product(("0", "1"), repeat=2))
     joint = ProbDist(pairs, rng.dirichlet([2.0] * len(pairs)))
     f = {pair: str(rng.choice(alphabet)) for pair in pairs}

@@ -15,7 +15,6 @@ from qnetcap.bosonic import (
     c_heterodyne,
     c_holevo,
     c_homodyne,
-    gamma,
     params_from_json,
     params_to_json,
 )
@@ -118,13 +117,6 @@ def bound_of(region, coeff):
 
 
 class TestScalars:
-    def test_gamma_values(self):
-        assert gamma(0.0) == 0.0
-        assert gamma(1.0) == 0.5
-        assert gamma(3.0) == 1.0
-        with pytest.raises(SchemaError):
-            gamma(-0.1)
-
     def test_g_thermal_anchor(self):
         assert g_thermal(0.0) == 0.0
         assert g_thermal(1.0) == 2.0

@@ -17,7 +17,10 @@ from qnetcap.channels import (
     marginal_output,
     measurement_probabilities,
 )
-from qnetcap.entropic import ProbDist
+from qnetcap.codesim import srm_error_sweep
+from qnetcap.entropic import ProbDist, holevo_information
+from qnetcap.network import (hsw_capacity, random_marton_distribution,
+                             random_superposition_distribution)
 from qnetcap.qstate import DensityMatrix, InvariantError, pure_state, tensor_product
 
 KET0 = np.array([1.0, 0.0])
@@ -66,6 +69,20 @@ class TestCqChannel:
     def test_empty_alphabet_rejected(self, alphabets):
         with pytest.raises(SchemaError, match="empty input alphabet"):
             CqChannel(alphabets, {})
+
+    @pytest.mark.parametrize("call", [
+        lambda ch: holevo_information(ch, ProbDist.uniform("01")),
+        hsw_capacity,
+        lambda ch: induced_classical_channel(ch, Povm.computational(2)),
+        lambda ch: srm_error_sweep(ch, 0.3, (2,), 0.4, (0,)),
+        lambda ch: random_superposition_distribution(ch, 0),
+        lambda ch: random_marton_distribution(ch, 0),
+    ], ids=["holevo_information", "hsw_capacity", "induced_classical_channel",
+            "srm_error_sweep", "random_superposition", "random_marton"])
+    def test_single_input_entry_points_share_one_check(self, call):
+        with pytest.raises(SchemaError,
+                           match=r"^expected a single-input channel, got 2 input\(s\)$"):
+            call(builtin("bb84_qmac"))
 
     def test_symbols_canonicalized(self):
         ch = CqChannel(

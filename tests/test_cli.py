@@ -519,18 +519,21 @@ class TestMalformedInput:
         "document a list": [1, 2],
         "document null": None,
     }
+    MESSAGES = {"no alphabets": "0 input alphabets; need 1 or 2"}
 
-    @pytest.mark.parametrize("doc", CHANNEL_DOCS.values(), ids=CHANNEL_DOCS.keys())
+    @pytest.mark.parametrize("name,doc", CHANNEL_DOCS.items(), ids=CHANNEL_DOCS.keys())
     @pytest.mark.parametrize("family", [("capacity", "p2p-holevo"), ("region", "mac"),
                                         ("sim", "quantum", "--param", "0.3")],
                              ids=lambda f: f[0])
-    def test_malformed_channel_document(self, capsys, tmp_path, family, doc):
+    def test_malformed_channel_document(self, capsys, tmp_path, family, name, doc):
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, *family, "--channel", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if name in self.MESSAGES:
+            assert err == f"error: {self.MESSAGES[name]}\n"
 
     def test_null_bosonic_document(self, capsys, tmp_path):
         path = tmp_path / "null.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from cq_loop import loop_entropy
 
+from qnetcap.codesim import classical_typical_decode_sim
 from qnetcap.entropic import (
     LabeledCqState,
     ProbDist,
@@ -15,6 +16,8 @@ from qnetcap.entropic import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qnetcap.errors import SchemaError
+from qnetcap.network import classical_capacity_BA
 from qnetcap.qstate import DensityMatrix, InvariantError, pure_state, tensor_product
 
 KET0 = np.array([1.0, 0.0])
@@ -73,6 +76,38 @@ class TestScalarEntropies:
     def test_prob_dist_rejects_non_finite(self, bad):
         with pytest.raises(InvariantError):
             ProbDist("abc", [1.0, bad, 0.0])
+
+
+def _capacity(transition):
+    res = classical_capacity_BA(transition)
+    return res.value, res.upper, tuple(res.distribution.weights)
+
+
+class TestTransitionRule:
+    """Both consumers of a transition matrix give one verdict per matrix."""
+
+    CONSUMERS = {
+        "capacity": _capacity,
+        "decoder": lambda t: classical_typical_decode_sim(
+            t, ProbDist.uniform("01"), rate=0.1, n=4, delta=0.4, trials=5, seed=0),
+    }
+
+    @pytest.mark.parametrize("consumer", CONSUMERS.values(), ids=CONSUMERS.keys())
+    @pytest.mark.parametrize("transition,error", [
+        ([[np.nan, 1.0], [0.2, 0.8]], InvariantError),
+        ([[np.inf, 0.0], [0.2, 0.8]], InvariantError),
+        ([[1.0 + 1e-11, -1e-11], [0.2, 0.8]], InvariantError),
+        ([[1.0 + 1e-13, -1e-13], [0.2, 0.8]], None),
+        ([[0.5, 0.5 + 5e-10], [0.2, 0.8]], InvariantError),
+        ([0.5, 0.5], SchemaError),
+    ], ids=["nan", "inf", "negative", "tiny-negative", "row-sum-off", "vector"])
+    def test_one_verdict(self, consumer, transition, error):
+        if error is None:
+            clipped = np.maximum(np.array(transition), 0.0)
+            assert consumer(transition) == consumer(clipped)
+        else:
+            with pytest.raises(error):
+                consumer(transition)
 
 
 class TestGThermal:
