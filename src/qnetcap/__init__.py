@@ -3,7 +3,7 @@
 Subpackages are organized by layer:
 
 * ``errors``    error types and standard-library-only input checks
-* ``qstate``    dense density-matrix core (construction, composition, spectra)
+* ``qstate``    the matrix rule for states and POVM elements, density matrices, partial trace
 * ``entropic``  entropy and information functionals over labeled cq states
 * ``channels``  channel models, worked example channels, JSON loading
 * ``regions``   half-space rate-region geometry and Fourier-Motzkin projection

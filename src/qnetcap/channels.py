@@ -14,18 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropic import ProbDist
+from .entropic import PROB_SUM_TOL, ProbDist
 from .errors import InvariantError, SchemaError, read_json
 from .qstate import (
+    PSD_TOL,
     DensityMatrix,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
+    psd_matrix,
     pure_state,
 )
-
-POVM_COMPLETENESS_TOL = 1e-9
-POVM_PSD_TOL = -1e-10
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -129,20 +128,28 @@ class CqChannel:
 
 
 class Povm:
-    """Measurement: PSD elements summing to the identity.
+    """Measurement: elements of one size that pass ``qstate.psd_matrix``
+    and sum to the identity.
 
-    ``info`` is a free-form dict for construction diagnostics (e.g. the
-    support rank used by a square-root measurement).
+    Completeness is held to ``PROB_SUM_TOL`` in the spectral norm of
+    sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| for every state rho,
+    so the outcome probabilities of any state sum to 1 within the
+    tolerance a probability vector is held to.  ``info`` is a free-form
+    dict for construction diagnostics (e.g. the support rank used by a
+    square-root measurement).
     """
 
-    def __init__(self, elements, labels=None, info=None, completeness_tol=POVM_COMPLETENESS_TOL):
-        mats = _check_hermitian(tuple(np.array(e, dtype=complex) for e in elements))
+    def __init__(self, elements, labels=None, info=None):
+        mats = [np.asarray(e, dtype=complex) for e in elements]
+        if not mats:
+            raise SchemaError("empty POVM")
+        d = mats[0].shape[0]
         for k, e in enumerate(mats):
-            low = float(np.linalg.eigvalsh(e)[0])
-            if low < POVM_PSD_TOL:
-                raise InvariantError(f"element {k} has eigenvalue {low:.3e}")
-        defect = float(np.max(np.abs(sum(mats) - np.eye(mats[0].shape[0]))))
-        if defect > completeness_tol:
+            if e.shape != (d, d):
+                raise SchemaError(f"element {k} has shape {e.shape}, want {(d, d)}")
+        mats = tuple(psd_matrix(e, f"element {k}") for k, e in enumerate(mats))
+        defect = float(np.linalg.norm(sum(mats) - np.eye(d), 2))
+        if defect > PROB_SUM_TOL:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
         self._finish(mats, labels, info)
 
@@ -182,11 +189,10 @@ class Povm:
         )
 
     @classmethod
-    def complete(cls, elements, labels=None, remainder_label=None, info=None,
-                 completeness_tol=POVM_COMPLETENESS_TOL) -> "Povm":
+    def complete(cls, elements, labels=None, remainder_label=None, info=None) -> "Povm":
         """Append the remainder I - sum(elements) as a final outcome."""
         mats, labels = _with_remainder(elements, labels, remainder_label)
-        return cls(mats, labels=labels, info=info, completeness_tol=completeness_tol)
+        return cls(mats, labels=labels, info=info)
 
     @classmethod
     def from_factors(cls, factors, labels=None, remainder_label=None, info=None) -> "Povm":
@@ -213,24 +219,11 @@ class Povm:
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
-        if not low >= POVM_PSD_TOL:
-            raise InvariantError(f"element {len(bs)} has eigenvalue {low:.3e}")
+        if not low >= PSD_TOL:
+            raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
         povm = cls.__new__(cls)
         povm._finish(mats, labels, info)
         return povm
-
-
-def _check_hermitian(mats):
-    """Check that complex elements are square, Hermitian and of one size."""
-    if not mats:
-        raise SchemaError("empty POVM")
-    d = mats[0].shape[0]
-    for k, e in enumerate(mats):
-        if e.shape != (d, d):
-            raise SchemaError(f"element {k} has shape {e.shape}, want {(d, d)}")
-        if np.max(np.abs(e - e.conj().T)) > 1e-9:
-            raise InvariantError(f"element {k} is not Hermitian")
-    return mats
 
 
 def _with_remainder(elements, labels, remainder_label):
@@ -361,8 +354,8 @@ def bb84_bc() -> CqChannel:
     eye = np.eye(2, dtype=complex) / 2.0
     table = {}
     for x, rho in clean.items():
-        noisy = DensityMatrix(0.7 * rho.entries + 0.3 * eye, (2,))
-        joint = np.kron(rho.entries, noisy.entries)
+        noisy = 0.7 * rho.entries + 0.3 * eye
+        joint = np.kron(rho.entries, noisy)
         table[(x,)] = DensityMatrix(joint, (2, 2))
     return CqChannel((("0", "1"),), table, output_names=("B1", "B2"))
 

@@ -42,10 +42,8 @@ from functools import reduce
 import numpy as np
 
 from .channels import CqChannel, Povm
-from .entropic import (ProbDist, shannon_entropy, transition_matrix,
-                       von_neumann_entropy)
+from .entropic import EIG_CUTOFF, ProbDist, _entropy_bits, transition_matrix
 from .errors import InvariantError, SchemaError, whole_number
-from .qstate import DensityMatrix, eig_hermitian
 
 # bytes of dense arrays one call may keep at once: complex d x d matrices
 # for the quantum decoder, one trial's draws for the classical one
@@ -55,8 +53,6 @@ COMPLEX_BYTES = 16
 CLASSICAL_CHUNK_BYTES = 2**19
 
 PROJECTOR_TOL = 1e-8
-# for dense-element SRMs; the factor form is complete by construction
-SRM_COMPLETENESS_TOL = 1e-8
 PINV_RELATIVE_CUTOFF = 1e-10
 EIG_FLOOR = 1e-12
 
@@ -148,6 +144,14 @@ def _positive_logs(evals):
     return logs
 
 
+def _spectrum(entries):
+    """Eigenvectors and log eigenvalues of a state's matrix, eigenvalues
+    nonincreasing, and its von Neumann entropy, from one eigensolve."""
+    vals, vecs = np.linalg.eigh(entries)
+    entropy = float(_entropy_bits(vals, cutoff=EIG_CUTOFF))
+    return vecs[:, ::-1], _positive_logs(vals[::-1]), entropy
+
+
 def _sequence_columns(bases, logs, n, dim, center, delta):
     """Orthonormal columns: the product eigenvectors whose per-sequence
     sample entropy sits within delta of the target value.
@@ -191,11 +195,9 @@ def _check_decoder_args(ch, delta):
     _check_delta(delta)
 
 
-def _typical_columns(rho, n, delta):
-    spec = eig_hermitian(rho)
-    logs = _positive_logs(spec.eigenvalues)
-    return _sequence_columns([spec.eigenvectors] * n, [logs] * n, n, rho.dim,
-                             von_neumann_entropy(rho), delta)
+def _typical_columns(entries, n, delta):
+    vecs, logs, entropy = _spectrum(entries)
+    return _sequence_columns([vecs] * n, [logs] * n, n, len(entries), entropy, delta)
 
 
 def typical_projector(rho, n, delta):
@@ -203,18 +205,13 @@ def typical_projector(rho, n, delta):
     _check_blocklength(n)
     _check_delta(delta)
     _check_budget(rho.dim, n, 1)
-    return _span_projector(_typical_columns(rho, n, delta))
+    return _span_projector(_typical_columns(rho.entries, n, delta))
 
 
 def _symbol_spectra(ch, symbols):
     """Eigenvectors, log eigenvalues and entropy of each symbol's output
     state, one eigensolve per distinct symbol."""
-    spectra = {}
-    for x in dict.fromkeys(symbols):
-        spec = eig_hermitian(ch.output(x))
-        spectra[x] = (spec.eigenvectors, _positive_logs(spec.eigenvalues),
-                      von_neumann_entropy(ch.output(x)))
-    return spectra
+    return {x: _spectrum(ch.output(x).entries) for x in dict.fromkeys(symbols)}
 
 
 def _cond_typical_columns(spectra, word, dim, delta):
@@ -311,7 +308,7 @@ def _decoder_columns(ch, codebook, delta):
     mean = sum(
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
     )
-    avg = _typical_columns(DensityMatrix(mean, ch.dims), codebook.n, delta)
+    avg = _typical_columns(mean, codebook.n, delta)
     spectra = _symbol_spectra(ch, (x for w in codebook.codewords for x in w))
     return avg, tuple(
         _cond_typical_columns(spectra, w, ch.output_dim, delta) for w in codebook.codewords
@@ -566,13 +563,11 @@ def classical_typical_decode_sim(transition, p, rate, n, delta, trials, seed=0):
             f"{DENSE_BUDGET_BYTES / 2**30:.3g} GiB"
         )
     out = weights @ t
-    h_out = shannon_entropy(ProbDist(range(t.shape[1]), out))
+    h_out = float(_entropy_bits(out))
+    h_rows = _entropy_bits(t)
     with np.errstate(divide="ignore"):
         log_t = np.log2(t)
         log_out = np.log2(out)
-    h_rows = np.array(
-        [shannon_entropy(ProbDist(range(t.shape[1]), row)) for row in t]
-    )
     prior_cdf = weights.cumsum()
     prior_cdf /= prior_cdf[-1]
     row_cdf = t.cumsum(axis=1)

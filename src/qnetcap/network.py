@@ -35,20 +35,14 @@ INFO_CLAMP = 1e-9
 _GRID_CHUNK = 512
 
 
-def _clamp(value: float) -> float:
-    """Zero out roundoff negatives; anything worse is an entropic bug."""
-    if value < -INFO_CLAMP:
-        raise InvariantError(f"information quantity {value:.3e} below clamp")
-    return max(value, 0.0)
-
-
-def _clamp_stack(values: np.ndarray) -> np.ndarray:
-    """``_clamp`` over an array of information quantities."""
-    if np.any(values < -INFO_CLAMP):
-        raise InvariantError(
-            f"information quantity {float(values.min()):.3e} below clamp"
-        )
-    return np.maximum(values, 0.0)
+def _clamp(values):
+    """Zero out roundoff negatives of an information quantity (returned as
+    a float) or of an array of them; anything below -INFO_CLAMP is an
+    entropic bug."""
+    v = np.asarray(values, dtype=float)
+    if np.any(v < -INFO_CLAMP):
+        raise InvariantError(f"information quantity {float(v.min()):.3e} below clamp")
+    return np.maximum(v, 0.0) if v.ndim else max(float(v), 0.0)
 
 
 def _receiver_names(ch: CqChannel):
@@ -469,7 +463,7 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
             conditional_mutual_information(st, {"X2"}, b, {"X1"}, probs=probs),
             conditional_mutual_information(st, {"X1", "X2"}, b, probs=probs),
         ], axis=1)
-        t = radial_extents(coeffs, _clamp_stack(bounds), thetas)
+        t = radial_extents(coeffs, _clamp(bounds), thetas)
         radii = np.maximum(radii, np.hypot(t * cos, t * sin).max(axis=0))
     return [
         (float(th), float(r * np.cos(th)), float(r * np.sin(th)))

@@ -1,9 +1,12 @@
-"""Dense complex-matrix quantum states: construction, composition, reduction,
-spectra, and trace distance.
+"""Dense complex-matrix quantum states: the one matrix rule, density
+matrices, partial traces, and the JSON matrix encoding.
 
-Values are validated on construction and immutable afterwards.  Inputs that
-fail the Hermiticity / trace / positivity tolerances are rejected rather than
-repaired: silent symmetrization hides modeling bugs upstream.
+Every matrix that stands for a state or a measurement element passes
+``psd_matrix``: square, finite, Hermitian within HERMITICITY_TOL and with
+least eigenvalue at least PSD_TOL.  ``DensityMatrix`` and ``channels.Povm``
+both apply it.  Inputs that fail are rejected rather than repaired: silent
+symmetrization hides modeling bugs upstream.  Values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -19,18 +22,29 @@ TRACE_TOL = 1e-10
 PSD_TOL = -1e-10
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
+def psd_matrix(entries, what: str = "matrix") -> np.ndarray:
+    """The one matrix rule: ``entries`` as a new complex array that is
+    square, nonempty and finite, Hermitian within HERMITICITY_TOL (largest
+    entry of m - m^dagger), and whose least eigenvalue is at least PSD_TOL.
+    Otherwise an InvariantError naming ``what``."""
     m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvariantError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise InvariantError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise InvariantError("matrix has non-finite entries")
+        raise InvariantError(f"{what} has non-finite entries")
+    herm_defect = np.max(np.abs(m - m.conj().T))
+    if herm_defect > HERMITICITY_TOL:
+        raise InvariantError(f"{what} is not Hermitian: defect {herm_defect:.3e}")
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if min_eig < PSD_TOL:
+        raise InvariantError(f"{what} is not PSD: min eigenvalue {min_eig:.3e}")
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix tagged with its subsystem dimensions.
+    """Unit-trace matrix that passes ``psd_matrix``, tagged with its
+    subsystem dimensions.
 
     ``dims`` is the ordered list of subsystem dimensions whose product equals
     the matrix size; it is carried on the value (not inferred) so that
@@ -41,7 +55,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __init__(self, entries, dims):
-        m = _as_complex_matrix(entries)
+        m = psd_matrix(entries)
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise InvariantError(f"subsystem dimensions must be positive: {dims}")
@@ -50,15 +64,9 @@ class DensityMatrix:
                 f"dims {dims} have product {int(np.prod(dims))}, "
                 f"matrix has size {m.shape[0]}"
             )
-        herm_defect = np.max(np.abs(m - m.conj().T))
-        if herm_defect > HERMITICITY_TOL:
-            raise InvariantError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         trace_defect = abs(m.trace() - 1.0)
         if trace_defect > TRACE_TOL:
             raise InvariantError(f"trace differs from 1 by {trace_defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < PSD_TOL:
-            raise InvariantError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dims", dims)
@@ -67,26 +75,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
-        return self.dims == other.dims and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash((self.dims, self.entries.tobytes()))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in nonincreasing order with the matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
 
 def pure_state(vector, dims=None) -> DensityMatrix:
     """Density matrix |v><v| of a (normalized up to 1e-10) state vector."""
@@ -94,11 +82,6 @@ def pure_state(vector, dims=None) -> DensityMatrix:
     if dims is None:
         dims = (v.size,)
     return DensityMatrix(np.outer(v, v.conj()), dims)
-
-
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; subsystem dims concatenate."""
-    return DensityMatrix(np.kron(a.entries, b.entries), a.dims + b.dims)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -132,24 +115,6 @@ def reduce_blocks(blocks: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(lead + (d, d))
 
 
-def eig_hermitian(rho: DensityMatrix) -> Spectrum:
-    """Spectral decomposition with eigenvalues sorted nonincreasing."""
-    vals, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(vals)[::-1]
-    return Spectrum(vals[order].copy(), vecs[:, order].copy())
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Trace norm of the difference: sum of |eigenvalues| of (a - b).
-
-    Ranges over [0, 2]; perfectly distinguishable states sit at 2.
-    """
-    if a.dims != b.dims:
-        raise InvariantError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    diff = a.entries - b.entries
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major list of [re, im] pairs.
 
@@ -169,13 +134,3 @@ def matrix_from_json(pairs, size: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvariantError("matrix encoding has non-finite entries")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(size, size)
-
-
-def density_matrix_to_json(rho: DensityMatrix) -> dict:
-    return {"dims": list(rho.dims), "entries": matrix_to_json(rho.entries)}
-
-
-def density_matrix_from_json(doc: dict) -> DensityMatrix:
-    dims = tuple(int(d) for d in doc["dims"])
-    size = int(np.prod(dims))
-    return DensityMatrix(matrix_from_json(doc["entries"], size), dims)

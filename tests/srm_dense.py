@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from qnetcap.channels import Povm, SchemaError
-from qnetcap.codesim import PINV_RELATIVE_CUTOFF, SRM_COMPLETENESS_TOL, projector_set
+from qnetcap.codesim import PINV_RELATIVE_CUTOFF, projector_set
 
 
 def _word_state(ch, word):
@@ -51,7 +51,6 @@ def square_root_measurement(ch, codebook, delta, projs=None):
         labels=tuple(range(len(lams))),
         remainder_label="fail",
         info=info,
-        completeness_tol=SRM_COMPLETENESS_TOL,
     )
 
 

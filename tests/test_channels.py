@@ -18,10 +18,10 @@ from qnetcap.channels import (
     measurement_probabilities,
 )
 from qnetcap.codesim import srm_error_sweep
-from qnetcap.entropic import ProbDist, holevo_information
+from qnetcap.entropic import ProbDist, holevo_information, transition_matrix
 from qnetcap.network import (hsw_capacity, random_marton_distribution,
                              random_superposition_distribution)
-from qnetcap.qstate import DensityMatrix, InvariantError, pure_state, tensor_product
+from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 
 KET0 = np.array([1.0, 0.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -160,8 +160,50 @@ class TestPovm:
             Povm([np.diag([1.0, 0.0])])
 
     def test_negative_element_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="eigenvalue"):
             Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    def test_shape_faults_are_schema_errors(self):
+        with pytest.raises(SchemaError, match="empty POVM"):
+            Povm([])
+        with pytest.raises(SchemaError, match="element 1 has shape"):
+            Povm([np.eye(2), np.eye(3)])
+
+    def test_state_rule_applies_to_elements(self):
+        # the Hermiticity tolerance of a state (1e-10), not a looser one
+        skew = np.diag([0.5, 0.5]).astype(complex)
+        skew[0, 1] = 5e-10
+        for bad in (skew, np.diag([0.5, np.nan])):
+            with pytest.raises(InvariantError):
+                DensityMatrix(bad, (2,))
+            with pytest.raises(InvariantError, match="element 0"):
+                Povm([bad, np.eye(2) - bad])
+
+    def test_completeness_at_the_probability_tolerance(self):
+        # rows of 1 + 5e-10 would fail every transition-matrix consumer
+        with pytest.raises(InvariantError, match="completeness"):
+            Povm([np.diag([1 + 5e-10, 0.0]), np.diag([0.0, 1 + 5e-10])])
+        Povm([np.diag([1 + 5e-11, 0.0]), np.diag([0.0, 1 + 5e-11])])
+
+    def test_accepted_povm_induces_accepted_transition(self):
+        rng = np.random.default_rng(23)
+        qutrits = CqChannel((tuple("0123"),),
+                            {(str(k),): rand_state(rng, 3) for k in range(4)})
+        verdicts = set()
+        for ch in [builtin("bb84_p2p"), qutrits] * 100:
+            d = ch.output_dim
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            basis, _ = np.linalg.qr(g)
+            eps = rng.uniform(0.0, 5e-10, size=d)
+            elements = [(1 + e) * np.outer(u, u.conj()) for e, u in zip(eps, basis.T)]
+            try:
+                povm = Povm(elements)
+            except InvariantError:
+                verdicts.add("rejected")
+                continue
+            verdicts.add("accepted")
+            transition_matrix(induced_classical_channel(ch, povm))
+        assert verdicts == {"accepted", "rejected"}
 
     def test_complete_appends_remainder(self):
         povm = Povm.complete([np.diag([0.25, 0.5])], labels=("a",))
@@ -224,7 +266,8 @@ class TestDerivedChannels:
         left = {x: rand_state(rng, 2) for x in "01"}
         right = {x: rand_state(rng, 3) for x in "01"}
         table = {
-            (x,): tensor_product(left[x], right[x]) for x in "01"
+            (x,): DensityMatrix(np.kron(left[x].entries, right[x].entries), (2, 3))
+            for x in "01"
         }
         ch = CqChannel((("0", "1"),), table, output_names=("B1", "B2"))
         m = marginal_output(ch, {"B2"})

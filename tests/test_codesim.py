@@ -27,6 +27,7 @@ from qnetcap.codesim import (
     typical_projector,
 )
 from qnetcap.entropic import ProbDist, binary_entropy, von_neumann_entropy
+from qnetcap.network import classical_capacity_BA
 from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 
 KET0 = np.array([1.0, 0.0])
@@ -673,6 +674,19 @@ class TestClassicalLoopParity:
         prior = ProbDist(tuple("abc"[: len(weights)]), weights)
         res = self.assert_parity(transition, prior, rate, n, delta, trials, seed=5)
         assert res.errors > 0
+
+    def test_inputs_at_the_sum_tolerance(self):
+        # the prior and every row pass the probability rule, but the output
+        # marginal sums to 1 + 1.7e-10; its entropy is taken without a
+        # second check, and the tally is the loop's on the normalised input
+        prior = ProbDist(("a", "b"), [0.5 + 4e-11] * 2)
+        t = np.array([[0.5 + 4.5e-11] * 2, [0.9 + 4.5e-11, 0.1 + 4.5e-11]])
+        assert classical_capacity_BA(t).value == pytest.approx(0.1476, abs=1e-4)
+        fast = classical_typical_decode_sim(t, prior, 0.1, 10, 0.3, 300, seed=5)
+        loop = classical_loop.classical_typical_decode_sim(
+            t / t.sum(axis=1, keepdims=True), ProbDist.uniform("ab"), 0.1, 10, 0.3,
+            300, seed=5)
+        assert fast == loop and fast.errors > 0
 
     def test_several_chunks(self):
         transition, prior = _bb84_computational()

@@ -18,7 +18,7 @@ from qnetcap.entropic import (
 )
 from qnetcap.errors import SchemaError
 from qnetcap.network import classical_capacity_BA
-from qnetcap.qstate import DensityMatrix, InvariantError, pure_state, tensor_product
+from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,19 +5,13 @@ from qnetcap.qstate import (
     DensityMatrix,
     InvariantError,
     reduce_blocks,
-    density_matrix_from_json,
-    density_matrix_to_json,
-    eig_hermitian,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
     pure_state,
-    tensor_product,
-    trace_distance,
 )
 
 KET0 = np.array([1.0, 0.0])
-KET1 = np.array([0.0, 1.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
 
@@ -27,6 +19,14 @@ def rand_state(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, (d,))
+
+
+def kron(*states):
+    """Product state of DensityMatrix factors; subsystem dims concatenate."""
+    entries = states[0].entries
+    for rho in states[1:]:
+        entries = np.kron(entries, rho.entries)
+    return DensityMatrix(entries, sum((rho.dims for rho in states), ()))
 
 
 class TestValidation:
@@ -76,7 +76,7 @@ class TestOperations:
         rng = np.random.default_rng(7)
         a = rand_state(rng, 2)
         b = rand_state(rng, 3)
-        ab = tensor_product(a, b)
+        ab = kron(a, b)
         assert ab.dims == (2, 3)
         assert np.allclose(partial_trace(ab, [0]).entries, a.entries, atol=1e-12)
         assert np.allclose(partial_trace(ab, [1]).entries, b.entries, atol=1e-12)
@@ -84,15 +84,15 @@ class TestOperations:
     def test_partial_trace_three_factors(self):
         rng = np.random.default_rng(11)
         a, b, c = rand_state(rng, 2), rand_state(rng, 2), rand_state(rng, 3)
-        abc = tensor_product(tensor_product(a, b), c)
+        abc = kron(a, b, c)
         ac = partial_trace(abc, [0, 2])
         assert ac.dims == (2, 3)
-        assert np.allclose(ac.entries, tensor_product(a, c).entries, atol=1e-12)
+        assert np.allclose(ac.entries, kron(a, c).entries, atol=1e-12)
 
     def test_partial_trace_keep_order_is_sorted(self):
         rng = np.random.default_rng(3)
         a, b = rand_state(rng, 2), rand_state(rng, 3)
-        ab = tensor_product(a, b)
+        ab = kron(a, b)
         # keep indices are positions, not a permutation request
         assert partial_trace(ab, [1, 0]).dims == (2, 3)
 
@@ -105,41 +105,6 @@ class TestOperations:
             for rho, block in zip(states, reduced):
                 one = partial_trace(DensityMatrix(rho.entries, (2, 3, 2)), keep)
                 assert np.array_equal(block, one.entries)
-
-    def test_eig_descending(self):
-        rho = DensityMatrix(np.diag([0.1, 0.6, 0.3]).astype(complex), (3,))
-        spec = eig_hermitian(rho)
-        assert np.allclose(spec.eigenvalues, [0.6, 0.3, 0.1])
-        # columns are the matching eigenvectors
-        for k in range(3):
-            v = spec.eigenvectors[:, k]
-            assert np.allclose(rho.entries @ v, spec.eigenvalues[k] * v)
-
-
-class TestTraceDistance:
-    def test_zero_vs_plus_is_sqrt2(self):
-        # eigenvalues of |0><0| - |+><+| are +-1/sqrt(2), so the trace
-        # distance (as the 1-norm of the difference) is sqrt(2)
-        d = trace_distance(pure_state(KET0), pure_state(KET_PLUS))
-        assert np.isclose(d, np.sqrt(2.0), atol=1e-12)
-
-    def test_orthogonal_pure_states_maximal(self):
-        assert np.isclose(trace_distance(pure_state(KET0), pure_state(KET1)), 2.0)
-
-    def test_metric_properties(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a, b, c = (rand_state(rng, 3) for _ in range(3))
-            dab = trace_distance(a, b)
-            assert dab >= 0
-            assert np.isclose(dab, trace_distance(b, a))
-            assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
-            assert np.isclose(trace_distance(a, a), 0.0, atol=1e-12)
-
-    def test_rejects_dims_mismatch(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(InvariantError):
-            trace_distance(rand_state(rng, 2), rand_state(rng, 3))
 
 
 class TestJson:
@@ -160,13 +125,3 @@ class TestJson:
     def test_row_major_order(self):
         m = np.array([[1.0, 2.0j], [3.0, 4.0]])
         assert matrix_to_json(m) == [[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [4.0, 0.0]]
-
-    def test_density_matrix_round_trip_exact(self):
-        rng = np.random.default_rng(17)
-        rho = rand_state(rng, 4)
-        rho = DensityMatrix(rho.entries, (2, 2))
-        doc = density_matrix_to_json(rho)
-        text = json.dumps(doc)
-        back = density_matrix_from_json(json.loads(text))
-        assert back.dims == (2, 2)
-        assert np.array_equal(back.entries, rho.entries)
