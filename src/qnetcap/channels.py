@@ -19,6 +19,7 @@ from .errors import InvariantError, SchemaError, read_json
 from .qstate import (
     PSD_TOL,
     DensityMatrix,
+    ket_projector,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -134,8 +135,9 @@ class Povm:
     Completeness is held to ``PROB_SUM_TOL`` in the spectral norm of
     sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| for every state rho,
     so the outcome probabilities of any state sum to 1 within the
-    tolerance a probability vector is held to.  ``info`` is a free-form
-    dict for construction diagnostics (e.g. the support rank used by a
+    tolerance a probability vector is held to.  ``factors`` is None here
+    and set by ``from_factors``.  ``info`` is a free-form dict for
+    construction diagnostics (e.g. the support rank used by a
     square-root measurement).
     """
 
@@ -153,10 +155,11 @@ class Povm:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
         self._finish(mats, labels, info)
 
-    def _finish(self, mats, labels, info):
+    def _finish(self, mats, labels, info, factors=None):
         for e in mats:
             e.setflags(write=False)
         self.elements = mats
+        self.factors = factors
         self.labels = tuple(labels) if labels is not None else tuple(range(len(mats)))
         if len(self.labels) != len(mats):
             raise SchemaError(f"{len(self.labels)} labels for {len(mats)} elements")
@@ -199,21 +202,25 @@ class Povm:
         """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
         I - sum_k B_k B_k^dagger as a final outcome, as in ``complete``.
 
-        Only the factors are checked.  Each element (L + L^dagger)/2, with
-        L = B_k B_k^dagger, is exactly Hermitian and the remainder makes the
-        sum the identity, so no dense check could fail.  Positivity is
-        certified from the factors instead of by an eigensolve per element:
-        each B_k B_k^dagger is positive semidefinite, and the remainder's
-        least eigenvalue is 1 - lambda_max(B^dagger B) for B = [B_1 ... B_K],
-        read from the smaller of B^dagger B and B B^dagger.
+        Only the factors are checked; they are kept, copied and read-only,
+        as the ``factors`` tuple, so a caller can read Tr[E_k rho] as the
+        sum over B_k's columns b of b^dagger rho b.  Each element
+        (L + L^dagger)/2, with L = B_k B_k^dagger, is exactly Hermitian and
+        the remainder makes the sum the identity, so no dense check could
+        fail.  Positivity is certified from the factors instead of by an
+        eigensolve per element: each B_k B_k^dagger is positive
+        semidefinite, and the remainder's least eigenvalue is
+        1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
+        smaller of B^dagger B and B B^dagger.
         """
-        bs = [np.asarray(b, dtype=complex) for b in factors]
+        bs = tuple(np.array(b, dtype=complex) for b in factors)
         if not bs:
             raise SchemaError("empty POVM")
         d = bs[0].shape[0]
         for k, b in enumerate(bs):
             if b.ndim != 2 or b.shape[0] != d:
                 raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
+            b.setflags(write=False)
         lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in bs)]
         mats, labels = _with_remainder(lams, labels, remainder_label)
         stack = np.concatenate(bs, axis=1)
@@ -222,7 +229,7 @@ class Povm:
         if not low >= PSD_TOL:
             raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
         povm = cls.__new__(cls)
-        povm._finish(mats, labels, info)
+        povm._finish(mats, labels, info, factors=bs)
         return povm
 
 
@@ -350,12 +357,12 @@ def theta_swap(theta: float) -> CqChannel:
 def bb84_bc() -> CqChannel:
     """Broadcast channel: receiver 1 gets the clean BB84 state, receiver 2 a
     depolarized copy (30% white noise)."""
-    clean = {"0": pure_state(KET0), "1": pure_state(KET_PLUS)}
+    clean = {"0": ket_projector(KET0), "1": ket_projector(KET_PLUS)}
     eye = np.eye(2, dtype=complex) / 2.0
     table = {}
     for x, rho in clean.items():
-        noisy = 0.7 * rho.entries + 0.3 * eye
-        joint = np.kron(rho.entries, noisy)
+        noisy = 0.7 * rho + 0.3 * eye
+        joint = np.kron(rho, noisy)
         table[(x,)] = DensityMatrix(joint, (2, 2))
     return CqChannel((("0", "1"),), table, output_names=("B1", "B2"))
 
@@ -364,17 +371,17 @@ def bb84_relay() -> CqChannel:
     """Relay channel with inputs (x, x1): the relay observes the source's
     BB84 state on B1; the destination observes the four-state encoding of
     (x, x1) on B."""
-    src = {"0": pure_state(KET0), "1": pure_state(KET_PLUS)}
+    src = {"0": ket_projector(KET0), "1": ket_projector(KET_PLUS)}
     dest = {
-        ("0", "0"): pure_state(KET0),
-        ("1", "0"): pure_state(KET_PLUS),
-        ("0", "1"): pure_state(KET_MINUS),
-        ("1", "1"): pure_state(KET1),
+        ("0", "0"): ket_projector(KET0),
+        ("1", "0"): ket_projector(KET_PLUS),
+        ("0", "1"): ket_projector(KET_MINUS),
+        ("1", "1"): ket_projector(KET1),
     }
     table = {}
     for x in ("0", "1"):
         for x1 in ("0", "1"):
-            joint = np.kron(src[x].entries, dest[(x, x1)].entries)
+            joint = np.kron(src[x], dest[(x, x1)])
             table[(x, x1)] = DensityMatrix(joint, (2, 2))
     return CqChannel(
         (("0", "1"), ("0", "1")),

@@ -17,12 +17,14 @@ are read off the columns, applying the product state rho_m one channel
 use at a time.  ``srm_error_sweep`` therefore forms no d x d operator:
 no projector, S, POVM element or word state.  The columns are the data
 of a ``ProjectorSet``; its dense projectors are derived from them.
-``projector_set`` and ``square_root_measurement`` still return dense
-d x d matrices; the POVM's positivity is certified from its factors B_m
-rather than by an eigensolve per element.  A byte budget on those dense
-matrices bounds n, and it also bounds the sweep, so the sweep accepts
-exactly the codebooks whose dense measurement could be built.  Each
-check runs once, at the entry point where its input arrives.
+``projector_set`` and ``square_root_measurement`` return dense d x d
+matrices; the POVM also keeps its factors B_m, which certify its
+positivity in place of an eigensolve per element, and from which
+``exact_error`` reads each hit with the sweep's own formula, forming no
+word state.  A byte budget on the dense matrices bounds n, and it also
+bounds the sweep, so the sweep accepts exactly the codebooks whose dense
+measurement could be built.  Each check runs once, at the entry point
+where its input arrives.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -381,10 +383,10 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     POVM normalizes them by S^{-1/2} on the support of
     S = sum P_m = W W^dagger, as Lambda_m = B_m B_m^dagger with
     B = S^{-1/2} W (see ``_srm_factors``), and appends the remainder as
-    a "fail" outcome; positivity is certified from the factors B_m.  The
-    support rank and pseudo-inverse cutoff are reported in the POVM's
-    info dict so rank deficiency is visible rather than silently
-    absorbed.
+    a "fail" outcome; the POVM keeps the factors B_m, which certify its
+    positivity.  The support rank and pseudo-inverse cutoff are reported
+    in the POVM's info dict so rank deficiency is visible rather than
+    silently absorbed.
     """
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
@@ -405,22 +407,41 @@ def square_root_measurement(ch, codebook, delta, projs=None):
 
 
 def exact_error(ch, codebook, povm):
-    """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly."""
-    if len(povm.elements) < codebook.M:
-        raise SchemaError(
-            f"POVM has {len(povm.elements)} outcomes for {codebook.M} messages"
-        )
-    errs = []
-    for m, word in enumerate(codebook.codewords):
-        # Tr[Lambda rho] as an elementwise sum; rho is Hermitian
-        hit = float(np.vdot(_word_state(ch, word), povm.elements[m]).real)
-        errs.append(1.0 - hit)
-    return float(np.clip(np.mean(errs), 0.0, 1.0))
+    """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly.
+
+    A POVM with a factor B_m for every message (``Povm.from_factors``)
+    is read from them as ``srm_error_sweep`` reads its own; any other is
+    read from its dense elements.
+    """
+    if len(povm) < codebook.M:
+        raise SchemaError(f"POVM has {len(povm)} outcomes for {codebook.M} messages")
+    d = ch.output_dim ** codebook.n
+    if povm.dim != d:
+        raise SchemaError(f"POVM acts on dimension {povm.dim}, codewords on {d}")
+    if povm.factors is not None and len(povm.factors) >= codebook.M:
+        return _factor_error(ch, codebook.codewords, povm.factors)
+    # Tr[Lambda rho] as an elementwise sum; rho is Hermitian
+    return _mean_error(
+        np.vdot(_word_state(ch, word), lam).real
+        for word, lam in zip(codebook.codewords, povm.elements)
+    )
+
+
+def _mean_error(hits):
+    return float(np.clip(np.mean([1.0 - h for h in hits]), 0.0, 1.0))
 
 
 def _column_weights(ch, word, cols):
     """<c| rho_word |c> for each column c."""
     return np.sum(cols.conj() * _word_state_times(ch, word, cols), axis=0).real
+
+
+def _factor_error(ch, codewords, factors):
+    """Mean error of the POVM B_m B_m^dagger: the hit Tr[Lambda_m rho_m]
+    is the sum over B_m's columns of b^dagger rho_m b."""
+    return _mean_error(
+        _column_weights(ch, word, b).sum() for word, b in zip(codewords, factors)
+    )
 
 
 def _hn_bound(ch, codewords, w, starts):
@@ -442,9 +463,9 @@ def hn_diagnostic(ch, codebook, projs):
     exact error (and above 1) at these blocklengths.  Tr[P_k rho_m] is
     the sum over W_k's columns of w^dagger rho_m w.
     """
-    if len(projs.conditional) != codebook.M:
+    if len(projs.columns) != codebook.M:
         raise SchemaError(
-            f"{len(projs.conditional)} conditional projectors for {codebook.M} messages"
+            f"{len(projs.columns)} conditional projectors for {codebook.M} messages"
         )
     w, starts = _detection_columns(projs.average_columns, projs.columns)
     return _hn_bound(ch, codebook.codewords, w, starts)
@@ -471,17 +492,13 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
             avg, cols = _decoder_columns(ch, cb, delta)
             w, starts = _detection_columns(avg, cols)
             b, _, _ = _srm_factors(w)
-            errs = [
-                1.0 - _column_weights(ch, word, bm).sum()
-                for word, bm in zip(cb.codewords, np.split(b, starts, axis=1))
-            ]
             rows.append(
                 (
                     n,
                     rate,
                     seed,
                     delta,
-                    float(np.clip(np.mean(errs), 0.0, 1.0)),
+                    _factor_error(ch, cb.codewords, np.split(b, starts, axis=1)),
                     _hn_bound(ch, cb.codewords, w, starts),
                 )
             )

@@ -76,12 +76,16 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def ket_projector(vector) -> np.ndarray:
+    """|v><v| as a plain, unchecked complex array."""
+    v = np.array(vector, dtype=complex).reshape(-1)
+    return np.outer(v, v.conj())
+
+
 def pure_state(vector, dims=None) -> DensityMatrix:
     """Density matrix |v><v| of a (normalized up to 1e-10) state vector."""
-    v = np.array(vector, dtype=complex).reshape(-1)
-    if dims is None:
-        dims = (v.size,)
-    return DensityMatrix(np.outer(v, v.conj()), dims)
+    entries = ket_projector(vector)
+    return DensityMatrix(entries, (len(entries),) if dims is None else dims)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

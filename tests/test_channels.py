@@ -148,6 +148,26 @@ class TestBuiltins:
         assert bc.n_inputs == 1
         assert bc.output_names == ("B1", "B2")
 
+    def test_relay_and_bc_outputs_match_pure_state_factors(self):
+        # the joint states built from pure_state factors, bit for bit
+        def ket(v):
+            return pure_state(v).entries
+
+        eye = np.eye(2, dtype=complex) / 2.0
+        src = {"0": ket(KET0), "1": ket(KET_PLUS)}
+        dest = {("0", "0"): ket(KET0), ("1", "0"): ket(KET_PLUS),
+                ("0", "1"): ket(KET_MINUS), ("1", "1"): ket(np.array([0.0, 1.0]))}
+        expected = {
+            "bb84_relay": {(x, x1): np.kron(src[x], dest[(x, x1)]) for x, x1 in dest},
+            "bb84_bc": {(x,): np.kron(r, 0.7 * r + 0.3 * eye) for x, r in src.items()},
+        }
+        for name, table in expected.items():
+            ch = builtin(name)
+            assert set(ch.outputs) == set(table)
+            for key, joint in table.items():
+                got = ch.outputs[key].entries
+                assert got.dtype == joint.dtype and got.tobytes() == joint.tobytes()
+
 
 class TestPovm:
     def test_computational(self):

@@ -438,6 +438,19 @@ class TestExactError:
         with pytest.raises(SchemaError):
             exact_error(ch, cb, lone)
 
+    def test_povm_of_wrong_dimension(self):
+        # a POVM on 8 dimensions against two qubit channel uses, whether
+        # read from its factors or from its dense elements
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 2, 0.5, seed=0)
+        assert cb.M == 2
+        eye = np.eye(8, dtype=complex)
+        povms = (Povm.from_factors([eye[:, :2], eye[:, 2:4]]),
+                 Povm.complete([eye / 4, eye / 4]))
+        for povm in povms:
+            with pytest.raises(SchemaError, match="dimension 8"):
+                exact_error(ch, cb, povm)
+
 
 def assert_dense_parity(ch, cb, delta, rate=None):
     """Column-form SRM, exact error and diagnostic against the dense
@@ -494,6 +507,40 @@ class TestDenseParity:
         monkeypatch.setattr(codesim, "Povm", refuse)
         rows = srm_error_sweep(mixed_channel(), 0.6, (2, 5), 0.4, range(2))
         assert [r[:3] for r in rows] == [(2, 0.6, 0), (2, 0.6, 1), (5, 0.6, 0), (5, 0.6, 1)]
+
+    def test_exact_error_and_diagnostic_build_no_dense_matrix(self, monkeypatch):
+        import qnetcap.channels as channels
+        import qnetcap.codesim as codesim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage built a dense matrix")
+
+        ch = mixed_channel()
+        cb = Codebook.random(("a", "b"), 5, 0.6, seed=1)
+        projs = projector_set(ch, cb, 0.4)
+        povm = square_root_measurement(ch, cb, 0.4, projs=projs)
+        assert len(povm.factors) == cb.M
+        assert not any(b.flags.writeable for b in povm.factors)
+        with monkeypatch.context() as patch:
+            for module, name in ((codesim, "_span_projector"), (codesim, "_word_state"),
+                                 (channels, "_with_remainder")):
+                patch.setattr(module, name, refuse)
+            err = exact_error(ch, cb, povm)
+            hn = hn_diagnostic(ch, cb, projs)
+        ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+        assert abs(err - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
+        assert abs(hn - srm_dense.hn_diagnostic(ch, cb, projs)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sweep_error_is_staged_exact_error(self, n):
+        # one hit formula serves both paths, so the numbers agree exactly
+        cases = [(builtin("bb84_p2p"), 0.3, seed) for seed in range(3)]
+        if n == 6:
+            cases.append((mixed_channel(), 0.6, 2))
+        for ch, rate, seed in cases:
+            cb = Codebook.random(ch.input_alphabets[0], n, rate, seed)
+            (row,) = srm_error_sweep(ch, rate, (n,), 0.4, (seed,))
+            assert row[4] == exact_error(ch, cb, square_root_measurement(ch, cb, 0.4))
 
     def test_all_typical_and_empty_windows(self):
         # under a prior on "b" the average state is maximally mixed, so
