@@ -141,20 +141,6 @@ class BosonicICParams:
         return max(0.0, 1.0 - self.eta12 - self.eta22)
 
 
-def params_to_json(params, mode):
-    mode = DetectionMode.parse(mode)
-    return {
-        "eta": [
-            [params.eta11, params.eta12],
-            [params.eta21, params.eta22],
-        ],
-        "NS": [params.NS1, params.NS2],
-        "NB": [params.NB1, params.NB2],
-        "lambda": [params.lambda1, params.lambda2],
-        "mode": mode.value,
-    }
-
-
 def params_from_json(doc):
     """Build (BosonicICParams, DetectionMode) from a parameter document."""
     if not isinstance(doc, dict):

@@ -3,18 +3,18 @@
 A channel maps tuples of classical input symbols (one or two senders) to
 density matrices on one or two named quantum output systems.  This module
 holds the channel type, POVMs, JSON load/dump, a registry of worked example
-channels, and derived channels (marginals, input averages, measured
-classical channels).
+channels, and the classical channel a measurement induces.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .entropic import PROB_SUM_TOL, ProbDist
+from .entropic import PROB_SUM_TOL
 from .errors import InvariantError, SchemaError, read_json
 from .qstate import (
     PSD_TOL,
@@ -22,7 +22,6 @@ from .qstate import (
     ket_projector,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     psd_matrix,
     pure_state,
 )
@@ -192,15 +191,9 @@ class Povm:
         )
 
     @classmethod
-    def complete(cls, elements, labels=None, remainder_label=None, info=None) -> "Povm":
-        """Append the remainder I - sum(elements) as a final outcome."""
-        mats, labels = _with_remainder(elements, labels, remainder_label)
-        return cls(mats, labels=labels, info=info)
-
-    @classmethod
     def from_factors(cls, factors, labels=None, remainder_label=None, info=None) -> "Povm":
         """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
-        I - sum_k B_k B_k^dagger as a final outcome, as in ``complete``.
+        I - sum_k B_k B_k^dagger as a final outcome labeled ``remainder_label``.
 
         Only the factors are checked; they are kept, copied and read-only,
         as the ``factors`` tuple, so a caller can read Tr[E_k rho] as the
@@ -222,7 +215,8 @@ class Povm:
                 raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
             b.setflags(write=False)
         lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in bs)]
-        mats, labels = _with_remainder(lams, labels, remainder_label)
+        mats = (*lams, np.eye(d, dtype=complex) - sum(lams))
+        labels = tuple(range(len(lams)) if labels is None else labels) + (remainder_label,)
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
@@ -233,21 +227,20 @@ class Povm:
         return povm
 
 
-def _with_remainder(elements, labels, remainder_label):
-    """Elements and labels with I - sum(elements) appended."""
-    mats = [np.asarray(e, dtype=complex) for e in elements]
-    remainder = np.eye(mats[0].shape[0], dtype=complex) - sum(mats)
-    if labels is None:
-        labels = tuple(range(len(mats)))
-    return (*mats, remainder), tuple(labels) + (remainder_label,)
-
-
 def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution Tr[E_y rho] over the POVM's labels."""
+    """Outcome distribution Tr[E_y rho] over the POVM's labels.
+
+    An element may have eigenvalues down to ``PSD_TOL``, so a trace may be
+    slightly negative.  Such traces read as 0 and the others are scaled so
+    the sum stays Tr[sum(E) rho], which completeness holds within
+    ``PROB_SUM_TOL`` of 1; with no negative trace nothing is rescaled."""
     if povm.dim != rho.dim:
         raise SchemaError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
-    p = np.array([np.trace(e @ rho.entries).real for e in povm.elements])
-    return np.clip(p, 0.0, None)
+    raw = np.array([np.trace(e @ rho.entries).real for e in povm.elements])
+    p = np.clip(raw, 0.0, None)
+    if (raw < 0.0).any():
+        p *= raw.sum() / p.sum()
+    return p
 
 
 def induced_classical_channel(ch: CqChannel, povm: Povm) -> np.ndarray:
@@ -258,52 +251,6 @@ def induced_classical_channel(ch: CqChannel, povm: Povm) -> np.ndarray:
     """
     return np.array([measurement_probabilities(povm, ch.output(x))
                      for x in ch.single_alphabet()])
-
-
-def marginal_output(ch: CqChannel, keep) -> CqChannel:
-    """Restrict outputs to the named quantum subsystems via partial trace."""
-    keep = {str(n) for n in keep}
-    unknown = keep - set(ch.output_names)
-    if unknown:
-        raise SchemaError(f"unknown output names {sorted(unknown)}")
-    if not keep:
-        raise SchemaError("empty keep set")
-    idx = [i for i, n in enumerate(ch.output_names) if n in keep]
-    if len(idx) == len(ch.output_names):
-        return ch
-    outputs = {key: partial_trace(rho, idx) for key, rho in ch.outputs.items()}
-    return CqChannel(
-        ch.input_alphabets,
-        outputs,
-        input_names=ch.input_names,
-        output_names=tuple(ch.output_names[i] for i in idx),
-    )
-
-
-def averaged_channel(ch: CqChannel, average_over: int, p: ProbDist) -> CqChannel:
-    """Average a two-input channel over one input: rho-bar_x1 = sum_x2 p(x2) rho_x1,x2."""
-    if ch.n_inputs != 2:
-        raise SchemaError("averaging needs a two-input channel")
-    if average_over not in (0, 1):
-        raise SchemaError(f"average_over {average_over!r} not an input index")
-    alphabet = ch.input_alphabets[average_over]
-    weights = {str(x): p.prob(x) for x in p.symbols}
-    if set(weights) != set(alphabet):
-        raise SchemaError("distribution symbols do not match the averaged alphabet")
-    keep = 1 - average_over
-    outputs = {}
-    for x in ch.input_alphabets[keep]:
-        acc = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
-        for y in alphabet:
-            key = (x, y) if average_over == 1 else (y, x)
-            acc += weights[y] * ch.outputs[key].entries
-        outputs[(x,)] = DensityMatrix(acc, ch.dims)
-    return CqChannel(
-        (ch.input_alphabets[keep],),
-        outputs,
-        input_names=(ch.input_names[keep],),
-        output_names=ch.output_names,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +347,11 @@ _BUILTINS = {
 }
 
 
-def builtin_names():
-    return sorted(_BUILTINS)
-
-
 def builtin(name: str, params=()) -> CqChannel:
     """Construct a named example channel.
 
-    Parameters may be passed in the name itself, e.g. "theta_swap(1.5)".
+    Parameters may be passed in the name itself, e.g. "theta_swap(1.5)";
+    a non-finite parameter is a SchemaError.
     """
     name = name.strip()
     params = list(params)
@@ -424,11 +368,13 @@ def builtin(name: str, params=()) -> CqChannel:
                 raise SchemaError(f"bad parameter list in {name!r}") from None
     if name not in _BUILTINS:
         raise SchemaError(
-            f"unknown builtin channel {name!r}; known: {', '.join(builtin_names())}"
+            f"unknown builtin channel {name!r}; known: {', '.join(sorted(_BUILTINS))}"
         )
     factory, arity = _BUILTINS[name]
     if len(params) != arity:
         raise SchemaError(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if not all(math.isfinite(v) for v in params):
+        raise SchemaError(f"{name} parameters must be finite, got {params}")
     return factory(*params)
 
 

@@ -203,7 +203,10 @@ def _typical_columns(entries, n, delta):
 
 
 def typical_projector(rho, n, delta):
-    """Projector onto the delta-typical subspace of n copies of rho."""
+    """Projector onto the delta-typical subspace of n copies of rho, the
+    thesis's typical projector: rank at most 2^{n(H(rho)+delta)}, and
+    weight Tr[P rho^{(x)n}] the chance that rho's spectrum draws a typical
+    sequence."""
     _check_blocklength(n)
     _check_delta(delta)
     _check_budget(rho.dim, n, 1)
@@ -226,7 +229,9 @@ def _cond_typical_columns(spectra, word, dim, delta):
 
 
 def cond_typical_projector(ch, xn, delta):
-    """Projector onto outputs typical for the given input word.
+    """Projector onto outputs typical for the given input word, the
+    thesis's conditionally typical projector: rank at most
+    2^{n(H(B|X=x^n)+delta)}, and it holds all of a pure output word.
 
     The typicality center is the empirical conditional entropy: the mean
     output entropy of the symbols actually appearing in ``xn``.

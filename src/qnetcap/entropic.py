@@ -87,13 +87,6 @@ class ProbDist:
         symbols = tuple(symbols)
         return cls(symbols, np.full(len(symbols), 1.0 / len(symbols)))
 
-    @classmethod
-    def point_mass(cls, symbols, at) -> "ProbDist":
-        symbols = tuple(symbols)
-        w = np.zeros(len(symbols))
-        w[symbols.index(at)] = 1.0
-        return cls(symbols, w)
-
 
 def _entropy_bits(values, cutoff: float = 0.0):
     """-sum v log2 v over the last axis, counting only entries above cutoff."""
@@ -103,12 +96,13 @@ def _entropy_bits(values, cutoff: float = 0.0):
 
 
 def shannon_entropy(p: ProbDist) -> float:
-    """H(p) in bits, with 0 log 0 := 0."""
+    """H(p) in bits, with 0 log 0 := 0; the Shannon entropy the README
+    documents for classical distributions."""
     return float(_entropy_bits(p.weights))
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) = -p log p - (1-p) log(1-p)."""
+    """H2(p) = -p log p - (1-p) log(1-p); the README's binary entropy."""
     return float(_entropy_bits(_probabilities([p, 1.0 - p], "[p, 1 - p]")))
 
 
@@ -288,17 +282,10 @@ def conditional_mutual_information(state: LabeledCqState, a, b, c=(), probs=None
     )
 
 
-def cq_state(alphabet, conditionals, p: ProbDist, register="X", quantum_names=("B",)) -> LabeledCqState:
-    """Build the joint state sum_x p(x) |x><x| (x) rho_x."""
-    table = {}
-    for x in alphabet:
-        table[(x,)] = (p.prob(x), conditionals[x])
-    return LabeledCqState([(register, tuple(alphabet))], table, quantum_names)
-
-
 def holevo_information(channel, p: ProbDist) -> float:
-    """I(X;B) of the joint state induced by a single-input cq channel."""
+    """I(X;B) of the joint state sum_x p(x) |x><x| (x) rho_x induced by a
+    single-input cq channel."""
     alphabet = channel.single_alphabet()
-    conditionals = {x: channel.outputs[(x,)] for x in alphabet}
-    state = cq_state(alphabet, conditionals, p, quantum_names=channel.output_names)
+    table = {(x,): (p.prob(x), channel.outputs[(x,)]) for x in alphabet}
+    state = LabeledCqState([("X", alphabet)], table, channel.output_names)
     return conditional_mutual_information(state, {"X"}, set(channel.output_names))

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CqChannel, SchemaError
+from .channels import CqChannel
 from .entropic import (LabeledCqState, ProbDist, conditional_mutual_information,
                        transition_matrix, von_neumann_entropy)
-from .qstate import InvariantError
+from .errors import InvariantError, SchemaError
 from .regions import HalfspaceRegion, fm_project, intersect, radial_extents
 
 INFO_CLAMP = 1e-9
@@ -479,7 +479,10 @@ _CORNER_TERMS = {
 
 
 def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> dict:
-    """Interference-channel rate pairs reachable by decoding orders.
+    """Interference-channel rate pairs reached by successive decoding at
+    both receivers (the thesis's successive-decoding strategies for the cq
+    interference channel); each lies in one of the four Han-Kobayashi
+    regions whose messages are wholly personal or wholly common.
 
     P1: rx1 decodes both (interference first), rx2 treats its signal last;
     P4: both receivers decode only their own sender.  Keys "P1".."P4".
@@ -647,13 +650,6 @@ def cmg_region(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     return _cmg_direct(cmg_informations(ch, dist))
 
 
-def cmg_split_systems(ch: CqChannel, dist: CodeDistribution):
-    """The two receivers' four-inequality systems over the split rates
-    (R1p, R1c, R2p, R2c): receiver m decodes its personal rate and both
-    common rates as a three-sender MAC."""
-    return _cmg_split(cmg_informations(ch, dist))
-
-
 def cmg_region_via_projection(ch: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Project the intersected split-rate systems onto R1 = R1p + R1c,
     R2 = R2p + R2c; the direct nine-inequality region must agree."""
@@ -709,9 +705,10 @@ def relay_pdf_rate(rc: CqChannel, dist: CodeDistribution) -> float:
     return min(t["XX1;B"], t["U;B1|X1"] + t["X;B|X1U"])
 
 
-
 def relay_df_rate(rc: CqChannel, joint_xx1: ProbDist) -> float:
-    """Full decode-and-forward: U = X."""
+    """Decode-and-forward rate min{I(X X1;B), I(X;B1|X1)}: the thesis's
+    partial decode-forward theorem at U = X, where the relay decodes the
+    whole message."""
     triples = {}
     for (x, x1), p in joint_xx1.items():
         triples[(x, x, x1)] = float(p)

@@ -4,8 +4,8 @@ A region is a finite list of inequalities c . R <= b over named nonnegative
 rate coordinates.  This module provides membership, intersection,
 Fourier-Motzkin projection onto one or two new coordinates with exact
 redundancy pruning, the exact equality test ``equivalent`` for regions of one
-or two coordinates, 2-D boundary sampling for plots, JSON/CSV export, and the
-polymatroid sanity checks for split-rate systems.
+or two coordinates, 2-D boundary sampling for plots, and JSON/CSV export.
+Of the package it imports only ``errors``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qstate import InvariantError
+from .errors import InvariantError
 
 MEMBERSHIP_TOL = 1e-7
 BOUND_CLAMP = 1e-9
@@ -357,6 +357,8 @@ def region_to_json(region: HalfspaceRegion) -> dict:
 
 
 def region_from_json(doc) -> HalfspaceRegion:
+    """The reader of ``region_to_json``'s public format, kept so a round
+    trip pins that format."""
     try:
         names = doc["coords"]
         rows = [(item["c"], item["b"]) for item in doc["ineqs"]]
@@ -369,13 +371,13 @@ def save_region_json(region: HalfspaceRegion, path) -> None:
     Path(path).write_text(json.dumps(region_to_json(region), sort_keys=True) + "\n")
 
 
-POLYMATROID_SLACK_TOL = -1e-8
-
-
 def polymatroid_slacks(quantities: dict) -> dict:
     """Slack of each ordering inequality for one receiver's split-rate
-    quantities {a, b, c, d}: all five are nonnegative when the four values
-    come from entropic evaluation."""
+    quantities {a, b, c, d} (``network.cmg_informations``): all five are
+    nonnegative when the four values come from entropic evaluation.
+    These are the polymatroid orderings under which the Chong-Motani-Garg
+    split-rate systems project onto the nine-inequality common-message
+    region of the interference channel."""
     a, b, c, d = (float(quantities[k]) for k in "abcd")
     return {
         "b-a": b - a,
@@ -384,22 +386,3 @@ def polymatroid_slacks(quantities: dict) -> dict:
         "d-c": d - c,
         "b+c-a-d": b + c - a - d,
     }
-
-
-def polymatroid_check(channel, cmg_dist):
-    """Check both receivers' split-rate orderings for a common-message code
-    distribution on an interference channel.
-
-    Returns (ok, report); the report names the first violated inequality.
-    """
-    from .network import cmg_informations
-
-    info = cmg_informations(channel, cmg_dist)
-    for rx in ("1", "2"):
-        quantities = {k: info[k + rx] for k in "abcd"}
-        for name, slack in polymatroid_slacks(quantities).items():
-            if slack < POLYMATROID_SLACK_TOL:
-                labeled = name.replace("a", "a" + rx).replace("b", "b" + rx)
-                labeled = labeled.replace("c", "c" + rx).replace("d", "d" + rx)
-                return False, f"violated {labeled}: slack {slack:.3e}"
-    return True, "all orderings hold"

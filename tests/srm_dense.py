@@ -3,8 +3,10 @@
 This is the algorithm ``codesim`` used before it worked from projector
 columns: every detection operator P_m = P_avg C_m P_avg is a dense
 d x d sandwich, the measurement is S^{-1/2} P_m S^{-1/2}, the exact
-error is a trace of a product, and the diagnostic runs an M^2 loop of
-dense traces.  Parity tests compare the column form against it.
+error is a dense trace Tr[Lambda_m rho_m], and the diagnostic runs an
+M^2 loop of dense traces Tr[P_k rho_m].  Each trace of a product is
+taken as an elementwise sum over the two dense matrices.  Parity tests
+compare the column form against it.
 """
 
 from functools import reduce
@@ -18,6 +20,12 @@ from qnetcap.codesim import PINV_RELATIVE_CUTOFF, projector_set
 def _word_state(ch, word):
     mats = [ch.output(x).entries for x in word]
     return reduce(np.kron, mats) if len(mats) > 1 else mats[0]
+
+
+def _trace_product(rho, op):
+    """Tr[op rho] for Hermitian rho as the elementwise sum vdot(rho, op):
+    d^2 work where the matrix product costs d^3."""
+    return float(np.vdot(rho, op).real)
 
 
 def _detection_operators(projs):
@@ -46,10 +54,9 @@ def square_root_measurement(ch, codebook, delta, projs=None):
         "pinv_cutoff": cutoff,
         "delta": projs.delta,
     }
-    return Povm.complete(
-        lams,
-        labels=tuple(range(len(lams))),
-        remainder_label="fail",
+    return Povm(
+        [*lams, np.eye(s.shape[0], dtype=complex) - sum(lams)],
+        labels=(*range(len(lams)), "fail"),
         info=info,
     )
 
@@ -62,7 +69,7 @@ def exact_error(ch, codebook, povm):
     errs = []
     for m, word in enumerate(codebook.codewords):
         rho = _word_state(ch, word)
-        hit = float(np.trace(povm.elements[m] @ rho).real)
+        hit = _trace_product(rho, povm.elements[m])
         errs.append(1.0 - hit)
     return float(np.clip(np.mean(errs), 0.0, 1.0))
 
@@ -73,9 +80,9 @@ def hn_diagnostic(ch, codebook, projs):
     vals = []
     for m, word in enumerate(codebook.codewords):
         rho = _word_state(ch, word)
-        miss = float(np.trace((eye - ps[m]) @ rho).real)
+        miss = _trace_product(rho, eye - ps[m])
         confuse = sum(
-            float(np.trace(ps[k] @ rho).real)
+            _trace_product(rho, ps[k])
             for k in range(codebook.M)
             if k != m
         )

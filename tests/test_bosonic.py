@@ -16,7 +16,6 @@ from qnetcap.bosonic import (
     c_holevo,
     c_homodyne,
     params_from_json,
-    params_to_json,
 )
 from qnetcap.channels import SchemaError
 from qnetcap.qstate import InvariantError
@@ -227,7 +226,8 @@ class TestParams:
 
     def test_json_round_trip(self):
         p = strong_int_params(0.3, 0.7)
-        doc = params_to_json(p, "het")
+        doc = {"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100.0, 100.0],
+               "NB": [1.0, 1.0], "lambda": [0.3, 0.7], "mode": "het"}
         q, mode = params_from_json(doc)
         assert q == p
         assert mode is DetectionMode.HETERODYNE

@@ -7,21 +7,18 @@ from qnetcap.channels import (
     CqChannel,
     Povm,
     SchemaError,
-    averaged_channel,
     bb84_qmac,
     builtin,
-    builtin_names,
     dump_channel,
     induced_classical_channel,
     load_channel,
-    marginal_output,
     measurement_probabilities,
 )
 from qnetcap.codesim import srm_error_sweep
 from qnetcap.entropic import ProbDist, holevo_information, transition_matrix
 from qnetcap.network import (hsw_capacity, random_marton_distribution,
                              random_superposition_distribution)
-from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
+from qnetcap.qstate import PSD_TOL, DensityMatrix, InvariantError, partial_trace, pure_state
 
 KET0 = np.array([1.0, 0.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -32,15 +29,6 @@ def rand_state(rng, d, dims=None):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, dims or (d,))
-
-
-def rand_two_input_channel(rng):
-    table = {
-        (a, b): rand_state(rng, 4, dims=(2, 2))
-        for a in "01"
-        for b in "01"
-    }
-    return CqChannel((("0", "1"), ("0", "1")), table, output_names=("B1", "B2"))
 
 
 class TestCqChannel:
@@ -102,8 +90,16 @@ class TestCqChannel:
 
 class TestBuiltins:
     def test_names_listed(self):
-        assert "bb84_p2p" in builtin_names()
-        assert "theta_swap" in builtin_names()
+        with pytest.raises(SchemaError, match="known: bb84_bc, bb84_p2p, .*theta_swap"):
+            builtin("nope")
+
+    @pytest.mark.parametrize("name, params", [
+        ("theta_swap(nan)", ()), ("theta_swap(inf)", ()), ("theta_swap(1e400)", ()),
+        ("theta_swap", (float("nan"),)), ("theta_swap", (-float("inf"),)),
+    ])
+    def test_non_finite_parameter_is_schema_error(self, name, params):
+        with pytest.raises(SchemaError, match="must be finite"):
+            builtin(name, params)
 
     def test_unknown_rejected(self):
         with pytest.raises(SchemaError):
@@ -224,18 +220,29 @@ class TestPovm:
             verdicts.add("accepted")
             transition_matrix(induced_classical_channel(ch, povm))
         assert verdicts == {"accepted", "rejected"}
+        # eigenvalues down to PSD_TOL: the first two elements are negative
+        # on |0>, which bb84's first state occupies alone
+        bb84 = builtin("bb84_p2p")
+        cases = [(-0.9e-10, -0.9e-10, 0.5)]
+        cases += [(*rng.uniform(PSD_TOL, 0.0, size=2), rng.uniform()) for _ in range(50)]
+        for n0, n1, a in cases:
+            povm = Povm([np.diag([n0, a]), np.diag([n1, 1 - a]), np.diag([1 - n0 - n1, 0.0])])
+            rows = transition_matrix(induced_classical_channel(bb84, povm))
+            assert np.all(rows >= 0.0)
 
     def test_complete_appends_remainder(self):
-        povm = Povm.complete([np.diag([0.25, 0.5])], labels=("a",))
+        povm = Povm.from_factors([np.diag([0.5, 0.5])], labels=("a",))
         assert povm.labels == ("a", None)
-        assert np.allclose(povm.elements[1], np.diag([0.75, 0.5]))
+        assert np.allclose(povm.elements[1], np.diag([0.75, 0.75]))
 
     def test_complete_does_not_alias_caller_arrays(self):
-        element = np.diag([0.25, 0.5]).astype(complex)
-        povm = Povm.complete([element])
-        element[0, 0] = 1.0
-        assert np.array_equal(povm.elements[0], np.diag([0.25, 0.5]))
-        assert np.array_equal(povm.elements[1], np.diag([0.75, 0.5]))
+        factor = np.diag([0.5, 0.5]).astype(complex)
+        povm = Povm.from_factors([factor])
+        factor[0, 0] = 1.0
+        assert np.array_equal(povm.factors[0], np.diag([0.5, 0.5]))
+        assert np.array_equal(povm.elements[0], np.diag([0.25, 0.25]))
+        assert np.array_equal(povm.elements[1], np.diag([0.75, 0.75]))
+        assert not povm.factors[0].flags.writeable
         assert not povm.elements[0].flags.writeable
 
     def test_measurement_probabilities(self):
@@ -281,52 +288,14 @@ class TestInducedClassical:
 
 
 class TestDerivedChannels:
-    def test_marginal_of_product_outputs(self):
-        rng = np.random.default_rng(19)
-        left = {x: rand_state(rng, 2) for x in "01"}
-        right = {x: rand_state(rng, 3) for x in "01"}
-        table = {
-            (x,): DensityMatrix(np.kron(left[x].entries, right[x].entries), (2, 3))
-            for x in "01"
-        }
-        ch = CqChannel((("0", "1"),), table, output_names=("B1", "B2"))
-        m = marginal_output(ch, {"B2"})
-        assert m.output_names == ("B2",)
-        for x in "01":
-            assert np.allclose(m.output(x).entries, right[x].entries, atol=1e-12)
-
     def test_full_swap_marginal_ignores_x1(self):
-        ch = marginal_output(builtin("theta_swap", [np.pi / 2]), {"B1"})
+        # receiver 1's qubit B1 carries x2 alone under a full swap
+        ch = builtin("theta_swap", [np.pi / 2])
         for x2 in "01":
-            a = ch.output("0", x2).entries
-            b = ch.output("1", x2).entries
+            a = partial_trace(ch.output("0", x2), [0]).entries
+            b = partial_trace(ch.output("1", x2), [0]).entries
             assert np.allclose(a, b, atol=1e-12)
             assert np.allclose(a, np.diag([1.0, 0.0]) if x2 == "0" else np.diag([0.0, 1.0]))
-
-    def test_keep_all_is_identity(self):
-        ch = builtin("theta_swap", [1.0])
-        assert marginal_output(ch, {"B1", "B2"}) is ch
-
-    def test_average_point_mass_slices(self):
-        ch = builtin("bb84_qmac")
-        avg = averaged_channel(ch, 1, ProbDist.point_mass(("0", "1"), "1"))
-        assert np.allclose(avg.output("0").entries, np.outer(KET_MINUS, KET_MINUS))
-
-    def test_average_uniform_qmac(self):
-        ch = builtin("bb84_qmac")
-        avg = averaged_channel(ch, 1, ProbDist.uniform(("0", "1")))
-        expect = 0.5 * np.outer(KET0, KET0) + 0.5 * np.outer(KET_MINUS, KET_MINUS)
-        assert np.allclose(avg.output("0").entries, expect, atol=1e-12)
-
-    def test_marginal_average_commute(self):
-        rng = np.random.default_rng(29)
-        for _ in range(5):
-            ch = rand_two_input_channel(rng)
-            p = ProbDist(("0", "1"), rng.dirichlet([1, 1]))
-            a = marginal_output(averaged_channel(ch, 1, p), {"B1"})
-            b = averaged_channel(marginal_output(ch, {"B1"}), 1, p)
-            for x in "01":
-                assert np.allclose(a.output(x).entries, b.output(x).entries, atol=1e-9)
 
 
 class TestJsonInterchange:

@@ -566,6 +566,14 @@ class TestMalformedInput:
         assert out == ""
         assert "--param" in err
 
+    @pytest.mark.parametrize("name", ["theta_swap(nan)", "theta_swap(inf)",
+                                      "theta_swap(1e400)"])
+    def test_non_finite_builtin_parameter_in_name(self, capsys, name):
+        # the same schema error as --param nan, not a non-finite matrix
+        code, out, err = run(capsys, "region", "vsi", "--builtin", name)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta_swap parameters must be finite")
+
     def test_nan_povm_angle(self, capsys):
         code, out, err = run(capsys, "capacity", "p2p-classical", "--builtin",
                              "bb84_p2p", "--povm-angle", "nan")

@@ -398,7 +398,7 @@ class TestFactorPovm:
         scaled = list(povm.elements[:-1])
         scaled[m] = 1.01**2 * scaled[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
-            Povm.complete(scaled, remainder_label="fail")
+            Povm([*scaled, np.eye(povm.dim) - sum(scaled)])
 
     def test_elements_exactly_hermitian_and_complete(self):
         # the seeded SRM and a POVM rebuilt from other factors of its
@@ -446,7 +446,7 @@ class TestExactError:
         assert cb.M == 2
         eye = np.eye(8, dtype=complex)
         povms = (Povm.from_factors([eye[:, :2], eye[:, 2:4]]),
-                 Povm.complete([eye / 4, eye / 4]))
+                 Povm([eye / 4, eye / 4, eye / 2]))
         for povm in povms:
             with pytest.raises(SchemaError, match="dimension 8"):
                 exact_error(ch, cb, povm)
@@ -523,7 +523,8 @@ class TestDenseParity:
         assert not any(b.flags.writeable for b in povm.factors)
         with monkeypatch.context() as patch:
             for module, name in ((codesim, "_span_projector"), (codesim, "_word_state"),
-                                 (channels, "_with_remainder")):
+                                 (channels.Povm, "__init__"),
+                                 (channels.Povm, "from_factors")):
                 patch.setattr(module, name, refuse)
             err = exact_error(ch, cb, povm)
             hn = hn_diagnostic(ch, cb, projs)

@@ -11,7 +11,6 @@ from qnetcap.entropic import (
     ProbDist,
     binary_entropy,
     conditional_mutual_information,
-    cq_state,
     g_thermal,
     shannon_entropy,
     von_neumann_entropy,
@@ -53,7 +52,7 @@ class TestScalarEntropies:
         assert np.isclose(shannon_entropy(p), 3.0)
 
     def test_shannon_point_mass(self):
-        p = ProbDist.point_mass("abc", "b")
+        p = ProbDist("abc", [0.0, 1.0, 0.0])
         assert shannon_entropy(p) == 0.0
 
     def test_von_neumann_matches_spectrum(self):
@@ -150,8 +149,8 @@ class TestGThermal:
 
 class TestLabeledCqState:
     def bb84_state(self, p0=0.5):
-        cond = {0: pure_state(KET0), 1: pure_state(KET_PLUS)}
-        return cq_state([0, 1], cond, ProbDist([0, 1], [p0, 1 - p0]))
+        table = {(0,): (p0, pure_state(KET0)), (1,): (1 - p0, pure_state(KET_PLUS))}
+        return LabeledCqState([("X", (0, 1))], table, ("B",))
 
     def test_classical_marginal_entropy(self):
         st = self.bb84_state(0.6)

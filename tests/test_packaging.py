@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -17,3 +18,88 @@ def test_runtime_needs_numpy_only_and_tests_add_scipy():
     project = tomllib.loads(text)["project"]
     assert requirement_names(project["dependencies"]) == ["numpy"]
     assert requirement_names(project["optional-dependencies"]["test"]) == ["pytest", "scipy"]
+
+
+PACKAGE = Path(qnetcap.__file__).parent
+ROOT = PACKAGE.parents[1]
+
+
+def layer_order():
+    """Module names in the order the package docstring lists its layers."""
+    return re.findall(r"^\* ``(\w+)``", qnetcap.__doc__, flags=re.MULTILINE)
+
+
+def test_each_module_imports_only_earlier_layers():
+    order = layer_order()
+    assert order == list(qnetcap._SUBMODULES)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        earlier = set(order[: order.index(path.stem)])
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                for name in names:
+                    assert name in earlier, f"{path.stem} imports .{name}"
+
+
+# Public names with no caller in src/, demos/ or perfbench/, each with the
+# result of the thesis (arXiv:1208.4188) it states or the README entry that
+# documents it.
+KEPT_WITHOUT_CALLER = {
+    "entropic.shannon_entropy": "README Library: Shannon entropy",
+    "entropic.binary_entropy": "README Library: Shannon entropy of a bit",
+    "regions.region_from_json": "reader of the public region_to_json format",
+    "regions.polymatroid_slacks": "polymatroid orderings of the CMG split-rate region",
+    "network.successive_decoding_corners": "successive decoding on the interference channel",
+    "network.relay_df_rate": "decode-forward, partial decode-forward at U = X",
+    "codesim.typical_projector": "typical subspace: rank and weight",
+    "codesim.cond_typical_projector": "conditionally typical subspace: rank",
+}
+
+
+def public_names():
+    """module.name of every public top-level function and class of the
+    library (outside ``cli``), and module.Class.name of every public
+    classmethod."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, ast.FunctionDef) and item.name[0] != "_"
+                        and any(getattr(d, "id", None) == "classmethod"
+                                for d in item.decorator_list)):
+                    found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def referenced_names():
+    """Every identifier that code in src/, demos/ or perfbench/ reads: names,
+    attributes, imported names, and strings that patch a name."""
+    seen = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    seen.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    seen.add(node.value)
+    return seen
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    names = public_names()
+    seen = referenced_names()
+    uncalled = {q for q, name in names.items() if name not in seen}
+    assert uncalled <= set(KEPT_WITHOUT_CALLER), sorted(uncalled - set(KEPT_WITHOUT_CALLER))
+    # a name that gains a caller or leaves the library leaves the list too
+    assert set(KEPT_WITHOUT_CALLER) <= uncalled, sorted(set(KEPT_WITHOUT_CALLER) - uncalled)
