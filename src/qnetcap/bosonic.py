@@ -29,17 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvariantError, SchemaError
+from .errors import CLOSED_FORM_TOL, ETA_CONSISTENCY_TOL, InvariantError, SchemaError
 from .regions import HalfspaceRegion
-
-# slack for the strong/very-strong threshold tests, so parameter sets
-# sitting exactly on a threshold count as satisfying it
-CONDITION_TOL = 1e-12
-
-ETA_CONSISTENCY_TOL = 1e-9
-
-# a rate below -RATE_TOL is a numerical fault, never a result
-RATE_TOL = 1e-12
 
 _TRANSMISSIVITY = "a transmissivity in [0, 1]"
 _PHOTON_NUMBER = "a photon number >= 0"
@@ -117,7 +108,7 @@ class BosonicICParams:
             ("eta22", "eta12"),
         ):
             total = getattr(self, a) + getattr(self, b)
-            if total > 1.0 + 1e-12:
+            if total > 1.0 + CLOSED_FORM_TOL:
                 raise SchemaError(
                     f"{a} + {b} = {total} exceeds 1; the network is not passive"
                 )
@@ -236,14 +227,14 @@ def _thermal_gain(P, a):
 def _rate(P, U, etabar, N_B, mode):
     """Rate of signal power P over treat-as-noise power U at a receiver
     whose environment port (fraction etabar) admits N_B thermal photons.
-    A result below -RATE_TOL (or nan) is an InvariantError."""
+    A result below -CLOSED_FORM_TOL (or nan) is an InvariantError."""
     if mode is DetectionMode.JOINT:
         nats = _thermal_gain(P, U + etabar * N_B)
     else:
         four, two = 4.0**mode.exponent, 2.0**mode.exponent
         nats = math.log1p(four * P / (four * U + two * etabar * N_B + 1.0)) / two
     rate = nats / math.log(2.0)
-    if not rate >= -RATE_TOL:
+    if not rate >= -CLOSED_FORM_TOL:
         raise InvariantError(f"rate {rate!r} at signal power {P!r} is negative")
     return rate
 
@@ -269,8 +260,8 @@ def bosonic_vsi(params, mode):
     t1, t2 = _receiver_rates(p, mode)
     x1, x2 = _receiver_rates(p, mode, U1=p.eta11 * p.NS1, U2=p.eta22 * p.NS2)
     cond = (
-        t2(p.eta22 * p.NS2) <= x1(p.eta21 * p.NS2) + CONDITION_TOL
-        and t1(p.eta11 * p.NS1) <= x2(p.eta12 * p.NS1) + CONDITION_TOL
+        t2(p.eta22 * p.NS2) <= x1(p.eta21 * p.NS2) + CLOSED_FORM_TOL
+        and t1(p.eta11 * p.NS1) <= x2(p.eta12 * p.NS1) + CLOSED_FORM_TOL
     )
     region = HalfspaceRegion(
         ("R1", "R2"),
@@ -292,8 +283,8 @@ def bosonic_si(params, mode):
     mode = DetectionMode.parse(mode)
     t1, t2 = _receiver_rates(p, mode)
     cond = (
-        t1(p.eta21 * p.NS2) >= t2(p.eta22 * p.NS2) - CONDITION_TOL
-        and t2(p.eta12 * p.NS1) >= t1(p.eta11 * p.NS1) - CONDITION_TOL
+        t1(p.eta21 * p.NS2) >= t2(p.eta22 * p.NS2) - CLOSED_FORM_TOL
+        and t2(p.eta12 * p.NS1) >= t1(p.eta11 * p.NS1) - CLOSED_FORM_TOL
     )
     sum_bound = min(
         t1(p.eta11 * p.NS1 + p.eta21 * p.NS2),

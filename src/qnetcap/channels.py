@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
 
-from .entropic import PROB_SUM_TOL
-from .errors import InvariantError, SchemaError, read_json
+from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError, read_json
 from .qstate import (
-    PSD_TOL,
     DensityMatrix,
     ket_projector,
     matrix_from_json,
@@ -132,11 +131,11 @@ class Povm:
     and sum to the identity.
 
     Completeness is held to ``PROB_SUM_TOL`` in the spectral norm of
-    sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| for every state rho,
-    so the outcome probabilities of any state sum to 1 within the
-    tolerance a probability vector is held to.  ``factors`` is None here
-    and set by ``from_factors``.  ``info`` is a free-form dict for
-    construction diagnostics (e.g. the support rank used by a
+    sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| / ||rho||_1, so with a
+    state's own trace defect the outcome probabilities sum to 1 within
+    DERIVED_SUM_TOL, the tolerance of a transition row.  ``factors`` is
+    None here and set by ``from_factors``.  ``info`` is a free-form dict
+    for construction diagnostics (e.g. the support rank used by a
     square-root measurement).
     """
 
@@ -232,8 +231,8 @@ def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
 
     An element may have eigenvalues down to ``PSD_TOL``, so a trace may be
     slightly negative.  Such traces read as 0 and the others are scaled so
-    the sum stays Tr[sum(E) rho], which completeness holds within
-    ``PROB_SUM_TOL`` of 1; with no negative trace nothing is rescaled."""
+    the sum stays Tr[sum(E) rho], within DERIVED_SUM_TOL of 1; with no
+    negative trace nothing is rescaled."""
     if povm.dim != rho.dim:
         raise SchemaError(f"POVM dim {povm.dim} vs state dim {rho.dim}")
     raw = np.array([np.trace(e @ rho.entries).real for e in povm.elements])
@@ -350,8 +349,9 @@ _BUILTINS = {
 def builtin(name: str, params=()) -> CqChannel:
     """Construct a named example channel.
 
-    Parameters may be passed in the name itself, e.g. "theta_swap(1.5)";
-    a non-finite parameter is a SchemaError.
+    Parameters may be passed in the name itself, e.g. "theta_swap(1.5)".
+    Each must be a finite real number, not a bool, and reaches the factory
+    as a float; anything else is a SchemaError.
     """
     name = name.strip()
     params = list(params)
@@ -373,9 +373,12 @@ def builtin(name: str, params=()) -> CqChannel:
     factory, arity = _BUILTINS[name]
     if len(params) != arity:
         raise SchemaError(f"{name} takes {arity} parameter(s), got {len(params)}")
-    if not all(math.isfinite(v) for v in params):
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in params):
+        raise SchemaError(f"{name} parameters must be real numbers, got {params}")
+    values = [float(v) for v in params]
+    if not all(math.isfinite(v) for v in values):
         raise SchemaError(f"{name} parameters must be finite, got {params}")
-    return factory(*params)
+    return factory(*values)
 
 
 # ---------------------------------------------------------------------------

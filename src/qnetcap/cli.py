@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import InvariantError, SchemaError, read_json, whole_number
+from .errors import ORACLE_TOL, InvariantError, SchemaError, read_json, whole_number
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -345,10 +345,10 @@ def _cmd_capacity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmg_oracle_status(direct, projected, grid=50, tol=1e-6) -> tuple[float, bool]:
-    """The share of a grid x grid square of rate pairs on which the direct
-    and projected common-message regions agree about membership (to
-    ``tol``), and whether the two regions are exactly equal."""
+def _cmg_oracle_status(direct, projected) -> tuple[float, bool]:
+    """The share of a 50 x 50 square of rate pairs on which the direct and
+    projected common-message regions agree about membership (to
+    ORACLE_TOL), and whether the two regions are exactly equal."""
     import numpy as np
 
     from .regions import equivalent
@@ -356,11 +356,10 @@ def _cmg_oracle_status(direct, projected, grid=50, tol=1e-6) -> tuple[float, boo
     top = 1.05 * max(
         bound for r in (direct, projected) for _, bound in r.inequalities
     )
-    axis = np.linspace(0.0, top, grid)
+    axis = np.linspace(0.0, top, 50)
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    agree = int(np.sum(direct.contains(points, tol=tol) == projected.contains(points, tol=tol)))
-    fraction = agree / (grid * grid)
-    return fraction, equivalent(direct, projected)
+    agree = direct.contains(points, tol=ORACLE_TOL) == projected.contains(points, tol=ORACLE_TOL)
+    return int(np.sum(agree)) / len(points), equivalent(direct, projected)
 
 
 def _cmd_region(cfg: RunConfig) -> int:

@@ -44,8 +44,9 @@ from functools import reduce
 import numpy as np
 
 from .channels import CqChannel, Povm
-from .entropic import EIG_CUTOFF, ProbDist, _entropy_bits, transition_matrix
-from .errors import InvariantError, SchemaError, whole_number
+from .entropic import ProbDist, _entropy_bits, transition_matrix
+from .errors import (EIG_CUTOFF, PINV_RELATIVE_CUTOFF, PROJECTOR_TOL, InvariantError,
+                     SchemaError, whole_number)
 
 # bytes of dense arrays one call may keep at once: complex d x d matrices
 # for the quantum decoder, one trial's draws for the classical one
@@ -53,10 +54,6 @@ DENSE_BUDGET_BYTES = 2**30
 COMPLEX_BYTES = 16
 # bytes of draws the classical decoder works on per chunk of trials
 CLASSICAL_CHUNK_BYTES = 2**19
-
-PROJECTOR_TOL = 1e-8
-PINV_RELATIVE_CUTOFF = 1e-10
-EIG_FLOOR = 1e-12
 
 
 def _check_budget(dim, n, mats):
@@ -141,7 +138,7 @@ class Codebook:
 
 def _positive_logs(evals):
     logs = np.full(len(evals), -np.inf)
-    pos = evals > EIG_FLOOR
+    pos = evals > EIG_CUTOFF
     logs[pos] = np.log2(evals[pos])
     return logs
 

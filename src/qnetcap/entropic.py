@@ -22,19 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
-from .qstate import DensityMatrix, InvariantError, reduce_blocks
-
-PROB_SUM_TOL = 1e-10
-PROB_NEGATIVE_TOL = 1e-12
-EIG_CUTOFF = 1e-12  # below the spectral noise floor of state validation
+from .errors import (DERIVED_SUM_TOL, EIG_CUTOFF, PROB_NEGATIVE_TOL, PROB_SUM_TOL,
+                     InvariantError, SchemaError)
+from .qstate import DensityMatrix, reduce_blocks
 
 
-def _probabilities(values, what: str) -> np.ndarray:
+def _probabilities(values, what: str, sum_tol: float = PROB_SUM_TOL) -> np.ndarray:
     """The one definition of a probability vector, applied along the last
     axis of ``values``: every entry finite, none below -PROB_NEGATIVE_TOL
     (smaller negatives are roundoff, returned as 0), and each sum within
-    PROB_SUM_TOL of 1.  Otherwise an InvariantError naming ``what``."""
+    ``sum_tol`` of 1: PROB_SUM_TOL for a given distribution, DERIVED_SUM_TOL
+    for one built from several.  Otherwise an InvariantError naming ``what``."""
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         raise InvariantError(f"{what} must be finite")
@@ -42,7 +40,7 @@ def _probabilities(values, what: str) -> np.ndarray:
         raise InvariantError(f"{what} have a negative entry {float(v.min()):.3e}")
     v = np.maximum(v, 0.0)
     off = np.abs(v.sum(axis=-1, keepdims=True) - 1.0)
-    if (off > PROB_SUM_TOL).any():
+    if (off > sum_tol).any():
         worst = v.sum(axis=-1).flat[off.argmax()]
         raise InvariantError(f"{what} sum to {float(worst)!r}, not 1")
     return v
@@ -50,11 +48,11 @@ def _probabilities(values, what: str) -> np.ndarray:
 
 def transition_matrix(transition) -> np.ndarray:
     """A channel's p(y|x) as a float matrix whose rows pass
-    ``_probabilities``; anything but a matrix is a SchemaError."""
+    ``_probabilities`` within DERIVED_SUM_TOL; anything but a matrix is a SchemaError."""
     t = np.asarray(transition, dtype=float)
     if t.ndim != 2:
         raise SchemaError("transition must be a matrix")
-    return _probabilities(t, "transition rows")
+    return _probabilities(t, "transition rows", DERIVED_SUM_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +107,7 @@ def binary_entropy(p: float) -> float:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log rho): Shannon entropy of the spectrum.
 
-    Eigenvalues below 1e-12 contribute zero.
+    Eigenvalues at or below EIG_CUTOFF contribute zero.
     """
     return float(_entropy_bits(np.linalg.eigvalsh(rho.entries), cutoff=EIG_CUTOFF))
 
@@ -134,7 +132,8 @@ class LabeledCqState:
     each full classical symbol tuple to (probability, conditional
     DensityMatrix); ``quantum_names`` labels the subsystems of the conditional
     matrices, one name per dims slot.  Tuples missing from the table have
-    probability zero.
+    probability zero.  The probabilities sum to 1 within DERIVED_SUM_TOL, as
+    rows that multiply accepted factors do.
 
     The table is held as arrays in its own row order (the register symbol
     indices, probabilities and conditional matrices of each row), plus one
@@ -175,7 +174,7 @@ class LabeledCqState:
             raise InvariantError(
                 f"{len(self.quantum_names)} quantum names for {len(dims)} dims"
             )
-        probs = _probabilities(probs, "table probabilities")
+        probs = _probabilities(probs, "table probabilities", DERIVED_SUM_TOL)
         self.dims = dims
         d = int(np.prod(dims))
         self._codes = np.array(codes, dtype=np.intp).reshape(len(codes), -1)

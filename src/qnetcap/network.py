@@ -27,22 +27,11 @@ import numpy as np
 from .channels import CqChannel
 from .entropic import (LabeledCqState, ProbDist, conditional_mutual_information,
                        transition_matrix, von_neumann_entropy)
-from .errors import InvariantError, SchemaError
-from .regions import HalfspaceRegion, fm_project, intersect, radial_extents
+from .errors import BA_GAP_TOL, INFO_CLAMP, SUPPORT_RELATIVE_CUTOFF, SchemaError
+from .regions import HalfspaceRegion, clamp_information, fm_project, intersect, radial_extents
 
-INFO_CLAMP = 1e-9
 # grid points evaluated per stacked entropy call; bounds sweep memory
 _GRID_CHUNK = 512
-
-
-def _clamp(values):
-    """Zero out roundoff negatives of an information quantity (returned as
-    a float) or of an array of them; anything below -INFO_CLAMP is an
-    entropic bug."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v < -INFO_CLAMP):
-        raise InvariantError(f"information quantity {float(v.min()):.3e} below clamp")
-    return np.maximum(v, 0.0) if v.ndim else max(float(v), 0.0)
 
 
 def _receiver_names(ch: CqChannel):
@@ -317,7 +306,7 @@ def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict)
     for name, spec in terms.items():
         key = tuple(frozenset(receivers.get(n, n) for n in part.split()) for part in spec)
         if key not in values:
-            values[key] = _clamp(conditional_mutual_information(st, *key))
+            values[key] = clamp_information(conditional_mutual_information(st, *key))
         out[name] = values[key]
     return out
 
@@ -332,18 +321,12 @@ def _rows(values: dict, rows) -> list:
 # ---------------------------------------------------------------------------
 # point-to-point
 
-# Eigenvalues of sigma at or below this fraction of its largest one count as
-# zero: D(rho || sigma) takes log sigma on the other eigenvectors (sigma's
-# support) and drops rho's weight outside them, which is zero whenever rho
-# enters sigma with positive weight.
-SUPPORT_RELATIVE_CUTOFF = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
     """A Blahut-Arimoto capacity in bits with its certificate: ``value`` is
     the information of ``distribution`` and value <= C <= ``upper``.
-    ``converged`` says whether upper - value fell below the tolerance within
+    ``converged`` says whether upper - value fell below BA_GAP_TOL within
     the ``iterations`` updates made.  Unpacks as (value, distribution)."""
 
     value: float
@@ -356,27 +339,26 @@ class CapacityResult:
         return (self.value, self.distribution)[index]
 
 
-def _blahut_arimoto(divergences, symbols, tol: float, max_iter: int) -> CapacityResult:
+def _blahut_arimoto(divergences, symbols, max_iter: int) -> CapacityResult:
     """From the uniform p, iterate p <- p 2^(D - max D) / Z, where
     ``divergences(p)`` gives each input's D(output || mean output) in bits.
     Each step brackets C between p . D and max D; stop once they are less
-    than ``tol`` apart or after ``max_iter`` updates."""
+    than BA_GAP_TOL apart or after ``max_iter`` updates."""
     if max_iter < 0:
         raise SchemaError(f"max_iter must be >= 0, got {max_iter}")
     p = np.full(len(symbols), 1.0 / len(symbols))
     for iterations in range(max_iter + 1):
         d = divergences(p)
         lower, upper = float(p @ d), float(np.max(d))
-        if upper - lower < tol or iterations == max_iter:
+        if upper - lower < BA_GAP_TOL or iterations == max_iter:
             break
         p = p * np.exp2(d - upper)
         p = p / p.sum()
-    return CapacityResult(
-        _clamp(lower), ProbDist(symbols, p), upper, iterations, upper - lower < tol
-    )
+    return CapacityResult(clamp_information(lower), ProbDist(symbols, p), upper,
+                          iterations, upper - lower < BA_GAP_TOL)
 
 
-def classical_capacity_BA(transition, tol: float = 1e-9, max_iter: int = 20000):
+def classical_capacity_BA(transition, max_iter: int = 20000):
     """Blahut-Arimoto capacity of a discrete memoryless channel whose
     ``transition`` rows are p(y|x); a CapacityResult over row indices."""
     t = transition_matrix(transition)
@@ -389,17 +371,18 @@ def classical_capacity_BA(transition, tol: float = 1e-9, max_iter: int = 20000):
             logq = np.where(qbar > 0, np.log2(np.where(qbar > 0, qbar, 1.0)), 0.0)
         return np.sum(t * (logt - logq[None, :]), axis=1)
 
-    return _blahut_arimoto(divergences, range(t.shape[0]), tol, max_iter)
+    return _blahut_arimoto(divergences, range(t.shape[0]), max_iter)
 
 
-def hsw_capacity(ch: CqChannel, tol: float = 1e-9, max_iter: int = 20000, *,
-                 grid_resolution=None):
+def hsw_capacity(ch: CqChannel, max_iter: int = 20000, *, grid_resolution=None):
     """Holevo capacity max_p chi(p) by the Blahut-Arimoto iteration for cq
     channels (Nagaoka 1998; Li and Cai, arXiv:1905.08235); a CapacityResult.
 
     Each step takes one ``eigh`` of sigma = sum_x p_x rho_x and every
     D(rho_x || sigma) = -H(rho_x) - Tr[rho_x log sigma] on sigma's support
-    (``SUPPORT_RELATIVE_CUTOFF``).  ``grid_resolution`` has no effect.
+    (eigenvalues above ``SUPPORT_RELATIVE_CUTOFF`` times the largest; rho_x
+    has no weight off it whenever p_x > 0).  ``grid_resolution`` has no
+    effect.
     """
     alphabet = ch.single_alphabet()
     if grid_resolution is not None:
@@ -416,7 +399,7 @@ def hsw_capacity(ch: CqChannel, tol: float = 1e-9, max_iter: int = 20000, *,
         weights = (v.conj() * (rhos @ v)).sum(axis=1).real
         return neg_h - weights @ np.log2(w[support])
 
-    return _blahut_arimoto(divergences, alphabet, tol, max_iter)
+    return _blahut_arimoto(divergences, alphabet, max_iter)
 
 
 def __getattr__(name):
@@ -463,7 +446,7 @@ def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
             conditional_mutual_information(st, {"X2"}, b, {"X1"}, probs=probs),
             conditional_mutual_information(st, {"X1", "X2"}, b, probs=probs),
         ], axis=1)
-        t = radial_extents(coeffs, _clamp(bounds), thetas)
+        t = radial_extents(coeffs, clamp_information(bounds), thetas)
         radii = np.maximum(radii, np.hypot(t * cos, t * sin).max(axis=0))
     return [
         (float(th), float(r * np.cos(th)), float(r * np.sin(th)))
@@ -499,10 +482,10 @@ def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> di
 # ---------------------------------------------------------------------------
 # interference: very strong / strong / Sato
 
-def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
+def vsi_check(ch: CqChannel, grid: int = 21) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
-    I(X2;B2|X1) <= I(X2;B1) for every product input distribution on the
-    grid."""
+    I(X2;B2|X1) <= I(X2;B1), within INFO_CLAMP, for every product input
+    distribution on the grid."""
     a1, a2 = input_pair(ch)
     b1, b2 = _receiver_names(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
@@ -511,7 +494,7 @@ def vsi_check(ch: CqChannel, grid: int = 21, tol: float = 1e-9) -> bool:
         cross1 = conditional_mutual_information(st, {"X1"}, {b2}, probs=probs)
         own2 = conditional_mutual_information(st, {"X2"}, {b2}, {"X1"}, probs=probs)
         cross2 = conditional_mutual_information(st, {"X2"}, {b1}, probs=probs)
-        if np.any(own1 > cross1 + tol) or np.any(own2 > cross2 + tol):
+        if np.any(own1 > cross1 + INFO_CLAMP) or np.any(own2 > cross2 + INFO_CLAMP):
             return False
     return True
 

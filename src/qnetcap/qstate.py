@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = -1e-10
+from .errors import HERMITICITY_TOL, PROB_SUM_TOL, PSD_TOL, InvariantError
 
 
 def psd_matrix(entries, what: str = "matrix") -> np.ndarray:
@@ -65,7 +61,7 @@ class DensityMatrix:
                 f"matrix has size {m.shape[0]}"
             )
         trace_defect = abs(m.trace() - 1.0)
-        if trace_defect > TRACE_TOL:
+        if trace_defect > PROB_SUM_TOL:
             raise InvariantError(f"trace differs from 1 by {trace_defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -83,7 +79,7 @@ def ket_projector(vector) -> np.ndarray:
 
 
 def pure_state(vector, dims=None) -> DensityMatrix:
-    """Density matrix |v><v| of a (normalized up to 1e-10) state vector."""
+    """Density matrix |v><v| of a state vector normalized within PROB_SUM_TOL."""
     entries = ket_projector(vector)
     return DensityMatrix(entries, (len(entries),) if dims is None else dims)
 

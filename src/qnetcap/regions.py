@@ -15,28 +15,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import INFO_CLAMP, MEMBERSHIP_TOL, POLYGON_TOL, ZERO_COEFF_TOL, InvariantError
 
-MEMBERSHIP_TOL = 1e-7
-BOUND_CLAMP = 1e-9
-# a row is redundant when its bound is attained within this much
-PRUNE_TOL = 1e-9
-# a polygon vertex or ray may violate a row by this much
-VERTEX_TOL = 1e-9
+
+def clamp_information(values):
+    """Zero out roundoff negatives of an information quantity or rate bound
+    (returned as a float) or of an array of them; anything below
+    -INFO_CLAMP is an entropic bug."""
+    v = np.asarray(values, dtype=float)
+    if (v < -INFO_CLAMP).any():
+        raise InvariantError(f"information quantity {float(v.min()):.3e} below clamp")
+    return np.maximum(v, 0.0) if v.ndim else max(float(v), 0.0)
 
 
 class HalfspaceRegion:
     """Inequalities c . R <= b over named coordinates, with implicit R >= 0.
 
-    Bounds within -1e-9 of zero are clamped to 0; bounds more negative than
-    that are rejected (they signal an upstream entropic bug, not roundoff).
+    Bounds pass ``clamp_information``: roundoff negatives read as 0, and
+    lower bounds signal an upstream entropic bug.
     """
 
     def __init__(self, coordinate_names, inequalities):
         names = tuple(str(n) for n in coordinate_names)
         if len(names) != len(set(names)):
             raise InvariantError(f"repeated coordinate names {names}")
-        rows = []
+        coefficients, bounds = [], []
         for coeffs, bound in inequalities:
             c = np.array(coeffs, dtype=float).reshape(-1)
             if c.size != len(names):
@@ -46,14 +49,11 @@ class HalfspaceRegion:
             b = float(bound)
             if not np.isfinite(b) or not np.all(np.isfinite(c)):
                 raise InvariantError("non-finite inequality")
-            if b < 0.0:
-                if b < -BOUND_CLAMP:
-                    raise InvariantError(f"negative bound {b:.3e} beyond clamp")
-                b = 0.0
             c.setflags(write=False)
-            rows.append((c, b))
+            coefficients.append(c)
+            bounds.append(b)
         self.coordinate_names = names
-        self.inequalities = tuple(rows)
+        self.inequalities = tuple(zip(coefficients, clamp_information(bounds).tolist()))
 
     @property
     def dim(self) -> int:
@@ -99,8 +99,8 @@ def _normalize_rows(rows):
     seen = set()
     for c, b, *rest in rows:
         scale = float(np.max(np.abs(c)))
-        if scale < 1e-12:
-            if b < -1e-9:
+        if scale < ZERO_COEFF_TOL:
+            if b < -INFO_CLAMP:
                 raise InvariantError("inequality system is infeasible")
             continue
         c = c / scale
@@ -128,7 +128,7 @@ class _Polygon:
     Built once per row set: every pairwise intersection of the rows and the
     two axes, and the candidate recession rays (both axes and +- the
     perpendicular of each row), each with a count of the active rows it
-    violates by more than VERTEX_TOL or climbs; switching a row moves one
+    violates by more than POLYGON_TOL or climbs; switching a row moves one
     column of counts.  Every candidate that meets the active rows lies in
     their polygon and every vertex and extreme ray of it is a candidate, so
     the maximum over candidates is exact.
@@ -142,18 +142,18 @@ class _Polygon:
         rhs = np.concatenate([bounds, [0.0, 0.0]])
         i, j = np.triu_indices(len(lines), 1)
         det = lines[i, 0] * lines[j, 1] - lines[i, 1] * lines[j, 0]
-        crossing = np.abs(det) > 1e-12  # parallel lines do not meet
+        crossing = np.abs(det) > ZERO_COEFF_TOL  # parallel lines do not meet
         i, j, det = i[crossing], j[crossing], det[crossing]
         points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
                            lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
-        self.points = points[np.all(points >= -VERTEX_TOL, axis=1)]
-        self.outside = self.points @ coeffs.T > bounds + VERTEX_TOL
+        self.points = points[np.all(points >= -POLYGON_TOL, axis=1)]
+        self.outside = self.points @ coeffs.T > bounds + POLYGON_TOL
         perps = coeffs[:, ::-1] * [-1.0, 1.0]
         rays = np.concatenate([np.eye(2), perps, -perps])
         rays = rays[np.any(rays != 0.0, axis=1)]
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        self.rays = rays[np.all(rays >= -VERTEX_TOL, axis=1)]
-        self.climbing = self.rays @ coeffs.T > VERTEX_TOL
+        self.rays = rays[np.all(rays >= -POLYGON_TOL, axis=1)]
+        self.climbing = self.rays @ coeffs.T > POLYGON_TOL
         self.violated = self.outside.sum(axis=1)
         self.blocked = self.climbing.sum(axis=1)
 
@@ -166,7 +166,7 @@ class _Polygon:
         """max c . R over the polygon of the active rows, or inf when it is
         unbounded along c."""
         c = np.asarray(c, dtype=float)
-        if np.any(self.rays[self.blocked == 0, : c.size] @ c > VERTEX_TOL):
+        if np.any(self.rays[self.blocked == 0, : c.size] @ c > POLYGON_TOL):
             return np.inf
         return float(np.max(self.points[self.violated == 0, : c.size] @ c))
 
@@ -174,13 +174,13 @@ class _Polygon:
 def _exact_prune(rows, dim):
     """Drop redundant rows over one or two coordinates: rows are tested in
     order, each against the rows still kept other than itself, and dropped
-    when their support value is at most b + PRUNE_TOL; a row along which the
+    when their support value is at most b + POLYGON_TOL; a row along which the
     others are unbounded is kept."""
     polygon = _Polygon(rows, dim)
     kept = []
     for i, (c, b) in enumerate(rows):
         polygon.switch(i, -1)
-        if not polygon.support(c) <= b + PRUNE_TOL:
+        if not polygon.support(c) <= b + POLYGON_TOL:
             polygon.switch(i, +1)
             kept.append(rows[i])
     return kept
@@ -193,7 +193,7 @@ def _eliminate_variable(rows, col, max_history):
     combined, pos, neg = [], [], []
     for row in rows:
         v = row[0][col]
-        if abs(v) < 1e-12:
+        if abs(v) < ZERO_COEFF_TOL:
             combined.append(row)
         elif v > 0:
             pos.append(row)
@@ -261,8 +261,8 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     while remaining:
         # fewest-products heuristic
         def cost(col):
-            p = sum(1 for c, _, _ in rows if c[col] > 1e-12)
-            q = sum(1 for c, _, _ in rows if c[col] < -1e-12)
+            p = sum(1 for c, _, _ in rows if c[col] > ZERO_COEFF_TOL)
+            q = sum(1 for c, _, _ in rows if c[col] < -ZERO_COEFF_TOL)
             return p * q
 
         col = min(remaining, key=cost)
@@ -308,7 +308,7 @@ def radial_extents(coeffs, bounds, thetas) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     speed = coeffs[:, :1] * np.cos(thetas) + coeffs[:, 1:] * np.sin(thetas)
-    moving = speed > 1e-12
+    moving = speed > ZERO_COEFF_TOL
     reach = np.where(moving, bounds[:, :, None] / np.where(moving, speed, 1.0), np.inf)
     t = reach.min(axis=1, initial=np.inf)
     unbounded = ~np.isfinite(t)

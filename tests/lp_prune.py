@@ -9,7 +9,7 @@ prune keeps the very rows it keeps.
 import numpy as np
 from scipy.optimize import linprog
 
-from qnetcap.regions import PRUNE_TOL
+from qnetcap.errors import POLYGON_TOL
 
 
 def lp_prune(rows, dim, free=0):
@@ -31,6 +31,6 @@ def lp_prune(rows, dim, free=0):
             bounds=[(0, None)] * (dim - free) + [(None, None)] * free,
             method="highs",
         )
-        if res.status == 0 and -res.fun <= b + PRUNE_TOL:
+        if res.status == 0 and -res.fun <= b + POLYGON_TOL:
             keep.remove(i)
     return [rows[j] for j in keep]

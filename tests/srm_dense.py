@@ -14,7 +14,8 @@ from functools import reduce
 import numpy as np
 
 from qnetcap.channels import Povm, SchemaError
-from qnetcap.codesim import PINV_RELATIVE_CUTOFF, projector_set
+from qnetcap.codesim import projector_set
+from qnetcap.errors import PINV_RELATIVE_CUTOFF
 
 
 def _word_state(ch, word):

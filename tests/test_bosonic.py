@@ -6,7 +6,6 @@ import pytest
 
 import qnetcap.bosonic as bosonic
 from qnetcap.bosonic import (
-    CONDITION_TOL,
     BosonicICParams,
     DetectionMode,
     bosonic_hk_region,
@@ -18,6 +17,7 @@ from qnetcap.bosonic import (
     params_from_json,
 )
 from qnetcap.channels import SchemaError
+from qnetcap.errors import CLOSED_FORM_TOL
 from qnetcap.qstate import InvariantError
 from qnetcap.entropic import g_thermal
 from qnetcap.regions import boundary_sample
@@ -93,9 +93,9 @@ def linear_vsi(p, i):
     d1 = two * p.etabar1 * p.NB1 + 1.0
     d2 = two * p.etabar2 * p.NB2 + 1.0
     return (
-        p.eta21 * d2 >= p.eta22 * (four * p.eta11 * p.NS1 + d1) - CONDITION_TOL
+        p.eta21 * d2 >= p.eta22 * (four * p.eta11 * p.NS1 + d1) - CLOSED_FORM_TOL
     ) and (
-        p.eta12 * d1 >= p.eta11 * (four * p.eta22 * p.NS2 + d2) - CONDITION_TOL
+        p.eta12 * d1 >= p.eta11 * (four * p.eta22 * p.NS2 + d2) - CLOSED_FORM_TOL
     )
 
 
@@ -104,8 +104,8 @@ def linear_si(p, i):
     two = 2.0**i
     d1 = two * p.etabar1 * p.NB1 + 1.0
     d2 = two * p.etabar2 * p.NB2 + 1.0
-    return (p.eta21 * d2 >= p.eta22 * d1 - CONDITION_TOL) and (
-        p.eta12 * d1 >= p.eta11 * d2 - CONDITION_TOL
+    return (p.eta21 * d2 >= p.eta22 * d1 - CLOSED_FORM_TOL) and (
+        p.eta12 * d1 >= p.eta11 * d2 - CLOSED_FORM_TOL
     )
 
 

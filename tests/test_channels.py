@@ -1,3 +1,4 @@
+import fractions
 import json
 
 import numpy as np
@@ -16,9 +17,10 @@ from qnetcap.channels import (
 )
 from qnetcap.codesim import srm_error_sweep
 from qnetcap.entropic import ProbDist, holevo_information, transition_matrix
-from qnetcap.network import (hsw_capacity, random_marton_distribution,
+from qnetcap.errors import PROB_SUM_TOL, PSD_TOL
+from qnetcap.network import (classical_capacity_BA, hsw_capacity, random_marton_distribution,
                              random_superposition_distribution)
-from qnetcap.qstate import PSD_TOL, DensityMatrix, InvariantError, partial_trace, pure_state
+from qnetcap.qstate import DensityMatrix, InvariantError, partial_trace, pure_state
 
 KET0 = np.array([1.0, 0.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -100,6 +102,19 @@ class TestBuiltins:
     def test_non_finite_parameter_is_schema_error(self, name, params):
         with pytest.raises(SchemaError, match="must be finite"):
             builtin(name, params)
+
+    @pytest.mark.parametrize("param", [True, np.True_, "abc", "1.5", 1 + 2j, None])
+    def test_parameter_that_is_not_a_real_number_is_schema_error(self, param):
+        with pytest.raises(SchemaError, match="must be real numbers"):
+            builtin("theta_swap", [param])
+
+    def test_real_parameters_reach_the_factory_as_floats(self):
+        ref = builtin("theta_swap", [1.0])
+        for param in (1, np.int64(1), np.float32(1.0), fractions.Fraction(1)):
+            ch = builtin("theta_swap", [param])
+            for key, rho in ch.outputs.items():
+                assert rho.entries.dtype == complex
+                assert np.array_equal(rho.entries, ref.outputs[key].entries)
 
     def test_unknown_rejected(self):
         with pytest.raises(SchemaError):
@@ -196,7 +211,7 @@ class TestPovm:
                 Povm([bad, np.eye(2) - bad])
 
     def test_completeness_at_the_probability_tolerance(self):
-        # rows of 1 + 5e-10 would fail every transition-matrix consumer
+        # completeness is a probability total, held to PROB_SUM_TOL
         with pytest.raises(InvariantError, match="completeness"):
             Povm([np.diag([1 + 5e-10, 0.0]), np.diag([0.0, 1 + 5e-10])])
         Povm([np.diag([1 + 5e-11, 0.0]), np.diag([0.0, 1 + 5e-11])])
@@ -229,6 +244,15 @@ class TestPovm:
             povm = Povm([np.diag([n0, a]), np.diag([n1, 1 - a]), np.diag([1 - n0 - n1, 0.0])])
             rows = transition_matrix(induced_classical_channel(bb84, povm))
             assert np.all(rows >= 0.0)
+
+    def test_accepted_state_and_povm_give_accepted_rows(self):
+        # each input is off by 0.9e-10, within PROB_SUM_TOL; their rows by 1.8e-10
+        e = 0.9e-10
+        povm = Povm([np.diag([1 + e, 0.0]), np.diag([0.0, 1 + e])])
+        rho = DensityMatrix(np.diag([0.5 + e / 2, 0.5 + e / 2]), (2,))
+        rows = induced_classical_channel(CqChannel((("0",),), {("0",): rho}), povm)
+        assert abs(rows.sum() - 1.0) > PROB_SUM_TOL
+        assert classical_capacity_BA(rows).value == 0.0
 
     def test_complete_appends_remainder(self):
         povm = Povm.from_factors([np.diag([0.5, 0.5])], labels=("a",))

@@ -15,7 +15,7 @@ from qnetcap.entropic import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from qnetcap.errors import SchemaError
+from qnetcap.errors import DERIVED_SUM_TOL, SchemaError
 from qnetcap.network import classical_capacity_BA
 from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 
@@ -97,7 +97,7 @@ class TestTransitionRule:
         ([[np.inf, 0.0], [0.2, 0.8]], InvariantError),
         ([[1.0 + 1e-11, -1e-11], [0.2, 0.8]], InvariantError),
         ([[1.0 + 1e-13, -1e-13], [0.2, 0.8]], None),
-        ([[0.5, 0.5 + 5e-10], [0.2, 0.8]], InvariantError),
+        ([[0.5, 0.5 + 2 * DERIVED_SUM_TOL], [0.2, 0.8]], InvariantError),
         ([0.5, 0.5], SchemaError),
     ], ids=["nan", "inf", "negative", "tiny-negative", "row-sum-off", "vector"])
     def test_one_verdict(self, consumer, transition, error):

@@ -12,6 +12,7 @@ from qnetcap.entropic import (
     conditional_mutual_information,
     holevo_information,
 )
+from qnetcap.errors import SUPPORT_RELATIVE_CUTOFF
 from qnetcap.network import (
     CodeDistribution,
     classical_capacity_BA,
@@ -238,7 +239,7 @@ class TestHswCapacity:
         ch = CqChannel((("0", "1"),), outputs)
         sigma = sum(rho.entries for rho in outputs.values()) / 2
         w = np.linalg.eigvalsh(sigma)
-        assert w[0] <= network.SUPPORT_RELATIVE_CUTOFF * w[-1]
+        assert w[0] <= SUPPORT_RELATIVE_CUTOFF * w[-1]
         res = hsw_capacity(ch)
         assert res.converged and abs(res.value - H_BB84) <= 1e-12
         assert abs(res.upper - H_BB84) <= 1e-9
@@ -651,6 +652,26 @@ class TestRelay:
 
 
 class TestCodeDistributionValidation:
+    def test_accepted_factors_give_an_accepted_table(self):
+        # each factor sums to 1 + 0.9e-10, within PROB_SUM_TOL; a table
+        # row multiplies two (mac) or five (hk, cmg) of them
+        e = 0.9e-10
+        off = ProbDist(("0", "1"), [0.5 + e / 2, 0.5 + e / 2])
+        ch = builtin("bb84_qmac")
+        a = ("0", "1")
+        same = {(u, w): u for u in a for w in a}
+
+        def regions(p):
+            rows = {q: p for q in a}
+            pairs = {(w, q): p for w in a for q in a}
+            return [mac_region(ch, p, p),
+                    hk_region(ch, CodeDistribution.hk(p, rows, rows, rows, rows, same, same, a, a)),
+                    cmg_region(ch, CodeDistribution.cmg(p, rows, rows, pairs, pairs))]
+
+        for got, exact in zip(regions(off), regions(UNIF2)):
+            assert np.allclose([b for _, b in got.inequalities],
+                               [b for _, b in exact.inequalities], rtol=0.0, atol=1e-8)
+
     def test_conditional_missing_row(self):
         with pytest.raises(SchemaError):
             CodeDistribution.coded_time_share(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import qnetcap
+from qnetcap import errors, network
 
 tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
 
@@ -103,3 +104,47 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert uncalled <= set(KEPT_WITHOUT_CALLER), sorted(uncalled - set(KEPT_WITHOUT_CALLER))
     # a name that gains a caller or leaves the library leaves the list too
     assert set(KEPT_WITHOUT_CALLER) <= uncalled, sorted(set(KEPT_WITHOUT_CALLER) - uncalled)
+
+
+# Small float literals of src/ outside the tolerance table, each a constant
+# of a numerical method rather than a threshold that a result is held to.
+NUMERICAL_CONSTANTS = {
+    ("bosonic", 1e-17): "series of _x_psi stops once a term is below double precision",
+    ("bosonic", 1e-300): "_thermal_gain switches form where 1/b would overflow",
+    ("entropic", 1e-300): "g_thermal switches form where 1/N would overflow",
+}
+
+
+def test_every_threshold_is_named_once_in_the_tolerance_table():
+    table = {name for name in vars(errors) if name.isupper()}
+    literals, read = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                if 0 < abs(node.value) < 1e-5:
+                    literals.add((path.stem, node.value))
+            elif isinstance(node, ast.Name):
+                assert not (node.id in table and isinstance(node.ctx, ast.Store)), (
+                    f"{path.stem} assigns {node.id}")
+                read.add(node.id)
+    assert literals == set(NUMERICAL_CONSTANTS)
+    assert table <= read, sorted(table - read)
+
+
+def test_each_layer_accepts_what_the_layer_before_it_produces():
+    # a measured row Tr[E_y rho] misses 1 by the state's trace defect plus the
+    # POVM's completeness defect times ||rho||_1; negative eigenvalues raise
+    # ||rho||_1 by at most 2 d |PSD_TOL|, and d = 2**16 exceeds any dense state
+    trace_norm = 1 + errors.PROB_SUM_TOL + 2 * 2**16 * abs(errors.PSD_TOL)
+    row_defect = errors.PROB_SUM_TOL + errors.PROB_SUM_TOL * trace_norm
+    assert row_defect <= errors.DERIVED_SUM_TOL
+    # a joint-table row multiplies one accepted factor per part (five for hk and cmg)
+    factors = max(len(parts) for parts, _, _ in network._LAYOUTS.values())
+    assert factors == 5
+    assert (1 + errors.PROB_SUM_TOL) ** factors - 1 <= errors.DERIVED_SUM_TOL
+    # a bosonic rate accepted down to -CLOSED_FORM_TOL becomes a region bound
+    assert errors.CLOSED_FORM_TOL <= errors.INFO_CLAMP
+    # exact region equality reads polygon vertices held to POLYGON_TOL
+    assert errors.POLYGON_TOL <= errors.MEMBERSHIP_TOL
