@@ -375,9 +375,12 @@ def builtin(name: str, params=()) -> CqChannel:
         raise SchemaError(f"{name} takes {arity} parameter(s), got {len(params)}")
     if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in params):
         raise SchemaError(f"{name} parameters must be real numbers, got {params}")
-    values = [float(v) for v in params]
+    try:
+        values = [float(v) for v in params]
+    except OverflowError:  # a whole number or Fraction beyond the float range
+        values = [math.inf]
     if not all(math.isfinite(v) for v in values):
-        raise SchemaError(f"{name} parameters must be finite, got {params}")
+        raise SchemaError(f"{name} parameters must be finite, got {values}")
     return factory(*values)
 
 

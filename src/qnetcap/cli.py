@@ -20,10 +20,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import ORACLE_TOL, InvariantError, SchemaError, read_json, whole_number
+from .errors import InvariantError, SchemaError, read_json, whole_number
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -31,17 +31,22 @@ EXIT_INVARIANT = 3
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_REGION_KINDS = (
-    "mac",
-    "vsi",
-    "si",
-    "hk",
-    "cmg",
-    "sato",
-    "bc-superposition",
-    "bc-marton",
-    "relay-pdf",
-)
+# region subcommand -> (its seeded code distribution, the function of the
+# channel and that distribution it prints), both named in ``network`` so that
+# module loads only when a region command runs.  None stands for the uniform
+# input pair without time sharing; ``mac`` takes the pair itself.
+_REGIONS = {
+    "mac": (None, "mac_region"),
+    "vsi": (None, "vsi_capacity"),
+    "si": (None, "si_capacity"),
+    "hk": ("random_hk_distribution", "hk_region"),
+    "cmg": ("random_cmg_distribution", "cmg_region"),
+    "sato": (None, "sato_outer"),
+    "bc-superposition": ("random_superposition_distribution", "superposition_region"),
+    "bc-marton": ("random_marton_distribution", "marton_region"),
+    "relay-pdf": ("random_relay_distribution", "relay_pdf_rate"),
+}
+_REGION_KINDS = tuple(_REGIONS)
 
 _SIM_BLOCKLENGTHS = (2, 4, 6, 8)
 
@@ -61,90 +66,48 @@ def _apply_thread_cap():
         os.environ[var] = str(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag bundle for one command invocation; defaults are the parser's."""
-
-    command: str
-    subcommand: str
-    builtin: str | None
-    channel: str | None
-    params: tuple
-    grid: int | None
-    delta: float
-    seed: int
-    out: str | None
-    mode: str | None
-    lam: tuple | None
-    oracle: bool
-    uniform: bool
-    povm_angle: float | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls(
-            command=args.command,
-            subcommand=args.subcommand,
-            builtin=getattr(args, "builtin", None),
-            channel=args.channel,
-            params=tuple(args.param),
-            grid=args.grid,
-            delta=args.delta,
-            seed=args.seed,
-            out=args.out,
-            mode=getattr(args, "mode", None),
-            lam=tuple(args.lam) if getattr(args, "lam", None) else None,
-            oracle=getattr(args, "oracle", False),
-            uniform=getattr(args, "uniform", False),
-            povm_angle=getattr(args, "povm_angle", None),
-        )
-        if cfg.grid is not None and cfg.grid < 2:
-            raise SchemaError(f"--grid must be >= 2, got {cfg.grid}")
-        numbers = {
-            "--delta": (cfg.delta,),
-            "--param": cfg.params,
-            "--povm-angle": () if cfg.povm_angle is None else (cfg.povm_angle,),
-            "--lambda": cfg.lam or (),
-        }
-        for flag, values in numbers.items():
-            if not all(math.isfinite(v) for v in values):
-                raise SchemaError(f"{flag} must be finite, got {list(values)}")
-        if cfg.delta < 0:
-            raise SchemaError(f"--delta must be >= 0, got {cfg.delta}")
-        if not 0 <= cfg.seed < 2**64:
-            raise SchemaError(f"--seed must fit in 64 bits, got {cfg.seed}")
-        if cfg.command == "bosonic":
-            if bool(cfg.params) == bool(cfg.channel):
-                raise SchemaError(
-                    "give exactly one parameter source (--param or --channel)"
-                )
-        else:
-            if (cfg.builtin is None) == (cfg.channel is None):
-                raise SchemaError(
-                    "give exactly one channel source (--builtin or --channel)"
-                )
-        return cfg
+def _check_flags(args):
+    """Reject flag values no command accepts: a grid below 2, a non-finite
+    number, a negative delta, a seed outside 64 bits, and anything but
+    exactly one channel (for ``bosonic``, parameter) source."""
+    if args.grid is not None and args.grid < 2:
+        raise SchemaError(f"--grid must be >= 2, got {args.grid}")
+    povm_angle = getattr(args, "povm_angle", None)
+    numbers = {
+        "--delta": [args.delta],
+        "--param": args.param,
+        "--povm-angle": [] if povm_angle is None else [povm_angle],
+        "--lambda": getattr(args, "lam", None) or [],
+    }
+    for flag, values in numbers.items():
+        if not all(math.isfinite(v) for v in values):
+            raise SchemaError(f"{flag} must be finite, got {values}")
+    if args.delta < 0:
+        raise SchemaError(f"--delta must be >= 0, got {args.delta}")
+    if not 0 <= args.seed < 2**64:
+        raise SchemaError(f"--seed must fit in 64 bits, got {args.seed}")
+    if args.command == "bosonic":
+        if bool(args.param) == bool(args.channel):
+            raise SchemaError("give exactly one parameter source (--param or --channel)")
+    elif (args.builtin is None) == (args.channel is None):
+        raise SchemaError("give exactly one channel source (--builtin or --channel)")
 
 
-def _add_channel_flags(sp, include_param=True):
+def _add_param_flag(sp, help_text):
+    sp.add_argument("--param", metavar="F", nargs="*", type=float, default=[],
+                    help=help_text)
+
+
+def _add_channel_flags(sp, param_help):
     sp.add_argument("--builtin", metavar="NAME", help="named example channel")
     sp.add_argument("--channel", metavar="PATH", help="channel description JSON")
-    if include_param:
-        sp.add_argument(
-            "--param",
-            metavar="F",
-            nargs="*",
-            type=float,
-            default=[],
-            help="numeric parameters (builtin-channel parameters, or the"
-            " command's own numbers where documented)",
-        )
+    _add_param_flag(sp, param_help)
 
 
-def _add_common_flags(sp, grid=21, delta=0.4):
+def _add_common_flags(sp, grid=21):
     sp.add_argument("--grid", type=int, default=grid, metavar="N",
                     help="grid resolution (>= 2)")
-    sp.add_argument("--delta", type=float, default=delta, metavar="F",
+    sp.add_argument("--delta", type=float, default=0.4, metavar="F",
                     help="typicality width")
     sp.add_argument("--seed", type=int, default=0, metavar="U64")
     sp.add_argument("--out", metavar="PATH",
@@ -158,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
         " classical-quantum network channels.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    channel_params = ("numeric parameters (builtin-channel parameters, or the"
+                      " command's own numbers where documented)")
 
     cap = commands.add_parser("capacity", help="point-to-point capacities")
     cap_sub = cap.add_subparsers(dest="subcommand", required=True)
     for name in ("p2p-classical", "p2p-holevo"):
         sp = cap_sub.add_parser(name)
-        _add_channel_flags(sp)
+        _add_channel_flags(sp, channel_params)
         # accepted for old command lines; capacities are computed without a grid
         _add_common_flags(sp, grid=None)
         if name == "p2p-classical":
@@ -179,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     reg_sub = reg.add_subparsers(dest="subcommand", required=True)
     for name in _REGION_KINDS:
         sp = reg_sub.add_parser(name)
-        _add_channel_flags(sp)
+        _add_channel_flags(sp, channel_params)
         _add_common_flags(sp)
         if name == "mac":
             sp.add_argument(
@@ -200,14 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     bos_sub = bos.add_subparsers(dest="subcommand", required=True)
     for name in ("p2p", "vsi", "si", "hk"):
         sp = bos_sub.add_parser(name)
-        sp.add_argument(
-            "--param",
-            metavar="F",
-            nargs="*",
-            type=float,
-            default=[],
-            help="p2p: eta NB; others: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2",
-        )
+        _add_param_flag(sp, "p2p: eta NB; others: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2")
         sp.add_argument("--channel", metavar="PATH",
                         help="bosonic parameter JSON")
         sp.add_argument("--mode", metavar="M",
@@ -218,29 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("sim", help="decoder simulations")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-    sq = sim_sub.add_parser("quantum")
-    _add_channel_flags(sq, include_param=False)
-    sq.add_argument(
-        "--param",
-        metavar="F",
-        nargs="*",
-        type=float,
-        default=[],
-        help="rate R, optionally followed by the codebook count per"
-        " blocklength (default 5)",
-    )
-    _add_common_flags(sq)
-    sc = sim_sub.add_parser("classical")
-    _add_channel_flags(sc, include_param=False)
-    sc.add_argument(
-        "--param",
-        metavar="F",
-        nargs="*",
-        type=float,
-        default=[],
-        help="rate R, blocklength n, trial count",
-    )
-    _add_common_flags(sc)
+    for name, param_help in (
+        ("quantum", "rate R, optionally followed by the codebook count per"
+                    " blocklength (default 5)"),
+        ("classical", "rate R, blocklength n, trial count"),
+    ):
+        sp = sim_sub.add_parser(name)
+        _add_channel_flags(sp, param_help)
+        _add_common_flags(sp)
     return parser
 
 
@@ -263,71 +206,70 @@ def _deliver(write, out):
         raise
 
 
-def _emit_region(region, out):
-    import json
-
-    from .regions import export_boundary_csv, region_to_json, save_region_json
-
-    if out is not None and str(out).endswith(".csv"):
-        _deliver(lambda p: export_boundary_csv(region, p), out)
-    elif out is not None:
-        _deliver(lambda p: save_region_json(region, p), out)
-    else:
-        sys.stdout.write(json.dumps(region_to_json(region), indent=2) + "\n")
-
-
-def _emit_rows(header, rows, out):
-    lines = [header] + [",".join(format(v, ".10g") for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(text, out):
+    """``text`` to stdout, or to the file ``out`` through ``_deliver``."""
     if out is None:
         sys.stdout.write(text)
     else:
         _deliver(lambda p: Path(p).write_text(text), out)
 
 
+def _emit_rows(header, rows, out):
+    lines = [header] + [",".join(format(v, ".10g") for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", out)
+
+
+def _emit_region(region, out):
+    """The region as indented JSON on stdout, its boundary sweep to a
+    ``.csv`` file, or ``save_region_json`` to any other file."""
+    import json
+
+    from .regions import boundary_sample, region_to_json, save_region_json
+
+    if out is None:
+        _emit(json.dumps(region_to_json(region), indent=2) + "\n", out)
+    elif str(out).endswith(".csv"):
+        _emit_rows("theta,R1,R2", boundary_sample(region, 181), out)
+    else:
+        _deliver(lambda p: save_region_json(region, p), out)
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
 
-def _read_channel(cfg: RunConfig):
+def _read_channel(args):
     """The ``--channel`` document, read before any numerical import so a
     file that is not JSON is reported first; None for ``--builtin``."""
-    return None if cfg.channel is None else read_json(cfg.channel, "channel")
+    return None if args.channel is None else read_json(args.channel, "channel")
 
 
-def _load_cq_channel(cfg: RunConfig, doc, builtin_params=None):
+def _load_cq_channel(args, doc, builtin_params=None):
     from .channels import builtin, load_channel
 
-    if cfg.channel is None:
-        params = cfg.params if builtin_params is None else builtin_params
-        return builtin(cfg.builtin, params=params)
+    if args.channel is None:
+        params = args.param if builtin_params is None else builtin_params
+        return builtin(args.builtin, params=params)
     return load_channel(doc)
 
 
-def _uniform_pair(ch):
-    from .entropic import ProbDist
-    from .network import input_pair
-
-    return tuple(ProbDist.uniform(a) for a in input_pair(ch))
-
-
-def _cmd_capacity(cfg: RunConfig) -> int:
-    doc = _read_channel(cfg)
+def _cmd_capacity(args) -> int:
+    doc = _read_channel(args)
 
     from .channels import Povm, induced_classical_channel
     from .network import classical_capacity_BA, hsw_capacity
 
-    ch = _load_cq_channel(cfg, doc)
-    if cfg.subcommand == "p2p-classical":
-        if cfg.povm_angle is not None:
-            povm = Povm.qubit_projective(cfg.povm_angle)
+    ch = _load_cq_channel(args, doc)
+    if args.subcommand == "p2p-classical":
+        if args.povm_angle is not None:
+            povm = Povm.qubit_projective(args.povm_angle)
         else:
             povm = Povm.computational(ch.output_dim)
         transition = induced_classical_channel(ch, povm)
         result = classical_capacity_BA(transition)
     else:
         result = hsw_capacity(ch)
-    if cfg.grid is not None:
+    if args.grid is not None:
         print("note: --grid has no effect on capacity; the iteration needs no grid",
               file=sys.stderr)
     if not result.converged:
@@ -336,133 +278,76 @@ def _cmd_capacity(cfg: RunConfig) -> int:
               file=sys.stderr)
     value, dist = result
     print(format(value, ".10g"))
-    if cfg.out is not None:
+    if args.out is not None:
         import json
 
         doc = {"capacity": value, "input_distribution": list(dist.weights)}
-        _deliver(lambda p: Path(p).write_text(json.dumps(doc, indent=2) + "\n"),
-                 cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
-def _cmg_oracle_status(direct, projected) -> tuple[float, bool]:
-    """The share of a 50 x 50 square of rate pairs on which the direct and
-    projected common-message regions agree about membership (to
-    ORACLE_TOL), and whether the two regions are exactly equal."""
-    import numpy as np
+def _cmd_region(args) -> int:
+    doc = _read_channel(args)
 
-    from .regions import equivalent
+    from . import network
+    from .entropic import ProbDist
 
-    top = 1.05 * max(
-        bound for r in (direct, projected) for _, bound in r.inequalities
-    )
-    axis = np.linspace(0.0, top, 50)
-    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    agree = direct.contains(points, tol=ORACLE_TOL) == projected.contains(points, tol=ORACLE_TOL)
-    return int(np.sum(agree)) / len(points), equivalent(direct, projected)
-
-
-def _cmd_region(cfg: RunConfig) -> int:
-    doc = _read_channel(cfg)
-
-    from .network import (
-        CodeDistribution,
-        cmg_region,
-        cmg_regions,
-        hk_region,
-        mac_region,
-        mac_region_union,
-        marton_region,
-        random_cmg_distribution,
-        random_hk_distribution,
-        random_marton_distribution,
-        random_relay_distribution,
-        random_superposition_distribution,
-        relay_pdf_rate,
-        sato_outer,
-        si_capacity,
-        superposition_region,
-        vsi_capacity,
-    )
-
-    ch = _load_cq_channel(cfg, doc)
-    sub = cfg.subcommand
-    if sub == "mac":
-        if cfg.uniform:
-            p1, p2 = _uniform_pair(ch)
-            _emit_region(mac_region(ch, p1, p2), cfg.out)
-        else:
-            rows = mac_region_union(ch, grid=cfg.grid)
-            _emit_rows("theta,R1,R2", rows, cfg.out)
+    ch = _load_cq_channel(args, doc)
+    if args.subcommand == "mac" and not args.uniform:
+        _emit_rows("theta,R1,R2", network.mac_region_union(ch, grid=args.grid), args.out)
         return EXIT_OK
-    if sub in ("vsi", "si", "sato"):
-        p1, p2 = _uniform_pair(ch)
-        dist = CodeDistribution.no_time_share(p1, p2)
-        fn = {"vsi": vsi_capacity, "si": si_capacity, "sato": sato_outer}[sub]
-        _emit_region(fn(ch, dist), cfg.out)
-        return EXIT_OK
-    if sub == "hk":
-        dist = random_hk_distribution(ch, cfg.seed)
-        _emit_region(hk_region(ch, dist), cfg.out)
-        return EXIT_OK
-    if sub == "cmg":
-        dist = random_cmg_distribution(ch, cfg.seed)
-        if cfg.oracle:
-            region, projected = cmg_regions(ch, dist)
-            fraction, ok = _cmg_oracle_status(region, projected)
-            print(f"oracle agreement: {fraction:.6f}")
-            if not ok:
-                print("error: region routes disagree", file=sys.stderr)
-                return EXIT_INVARIANT
-        else:
-            region = cmg_region(ch, dist)
-        _emit_region(region, cfg.out)
-        return EXIT_OK
-    if sub == "bc-superposition":
-        dist = random_superposition_distribution(ch, cfg.seed)
-        _emit_region(superposition_region(ch, dist), cfg.out)
-        return EXIT_OK
-    if sub == "bc-marton":
-        dist = random_marton_distribution(ch, cfg.seed)
-        _emit_region(marton_region(ch, dist), cfg.out)
-        return EXIT_OK
-    # relay-pdf: a single rate, not a region
-    dist = random_relay_distribution(ch, cfg.seed)
-    rate = relay_pdf_rate(ch, dist)
-    print(format(rate, ".10g"))
-    if cfg.out is not None:
-        import json
+    draw, compute = _REGIONS[args.subcommand]
+    if draw is not None:
+        inputs = [getattr(network, draw)(ch, args.seed)]
+    else:
+        inputs = [ProbDist.uniform(a) for a in network.input_pair(ch)]
+        if args.subcommand != "mac":
+            inputs = [network.CodeDistribution.no_time_share(*inputs)]
+    if args.subcommand == "cmg" and args.oracle:
+        from .regions import implied_share
 
-        _deliver(
-            lambda p: Path(p).write_text(json.dumps({"rate": rate}) + "\n"),
-            cfg.out,
-        )
+        result, projected = network.cmg_regions(ch, *inputs)
+        share = implied_share(result, projected)
+        print(f"oracle agreement: {share:.6f}")
+        if share != 1.0:
+            print("error: region routes disagree", file=sys.stderr)
+            return EXIT_INVARIANT
+    else:
+        result = getattr(network, compute)(ch, *inputs)
+    if args.subcommand == "relay-pdf":  # a single rate, not a region
+        print(format(result, ".10g"))
+        if args.out is not None:
+            import json
+
+            _emit(json.dumps({"rate": result}) + "\n", args.out)
+    else:
+        _emit_region(result, args.out)
     return EXIT_OK
 
 
-def _bosonic_params(cfg: RunConfig, doc):
+def _bosonic_params(args, doc):
     from .bosonic import BosonicICParams, DetectionMode, params_from_json
 
-    if cfg.channel is not None:
+    if args.channel is not None:
         params, mode = params_from_json(doc)
     else:
-        params, mode = BosonicICParams(*cfg.params), DetectionMode.JOINT
-    if cfg.lam is not None:
-        params = replace(params, lambda1=cfg.lam[0], lambda2=cfg.lam[1])
-    if cfg.mode is not None:
-        mode = DetectionMode.parse(cfg.mode)
+        params, mode = BosonicICParams(*args.param), DetectionMode.JOINT
+    if args.lam is not None:
+        params = replace(params, lambda1=args.lam[0], lambda2=args.lam[1])
+    if args.mode is not None:
+        mode = DetectionMode.parse(args.mode)
     return params, mode
 
 
-def _cmd_bosonic(cfg: RunConfig) -> int:
+def _cmd_bosonic(args) -> int:
     # flag and JSON-syntax errors are reported before numpy is imported
     doc = None
-    if cfg.subcommand == "p2p":
-        if len(cfg.params) != 2:
+    if args.subcommand == "p2p":
+        if len(args.param) != 2:
             raise SchemaError("expected 2 parameters: eta NB")
-    elif cfg.channel is not None:
-        doc = read_json(cfg.channel, "bosonic parameter")
-    elif len(cfg.params) != 8:
+    elif args.channel is not None:
+        doc = read_json(args.channel, "bosonic parameter")
+    elif len(args.param) != 8:
         raise SchemaError(
             "expected 8 parameters: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2"
         )
@@ -478,67 +363,67 @@ def _cmd_bosonic(cfg: RunConfig) -> int:
         c_homodyne,
     )
 
-    if cfg.subcommand == "p2p":
-        eta, nb = cfg.params
+    if args.subcommand == "p2p":
+        eta, nb = args.param
         rows = [
             (ns, c_homodyne(eta, ns, nb), c_heterodyne(eta, ns, nb),
              c_holevo(eta, ns, nb))
-            for ns in np.geomspace(0.01, 100.0, cfg.grid)
+            for ns in np.geomspace(0.01, 100.0, args.grid)
         ]
-        _emit_rows("NS,hom,het,holevo", rows, cfg.out)
+        _emit_rows("NS,hom,het,holevo", rows, args.out)
         return EXIT_OK
-    params, mode = _bosonic_params(cfg, doc)
-    if cfg.subcommand == "hk":
-        _emit_region(bosonic_hk_region(params, mode), cfg.out)
+    params, mode = _bosonic_params(args, doc)
+    if args.subcommand == "hk":
+        _emit_region(bosonic_hk_region(params, mode), args.out)
         return EXIT_OK
-    fn = bosonic_vsi if cfg.subcommand == "vsi" else bosonic_si
+    fn = bosonic_vsi if args.subcommand == "vsi" else bosonic_si
     condition, region = fn(params, mode)
     print(f"condition: {'true' if condition else 'false'}")
-    _emit_region(region, cfg.out)
+    _emit_region(region, args.out)
     return EXIT_OK
 
 
-def _cmd_sim(cfg: RunConfig) -> int:
+def _cmd_sim(args) -> int:
     # the --param checks need only the flags, so they run before numpy loads
-    if cfg.subcommand == "quantum":
-        if not 1 <= len(cfg.params) <= 2:
+    if args.subcommand == "quantum":
+        if not 1 <= len(args.param) <= 2:
             raise SchemaError("expected rate R and optional codebook count")
-        rate = cfg.params[0]
-        count = (whole_number(cfg.params[1], "codebook count")
-                 if len(cfg.params) == 2 else 5)
+        rate = args.param[0]
+        count = (whole_number(args.param[1], "codebook count")
+                 if len(args.param) == 2 else 5)
         if count < 1:
             raise SchemaError(f"codebook count must be >= 1, got {count}")
     else:
-        if len(cfg.params) != 3:
+        if len(args.param) != 3:
             raise SchemaError("expected parameters: rate R, blocklength n, trials")
-        rate = cfg.params[0]
-        n = whole_number(cfg.params[1], "blocklength")
-        trials = whole_number(cfg.params[2], "trial count")
-    doc = _read_channel(cfg)
+        rate = args.param[0]
+        n = whole_number(args.param[1], "blocklength")
+        trials = whole_number(args.param[2], "trial count")
+    doc = _read_channel(args)
 
     from .channels import Povm, induced_classical_channel
     from .entropic import ProbDist
 
-    ch = _load_cq_channel(cfg, doc, builtin_params=())
-    if cfg.subcommand == "quantum":
+    ch = _load_cq_channel(args, doc, builtin_params=())
+    if args.subcommand == "quantum":
         from .codesim import srm_error_sweep
 
         rows = srm_error_sweep(
             ch,
             rate=rate,
             blocklengths=_SIM_BLOCKLENGTHS,
-            delta=cfg.delta,
-            seeds=range(cfg.seed, cfg.seed + count),
+            delta=args.delta,
+            seeds=range(args.seed, args.seed + count),
         )
-        _emit_rows("n,R,seed,delta,exact_error,hn_bound", rows, cfg.out)
+        _emit_rows("n,R,seed,delta,exact_error,hn_bound", rows, args.out)
         return EXIT_OK
     from .codesim import classical_typical_decode_sim
 
     transition = induced_classical_channel(ch, Povm.computational(ch.output_dim))
     p = ProbDist.uniform(ch.input_alphabets[0])
     res = classical_typical_decode_sim(
-        transition, p, rate=rate, n=n, delta=cfg.delta, trials=trials,
-        seed=cfg.seed,
+        transition, p, rate=rate, n=n, delta=args.delta, trials=trials,
+        seed=args.seed,
     )
     print(
         f"trials={res.trials} errors={res.errors}"
@@ -546,12 +431,12 @@ def _cmd_sim(cfg: RunConfig) -> int:
         f" output_atypical={res.output_atypical} no_match={res.no_match}"
         f" multi_match={res.multi_match} wrong_match={res.wrong_match}"
     )
-    if cfg.out is not None:
+    if args.out is not None:
         _emit_rows(
             "n,R,seed,delta,trials,errors,error_rate,wrong_match",
-            [(n, rate, cfg.seed, cfg.delta, res.trials, res.errors,
+            [(n, rate, args.seed, args.delta, res.trials, res.errors,
               res.error_rate, res.wrong_match)],
-            cfg.out,
+            args.out,
         )
     return EXIT_OK
 
@@ -574,8 +459,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = RunConfig.from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        _check_flags(args)
+        return _HANDLERS[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

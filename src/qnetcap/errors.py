@@ -40,7 +40,6 @@ INFO_CLAMP = 1e-9  # an information or rate bound down to -this is 0
 MEMBERSHIP_TOL = 1e-7  # slack of region membership and exact equality
 POLYGON_TOL = 1e-9  # slack of polygon vertices, rays and redundant rows
 ZERO_COEFF_TOL = 1e-12  # a row coefficient or determinant below this is 0
-ORACLE_TOL = 1e-6  # membership slack of the command line's CMG oracle
 BA_GAP_TOL = 1e-9  # Blahut-Arimoto stops once upper - lower is below this
 SUPPORT_RELATIVE_CUTOFF = 1e-12  # sigma's support: eigenvalues above this x max
 CLOSED_FORM_TOL = 1e-12  # roundoff of a bosonic rate, threshold test or eta sum

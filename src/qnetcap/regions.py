@@ -4,7 +4,8 @@ A region is a finite list of inequalities c . R <= b over named nonnegative
 rate coordinates.  This module provides membership, intersection,
 Fourier-Motzkin projection onto one or two new coordinates with exact
 redundancy pruning, the exact equality test ``equivalent`` for regions of one
-or two coordinates, 2-D boundary sampling for plots, and JSON/CSV export.
+or two coordinates (with ``implied_share``, the share of rows each region
+implies of the other), 2-D boundary sampling for plots, and JSON export.
 Of the package it imports only ``errors``.
 """
 
@@ -59,19 +60,14 @@ class HalfspaceRegion:
     def dim(self) -> int:
         return len(self.coordinate_names)
 
-    def contains(self, point, tol: float = MEMBERSHIP_TOL):
-        """Whether ``point`` satisfies every row and R >= 0 to within ``tol``.
-        An (N, k) array of N points gives a bool array of N verdicts."""
-        p = np.asarray(point, dtype=float)
-        points = p if p.ndim == 2 else p.reshape(1, -1)
-        if points.shape[1] != self.dim:
-            raise InvariantError(
-                f"point of length {points.shape[1]} in {self.dim}-D region"
-            )
-        inside = np.all(points >= -tol, axis=1)
-        for c, b in self.inequalities:
-            inside &= points @ c <= b + tol
-        return inside if p.ndim == 2 else bool(inside[0])
+    def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Whether ``point`` satisfies every row and R >= 0 to within ``tol``."""
+        p = np.asarray(point, dtype=float).reshape(-1)
+        if p.size != self.dim:
+            raise InvariantError(f"point of length {p.size} in {self.dim}-D region")
+        if np.any(p < -tol):
+            return False
+        return all(float(c @ p) <= b + tol for c, b in self.inequalities)
 
     def __repr__(self) -> str:
         return (
@@ -278,12 +274,12 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     return HalfspaceRegion(new_names, final)
 
 
-def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
-    """Whether two regions over the same one or two coordinates are the
-    same set: every row of each is implied by the other (its support value
-    over the other region is at most its bound + MEMBERSHIP_TOL).  A region
-    that is unbounded along a row of the other is therefore never
-    equivalent."""
+def implied_share(a: HalfspaceRegion, b: HalfspaceRegion) -> float:
+    """The share of the rows of two regions over the same one or two
+    coordinates that the other region implies: a row is implied when its
+    support value over the other region is at most its bound +
+    MEMBERSHIP_TOL.  A region that is unbounded along a row of the other
+    does not imply it."""
     if a.coordinate_names != b.coordinate_names:
         raise InvariantError(
             f"coordinate names differ: {a.coordinate_names} vs {b.coordinate_names}"
@@ -293,9 +289,19 @@ def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
 
     def implied(rows, region):
         support = _Polygon(region.inequalities, region.dim).support
-        return all(support(c) <= bound + MEMBERSHIP_TOL for c, bound in rows)
+        return sum(support(c) <= bound + MEMBERSHIP_TOL for c, bound in rows)
 
-    return implied(a.inequalities, b) and implied(b.inequalities, a)
+    rows = len(a.inequalities) + len(b.inequalities)
+    if rows == 0:
+        return 1.0
+    return (implied(a.inequalities, b) + implied(b.inequalities, a)) / rows
+
+
+def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
+    """Whether two regions over the same one or two coordinates are the
+    same set: every row of each is implied by the other
+    (``implied_share`` is 1)."""
+    return implied_share(a, b) == 1.0
 
 
 def radial_extents(coeffs, bounds, thetas) -> np.ndarray:
@@ -336,14 +342,6 @@ def boundary_sample(region: HalfspaceRegion, n_angles: int):
         (float(theta), float(r * np.cos(theta)), float(r * np.sin(theta)))
         for theta, r in zip(thetas, t)
     ]
-
-
-def export_boundary_csv(region: HalfspaceRegion, path, n_angles: int = 181) -> None:
-    """Write the boundary sweep as CSV with header theta,R1,R2."""
-    lines = ["theta,R1,R2"]
-    for theta, r1, r2 in boundary_sample(region, n_angles):
-        lines.append(f"{theta:.10g},{r1:.10g},{r2:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def region_to_json(region: HalfspaceRegion) -> dict:

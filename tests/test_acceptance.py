@@ -44,7 +44,7 @@ from qnetcap.network import (
     vsi_check,
 )
 from qnetcap.qstate import DensityMatrix
-from qnetcap.regions import equivalent, polymatroid_slacks
+from qnetcap.regions import equivalent, implied_share, polymatroid_slacks
 
 
 def bound_of(region, coeff):
@@ -149,26 +149,17 @@ def test_common_message_projection_oracle(gate):
     gate.expect(4, "common-message projection oracle")
     t0 = time.perf_counter()
     ch = builtin("bb84_qmac")
-    fractions = []
+    shares = []
     exact = []
     for seed in (1, 2, 3):
         dist = random_cmg_distribution(ch, seed)
         direct = cmg_region(ch, dist)
         projected = cmg_region_via_projection(ch, dist)
         exact.append(equivalent(direct, projected))
-        top = 1.05 * max(
-            b for r in (direct, projected) for _, b in r.inequalities
-        )
-        axis = np.linspace(0.0, top, 50)
-        agree = sum(
-            direct.contains((x, y), tol=1e-6) == projected.contains((x, y), tol=1e-6)
-            for x in axis
-            for y in axis
-        )
-        fractions.append(agree / (len(axis) ** 2))
+        shares.append(implied_share(direct, projected))
     elapsed = time.perf_counter() - t0
     checks = {
-        "membership agreement": all(f >= 0.999 for f in fractions),
+        "rows implied": all(s == 1.0 for s in shares),
         "exact equality": all(exact),
         "runtime": elapsed < 120.0,
     }
@@ -176,10 +167,10 @@ def test_common_message_projection_oracle(gate):
         4,
         "common-message projection oracle",
         all(checks.values()),
-        "agreement " + " / ".join(f"{f:.4f}" for f in fractions)
+        "rows implied " + " / ".join(f"{s:.4f}" for s in shares)
         + f", exactly equal {sum(exact)}/3, {elapsed:.1f} s",
     )
-    assert not failed(checks), (failed(checks), fractions, exact)
+    assert not failed(checks), (failed(checks), shares, exact)
 
 
 def test_split_rate_orderings(gate):

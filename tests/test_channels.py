@@ -98,6 +98,8 @@ class TestBuiltins:
     @pytest.mark.parametrize("name, params", [
         ("theta_swap(nan)", ()), ("theta_swap(inf)", ()), ("theta_swap(1e400)", ()),
         ("theta_swap", (float("nan"),)), ("theta_swap", (-float("inf"),)),
+        ("theta_swap", (10**400,)), ("theta_swap", (10**5000,)),
+        ("theta_swap", (fractions.Fraction(-(10**400)),)),
     ])
     def test_non_finite_parameter_is_schema_error(self, name, params):
         with pytest.raises(SchemaError, match="must be finite"):

@@ -6,12 +6,45 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qnetcap import network
 from qnetcap.channels import CqChannel, builtin, dump_channel
 from qnetcap.cli import main
+from qnetcap.entropic import ProbDist
 from qnetcap.qstate import DensityMatrix
-from qnetcap.regions import HalfspaceRegion, region_from_json, save_region_json
+from qnetcap.regions import (
+    HalfspaceRegion,
+    boundary_sample,
+    region_from_json,
+    region_to_json,
+    save_region_json,
+)
 
 H_BB84 = 0.6008760366928562
+
+
+def uniform_pair(ch):
+    return [ProbDist.uniform(a) for a in ch.input_alphabets]
+
+
+def uniform_code(ch):
+    return network.CodeDistribution.no_time_share(*uniform_pair(ch))
+
+
+# region command line -> (builtin channel, the library region it writes)
+REGION_ARTIFACTS = {
+    "mac --uniform": ("bb84_qmac", lambda ch: network.mac_region(ch, *uniform_pair(ch))),
+    "vsi": ("theta_swap(1.2)", lambda ch: network.vsi_capacity(ch, uniform_code(ch))),
+    "si": ("theta_swap(1.2)", lambda ch: network.si_capacity(ch, uniform_code(ch))),
+    "sato": ("theta_swap(1.2)", lambda ch: network.sato_outer(ch, uniform_code(ch))),
+    "hk --seed 2": ("bb84_qmac", lambda ch: network.hk_region(
+        ch, network.random_hk_distribution(ch, 2))),
+    "cmg --seed 1 --oracle": ("bb84_qmac", lambda ch: network.cmg_region(
+        ch, network.random_cmg_distribution(ch, 1))),
+    "bc-superposition --seed 4": ("bb84_bc", lambda ch: network.superposition_region(
+        ch, network.random_superposition_distribution(ch, 4))),
+    "bc-marton --seed 5": ("bb84_bc", lambda ch: network.marton_region(
+        ch, network.random_marton_distribution(ch, 5))),
+}
 
 
 def run(capsys, *argv):
@@ -189,35 +222,24 @@ class TestRegion:
         assert "oracle agreement" in out
 
     def test_cmg_oracle_disagreement_exits_3(self, capsys, monkeypatch):
-        import qnetcap.network as network
-
         real = network.cmg_regions
-        seen = []
 
         def shrunk(ch, dist):
-            # one facet pulled in by 2%: the grid sees it on few points
+            # one projected facet pulled in by 2%: the direct region no longer
+            # implies it, while every other row of both still holds
             direct, region = real(ch, dist)
             rows = list(region.inequalities)
             rows[-1] = (rows[-1][0], 0.98 * rows[-1][1])
-            seen.append((direct, HalfspaceRegion(region.coordinate_names, rows)))
-            return seen[-1]
+            return direct, HalfspaceRegion(region.coordinate_names, rows)
 
         monkeypatch.setattr(network, "cmg_regions", shrunk)
         code, out, err = run(capsys, "region", "cmg", "--builtin", "bb84_qmac",
                              "--seed", "1", "--oracle")
-        assert code == 3 and "disagree" in err
-        # the reference: one contains() call per grid point
-        direct, projected = seen[0]
-        top = 1.05 * max(b for r in seen[0] for _, b in r.inequalities)
-        axis = np.linspace(0.0, top, 50)
-        agree = sum(direct.contains((x, y), tol=1e-6) == projected.contains((x, y), tol=1e-6)
-                    for x in axis for y in axis)
-        assert 0.999 <= agree / 2500 < 1.0
-        assert out == f"oracle agreement: {agree / 2500:.6f}\n"
+        assert (code, err) == (3, "error: region routes disagree\n")
+        # 11 of the 9 direct and 3 projected rows are implied: all but the shrunk facet
+        assert out == "oracle agreement: 0.916667\n"
 
     def test_cmg_oracle_evaluates_terms_once(self, capsys, monkeypatch, tmp_path):
-        import qnetcap.network as network
-
         real, builds = network.joint_state, []
 
         def counted(*args, **kwargs):
@@ -267,6 +289,24 @@ class TestRegion:
         assert code == 0
         region = region_from_json(json.loads(path.read_text()))
         assert region.contains((0.0, 0.0))
+
+    @pytest.mark.parametrize("line", REGION_ARTIFACTS)
+    def test_region_artifacts(self, capsys, tmp_path, line):
+        # stdout, --out .json and --out .csv all write the library's region
+        name, region_of = REGION_ARTIFACTS[line]
+        lib = region_of(builtin(name))
+        argv = ["region", *line.split(), "--builtin", name]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out[out.index("{"):] == json.dumps(region_to_json(lib), indent=2) + "\n"
+        ref = tmp_path / "ref.json"
+        save_region_json(lib, ref)
+        sweep = "".join(f"{t:.10g},{r1:.10g},{r2:.10g}\n"
+                        for t, r1, r2 in boundary_sample(lib, 181))
+        for path, expected in ((tmp_path / "x.json", ref.read_bytes()),
+                               (tmp_path / "x.csv", ("theta,R1,R2\n" + sweep).encode())):
+            assert run(capsys, *argv, "--out", str(path))[0] == 0
+            assert path.read_bytes() == expected
 
     def test_relay_pdf_rate(self, capsys):
         code, out, _ = run(capsys, "region", "relay-pdf", "--builtin",

@@ -52,6 +52,7 @@ KEPT_WITHOUT_CALLER = {
     "entropic.binary_entropy": "README Library: Shannon entropy of a bit",
     "regions.region_from_json": "reader of the public region_to_json format",
     "regions.polymatroid_slacks": "polymatroid orderings of the CMG split-rate region",
+    "regions.equivalent": "exact equality of the direct and projected CMG regions",
     "network.successive_decoding_corners": "successive decoding on the interference channel",
     "network.relay_df_rate": "decode-forward, partial decode-forward at U = X",
     "codesim.typical_projector": "typical subspace: rank and weight",
