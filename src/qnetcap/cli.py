@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -193,16 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _deliver(write, out):
     """Run ``write(path)`` on a temporary file beside ``out``, then rename
-    it into place, so a failed run leaves no partial file."""
+    it into place, so a failed run leaves no partial file; an OS error
+    names ``out`` as given, not the temporary file."""
     target = os.path.abspath(os.fspath(out))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp~")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp~")
+        os.close(fd)
         write(tmp)
         os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(out)) from None
         raise
 
 
@@ -214,8 +220,13 @@ def _emit(text, out):
         _deliver(lambda p: Path(p).write_text(text), out)
 
 
+def _cell(v):
+    """A CSV value: an integer whole, any other number to ten digits."""
+    return format(v, "d" if isinstance(v, numbers.Integral) else ".10g")
+
+
 def _emit_rows(header, rows, out):
-    lines = [header] + [",".join(format(v, ".10g") for v in row) for row in rows]
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
     _emit("\n".join(lines) + "\n", out)
 
 

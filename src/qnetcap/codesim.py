@@ -360,6 +360,19 @@ def _detection_columns(avg_cols, cols):
     return v, np.cumsum([c.shape[1] for c in cols])[:-1]
 
 
+def _check_projectors(ch, codebook, projs):
+    """A projector set of this codebook's shape: one conditional projector
+    per message, each on the output space of an n-letter word."""
+    if len(projs.columns) != codebook.M:
+        raise SchemaError(
+            f"{len(projs.columns)} conditional projectors for {codebook.M} messages"
+        )
+    d = ch.output_dim ** codebook.n
+    if projs.average_columns.shape[0] != d:
+        raise SchemaError(f"projectors act on dimension {projs.average_columns.shape[0]}, "
+                          f"codewords on {d}")
+
+
 def _srm_factors(w):
     """B = S^{-1/2} W with S = W W^dagger inverted on its support, from
     the thin SVD W = U Sigma X^dagger as B = U_keep X_keep^dagger; also
@@ -393,6 +406,7 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
         projs = projector_set(ch, codebook, delta)
+    _check_projectors(ch, codebook, projs)
     w, starts = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
     info = {
@@ -465,10 +479,7 @@ def hn_diagnostic(ch, codebook, projs):
     exact error (and above 1) at these blocklengths.  Tr[P_k rho_m] is
     the sum over W_k's columns of w^dagger rho_m w.
     """
-    if len(projs.columns) != codebook.M:
-        raise SchemaError(
-            f"{len(projs.columns)} conditional projectors for {codebook.M} messages"
-        )
+    _check_projectors(ch, codebook, projs)
     w, starts = _detection_columns(projs.average_columns, projs.columns)
     return _hn_bound(ch, codebook.codewords, w, starts)
 

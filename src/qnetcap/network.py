@@ -6,9 +6,8 @@ parts, its deterministic input maps and its structure (factors in sampling
 order, register order, how each channel input is read).  Every network rate
 bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``; each region
 names its terms as data, evaluates each distinct term once and sums them
-row by row.  ``random_cmg_distribution``, ``random_hk_distribution``,
-``random_superposition_distribution``, ``random_marton_distribution`` and
-``random_relay_distribution`` draw seeded distributions.
+row by row.  The five ``random_*_distribution`` generators are one seeded
+draw that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same system.
 """
@@ -106,49 +105,74 @@ _LAYOUTS = {
 }
 
 
-class CodeDistribution:
-    """Input-distribution structure of a random-coding scheme.
+def _keys(alphabets: dict, registers: str) -> tuple:
+    """Every choice of symbols of ``registers`` in alphabet-product order:
+    a symbol for one register, a tuple for several."""
+    names = registers.split()
+    if len(names) == 1:
+        return tuple(alphabets[names[0]])
+    return tuple(itertools.product(*(alphabets[r] for r in names)))
 
-    ``parts`` maps part names to either a ProbDist (unconditional) or a
-    dict from conditioning symbols (a tuple when there are several) to
-    ProbDists; ``maps`` holds deterministic symbol maps (the functions
-    turning auxiliary symbols into channel inputs).  ``factors``,
-    ``registers`` and ``inputs`` record the kind's structure from
-    ``_LAYOUTS``.  Use the per-kind classmethods.
+
+class CodeDistribution:
+    """Input-distribution structure of a random-coding scheme; use the
+    per-kind classmethods.
+
+    ``parts`` maps part names to a ProbDist (unconditional) or to a dict
+    from conditioning symbols (a tuple when there are several) to
+    ProbDists; ``maps`` holds the deterministic maps from auxiliary symbols
+    to channel inputs.  ``factors``, ``registers`` and ``inputs`` are the
+    kind's ``_LAYOUTS`` entry.  Construction checks the parts and maps
+    against it and records ``alphabets``, register -> symbols in first-row
+    or first-appearance order.
     """
 
     def __init__(self, kind: str, parts: dict, maps: dict | None = None):
         if kind not in _LAYOUTS:
             raise SchemaError(f"unknown distribution kind {kind!r}")
         self.kind = kind
-        self.parts = dict(parts)
-        self.maps = dict(maps) if maps else {}
         self.factors, self.registers, self.inputs = _LAYOUTS[kind]
+        self.parts, self.maps, self.alphabets = dict(parts), {}, {}
+        for key, regs, given in self.factors:
+            if given:
+                table, domain = self.parts[key], _keys(self.alphabets, given)
+                for c in domain:
+                    if c not in table:
+                        raise SchemaError(f"conditional table missing row {c}")
+                self.parts[key] = {c: table[c] for c in domain}
+            rows = list(self.parts[key].values()) if given else [self.parts[key]]
+            if not all(isinstance(pd, ProbDist) for pd in rows):
+                raise SchemaError(f"a row of {key} is not a ProbDist")
+            regs = regs.split()
+            if len(regs) == 1:
+                alphabet = rows[0].symbols
+                for pd in rows:
+                    if set(pd.symbols) != set(alphabet):
+                        raise SchemaError(f"{key} is over {pd.symbols}, but {regs[0]} "
+                                          f"takes the alphabet {alphabet}")
+                self.alphabets[regs[0]] = alphabet
+                continue
+            if not all(isinstance(s, tuple) and len(s) == len(regs)
+                       for pd in rows for s in pd.symbols):
+                raise SchemaError(f"{key} must be over ({', '.join(regs)}) tuples")
+            for k, r in enumerate(regs):
+                self.alphabets[r] = tuple(dict.fromkeys(s[k] for pd in rows for s in pd.symbols))
+        for name, regs in (r for r in self.inputs if not isinstance(r, str)):
+            joint = next((key for key, r, _ in self.factors if r == regs), None)
+            f = (maps or {}).get(name, {})
+            domain = self.parts[joint].symbols if joint else _keys(self.alphabets, regs)
+            for key in domain:
+                if key not in f:
+                    raise SchemaError(f"deterministic map missing {key}")
+            self.maps[name] = {key: str(f[key]) for key in domain}
 
-    @staticmethod
-    def _conditional(table: dict, domain) -> dict:
-        out = {}
-        for key in domain:
-            if key not in table:
-                raise SchemaError(f"conditional table missing row {key}")
-            row = table[key]
-            if not isinstance(row, ProbDist):
-                raise SchemaError(f"row {key} is not a ProbDist")
-            out[key] = row
-        return out
-
-    @staticmethod
-    def _total_map(f: dict, domain, codomain) -> dict:
-        out = {}
-        codomain = set(codomain)
-        for key in domain:
-            if key not in f:
-                raise SchemaError(f"deterministic map missing {key}")
-            val = str(f[key])
-            if val not in codomain:
-                raise SchemaError(f"map value {val!r} outside alphabet")
-            out[key] = val
-        return out
+    def _values_within(self, **alphabets) -> "CodeDistribution":
+        """Self, once each named map's values lie in its channel alphabet."""
+        for name, alphabet in alphabets.items():
+            for val in self.maps[name].values():
+                if val not in alphabet:
+                    raise SchemaError(f"map value {val!r} outside alphabet")
+        return self
 
     @classmethod
     def p2p(cls, p: ProbDist) -> "CodeDistribution":
@@ -160,12 +184,7 @@ class CodeDistribution:
 
     @classmethod
     def coded_time_share(cls, q: ProbDist, x1_given_q: dict, x2_given_q: dict) -> "CodeDistribution":
-        parts = {
-            "Q": q,
-            "X1|Q": cls._conditional(x1_given_q, q.symbols),
-            "X2|Q": cls._conditional(x2_given_q, q.symbols),
-        }
-        return cls("coded-time-share", parts)
+        return cls("coded-time-share", {"Q": q, "X1|Q": x1_given_q, "X2|Q": x2_given_q})
 
     @classmethod
     def no_time_share(cls, p1: ProbDist, p2: ProbDist) -> "CodeDistribution":
@@ -176,64 +195,27 @@ class CodeDistribution:
     @classmethod
     def hk(cls, q, u1_given_q, u2_given_q, w1_given_q, w2_given_q, f1, f2,
            x1_alphabet, x2_alphabet) -> "CodeDistribution":
-        parts = {
-            "Q": q,
-            "U1|Q": cls._conditional(u1_given_q, q.symbols),
-            "U2|Q": cls._conditional(u2_given_q, q.symbols),
-            "W1|Q": cls._conditional(w1_given_q, q.symbols),
-            "W2|Q": cls._conditional(w2_given_q, q.symbols),
-        }
-        u1 = next(iter(parts["U1|Q"].values())).symbols
-        u2 = next(iter(parts["U2|Q"].values())).symbols
-        w1 = next(iter(parts["W1|Q"].values())).symbols
-        w2 = next(iter(parts["W2|Q"].values())).symbols
-        maps = {
-            "f1": cls._total_map(f1, itertools.product(u1, w1), x1_alphabet),
-            "f2": cls._total_map(f2, itertools.product(u2, w2), x2_alphabet),
-        }
-        return cls("hk", parts, maps)
+        parts = {"Q": q, "U1|Q": u1_given_q, "U2|Q": u2_given_q,
+                 "W1|Q": w1_given_q, "W2|Q": w2_given_q}
+        dist = cls("hk", parts, {"f1": f1, "f2": f2})
+        return dist._values_within(f1=x1_alphabet, f2=x2_alphabet)
 
     @classmethod
     def cmg(cls, q, w1_given_q, w2_given_q, x1_given_w1q, x2_given_w2q) -> "CodeDistribution":
-        parts = {
-            "Q": q,
-            "W1|Q": cls._conditional(w1_given_q, q.symbols),
-            "W2|Q": cls._conditional(w2_given_q, q.symbols),
-        }
-        w1 = next(iter(parts["W1|Q"].values())).symbols
-        w2 = next(iter(parts["W2|Q"].values())).symbols
-        parts["X1|W1Q"] = cls._conditional(
-            x1_given_w1q, itertools.product(w1, q.symbols)
-        )
-        parts["X2|W2Q"] = cls._conditional(
-            x2_given_w2q, itertools.product(w2, q.symbols)
-        )
-        return cls("cmg", parts)
+        return cls("cmg", {"Q": q, "W1|Q": w1_given_q, "W2|Q": w2_given_q,
+                           "X1|W1Q": x1_given_w1q, "X2|W2Q": x2_given_w2q})
 
     @classmethod
     def superposition(cls, w: ProbDist, x_given_w: dict) -> "CodeDistribution":
-        return cls(
-            "superposition",
-            {"W": w, "X|W": cls._conditional(x_given_w, w.symbols)},
-        )
+        return cls("superposition", {"W": w, "X|W": x_given_w})
 
     @classmethod
     def marton(cls, joint: ProbDist, f: dict, x_alphabet) -> "CodeDistribution":
-        pairs = joint.symbols
-        if not all(isinstance(s, tuple) and len(s) == 2 for s in pairs):
-            raise SchemaError("marton joint must be over (u1, u2) pairs")
-        return cls(
-            "marton",
-            {"U1U2": joint},
-            {"f": cls._total_map(f, pairs, x_alphabet)},
-        )
+        return cls("marton", {"U1U2": joint}, {"f": f})._values_within(f=x_alphabet)
 
     @classmethod
     def relay_pdf(cls, joint: ProbDist) -> "CodeDistribution":
-        if not all(isinstance(s, tuple) and len(s) == 3 for s in joint.symbols):
-            raise SchemaError("relay joint must be over (u, x, x1) triples")
         return cls("relay-pdf", {"UXX1": joint})
-
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +226,34 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
     ``ch``'s outputs: one row per choice of register symbols, holding its
     probability and the channel output at the inputs those symbols give.
 
-    Rows nest the factors in sampling order.  A channel-input register runs
-    over the channel's alphabet and an auxiliary register over its
-    distribution's symbols; a joint factor runs over its joint symbols and
+    Rows nest the factors in sampling order.  A channel-input register
+    runs over the channel's alphabet, which its own factor must cover
+    exactly and a joint factor may cover in part; any other register runs
+    over ``dist.alphabets``.  A joint factor runs over its joint symbols and
     puts its weight on its first register and 1.0 on the others.  A row's
     probability is the product of its register weights in register order.
     """
     if ch.n_inputs != len(dist.inputs):
         raise SchemaError(f"a {dist.kind} distribution needs a "
                           f"{len(dist.inputs)}-input channel, got {ch.n_inputs}")
-    alphabets = {r: a for r, a in zip(dist.inputs, ch.input_alphabets)
-                 if isinstance(r, str)}
+    alphabets = dict(dist.alphabets)
+    drawn_alone = {regs for _, regs, _ in dist.factors}
+    for r, a in zip(dist.inputs, ch.input_alphabets):
+        if r in drawn_alone and set(alphabets[r]) != set(a):
+            raise SchemaError(f"{r} is over {alphabets[r]}, but the channel "
+                              f"takes the alphabet {a}")
+        if isinstance(r, str):
+            alphabets[r] = a
     drawn, rows = [], [((), ())]  # (symbols, weights) in sampling order
     for key, regs, given in dist.factors:
         regs, at = regs.split(), [drawn.index(g) for g in given.split()]
         pds = dist.parts[key] if at else {(): dist.parts[key]}
         if len(regs) > 1:
-            for k, r in enumerate(regs):
-                alphabets.setdefault(r, tuple(dict.fromkeys(
-                    s[k] for pd in pds.values() for s in pd.symbols)))
             choices = {c: [(s, (float(w),) + (1.0,) * (len(s) - 1)) for s, w in pd.items()]
                        for c, pd in pds.items()}
         else:
-            alphabet = alphabets.setdefault(regs[0], next(iter(pds.values())).symbols)
-            for pd in pds.values():
-                if set(pd.symbols) != set(alphabet):
-                    raise SchemaError(f"{key} is over {pd.symbols}, but {regs[0]} "
-                                      f"takes the alphabet {alphabet}")
-            choices = {c: [((s,), (pd.prob(s),)) for s in alphabet] for c, pd in pds.items()}
+            choices = {c: [((s,), (pd.prob(s),)) for s in alphabets[regs[0]]]
+                       for c, pd in pds.items()}
         # conditional parts are keyed by one symbol, or a tuple of several
         pick = operator.itemgetter(*at) if at else (lambda symbols: ())
         rows = [(s + cs, w + cw) for s, w in rows for cs, cw in choices[pick(s)]]
@@ -692,89 +674,66 @@ def relay_df_rate(rc: CqChannel, joint_xx1: ProbDist) -> float:
     """Decode-and-forward rate min{I(X X1;B), I(X;B1|X1)}: the thesis's
     partial decode-forward theorem at U = X, where the relay decodes the
     whole message."""
-    triples = {}
-    for (x, x1), p in joint_xx1.items():
-        triples[(x, x, x1)] = float(p)
-    joint = ProbDist(tuple(triples), list(triples.values()))
+    joint = ProbDist([(x, x, x1) for x, x1 in joint_xx1.symbols], joint_xx1.weights)
     return relay_pdf_rate(rc, CodeDistribution.relay_pdf(joint))
 
 
 # ---------------------------------------------------------------------------
 # seeded random code distributions
 
-def _dirichlet_rows(rng, keys, alphabet):
-    return {
-        key: ProbDist(alphabet, rng.dirichlet(np.ones(len(alphabet))))
-        for key in keys
-    }
+def _draw(kind: str, ch: CqChannel, seed: int, auxiliary: dict, alpha: float):
+    """Seeded ``kind`` distribution over the ``auxiliary`` register
+    alphabets and ``ch``'s input alphabets: each row, factor by factor and
+    key by key, is Dirichlet(alpha) over its registers' symbols; then each
+    map value is drawn uniformly from its channel input's alphabet."""
+    factors, _, inputs = _LAYOUTS[kind]
+    alphabets = dict(auxiliary)
+    alphabets.update((r, a) for r, a in zip(inputs, ch.input_alphabets) if isinstance(r, str))
+    rng = np.random.default_rng(seed)
+
+    def row(regs):
+        symbols = _keys(alphabets, regs)
+        return ProbDist(symbols, rng.dirichlet(alpha * np.ones(len(symbols))))
+
+    parts = {key: {c: row(regs) for c in _keys(alphabets, given)} if given else row(regs)
+             for key, regs, given in factors}
+    maps = {r[0]: {k: a[rng.integers(len(a))] for k in _keys(alphabets, r[1])}
+            for r, a in zip(inputs, ch.input_alphabets) if not isinstance(r, str)}
+    return CodeDistribution(kind, parts, maps)
 
 
 def random_cmg_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDistribution:
     """Seeded fully random common-message distribution; W alphabets match
     the channel input alphabets."""
-    rng = np.random.default_rng(seed)
     a1, a2 = input_pair(ch)
-    qa = tuple(str(i) for i in range(q_size))
-    q = ProbDist(qa, rng.dirichlet(np.ones(q_size)))
-    w1 = _dirichlet_rows(rng, qa, a1)
-    w2 = _dirichlet_rows(rng, qa, a2)
-    x1 = _dirichlet_rows(rng, itertools.product(a1, qa), a1)
-    x2 = _dirichlet_rows(rng, itertools.product(a2, qa), a2)
-    return CodeDistribution.cmg(q, w1, w2, x1, x2)
+    q = tuple(map(str, range(q_size)))
+    return _draw("cmg", ch, seed, {"Q": q, "W1": a1, "W2": a2}, 1.0)
 
 
 def random_hk_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDistribution:
     """Seeded random split-message distribution with random deterministic
     input maps; U and W alphabets match the channel input alphabets."""
-    rng = np.random.default_rng(seed)
     a1, a2 = input_pair(ch)
-    qa = tuple(str(i) for i in range(q_size))
-    q = ProbDist(qa, rng.dirichlet(np.ones(q_size)))
-    u1 = _dirichlet_rows(rng, qa, a1)
-    u2 = _dirichlet_rows(rng, qa, a2)
-    w1 = _dirichlet_rows(rng, qa, a1)
-    w2 = _dirichlet_rows(rng, qa, a2)
-    f1 = {
-        (u, w): a1[int(rng.integers(len(a1)))]
-        for u, w in itertools.product(a1, a1)
-    }
-    f2 = {
-        (u, w): a2[int(rng.integers(len(a2)))]
-        for u, w in itertools.product(a2, a2)
-    }
-    return CodeDistribution.hk(q, u1, u2, w1, w2, f1, f2, a1, a2)
+    q = tuple(map(str, range(q_size)))
+    return _draw("hk", ch, seed, {"Q": q, "U1": a1, "U2": a2, "W1": a1, "W2": a2}, 1.0)
 
 
 def random_superposition_distribution(bc: CqChannel, seed: int) -> CodeDistribution:
     """Seeded superposition distribution: a binary cloud W and X given W,
     each drawn from a Dirichlet(2) prior."""
-    rng = np.random.default_rng(seed)
-    alphabet = bc.single_alphabet()
-    w_syms = ("0", "1")
-    w = ProbDist(w_syms, rng.dirichlet([2.0] * len(w_syms)))
-    x_given_w = {
-        s: ProbDist(alphabet, rng.dirichlet([2.0] * len(alphabet)))
-        for s in w_syms
-    }
-    return CodeDistribution.superposition(w, x_given_w)
+    bc.single_alphabet()
+    return _draw("superposition", bc, seed, {"W": ("0", "1")}, 2.0)
 
 
 def random_marton_distribution(bc: CqChannel, seed: int) -> CodeDistribution:
     """Seeded Marton distribution: a Dirichlet(2) joint over binary (u1, u2)
     and a uniformly drawn map to the channel input."""
-    rng = np.random.default_rng(seed)
-    alphabet = bc.single_alphabet()
-    pairs = tuple(itertools.product(("0", "1"), repeat=2))
-    joint = ProbDist(pairs, rng.dirichlet([2.0] * len(pairs)))
-    f = {pair: str(rng.choice(alphabet)) for pair in pairs}
-    return CodeDistribution.marton(joint, f, alphabet)
+    bc.single_alphabet()
+    return _draw("marton", bc, seed, {"U1": ("0", "1"), "U2": ("0", "1")}, 2.0)
 
 
 def random_relay_distribution(rc: CqChannel, seed: int) -> CodeDistribution:
     """Seeded partial decode-and-forward distribution: a Dirichlet(2) joint
     over (u, x, x1) with a binary U."""
-    rng = np.random.default_rng(seed)
-    x_alpha, x1_alpha = input_pair(rc)
-    triples = tuple(itertools.product(("0", "1"), x_alpha, x1_alpha))
-    joint = ProbDist(triples, rng.dirichlet([2.0] * len(triples)))
-    return CodeDistribution.relay_pdf(joint)
+    input_pair(rc)
+    return _draw("relay-pdf", rc, seed, {"U": ("0", "1")}, 2.0)

@@ -314,6 +314,22 @@ class TestRegion:
         assert code == 0
         assert float(out) >= 0.0
 
+    @pytest.mark.parametrize("path,reason", [
+        (os.path.join("nodir", "x.csv"), "[Errno 2] No such file or directory"),
+        ("taken", "[Errno 21] Is a directory"),
+    ])
+    def test_unwritable_out_names_the_out_path(self, capsys, tmp_path, monkeypatch,
+                                               path, reason):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").mkdir()
+        code, out, err = run(capsys, "region", "vsi", "--builtin", "theta_swap(1.2)",
+                             "--out", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {reason}: {path!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
 
 class TestBosonic:
     def test_p2p_curves(self, capsys, tmp_path):
@@ -505,6 +521,18 @@ class TestSim:
         assert code == 0
         assert out.split("\n")[0] == "n,R,seed,delta,exact_error,hn_bound"
         assert len(out.strip().split("\n")) == 1 + 4
+
+    def test_integer_columns_written_whole(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p",
+                           "--param", "0.3", "1", "--seed", "12345678901")
+        assert code == 0
+        assert out.split("\n")[1].startswith("2,0.3,12345678901,0.4,")
+        path = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "sim", "classical", "--builtin", "bb84_p2p",
+                         "--param", "0.1", "12", "50", "--seed", "12345678901",
+                         "--out", str(path))
+        assert code == 0
+        assert path.read_text().split("\n")[1].startswith("12,0.1,12345678901,0.4,50,")
 
     def test_no_partial_output_on_error(self, capsys, tmp_path):
         path = tmp_path / "never.csv"

@@ -355,6 +355,21 @@ class TestSquareRootMeasurement:
         with pytest.raises(SchemaError):
             hn_diagnostic(ch, cb, projector_set(ch, fewer, 0.4))
 
+    def test_stages_reject_another_codebooks_projectors(self):
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 4, 0.6, seed=1)
+        assert cb.M == 5
+        first3 = projector_set(ch, Codebook(n=4, codewords=cb.codewords[:3]), 0.4)
+        with pytest.raises(SchemaError, match="3 conditional projectors for 5 messages"):
+            square_root_measurement(ch, cb, 0.4, projs=first3)
+        # five 2-letter codewords on the 4-letter codebook's projectors
+        short = Codebook(n=2, codewords=tuple(w[:2] for w in cb.codewords))
+        projs = projector_set(ch, cb, 0.4)
+        with pytest.raises(SchemaError, match="dimension 16, codewords on 4"):
+            hn_diagnostic(ch, short, projs)
+        with pytest.raises(SchemaError, match="dimension 16, codewords on 4"):
+            square_root_measurement(ch, short, 0.4, projs=projs)
+
     def test_relabeling_invariance(self):
         ch = builtin("bb84_p2p")
         cb = Codebook.random(("0", "1"), 4, 0.5, seed=9)

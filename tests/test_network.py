@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,13 +706,12 @@ class TestCodeDistributionValidation:
 
     def test_conditional_rows_share_an_alphabet(self):
         w1 = {"0": ProbDist(("a", "b"), [0.5, 0.5]), "1": ProbDist(("a", "c"), [0.5, 0.5])}
-        dist = CodeDistribution.cmg(
-            UNIF2, w1, {q: UNIF2 for q in "01"},
-            {(w, q): UNIF2 for w in "ab" for q in "01"},
-            {(w, q): UNIF2 for w in "01" for q in "01"},
-        )
         with pytest.raises(SchemaError, match="W1"):
-            cmg_region(builtin("bb84_qmac"), dist)
+            CodeDistribution.cmg(
+                UNIF2, w1, {q: UNIF2 for q in "01"},
+                {(w, q): UNIF2 for w in "ab" for q in "01"},
+                {(w, q): UNIF2 for w in "01" for q in "01"},
+            )
 
     def test_input_distribution_covers_channel_alphabet(self):
         ch, one = builtin("bb84_qmac"), ProbDist(("0",), [1.0])
@@ -764,6 +765,43 @@ def test_entry_point_rejects_wrong_kind_and_channel(name):
         for other in dists.keys() - {kind}:
             with pytest.raises(SchemaError):
                 fn(right[channel], dists[other])
+
+
+def test_alphabets_recorded_at_construction():
+    joint = ProbDist((("1", "a"), ("0", "b"), ("1", "b")), [0.5, 0.25, 0.25])
+    dist = CodeDistribution.marton(joint, {s: "0" for s in joint.symbols}, ("0", "1"))
+    assert dist.alphabets == {"U1": ("1", "0"), "U2": ("a", "b")}
+    rows = {"0": ProbDist(("b", "a"), [0.5, 0.5]), "1": ProbDist(("a", "b"), [0.5, 0.5])}
+    cts = CodeDistribution.coded_time_share(UNIF2, rows, rows)
+    assert cts.alphabets == {"Q": ("0", "1"), "X1": ("b", "a"), "X2": ("b", "a")}
+    with pytest.raises(SchemaError, match="UXX1"):
+        CodeDistribution.relay_pdf(ProbDist((("0", "1"),), [1.0]))
+
+
+# repr of every weight array and map of each seeded draw, from the parts'
+# and maps' own order
+SEEDED_DRAWS = {
+    "cmg": lambda: random_cmg_distribution(builtin("bb84_qmac"), 0),
+    "cmg q_size=3": lambda: random_cmg_distribution(builtin("bb84_qmac"), 0, q_size=3),
+    "hk": lambda: random_hk_distribution(builtin("bb84_qmac"), 0),
+    "hk q_size=3": lambda: random_hk_distribution(builtin("bb84_qmac"), 0, q_size=3),
+    "superposition": lambda: random_superposition_distribution(builtin("bb84_bc"), 0),
+    "marton": lambda: random_marton_distribution(builtin("bb84_bc"), 0),
+    "relay": lambda: random_relay_distribution(builtin("bb84_relay"), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SEEDED_DRAWS))
+def test_seeded_draw_is_pinned(case):
+    dist = SEEDED_DRAWS[case]()
+    got = {}
+    for key, part in dist.parts.items():
+        for c, pd in [((), part)] if isinstance(part, ProbDist) else part.items():
+            got[f"{key} {c!r}"] = repr((pd.symbols, pd.weights.tolist()))
+    for name, f in dist.maps.items():
+        got[name] = repr(list(f.items()))
+    pinned = json.loads((Path(__file__).parent / "seeded_draws.json").read_text())
+    assert list(got.items()) == list(pinned[case].items())
 
 
 def trine_channel():
