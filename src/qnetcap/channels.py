@@ -11,11 +11,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from pathlib import Path
 
 import numpy as np
 
-from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError, read_json
+from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError
 from .qstate import (
     DensityMatrix,
     ket_projector,
@@ -40,7 +39,7 @@ class CqChannel:
     output dims, e.g. ("B",) or ("B1", "B2").
     """
 
-    def __init__(self, input_alphabets, outputs, input_names=None, output_names=None):
+    def __init__(self, input_alphabets, outputs, output_names=None):
         alphabets = tuple(tuple(str(s) for s in a) for a in input_alphabets)
         if not 1 <= len(alphabets) <= 2:
             raise SchemaError(f"{len(alphabets)} input alphabets; need 1 or 2")
@@ -49,13 +48,6 @@ class CqChannel:
                 raise SchemaError("empty input alphabet")
             if len(a) != len(set(a)):
                 raise SchemaError(f"alphabet {a} has repeated symbols")
-        if input_names is None:
-            input_names = ("X",) if len(alphabets) == 1 else ("X1", "X2")
-        input_names = tuple(str(n) for n in input_names)
-        if len(input_names) != len(alphabets):
-            raise SchemaError(
-                f"{len(input_names)} input names for {len(alphabets)} alphabets"
-            )
 
         canon = {}
         for key, rho in outputs.items():
@@ -93,7 +85,6 @@ class CqChannel:
         if not 1 <= len(output_names) <= 2:
             raise SchemaError(f"{len(output_names)} quantum outputs; need 1 or 2")
 
-        self.input_names = input_names
         self.input_alphabets = alphabets
         self.outputs = canon
         self.output_names = output_names
@@ -133,13 +124,12 @@ class Povm:
     Completeness is held to ``PROB_SUM_TOL`` in the spectral norm of
     sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| / ||rho||_1, so with a
     state's own trace defect the outcome probabilities sum to 1 within
-    DERIVED_SUM_TOL, the tolerance of a transition row.  ``factors`` is
-    None here and set by ``from_factors``.  ``info`` is a free-form dict
-    for construction diagnostics (e.g. the support rank used by a
-    square-root measurement).
+    DERIVED_SUM_TOL, the tolerance of a transition row.  Outcomes are
+    numbered by element order.  ``factors`` and ``info`` are None and
+    empty here; ``from_factors`` sets them.
     """
 
-    def __init__(self, elements, labels=None, info=None):
+    def __init__(self, elements):
         mats = [np.asarray(e, dtype=complex) for e in elements]
         if not mats:
             raise SchemaError("empty POVM")
@@ -151,16 +141,13 @@ class Povm:
         defect = float(np.linalg.norm(sum(mats) - np.eye(d), 2))
         if defect > PROB_SUM_TOL:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
-        self._finish(mats, labels, info)
+        self._finish(mats)
 
-    def _finish(self, mats, labels, info, factors=None):
+    def _finish(self, mats, factors=None, info=None):
         for e in mats:
             e.setflags(write=False)
         self.elements = mats
         self.factors = factors
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(mats)))
-        if len(self.labels) != len(mats):
-            raise SchemaError(f"{len(self.labels)} labels for {len(mats)} elements")
         self.info = dict(info) if info else {}
 
     @property
@@ -172,27 +159,22 @@ class Povm:
 
     @classmethod
     def computational(cls, dim: int) -> "Povm":
-        """Projectors onto the standard basis, labeled "0".."dim-1"."""
+        """Projectors onto the standard basis, outcome k for basis state k."""
         eye = np.eye(dim, dtype=complex)
-        return cls(
-            [np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim)],
-            labels=tuple(str(k) for k in range(dim)),
-        )
+        return cls([np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim)])
 
     @classmethod
     def qubit_projective(cls, angle: float) -> "Povm":
         """Qubit projectors onto directions angle and angle + pi/2."""
         v0 = np.array([np.cos(angle), np.sin(angle)])
         v1 = np.array([-np.sin(angle), np.cos(angle)])
-        return cls(
-            [np.outer(v0, v0), np.outer(v1, v1)],
-            labels=("0", "1"),
-        )
+        return cls([np.outer(v0, v0), np.outer(v1, v1)])
 
     @classmethod
-    def from_factors(cls, factors, labels=None, remainder_label=None, info=None) -> "Povm":
+    def from_factors(cls, factors, info=None) -> "Povm":
         """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
-        I - sum_k B_k B_k^dagger as a final outcome labeled ``remainder_label``.
+        I - sum_k B_k B_k^dagger as the final outcome; ``info`` is kept as a
+        dict of construction diagnostics.
 
         Only the factors are checked; they are kept, copied and read-only,
         as the ``factors`` tuple, so a caller can read Tr[E_k rho] as the
@@ -215,19 +197,18 @@ class Povm:
             b.setflags(write=False)
         lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in bs)]
         mats = (*lams, np.eye(d, dtype=complex) - sum(lams))
-        labels = tuple(range(len(lams)) if labels is None else labels) + (remainder_label,)
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
         if not low >= PSD_TOL:
             raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
         povm = cls.__new__(cls)
-        povm._finish(mats, labels, info, factors=bs)
+        povm._finish(mats, bs, info)
         return povm
 
 
 def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution Tr[E_y rho] over the POVM's labels.
+    """Outcome distribution Tr[E_y rho] in the POVM's element order.
 
     An element may have eigenvalues down to ``PSD_TOL``, so a trace may be
     slightly negative.  Such traces read as 0 and the others are scaled so
@@ -245,7 +226,7 @@ def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
 def induced_classical_channel(ch: CqChannel, povm: Povm) -> np.ndarray:
     """Transition matrix p(y|x) = Tr[E_y rho_x] for a single-input channel.
 
-    Rows follow the input alphabet order, columns the POVM label order; the
+    Rows follow the input alphabet order, columns the POVM element order; the
     matrix's consumers check its rows with ``entropic.transition_matrix``.
     """
     return np.array([measurement_probabilities(povm, ch.output(x))
@@ -295,9 +276,7 @@ def theta_swap(theta: float) -> CqChannel:
         ("1", "0"): pure_state(v10, dims=(2, 2)),
         ("1", "1"): pure_state(np.array([0.0, 0, 0, 1.0]), dims=(2, 2)),
     }
-    return CqChannel(
-        (("0", "1"), ("0", "1")), table, output_names=("B1", "B2")
-    )
+    return CqChannel((("0", "1"), ("0", "1")), table)
 
 
 def bb84_bc() -> CqChannel:
@@ -310,7 +289,7 @@ def bb84_bc() -> CqChannel:
         noisy = 0.7 * rho + 0.3 * eye
         joint = np.kron(rho, noisy)
         table[(x,)] = DensityMatrix(joint, (2, 2))
-    return CqChannel((("0", "1"),), table, output_names=("B1", "B2"))
+    return CqChannel((("0", "1"),), table)
 
 
 def bb84_relay() -> CqChannel:
@@ -329,12 +308,7 @@ def bb84_relay() -> CqChannel:
         for x1 in ("0", "1"):
             joint = np.kron(src[x], dest[(x, x1)])
             table[(x, x1)] = DensityMatrix(joint, (2, 2))
-    return CqChannel(
-        (("0", "1"), ("0", "1")),
-        table,
-        input_names=("X", "X1"),
-        output_names=("B1", "B"),
-    )
+    return CqChannel((("0", "1"), ("0", "1")), table, output_names=("B1", "B"))
 
 
 _BUILTINS = {
@@ -397,16 +371,11 @@ def _key_string(combo) -> str:
     return ",".join(combo)
 
 
-def load_channel(source) -> CqChannel:
-    """Build a channel from a schema document, dict, or path to a JSON file.
-    Only the JSON shape is checked here; ``CqChannel`` checks the channel."""
-    if isinstance(source, (str, Path)):
-        doc = read_json(source, "channel")
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise SchemaError(f"cannot load a channel from {type(source).__name__}")
-
+def load_channel(doc) -> CqChannel:
+    """Build a channel from a parsed schema document.  Only the JSON shape
+    is checked here; ``CqChannel`` checks the channel."""
+    if not isinstance(doc, dict):
+        raise SchemaError("channel document must be an object")
     for key in ("alphabets", "dims", "outputs"):
         if key not in doc:
             raise SchemaError(f"channel document missing {key!r}")

@@ -70,28 +70,30 @@ def _apply_thread_cap():
 def _check_flags(args):
     """Reject flag values no command accepts: a grid below 2, a non-finite
     number, a negative delta, a seed outside 64 bits, and anything but
-    exactly one channel (for ``bosonic``, parameter) source."""
-    if args.grid is not None and args.grid < 2:
+    exactly one channel (for ``bosonic``, parameter) source.  Each check
+    reads its flag only where the subcommand defines it."""
+    flags = vars(args)
+    if flags.get("grid") is not None and args.grid < 2:
         raise SchemaError(f"--grid must be >= 2, got {args.grid}")
-    povm_angle = getattr(args, "povm_angle", None)
+    delta, povm_angle = flags.get("delta"), flags.get("povm_angle")
     numbers = {
-        "--delta": [args.delta],
+        "--delta": [] if delta is None else [delta],
         "--param": args.param,
         "--povm-angle": [] if povm_angle is None else [povm_angle],
-        "--lambda": getattr(args, "lam", None) or [],
+        "--lambda": flags.get("lam") or [],
     }
     for flag, values in numbers.items():
         if not all(math.isfinite(v) for v in values):
             raise SchemaError(f"{flag} must be finite, got {values}")
-    if args.delta < 0:
+    if delta is not None and delta < 0:
         raise SchemaError(f"--delta must be >= 0, got {args.delta}")
-    if not 0 <= args.seed < 2**64:
+    if not 0 <= flags.get("seed", 0) < 2**64:
         raise SchemaError(f"--seed must fit in 64 bits, got {args.seed}")
-    if args.command == "bosonic":
-        if bool(args.param) == bool(args.channel):
-            raise SchemaError("give exactly one parameter source (--param or --channel)")
-    elif (args.builtin is None) == (args.channel is None):
-        raise SchemaError("give exactly one channel source (--builtin or --channel)")
+    if args.command != "bosonic":
+        if (args.builtin is None) == (args.channel is None):
+            raise SchemaError("give exactly one channel source (--builtin or --channel)")
+    elif "channel" in flags and bool(args.param) == bool(args.channel):
+        raise SchemaError("give exactly one parameter source (--param or --channel)")
 
 
 def _add_param_flag(sp, help_text):
@@ -105,12 +107,15 @@ def _add_channel_flags(sp, param_help):
     _add_param_flag(sp, param_help)
 
 
-def _add_common_flags(sp, grid=21):
-    sp.add_argument("--grid", type=int, default=grid, metavar="N",
-                    help="grid resolution (>= 2)")
-    sp.add_argument("--delta", type=float, default=0.4, metavar="F",
-                    help="typicality width")
+def _add_grid_flag(sp, default=21, help_text="grid resolution (>= 2)"):
+    sp.add_argument("--grid", type=int, default=default, metavar="N", help=help_text)
+
+
+def _add_seed_flag(sp):
     sp.add_argument("--seed", type=int, default=0, metavar="U64")
+
+
+def _add_out_flag(sp):
     sp.add_argument("--out", metavar="PATH",
                     help="output file (.csv or .json); default stdout")
 
@@ -130,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("p2p-classical", "p2p-holevo"):
         sp = cap_sub.add_parser(name)
         _add_channel_flags(sp, channel_params)
-        # accepted for old command lines; capacities are computed without a grid
-        _add_common_flags(sp, grid=None)
+        _add_grid_flag(sp, None, "accepted for old command lines; has no effect")
+        _add_out_flag(sp)
         if name == "p2p-classical":
             sp.add_argument(
                 "--povm-angle",
@@ -146,7 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _REGION_KINDS:
         sp = reg_sub.add_parser(name)
         _add_channel_flags(sp, channel_params)
-        _add_common_flags(sp)
+        # mac reads --grid; vsi accepts and ignores it, as its README line shows
+        if name in ("mac", "vsi"):
+            _add_grid_flag(sp)
+        if _REGIONS[name][0] is not None:
+            _add_seed_flag(sp)
+        _add_out_flag(sp)
         if name == "mac":
             sp.add_argument(
                 "--uniform",
@@ -164,16 +174,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     bos = commands.add_parser("bosonic", help="Gaussian interference formulas")
     bos_sub = bos.add_subparsers(dest="subcommand", required=True)
-    for name in ("p2p", "vsi", "si", "hk"):
+    sp = bos_sub.add_parser("p2p")
+    _add_param_flag(sp, "eta NB")
+    _add_grid_flag(sp, help_text="signal powers from 0.01 to 100 (>= 2)")
+    _add_out_flag(sp)
+    for name in ("vsi", "si", "hk"):
         sp = bos_sub.add_parser(name)
-        _add_param_flag(sp, "p2p: eta NB; others: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2")
+        _add_param_flag(sp, "eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2")
         sp.add_argument("--channel", metavar="PATH",
                         help="bosonic parameter JSON")
         sp.add_argument("--mode", metavar="M",
                         help="detection mode: hom, het, or joint")
         sp.add_argument("--lambda", dest="lam", nargs=2, type=float,
                         metavar="F", help="rate-split fractions in [0, 1]")
-        _add_common_flags(sp)
+        _add_out_flag(sp)
 
     sim = commands.add_parser("sim", help="decoder simulations")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
@@ -184,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sim_sub.add_parser(name)
         _add_channel_flags(sp, param_help)
-        _add_common_flags(sp)
+        sp.add_argument("--delta", type=float, default=0.4, metavar="F",
+                        help="typicality width")
+        _add_seed_flag(sp)
+        _add_out_flag(sp)
     return parser
 
 

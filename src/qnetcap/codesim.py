@@ -99,7 +99,6 @@ class Codebook:
 
     n: int
     codewords: tuple
-    seed: object = None
     prior: object = None
 
     def __post_init__(self):
@@ -133,7 +132,7 @@ class Codebook:
         draws = rng.choice(len(alphabet), size=(message_count(n, rate), n),
                            p=prior.weights)
         words = tuple(tuple(alphabet[i] for i in row) for row in draws)
-        return cls(n=n, codewords=words, seed=seed, prior=prior)
+        return cls(n=n, codewords=words, prior=prior)
 
 
 def _positive_logs(evals):
@@ -398,10 +397,11 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     POVM normalizes them by S^{-1/2} on the support of
     S = sum P_m = W W^dagger, as Lambda_m = B_m B_m^dagger with
     B = S^{-1/2} W (see ``_srm_factors``), and appends the remainder as
-    a "fail" outcome; the POVM keeps the factors B_m, which certify its
-    positivity.  The support rank and pseudo-inverse cutoff are reported
-    in the POVM's info dict so rank deficiency is visible rather than
-    silently absorbed.
+    the final (failure) outcome; the POVM keeps the factors B_m, which
+    certify its positivity.  The support rank and pseudo-inverse cutoff
+    are reported in the POVM's info dict, as ``s_rank`` and
+    ``pinv_cutoff``, so rank deficiency is visible rather than silently
+    absorbed.
     """
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
@@ -409,17 +409,8 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     _check_projectors(ch, codebook, projs)
     w, starts = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
-    info = {
-        "s_rank": rank,
-        "dim": w.shape[0],
-        "pinv_cutoff": cutoff,
-        "delta": projs.delta,
-    }
-    return Povm.from_factors(
-        np.split(b, starts, axis=1),
-        remainder_label="fail",
-        info=info,
-    )
+    return Povm.from_factors(np.split(b, starts, axis=1),
+                             info={"s_rank": rank, "pinv_cutoff": cutoff})
 
 
 def exact_error(ch, codebook, povm):

@@ -57,7 +57,8 @@ def transition_matrix(transition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProbDist:
-    """Nonnegative weights over a named finite alphabet, summing to one."""
+    """Nonnegative weights over a finite alphabet of distinct symbols,
+    summing to one."""
 
     symbols: tuple
     weights: np.ndarray
@@ -69,6 +70,8 @@ class ProbDist:
             raise InvariantError(
                 f"{len(symbols)} symbols but {w.size} weights"
             )
+        if len(set(symbols)) != len(symbols):
+            raise SchemaError(f"symbols {symbols} have a repeated symbol")
         w = _probabilities(w, "weights")
         w.setflags(write=False)
         object.__setattr__(self, "symbols", symbols)

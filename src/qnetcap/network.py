@@ -398,6 +398,9 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 # multiple access
 
+# boundary directions of mac_region_union, from R1 (theta 0) to R2 (pi/2)
+_MAC_ANGLES = 61
+
 _MAC_TERMS = {"X1": ("X1", "B1 B2", "X2"), "X2": ("X2", "B1 B2", "X1"),
               "X1X2": ("X1 X2", "B1 B2", "")}
 
@@ -410,26 +413,25 @@ def mac_region(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> HalfspaceRegion:
     )
 
 
-def mac_region_union(ch: CqChannel, grid: int = 21, n_angles: int = 61):
+def mac_region_union(ch: CqChannel, grid: int = 21):
     """Pointwise-max boundary of mac_region over a product simplex grid.
 
-    Returns a list of (theta, R1, R2) like boundary_sample.
+    Returns _MAC_ANGLES rows (theta, R1, R2), like boundary_sample.
     """
     a1, a2 = input_pair(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     b = set(ch.output_names)
     coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    thetas = np.linspace(0.0, np.pi / 2, n_angles)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    radii = np.zeros(n_angles)
+    thetas = np.linspace(0.0, np.pi / 2, _MAC_ANGLES)
+    radii = np.zeros(_MAC_ANGLES)
     for probs in _grid_pairs(len(a1), len(a2), grid):
         bounds = np.stack([
             conditional_mutual_information(st, {"X1"}, b, {"X2"}, probs=probs),
             conditional_mutual_information(st, {"X2"}, b, {"X1"}, probs=probs),
             conditional_mutual_information(st, {"X1", "X2"}, b, probs=probs),
         ], axis=1)
-        t = radial_extents(coeffs, clamp_information(bounds), thetas)
-        radii = np.maximum(radii, np.hypot(t * cos, t * sin).max(axis=0))
+        radii = np.maximum(radii, radial_extents(coeffs, clamp_information(bounds),
+                                                 thetas).max(axis=0))
     return [
         (float(th), float(r * np.cos(th)), float(r * np.sin(th)))
         for th, r in zip(thetas, radii)
@@ -702,11 +704,18 @@ def _draw(kind: str, ch: CqChannel, seed: int, auxiliary: dict, alpha: float):
     return CodeDistribution(kind, parts, maps)
 
 
+def _time_share_alphabet(q_size: int) -> tuple:
+    """The time-sharing alphabet "0", ..., str(q_size - 1)."""
+    if not q_size >= 1:
+        raise SchemaError(f"q_size must be >= 1, got {q_size}")
+    return tuple(map(str, range(q_size)))
+
+
 def random_cmg_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDistribution:
     """Seeded fully random common-message distribution; W alphabets match
     the channel input alphabets."""
     a1, a2 = input_pair(ch)
-    q = tuple(map(str, range(q_size)))
+    q = _time_share_alphabet(q_size)
     return _draw("cmg", ch, seed, {"Q": q, "W1": a1, "W2": a2}, 1.0)
 
 
@@ -714,7 +723,7 @@ def random_hk_distribution(ch: CqChannel, seed: int, q_size: int = 2) -> CodeDis
     """Seeded random split-message distribution with random deterministic
     input maps; U and W alphabets match the channel input alphabets."""
     a1, a2 = input_pair(ch)
-    q = tuple(map(str, range(q_size)))
+    q = _time_share_alphabet(q_size)
     return _draw("hk", ch, seed, {"Q": q, "U1": a1, "U2": a2, "W1": a1, "W2": a2}, 1.0)
 
 

@@ -49,17 +49,9 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     for p in ps:
         lam = inv_root @ p @ inv_root
         lams.append((lam + lam.conj().T) / 2.0)
-    info = {
-        "s_rank": int(keep.sum()),
-        "dim": s.shape[0],
-        "pinv_cutoff": cutoff,
-        "delta": projs.delta,
-    }
-    return Povm(
-        [*lams, np.eye(s.shape[0], dtype=complex) - sum(lams)],
-        labels=(*range(len(lams)), "fail"),
-        info=info,
-    )
+    povm = Povm([*lams, np.eye(s.shape[0], dtype=complex) - sum(lams)])
+    povm.info = {"s_rank": int(keep.sum()), "pinv_cutoff": cutoff}
+    return povm
 
 
 def exact_error(ch, codebook, povm):

@@ -84,10 +84,7 @@ class TestCqChannel:
 
     def test_default_names(self):
         ch = builtin("bb84_p2p")
-        assert ch.input_names == ("X",)
         assert ch.output_names == ("B",)
-        qm = builtin("bb84_qmac")
-        assert qm.input_names == ("X1", "X2")
 
 
 class TestBuiltins:
@@ -155,7 +152,6 @@ class TestBuiltins:
 
     def test_relay_and_bc_shapes(self):
         rc = builtin("bb84_relay")
-        assert rc.input_names == ("X", "X1")
         assert rc.output_names == ("B1", "B")
         bc = builtin("bb84_bc")
         assert bc.n_inputs == 1
@@ -257,8 +253,8 @@ class TestPovm:
         assert classical_capacity_BA(rows).value == 0.0
 
     def test_complete_appends_remainder(self):
-        povm = Povm.from_factors([np.diag([0.5, 0.5])], labels=("a",))
-        assert povm.labels == ("a", None)
+        povm = Povm.from_factors([np.diag([0.5, 0.5])])
+        assert len(povm) == 2
         assert np.allclose(povm.elements[1], np.diag([0.75, 0.75]))
 
     def test_complete_does_not_alias_caller_arrays(self):
@@ -297,7 +293,7 @@ class TestInducedClassical:
 
     def test_identity_povm(self):
         t = induced_classical_channel(
-            builtin("bb84_p2p"), Povm([np.eye(2)], labels=("y",))
+            builtin("bb84_p2p"), Povm([np.eye(2)])
         )
         assert np.allclose(t, [[1.0], [1.0]])
 
@@ -332,11 +328,11 @@ class TestJsonInterchange:
         again = dump_channel(load_channel(json.loads(text)))
         assert json.dumps(again, sort_keys=True) == text
 
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "ch.json"
-        path.write_text(json.dumps(dump_channel(builtin("bb84_p2p"))))
-        ch = load_channel(path)
-        assert np.allclose(ch.output("1").entries, np.outer(KET_PLUS, KET_PLUS))
+    @pytest.mark.parametrize("doc", [None, [1, 2], "ch.json"])
+    def test_document_must_be_an_object(self, doc):
+        # the command line reads the file; the loader takes the parsed document
+        with pytest.raises(SchemaError, match="^channel document must be an object$"):
+            load_channel(doc)
 
     def test_missing_key_schema_error(self):
         with pytest.raises(SchemaError):

@@ -345,7 +345,6 @@ class TestSquareRootMeasurement:
         cb = Codebook.random(("0", "1"), 4, 0.25, seed=5)
         povm = square_root_measurement(ch, cb, 0.4)
         assert 0 < povm.info["s_rank"] <= 16
-        assert povm.labels[-1] == "fail"
         assert len(povm.elements) == cb.M + 1
 
     def test_diagnostic_needs_one_projector_per_message(self):
@@ -399,8 +398,7 @@ class TestFactorPovm:
 
     def test_matches_dense_elements(self):
         povm, factors = self.srm_factors()
-        rebuilt = Povm.from_factors(factors, remainder_label="fail")
-        assert rebuilt.labels == povm.labels
+        rebuilt = Povm.from_factors(factors)
         for a, b in zip(rebuilt.elements, povm.elements, strict=True):
             assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -409,7 +407,7 @@ class TestFactorPovm:
         m = max(range(len(factors)), key=lambda k: factors[k].shape[1])
         factors[m] = 1.01 * factors[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
-            Povm.from_factors(factors, remainder_label="fail")
+            Povm.from_factors(factors)
         scaled = list(povm.elements[:-1])
         scaled[m] = 1.01**2 * scaled[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
@@ -419,7 +417,7 @@ class TestFactorPovm:
         # the seeded SRM and a POVM rebuilt from other factors of its
         # elements; from_factors checks neither property on the dense side
         srm, factors = self.srm_factors()
-        for povm in (srm, Povm.from_factors(factors, remainder_label="fail")):
+        for povm in (srm, Povm.from_factors(factors)):
             for e in povm.elements:
                 assert np.array_equal(e, e.conj().T)
                 assert not e.flags.writeable
@@ -439,17 +437,14 @@ class TestExactError:
         m = cb.M
         assert m == 4
         eye = np.eye(8, dtype=complex)
-        guess = Povm(
-            [eye / m] * m + [np.zeros((8, 8), dtype=complex)],
-            labels=tuple(range(m)) + ("fail",),
-        )
+        guess = Povm([eye / m] * m + [np.zeros((8, 8), dtype=complex)])
         assert np.isclose(exact_error(ch, cb, guess), 1.0 - 1.0 / m, atol=1e-12)
 
     def test_povm_too_small(self):
         ch = builtin("bb84_p2p")
         cb = Codebook.random(("0", "1"), 2, 1.0, seed=0)
         assert cb.M == 4
-        lone = Povm([np.eye(4, dtype=complex)], labels=(0,))
+        lone = Povm([np.eye(4, dtype=complex)])
         with pytest.raises(SchemaError):
             exact_error(ch, cb, lone)
 
@@ -467,11 +462,11 @@ class TestExactError:
                 exact_error(ch, cb, povm)
 
 
-def assert_dense_parity(ch, cb, delta, rate=None):
+def assert_dense_parity(ch, cb, delta, rate=None, seed=None):
     """Column-form SRM, exact error and diagnostic against the dense
-    sandwich reference in ``srm_dense``; given the ``rate`` that drew the
-    random codebook ``cb``, also the sweep row for its blocklength, rate
-    and seed."""
+    sandwich reference in ``srm_dense``; given the ``rate`` and ``seed``
+    that drew the random codebook ``cb``, also the sweep row for its
+    blocklength, rate and seed."""
     projs = projector_set(ch, cb, delta)
     povm = square_root_measurement(ch, cb, delta, projs=projs)
     ref = srm_dense.square_root_measurement(ch, cb, delta, projs=projs)
@@ -479,7 +474,6 @@ def assert_dense_parity(ch, cb, delta, rate=None):
     assert abs(povm.info["pinv_cutoff"] - ref.info["pinv_cutoff"]) <= (
         1e-12 * ref.info["pinv_cutoff"]
     )
-    assert povm.labels == ref.labels
     for e, r in zip(povm.elements, ref.elements, strict=True):
         assert np.max(np.abs(e - r)) <= 1e-12
     err = exact_error(ch, cb, povm)
@@ -488,8 +482,8 @@ def assert_dense_parity(ch, cb, delta, rate=None):
     ref_hn = srm_dense.hn_diagnostic(ch, cb, projs)
     assert abs(hn - ref_hn) <= 1e-12
     if rate is not None:
-        (row,) = srm_error_sweep(ch, rate, (cb.n,), delta, (cb.seed,))
-        assert row[:4] == (cb.n, rate, cb.seed, delta)
+        (row,) = srm_error_sweep(ch, rate, (cb.n,), delta, (seed,))
+        assert row[:4] == (cb.n, rate, seed, delta)
         assert abs(row[4] - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
         assert abs(row[5] - ref_hn) <= 1e-12
     return projs, povm
@@ -500,7 +494,7 @@ class TestDenseParity:
     def test_criterion_seven_trials(self, n):
         ch = builtin("bb84_p2p")
         for seed in range(20):
-            assert_dense_parity(ch, Codebook.random(("0", "1"), n, 0.3, seed), 0.4, 0.3)
+            assert_dense_parity(ch, Codebook.random(("0", "1"), n, 0.3, seed), 0.4, 0.3, seed)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("rate", [0.3, 0.6])
@@ -509,7 +503,7 @@ class TestDenseParity:
         ch = mixed_channel()
         for seed in range(5):
             cb = Codebook.random(("a", "b"), n, rate, seed)
-            projs, _ = assert_dense_parity(ch, cb, 0.4, rate)
+            projs, _ = assert_dense_parity(ch, cb, 0.4, rate, seed)
             assert max(v.shape[1] for v in projs.columns) > 1
 
     def test_sweep_builds_no_projectors_or_povm(self, monkeypatch):

@@ -76,6 +76,11 @@ class TestScalarEntropies:
         with pytest.raises(InvariantError):
             ProbDist("abc", [1.0, bad, 0.0])
 
+    def test_prob_dist_rejects_repeated_symbols(self):
+        # prob("0") would read only the first of the two entries
+        with pytest.raises(SchemaError, match="repeated symbol"):
+            ProbDist(("0", "0", "1"), [0.25, 0.25, 0.5])
+
 
 def _capacity(transition):
     res = classical_capacity_BA(transition)

@@ -288,17 +288,17 @@ class TestMacRegion:
 
     def test_union_contains_members_and_uniform(self):
         ch = builtin("bb84_qmac")
-        union = mac_region_union(ch, grid=5, n_angles=13)
+        union = mac_region_union(ch, grid=5)
         member = mac_region(ch, UNIF2, UNIF2)
         for (_, r1, r2), (_, m1, m2) in zip(
-            union, boundary_sample(member, 13)
+            union, boundary_sample(member, 61), strict=True
         ):
             assert np.hypot(r1, r2) >= np.hypot(m1, m2) - 1e-9
 
     def test_union_monotone_in_grid(self):
         ch = builtin("bb84_qmac")
-        coarse = mac_region_union(ch, grid=3, n_angles=9)
-        fine = mac_region_union(ch, grid=5, n_angles=9)
+        coarse = mac_region_union(ch, grid=3)
+        fine = mac_region_union(ch, grid=5)
         for (_, a1, a2), (_, b1, b2) in zip(coarse, fine):
             assert np.hypot(b1, b2) >= np.hypot(a1, a2) - 1e-9
 
@@ -802,6 +802,13 @@ def test_seeded_draw_is_pinned(case):
         got[name] = repr(list(f.items()))
     pinned = json.loads((Path(__file__).parent / "seeded_draws.json").read_text())
     assert list(got.items()) == list(pinned[case].items())
+
+
+@pytest.mark.parametrize("draw", [random_cmg_distribution, random_hk_distribution])
+@pytest.mark.parametrize("q_size", [0, -1])
+def test_time_sharing_alphabet_needs_a_symbol(draw, q_size):
+    with pytest.raises(SchemaError, match=f"q_size must be >= 1, got {q_size}"):
+        draw(builtin("bb84_qmac"), 0, q_size=q_size)
 
 
 def trine_channel():

@@ -149,3 +149,90 @@ def test_each_layer_accepts_what_the_layer_before_it_produces():
     assert errors.CLOSED_FORM_TOL <= errors.INFO_CLAMP
     # exact region equality reads polygon vertices held to POLYGON_TOL
     assert errors.POLYGON_TOL <= errors.MEMBERSHIP_TOL
+
+
+# Defaulted parameters of the library that no call in src/, demos/ or
+# perfbench/ passes, each with the reason it stays.
+KEPT_OPTIONS = {
+    "network.classical_capacity_BA.max_iter": "tests stop the iteration to see the "
+                                              "unconverged report",
+    "network.hsw_capacity.max_iter": "tests stop the iteration to see the unconverged report",
+    "codesim.srm_error_sweep.prior": "the thesis's random-coding distribution p(x)",
+}
+
+
+def defaulted_options():
+    """module.callable.parameter -> (the name a call uses, the parameter, its
+    position or None) for every defaulted parameter of a public function,
+    public method or constructor (``__init__`` or dataclass field) of the
+    library outside ``cli``; a constructor is called by its class name."""
+    found = {}
+
+    def add(qual, callee, fn, bound):
+        positional = (fn.args.posonlyargs + fn.args.args)[bound:]
+        first = len(positional) - len(fn.args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            found[f"{qual}.{arg.arg}"] = (callee, arg.arg, k)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[f"{qual}.{arg.arg}"] = (callee, arg.arg, None)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                add(f"{path.stem}.{node.name}", node.name, node, 0)
+            if not isinstance(node, ast.ClassDef) or node.name[0] == "_":
+                continue
+            cls = f"{path.stem}.{node.name}"
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    add(cls, node.name, item, 1)
+                elif isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    add(f"{cls}.{item.name}", item.name, item, 0 if static else 1)
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(item)]
+                for k, item in enumerate(fields):
+                    if item.value is not None:
+                        found[f"{cls}.{item.target.id}"] = (node.name, item.target.id, k)
+    return found
+
+
+def passed_arguments():
+    """(callee name, keyword or position) of every argument that a call in
+    src/, demos/ or perfbench/ passes.  ``cls(...)`` calls its enclosing
+    class; perfbench's ``late(module, "name", *args, **kwargs)`` calls
+    ``name`` with those arguments and ``batch(module, "name", items,
+    **kwargs)`` with those keywords."""
+    passed = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            enclosing = {node: cls.name for cls in ast.walk(tree)
+                         if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                args = call.args
+                if name == "cls":
+                    name = enclosing.get(call)
+                elif (name in ("late", "batch") and len(args) >= 2
+                      and isinstance(args[1], ast.Constant)):
+                    name, args = args[1].value, args[2:] if name == "late" else []
+                passed.update((name, k) for k in range(len(args)))
+                passed.update((name, kw.arg) for kw in call.keywords if kw.arg)
+    return passed
+
+
+def test_every_option_is_set_by_a_caller_or_has_a_reason():
+    passed = passed_arguments()
+    unset = {q for q, (callee, arg, k) in defaulted_options().items()
+             if (callee, arg) not in passed and (callee, k) not in passed}
+    assert unset <= set(KEPT_OPTIONS), sorted(unset - set(KEPT_OPTIONS))
+    # an option that gains a setter or leaves the library leaves the list too
+    assert set(KEPT_OPTIONS) <= unset, sorted(set(KEPT_OPTIONS) - unset)
