@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CLOSED_FORM_TOL, ETA_CONSISTENCY_TOL, InvariantError, SchemaError
+from .errors import (CLOSED_FORM_TOL, ETA_CONSISTENCY_TOL, InvariantError, SchemaError,
+                     finite_reals)
 from .regions import HalfspaceRegion
 
 _TRANSMISSIVITY = "a transmissivity in [0, 1]"
@@ -132,8 +133,18 @@ class BosonicICParams:
         return max(0.0, 1.0 - self.eta12 - self.eta22)
 
 
+def _pair(value, what):
+    """``value`` as two floats when it is a list of two finite real
+    numbers, not bools; otherwise a SchemaError naming ``what`` it holds."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise SchemaError(f"{what} must be a list of two numbers")
+    return finite_reals(value, what)
+
+
 def params_from_json(doc):
-    """Build (BosonicICParams, DetectionMode) from a parameter document."""
+    """Build (BosonicICParams, DetectionMode) from a parameter document:
+    "eta" is two rows of two numbers, "NS", "NB" and the optional
+    "lambda" two numbers each, and "mode" an optional detection mode."""
     if not isinstance(doc, dict):
         raise SchemaError("bosonic parameter document must be an object")
     try:
@@ -144,19 +155,13 @@ def params_from_json(doc):
         raise SchemaError(f"parameter document lacks key {missing}") from None
     lam = doc.get("lambda", [1.0, 1.0])
     mode = DetectionMode.parse(doc.get("mode", "joint"))
-    try:
-        (e11, e12), (e21, e22) = eta
-        params = BosonicICParams(
-            float(e11), float(e12), float(e21), float(e22),
-            float(ns[0]), float(ns[1]),
-            float(nb[0]), float(nb[1]),
-            float(lam[0]), float(lam[1]),
-        )
-    except SchemaError:
-        raise
-    except (TypeError, ValueError, IndexError) as bad:
-        raise SchemaError(f"malformed bosonic parameter document: {bad}") from None
-    return params, mode
+    if not (isinstance(eta, (list, tuple)) and len(eta) == 2):
+        raise SchemaError("'eta' must be a list of two rows")
+    (e11, e12), (e21, e22) = (_pair(row, "each 'eta' row") for row in eta)
+    ns1, ns2 = _pair(ns, "'NS'")
+    nb1, nb2 = _pair(nb, "'NB'")
+    lam1, lam2 = _pair(lam, "'lambda'")
+    return BosonicICParams(e11, e12, e21, e22, ns1, ns2, nb1, nb2, lam1, lam2), mode
 
 
 def c_homodyne(eta, N_S, N_B):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 
-from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError
+from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError, finite_reals
 from .qstate import (
     DensityMatrix,
     ket_projector,
@@ -96,7 +95,7 @@ class CqChannel:
 
     @property
     def output_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def output(self, *symbols) -> DensityMatrix:
         key = tuple(str(s) for s in symbols)
@@ -347,15 +346,7 @@ def builtin(name: str, params=()) -> CqChannel:
     factory, arity = _BUILTINS[name]
     if len(params) != arity:
         raise SchemaError(f"{name} takes {arity} parameter(s), got {len(params)}")
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in params):
-        raise SchemaError(f"{name} parameters must be real numbers, got {params}")
-    try:
-        values = [float(v) for v in params]
-    except OverflowError:  # a whole number or Fraction beyond the float range
-        values = [math.inf]
-    if not all(math.isfinite(v) for v in values):
-        raise SchemaError(f"{name} parameters must be finite, got {values}")
-    return factory(*values)
+    return factory(*finite_reals(params, f"{name} parameters"))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +378,7 @@ def load_channel(doc) -> CqChannel:
         isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
     ):
         raise SchemaError("'dims' must be a list of positive integers")
-    size = int(np.prod(dims))
+    size = math.prod(dims)
     raw = doc["outputs"]
     if not isinstance(raw, dict):
         raise SchemaError("'outputs' must be an object")

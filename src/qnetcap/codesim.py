@@ -13,8 +13,15 @@ measurement is Lambda_m = B_m B_m^dagger with B = S^{-1/2} W and
 S = W W^dagger (the Gram form of Hausladen et al., PRA 54, 1869, 1996),
 taken from the thin SVD of W, so S is never formed.  Hits
 Tr[Lambda_m rho_m] and the operator-union diagnostic's Tr[P_k rho_m]
-are read off the columns, applying the product state rho_m one channel
-use at a time.  ``srm_error_sweep`` therefore forms no d x d operator:
+are read off the columns through per-letter state factors: each output
+state is read as rho_x = F_x F_x^dagger with F_x its eigenvectors times
+the square roots of its eigenvalues above EIG_CUTOFF (dim x r_x, from
+the eigensolve the typical projectors already make; what the dropped
+eigenvalues move is bounded at ``_column_weights``), and a column c
+weighs ||(F_{x_1} (x) ... (x) F_{x_n})^dagger c||^2, applied one channel
+use at a time, so a rank-1 output shrinks the work at every use and a
+full-rank one costs what applying rho_x does.
+``srm_error_sweep`` therefore forms no d x d operator:
 no projector, S, POVM element or word state.  The columns are the data
 of a ``ProjectorSet``; its dense projectors are derived from them.
 ``projector_set`` and ``square_root_measurement`` return dense d x d
@@ -36,14 +43,13 @@ typicality rules serves as a baseline.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .channels import CqChannel, Povm
+from .channels import Povm
 from .entropic import ProbDist, _entropy_bits, transition_matrix
 from .errors import (EIG_CUTOFF, PINV_RELATIVE_CUTOFF, PROJECTOR_TOL, InvariantError,
                      SchemaError, whole_number)
@@ -135,19 +141,24 @@ class Codebook:
         return cls(n=n, codewords=words, prior=prior)
 
 
-def _positive_logs(evals):
-    logs = np.full(len(evals), -np.inf)
-    pos = evals > EIG_CUTOFF
-    logs[pos] = np.log2(evals[pos])
-    return logs
-
-
 def _spectrum(entries):
     """Eigenvectors and log eigenvalues of a state's matrix, eigenvalues
-    nonincreasing, and its von Neumann entropy, from one eigensolve."""
+    nonincreasing, its von Neumann entropy, and the adjoint of its factor,
+    from one eigensolve.
+
+    Only the eigenvalues above EIG_CUTOFF have finite logs, and only they
+    enter the factor F = V sqrt(lambda), so rho = F F^dagger up to the
+    dropped eigenvalues (see ``_column_weights``); it is returned as the
+    contiguous r x dim array F^dagger.
+    """
     vals, vecs = np.linalg.eigh(entries)
     entropy = float(_entropy_bits(vals, cutoff=EIG_CUTOFF))
-    return vecs[:, ::-1], _positive_logs(vals[::-1]), entropy
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > EIG_CUTOFF
+    logs = np.full(len(vals), -np.inf)
+    logs[keep] = np.log2(vals[keep])
+    factor_h = np.ascontiguousarray((vecs[:, keep] * np.sqrt(vals[keep])).conj().T)
+    return vecs, logs, entropy, factor_h
 
 
 def _sequence_columns(bases, logs, n, dim, center, delta):
@@ -194,7 +205,7 @@ def _check_decoder_args(ch, delta):
 
 
 def _typical_columns(entries, n, delta):
-    vecs, logs, entropy = _spectrum(entries)
+    vecs, logs, entropy, _ = _spectrum(entries)
     return _sequence_columns([vecs] * n, [logs] * n, n, len(entries), entropy, delta)
 
 
@@ -210,9 +221,13 @@ def typical_projector(rho, n, delta):
 
 
 def _symbol_spectra(ch, symbols):
-    """Eigenvectors, log eigenvalues and entropy of each symbol's output
-    state, one eigensolve per distinct symbol."""
+    """``_spectrum`` of each symbol's output state, one eigensolve per
+    distinct symbol."""
     return {x: _spectrum(ch.output(x).entries) for x in dict.fromkeys(symbols)}
+
+
+def _codeword_spectra(ch, codebook):
+    return _symbol_spectra(ch, (x for w in codebook.codewords for x in w))
 
 
 def _cond_typical_columns(spectra, word, dim, delta):
@@ -299,9 +314,10 @@ def _codebook_frequencies(ch, codebook):
     return ProbDist(alphabet, [counts[s] / total for s in alphabet])
 
 
-def _decoder_columns(ch, codebook, delta):
+def _decoder_columns(ch, codebook, delta, spectra):
     """Orthonormal columns of the average typical projector and of each
-    codeword's conditional typical projector.
+    codeword's conditional typical projector, given the codeword symbols'
+    ``spectra``.
 
     The average projector is the typical projector of the mean output
     state under the codebook's prior (or its empirical symbol
@@ -312,7 +328,6 @@ def _decoder_columns(ch, codebook, delta):
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
     )
     avg = _typical_columns(mean, codebook.n, delta)
-    spectra = _symbol_spectra(ch, (x for w in codebook.codewords for x in w))
     return avg, tuple(
         _cond_typical_columns(spectra, w, ch.output_dim, delta) for w in codebook.codewords
     )
@@ -326,7 +341,7 @@ def projector_set(ch, codebook, delta):
     if unknown:
         raise SchemaError(f"codeword symbol {min(unknown)!r} is not a channel input")
     _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
-    avg, cols = _decoder_columns(ch, codebook, delta)
+    avg, cols = _decoder_columns(ch, codebook, delta, _codeword_spectra(ch, codebook))
     return ProjectorSet(avg, cols, delta)
 
 
@@ -335,28 +350,15 @@ def _word_state(ch, word):
     return reduce(np.kron, mats) if len(mats) > 1 else mats[0]
 
 
-def _word_state_times(ch, word, w):
-    """(rho_{x_1} (x) ... (x) rho_{x_n}) @ w, one channel use at a time,
-    without forming the d x d word state."""
-    dim = ch.output_dim
-    d, r = w.shape
-    out = w
-    for i, x in enumerate(word):
-        out = np.matmul(
-            ch.output(x).entries, out.reshape(dim**i, dim, d // dim ** (i + 1) * r)
-        )
-    return out.reshape(d, r)
-
-
 def _detection_columns(avg_cols, cols):
     """W = [W_1 ... W_M] with W_m = P_avg V_m, so the detection operator
-    P_m = P_avg C_m P_avg equals W_m W_m^dagger; also the column indices
-    where each W_m after the first starts.  P_avg is applied through its
-    columns, and not at all when it is the identity."""
+    P_m = P_avg C_m P_avg equals W_m W_m^dagger; also the M + 1 block
+    edges, W_m being columns edges[m] to edges[m + 1].  P_avg is applied
+    through its columns, and not at all when it is the identity."""
     v = np.concatenate(cols, axis=1)
     if avg_cols.shape[1] < avg_cols.shape[0]:
         v = avg_cols @ (avg_cols.conj().T @ v)
-    return v, np.cumsum([c.shape[1] for c in cols])[:-1]
+    return v, np.cumsum([0] + [c.shape[1] for c in cols])
 
 
 def _check_projectors(ch, codebook, projs):
@@ -407,9 +409,9 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     if projs is None:
         projs = projector_set(ch, codebook, delta)
     _check_projectors(ch, codebook, projs)
-    w, starts = _detection_columns(projs.average_columns, projs.columns)
+    w, edges = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
-    return Povm.from_factors(np.split(b, starts, axis=1),
+    return Povm.from_factors(np.split(b, edges[1:-1], axis=1),
                              info={"s_rank": rank, "pinv_cutoff": cutoff})
 
 
@@ -417,8 +419,9 @@ def exact_error(ch, codebook, povm):
     """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly.
 
     A POVM with a factor B_m for every message (``Povm.from_factors``)
-    is read from them as ``srm_error_sweep`` reads its own; any other is
-    read from its dense elements.
+    is read from them as ``srm_error_sweep`` reads its own, through the
+    letters' state factors (``_column_weights``); any other is read from
+    its dense elements.
     """
     if len(povm) < codebook.M:
         raise SchemaError(f"POVM has {len(povm)} outcomes for {codebook.M} messages")
@@ -426,7 +429,8 @@ def exact_error(ch, codebook, povm):
     if povm.dim != d:
         raise SchemaError(f"POVM acts on dimension {povm.dim}, codewords on {d}")
     if povm.factors is not None and len(povm.factors) >= codebook.M:
-        return _factor_error(ch, codebook.codewords, povm.factors)
+        return _factor_error(_codeword_spectra(ch, codebook), codebook.codewords,
+                             povm.factors)
     # Tr[Lambda rho] as an elementwise sum; rho is Hermitian
     return _mean_error(
         np.vdot(_word_state(ch, word), lam).real
@@ -438,26 +442,62 @@ def _mean_error(hits):
     return float(np.clip(np.mean([1.0 - h for h in hits]), 0.0, 1.0))
 
 
-def _column_weights(ch, word, cols):
-    """<c| rho_word |c> for each column c."""
-    return np.sum(cols.conj() * _word_state_times(ch, word, cols), axis=0).real
+def _column_weights(spectra, word, cols):
+    """<c| rho_word |c> = ||F_word^dagger c||^2 for each column c, where
+    F_word = F_{x_1} (x) ... (x) F_{x_n} is the product of the letters'
+    state factors from ``spectra`` (see ``_spectrum``).
+
+    The factors are applied one channel use at a time, as one batched
+    product: use i maps the axis of length dim that follows the i - 1
+    axes already done to an axis of length r_{x_i}.  The batch is the
+    product of the ranks so far, so over rank-1 letters each use is one
+    1 x dim product, and over full-rank ones the work is that of
+    applying rho_{x_i}.
+
+    F_x F_x^dagger misses rho_x by the eigenvalues at or below
+    EIG_CUTOFF, at most dim - 1 of them, each of size at most
+    e = max(EIG_CUTOFF, -PSD_TOL).  So for 0 <= E <= I (a POVM element
+    or detection operator) the hit Tr[E rho_word] read from E's columns
+    is within about n (dim - 1) e of the dense trace: the mean error
+    moves by at most that, the HN value, which sums 2 + 4 (M - 1) hits,
+    by 4M - 2 times that, and both far less when the dropped
+    eigenvalues are roundoff of 0.
+    """
+    k = cols.shape[1]
+    if not k:
+        return np.zeros(0)
+    # a column block split off a wider array reshapes into a strided view
+    # that matmul reads without BLAS, so its sums would round differently
+    # from a copy's; every caller's block is read in the same layout
+    out = np.ascontiguousarray(cols)
+    done = 1
+    for x in word:
+        factor_h = spectra[x][3]
+        out = np.matmul(factor_h, out.reshape(done, factor_h.shape[1], -1))
+        done *= factor_h.shape[0]
+    out = out.reshape(done, k)
+    return np.einsum("ij,ij->j", out.conj(), out).real
 
 
-def _factor_error(ch, codewords, factors):
+def _factor_error(spectra, codewords, factors):
     """Mean error of the POVM B_m B_m^dagger: the hit Tr[Lambda_m rho_m]
     is the sum over B_m's columns of b^dagger rho_m b."""
     return _mean_error(
-        _column_weights(ch, word, b).sum() for word, b in zip(codewords, factors)
+        _column_weights(spectra, word, b).sum() for word, b in zip(codewords, factors)
     )
 
 
-def _hn_bound(ch, codewords, w, starts):
+def _hn_bound(ch, spectra, codewords, w, edges):
+    """Mean of 2 Tr[(I - P_m) rho_m] + 4 sum_{k != m} Tr[P_k rho_m]: the
+    weights of W's columns under rho_m summed over W_m's block give
+    Tr[P_m rho_m], and the other blocks the sum over k != m."""
+    traces = {x: np.trace(ch.output(x).entries).real for x in spectra}
     vals = []
     for m, word in enumerate(codewords):
-        trace = np.prod([np.trace(ch.output(x).entries) for x in word]).real
-        hits = np.array([c.sum() for c in np.split(_column_weights(ch, word, w), starts)])
-        miss = trace - hits[m]
-        confuse = hits.sum() - hits[m]
+        weights = _column_weights(spectra, word, w)
+        own = weights[edges[m]:edges[m + 1]].sum()
+        miss = math.prod(traces[x] for x in word) - own
+        confuse = weights.sum() - own
         vals.append(2.0 * miss + 4.0 * confuse)
     return float(np.mean(vals))
 
@@ -471,8 +511,8 @@ def hn_diagnostic(ch, codebook, projs):
     the sum over W_k's columns of w^dagger rho_m w.
     """
     _check_projectors(ch, codebook, projs)
-    w, starts = _detection_columns(projs.average_columns, projs.columns)
-    return _hn_bound(ch, codebook.codewords, w, starts)
+    w, edges = _detection_columns(projs.average_columns, projs.columns)
+    return _hn_bound(ch, _codeword_spectra(ch, codebook), codebook.codewords, w, edges)
 
 
 def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
@@ -493,8 +533,9 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     for n in blocklengths:
         for seed in seeds:
             cb = Codebook.random(alphabet, n, rate, seed, prior)
-            avg, cols = _decoder_columns(ch, cb, delta)
-            w, starts = _detection_columns(avg, cols)
+            spectra = _codeword_spectra(ch, cb)
+            avg, cols = _decoder_columns(ch, cb, delta, spectra)
+            w, edges = _detection_columns(avg, cols)
             b, _, _ = _srm_factors(w)
             rows.append(
                 (
@@ -502,8 +543,8 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
                     rate,
                     seed,
                     delta,
-                    _factor_error(ch, cb.codewords, np.split(b, starts, axis=1)),
-                    _hn_bound(ch, cb.codewords, w, starts),
+                    _factor_error(spectra, cb.codewords, np.split(b, edges[1:-1], axis=1)),
+                    _hn_bound(ch, spectra, cb.codewords, w, edges),
                 )
             )
     return rows

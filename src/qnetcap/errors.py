@@ -19,6 +19,8 @@ before it produces (``tests/test_packaging.py`` asserts these):
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 
@@ -35,7 +37,7 @@ PSD_TOL = -1e-10  # least eigenvalue of an accepted matrix
 PROB_SUM_TOL = 1e-10  # |sum - 1| of a distribution, a trace, or sum(E) - I
 PROB_NEGATIVE_TOL = 1e-12  # a probability down to -this is roundoff of 0
 DERIVED_SUM_TOL = 1e-9  # |sum - 1| of a joint table or a measured row
-EIG_CUTOFF = 1e-12  # eigenvalues at or below this add no entropy
+EIG_CUTOFF = 1e-12  # eigenvalues at or below this add no entropy and no SRM hit
 INFO_CLAMP = 1e-9  # an information or rate bound down to -this is 0
 MEMBERSHIP_TOL = 1e-7  # slack of region membership and exact equality
 POLYGON_TOL = 1e-9  # slack of polygon vertices, rays and redundant rows
@@ -71,3 +73,17 @@ def whole_number(value, what: str) -> int:
     if whole is None or whole != value:
         raise SchemaError(f"{what} must be a whole number, got {value}")
     return whole
+
+
+def finite_reals(values, what: str) -> list[float]:
+    """``values`` as floats when each is a real number, not a bool, and
+    finite as a float; otherwise a SchemaError naming ``what`` they are."""
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise SchemaError(f"{what} must be real numbers, got {values}")
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # a whole number or Fraction beyond the float range
+        floats = [math.inf]
+    if not all(math.isfinite(v) for v in floats):
+        raise SchemaError(f"{what} must be finite, got {floats}")
+    return floats

@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,9 @@ class DensityMatrix:
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise InvariantError(f"subsystem dimensions must be positive: {dims}")
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise InvariantError(
-                f"dims {dims} have product {int(np.prod(dims))}, "
+                f"dims {dims} have product {math.prod(dims)}, "
                 f"matrix has size {m.shape[0]}"
             )
         trace_defect = abs(m.trace() - 1.0)
@@ -111,7 +112,7 @@ def reduce_blocks(blocks: np.ndarray, dims, keep) -> np.ndarray:
     for idx in reversed([i for i in range(len(dims)) if i not in keep]):
         t = np.trace(t, axis1=len(lead) + idx, axis2=len(lead) + idx + len(dims))
         dims.pop(idx)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.reshape(lead + (d, d))
 
 

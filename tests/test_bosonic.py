@@ -236,6 +236,23 @@ class TestParams:
         with pytest.raises(SchemaError):
             params_from_json({**doc, "mode": "laser"})
 
+    @pytest.mark.parametrize("key,value,what", [
+        ("eta", "ab", "'eta'"),
+        ("eta", [[0.3, 0.6]], "'eta'"),
+        ("eta", [[0.3, True], [0.6, 0.3]], "each 'eta' row"),
+        ("eta", [[0.3, 0.6, 0.1], [0.6, 0.3]], "each 'eta' row"),
+        ("NB", {"a": 1}, "'NB'"),
+        ("NB", [10**400, 1], "'NB'"),
+        ("NB", ["1", "1"], "'NB'"),
+        ("lambda", [1.0, False], "'lambda'"),
+        ("lambda", [0.5], "'lambda'"),
+    ])
+    def test_malformed_pairs_are_schema_errors(self, key, value, what):
+        doc = {"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100.0, 100.0], "NB": [1.0, 1.0],
+               key: value}
+        with pytest.raises(SchemaError, match=f"^{what} "):
+            params_from_json(doc)
+
     def test_mode_parse(self):
         assert DetectionMode.parse("homodyne") is DetectionMode.HOMODYNE
         assert DetectionMode.parse("HET") is DetectionMode.HETERODYNE

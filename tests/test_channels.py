@@ -8,7 +8,6 @@ from qnetcap.channels import (
     CqChannel,
     Povm,
     SchemaError,
-    bb84_qmac,
     builtin,
     dump_channel,
     induced_classical_channel,

@@ -635,6 +635,9 @@ class TestMalformedInput:
         "three dims": {"alphabets": [["0"]], "dims": [1, 1, 1], "outputs": {"0": [[1.0, 0.0]]}},
         "zero dim": {"alphabets": [["0"]], "dims": [0], "outputs": {"0": []}},
         "boolean dim": {"alphabets": [["0"]], "dims": [True], "outputs": {"0": [[1.0, 0.0]]}},
+        # the product is 2**64 + 2, read as 2 in int64: qubit matrices must not pass
+        "dims past int64": {"alphabets": [["0", "1"]], "dims": [6, 3074457345618258603],
+                            "outputs": {"0": MATRIX, "1": MATRIX}},
         "outputs not an object": {"alphabets": [["0"]], "dims": [2], "outputs": []},
         "missing outputs": {"alphabets": [["0"]], "dims": [2]},
         "missing output": {"alphabets": [["0", "1"]], "dims": [2], "outputs": {"0": MATRIX}},
@@ -713,6 +716,23 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "--lambda" in err
+
+    # "NS" values of an otherwise well-formed parameter document
+    BOSONIC_NS = {
+        "object": '{"a": 1}',
+        "integer past the float range": "[" + "1" * 401 + ", 1]",
+        "booleans": "[true, false]",
+        "string": '"12"',
+        "three numbers": "[1, 2, 3]",
+    }
+
+    @pytest.mark.parametrize("ns", BOSONIC_NS.values(), ids=BOSONIC_NS.keys())
+    def test_malformed_bosonic_pair(self, capsys, tmp_path, ns):
+        path = tmp_path / "params.json"
+        path.write_text('{"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": ' + ns + ', "NB": [1, 1]}')
+        code, out, err = run(capsys, "bosonic", "hk", "--channel", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'NS' ") and err.count("\n") == 1
 
     def test_malformed_bosonic_json(self, capsys, tmp_path):
         path = tmp_path / "bad_bosonic.json"

@@ -11,7 +11,6 @@ import srm_dense
 from qnetcap.channels import CqChannel, Povm, SchemaError, builtin, induced_classical_channel
 from qnetcap.codesim import (
     CLASSICAL_CHUNK_BYTES,
-    ClassicalDecodeResult,
     Codebook,
     ProjectorSet,
     classical_typical_decode_sim,
@@ -476,17 +475,28 @@ def assert_dense_parity(ch, cb, delta, rate=None, seed=None):
     )
     for e, r in zip(povm.elements, ref.elements, strict=True):
         assert np.max(np.abs(e - r)) <= 1e-12
+    assert_hit_parity(ch, cb, delta, projs, povm, ref, rate, seed)
+    return projs, povm
+
+
+def assert_hit_parity(ch, cb, delta, projs, povm, ref, rate=None, seed=None,
+                      err_tol=1e-12, hn_tol=1e-12):
+    """``exact_error`` of ``povm``, ``hn_diagnostic`` of ``projs`` and, given
+    ``rate`` and ``seed``, the sweep row against the dense reference, whose
+    measurement is ``ref``; returns the largest error and HN deviations."""
     err = exact_error(ch, cb, povm)
-    assert abs(err - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
+    ref_err = srm_dense.exact_error(ch, cb, ref)
+    assert abs(err - ref_err) <= err_tol
     hn = hn_diagnostic(ch, cb, projs)
     ref_hn = srm_dense.hn_diagnostic(ch, cb, projs)
-    assert abs(hn - ref_hn) <= 1e-12
-    if rate is not None:
-        (row,) = srm_error_sweep(ch, rate, (cb.n,), delta, (seed,))
-        assert row[:4] == (cb.n, rate, seed, delta)
-        assert abs(row[4] - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
-        assert abs(row[5] - ref_hn) <= 1e-12
-    return projs, povm
+    assert abs(hn - ref_hn) <= hn_tol
+    if rate is None:
+        return abs(err - ref_err), abs(hn - ref_hn)
+    (row,) = srm_error_sweep(ch, rate, (cb.n,), delta, (seed,))
+    assert row[:4] == (cb.n, rate, seed, delta)
+    assert abs(row[4] - ref_err) <= err_tol
+    assert abs(row[5] - ref_hn) <= hn_tol
+    return max(abs(err - ref_err), abs(row[4] - ref_err)), max(abs(hn - ref_hn), abs(row[5] - ref_hn))
 
 
 class TestDenseParity:
@@ -579,6 +589,87 @@ class TestDenseParity:
         assert not any(e.any() for e in povm.elements[:-1])
         assert np.array_equal(povm.elements[-1], np.eye(64))
         assert exact_error(ch, cb, povm) == 1.0
+
+
+def rotated_state(probs, seed):
+    """diag(probs) in a seeded random basis, so an eigensolve returns its
+    zero eigenvalues as roundoff rather than exact zeros."""
+    n = len(probs)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (q * np.asarray(probs)) @ q.conj().T
+    return DensityMatrix((m + m.conj().T) / 2, (n,))
+
+
+def factor_ranks(ch):
+    import qnetcap.codesim as codesim
+
+    return [codesim._spectrum(ch.output(x).entries)[3].shape[0] for x in ch.input_alphabets[0]]
+
+
+class TestFactoredHits:
+    """Hits are read through per-letter state factors F_x, rho_x = F_x F_x^dagger
+    on the eigenvalues above EIG_CUTOFF: parity with the dense reference on
+    outputs of every rank, and on pure outputs whose zero eigenvalues the
+    eigensolve returns as +-1e-17."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_qutrit_with_rank_two_output(self, n):
+        ch = CqChannel((("a", "b", "c"),), {
+            ("a",): rotated_state([0.7, 0.3, 0.0], seed=1),
+            ("b",): rotated_state([1.0, 0.0, 0.0], seed=2),
+            ("c",): diag_state(0.5, 0.3, 0.2),
+        })
+        assert factor_ranks(ch) == [2, 1, 3]
+        for rate in (0.3, 0.6):
+            for seed in range(3):
+                cb = Codebook.random(("a", "b", "c"), n, rate, seed)
+                projs = projector_set(ch, cb, 0.4)
+                povm = square_root_measurement(ch, cb, 0.4, projs=projs)
+                ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+                assert_hit_parity(ch, cb, 0.4, projs, povm, ref, rate, seed)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_rotated_pure_outputs(self, n):
+        ch = CqChannel((("a", "b"),), {
+            (x,): pure_state([np.cos(t), np.sin(t) * np.exp(1j * t)])
+            for x, t in (("a", 0.3), ("b", 1.2))
+        })
+        # here +1.2e-16 and -4.2e-17; their signs depend on the LAPACK build
+        least = [np.linalg.eigvalsh(ch.output(x).entries)[0] for x in ("a", "b")]
+        assert any(least) and max(map(abs, least)) < 1e-15
+        assert factor_ranks(ch) == [1, 1]
+        for seed in range(5):
+            cb = Codebook.random(("a", "b"), n, 0.3, seed)
+            assert_dense_parity(ch, cb, 0.4, 0.3, seed)
+
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_dropped_eigenvalues_move_hits_within_bound(self, n):
+        # accepted outputs whose least eigenvalues, -5e-11 and 5e-13, are
+        # at or below EIG_CUTOFF but are not roundoff: the factors drop
+        # them and the dense reference keeps them, so a hit moves by up to
+        # n (dim - 1) 5e-11, the error by that, and the HN value, which
+        # sums 2 + 4 (M - 1) hits, by (4M - 2) times that; 2e-12, above
+        # the cutoff, is kept
+        ch = CqChannel((("a", "b", "c", "d"),), {
+            ("a",): diag_state(1 + 5e-11, -5e-11),
+            ("b",): rotated_state([1 - 5e-13, 5e-13], seed=3),
+            ("c",): diag_state(0.6, 0.4),
+            ("d",): rotated_state([1 - 2e-12, 2e-12], seed=4),
+        })
+        assert factor_ranks(ch) == [1, 1, 2, 2]
+        hit_tol = n * (2 - 1) * 5e-11
+        moved = []
+        for seed in range(3):
+            cb = Codebook.random(("a", "b", "c", "d"), n, 0.4, seed)
+            projs = projector_set(ch, cb, 0.4)
+            povm = square_root_measurement(ch, cb, 0.4, projs=projs)
+            ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+            moved += assert_hit_parity(ch, cb, 0.4, projs, povm, ref, 0.4, seed,
+                                       err_tol=hit_tol, hn_tol=(4 * cb.M - 2) * hit_tol)
+        # what is dropped shows: the values leave the 1e-12 of exact parity
+        assert max(moved) > 1e-12
 
 
 class TestErrorTrend:

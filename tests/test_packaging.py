@@ -44,6 +44,26 @@ def test_each_module_imports_only_earlier_layers():
                     assert name in earlier, f"{path.stem} imports .{name}"
 
 
+def test_every_imported_name_is_read():
+    # an import binds a name (the first part of a dotted module); the module
+    # must read it somewhere, or the import goes
+    unread = []
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [(a.asname or a.name).partition(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                unread += [f"{path.relative_to(ROOT)}: {name}" for name in bound
+                           if name not in read]
+    assert not unread, unread
+
+
 # Public names with no caller in src/, demos/ or perfbench/, each with the
 # result of the thesis (arXiv:1208.4188) it states or the README entry that
 # documents it.

@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(InvariantError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    def test_dims_product_is_not_taken_modulo_2_64(self):
+        # 6 * 3074457345618258603 = 2**64 + 2, which int64 arithmetic reads as 2
+        with pytest.raises(InvariantError, match="product 18446744073709551618"):
+            DensityMatrix(np.eye(2) / 2, (6, 3074457345618258603))
+
     def test_tolerates_tiny_asymmetry(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 1e-12
