@@ -13,7 +13,7 @@ Subpackages are organized by layer:
 * ``cli``       command-line surface
 
 The top-level package stays import-light; submodules load on first access so
-the command-line entry point can apply the QNETCAP_THREADS cap before any
+the command-line entry point reports flag and JSON-syntax errors before any
 numerical library is pulled in.
 """
 

@@ -53,21 +53,14 @@ class DetectionMode(Enum):
 
     @classmethod
     def parse(cls, value):
-        if isinstance(value, cls):
-            return value
-        text = str(value).strip().lower()
-        aliases = {
-            "hom": cls.HOMODYNE,
-            "homodyne": cls.HOMODYNE,
-            "het": cls.HETERODYNE,
-            "heterodyne": cls.HETERODYNE,
-            "joint": cls.JOINT,
-        }
-        if text not in aliases:
+        """The mode whose value is ``value`` (hom, het or joint), or
+        ``value`` itself when it is a mode; anything else is a SchemaError."""
+        try:
+            return cls(value)
+        except ValueError:
             raise SchemaError(
                 f"unknown detection mode {value!r}; expected hom, het, or joint"
-            )
-        return aliases[text]
+            ) from None
 
 
 @dataclass(frozen=True)

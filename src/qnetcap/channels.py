@@ -319,19 +319,15 @@ _BUILTINS = {
 }
 
 
-def builtin(name: str, params=()) -> CqChannel:
+def builtin(name: str) -> CqChannel:
     """Construct a named example channel.
 
-    Parameters may be passed in the name itself, e.g. "theta_swap(1.5)".
-    Each must be a finite real number, not a bool, and reaches the factory
-    as a float; anything else is a SchemaError.
+    Parameters are written in the name itself, e.g. "theta_swap(1.5)".
+    Each must read as a finite float; anything else is a SchemaError.
     """
-    name = name.strip()
-    params = list(params)
+    name, params = name.strip(), []
     if name.endswith(")") and "(" in name:
         base, _, inside = name[:-1].partition("(")
-        if params:
-            raise SchemaError("parameters given both in name and separately")
         name = base.strip()
         inside = inside.strip()
         if inside:
@@ -387,7 +383,7 @@ def load_channel(doc) -> CqChannel:
     for key, entry in raw.items():
         try:
             m = matrix_from_json(entry, size)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"output for input {key!r}: {exc}") from None
         try:
             outputs[tuple(key.split(","))] = DensityMatrix(m, dims)

@@ -30,8 +30,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 # region subcommand -> (its seeded code distribution, the function of the
 # channel and that distribution it prints), both named in ``network`` so that
 # module loads only when a region command runs.  None stands for the uniform
@@ -51,34 +49,24 @@ _REGION_KINDS = tuple(_REGIONS)
 
 _SIM_BLOCKLENGTHS = (2, 4, 6, 8)
 
-
-def _apply_thread_cap():
-    """Honor QNETCAP_THREADS before any numeric library is imported."""
-    cap = os.environ.get("QNETCAP_THREADS")
-    if cap is None or cap == "":
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        raise SchemaError(f"QNETCAP_THREADS must be an integer, got {cap!r}")
-    if value < 1:
-        raise SchemaError(f"QNETCAP_THREADS must be >= 1, got {value}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(value)
+# largest --grid: a million signal powers, or points per simplex edge, is far
+# past any plot, while a grid too large for memory (or for a float) would end
+# in a traceback instead of an argument error
+_GRID_MAX = 10**6
 
 
 def _check_flags(args):
-    """Reject flag values no command accepts: a grid below 2, a non-finite
-    number, a negative delta, a seed outside 64 bits, and anything but
-    exactly one channel (for ``bosonic``, parameter) source.  Each check
-    reads its flag only where the subcommand defines it."""
+    """Reject flag values no command accepts: a grid outside 2 to _GRID_MAX,
+    a non-finite number, a negative delta, a seed outside 64 bits, and
+    anything but exactly one channel (for ``bosonic``, parameter) source.
+    Each check reads its flag only where the subcommand defines it."""
     flags = vars(args)
-    if flags.get("grid") is not None and args.grid < 2:
-        raise SchemaError(f"--grid must be >= 2, got {args.grid}")
+    if not 2 <= flags.get("grid", 2) <= _GRID_MAX:
+        raise SchemaError(f"--grid must be from 2 to {_GRID_MAX}, got {args.grid}")
     delta, povm_angle = flags.get("delta"), flags.get("povm_angle")
     numbers = {
         "--delta": [] if delta is None else [delta],
-        "--param": args.param,
+        "--param": flags.get("param", []),
         "--povm-angle": [] if povm_angle is None else [povm_angle],
         "--lambda": flags.get("lam") or [],
     }
@@ -101,14 +89,15 @@ def _add_param_flag(sp, help_text):
                     help=help_text)
 
 
-def _add_channel_flags(sp, param_help):
-    sp.add_argument("--builtin", metavar="NAME", help="named example channel")
+def _add_channel_flags(sp):
+    sp.add_argument("--builtin", metavar="NAME",
+                    help="named example channel, its parameters in the name:"
+                    " theta_swap(1.2)")
     sp.add_argument("--channel", metavar="PATH", help="channel description JSON")
-    _add_param_flag(sp, param_help)
 
 
-def _add_grid_flag(sp, default=21, help_text="grid resolution (>= 2)"):
-    sp.add_argument("--grid", type=int, default=default, metavar="N", help=help_text)
+def _add_grid_flag(sp, help_text="grid resolution (2 to 10**6)"):
+    sp.add_argument("--grid", type=int, default=21, metavar="N", help=help_text)
 
 
 def _add_seed_flag(sp):
@@ -127,15 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
         " classical-quantum network channels.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    channel_params = ("numeric parameters (builtin-channel parameters, or the"
-                      " command's own numbers where documented)")
 
     cap = commands.add_parser("capacity", help="point-to-point capacities")
     cap_sub = cap.add_subparsers(dest="subcommand", required=True)
     for name in ("p2p-classical", "p2p-holevo"):
         sp = cap_sub.add_parser(name)
-        _add_channel_flags(sp, channel_params)
-        _add_grid_flag(sp, None, "accepted for old command lines; has no effect")
+        _add_channel_flags(sp)
         _add_out_flag(sp)
         if name == "p2p-classical":
             sp.add_argument(
@@ -150,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     reg_sub = reg.add_subparsers(dest="subcommand", required=True)
     for name in _REGION_KINDS:
         sp = reg_sub.add_parser(name)
-        _add_channel_flags(sp, channel_params)
+        _add_channel_flags(sp)
         # mac reads --grid; vsi accepts and ignores it, as its README line shows
         if name in ("mac", "vsi"):
             _add_grid_flag(sp)
@@ -176,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     bos_sub = bos.add_subparsers(dest="subcommand", required=True)
     sp = bos_sub.add_parser("p2p")
     _add_param_flag(sp, "eta NB")
-    _add_grid_flag(sp, help_text="signal powers from 0.01 to 100 (>= 2)")
+    _add_grid_flag(sp, help_text="signal powers from 0.01 to 100 (2 to 10**6)")
     _add_out_flag(sp)
     for name in ("vsi", "si", "hk"):
         sp = bos_sub.add_parser(name)
@@ -197,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("classical", "rate R, blocklength n, trial count"),
     ):
         sp = sim_sub.add_parser(name)
-        _add_channel_flags(sp, param_help)
+        _add_channel_flags(sp)
+        _add_param_flag(sp, param_help)
         sp.add_argument("--delta", type=float, default=0.4, metavar="F",
                         help="typicality width")
         _add_seed_flag(sp)
@@ -272,13 +259,10 @@ def _read_channel(args):
     return None if args.channel is None else read_json(args.channel, "channel")
 
 
-def _load_cq_channel(args, doc, builtin_params=None):
+def _load_cq_channel(args, doc):
     from .channels import builtin, load_channel
 
-    if args.channel is None:
-        params = args.param if builtin_params is None else builtin_params
-        return builtin(args.builtin, params=params)
-    return load_channel(doc)
+    return builtin(args.builtin) if args.channel is None else load_channel(doc)
 
 
 def _cmd_capacity(args) -> int:
@@ -297,9 +281,6 @@ def _cmd_capacity(args) -> int:
         result = classical_capacity_BA(transition)
     else:
         result = hsw_capacity(ch)
-    if args.grid is not None:
-        print("note: --grid has no effect on capacity; the iteration needs no grid",
-              file=sys.stderr)
     if not result.converged:
         print(f"warning: capacity iteration stopped after {result.iterations} steps"
               f" with certified gap {result.upper - result.value:.3e} bits",
@@ -432,7 +413,7 @@ def _cmd_sim(args) -> int:
     from .channels import Povm, induced_classical_channel
     from .entropic import ProbDist
 
-    ch = _load_cq_channel(args, doc, builtin_params=())
+    ch = _load_cq_channel(args, doc)
     if args.subcommand == "quantum":
         from .codesim import srm_error_sweep
 
@@ -478,13 +459,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
         _check_flags(args)

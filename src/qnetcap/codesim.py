@@ -276,7 +276,6 @@ class ProjectorSet:
 
     average_columns: np.ndarray
     columns: tuple
-    delta: float
     average: np.ndarray = field(init=False, repr=False)
     conditional: tuple = field(init=False, repr=False)
 
@@ -342,7 +341,7 @@ def projector_set(ch, codebook, delta):
         raise SchemaError(f"codeword symbol {min(unknown)!r} is not a channel input")
     _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
     avg, cols = _decoder_columns(ch, codebook, delta, _codeword_spectra(ch, codebook))
-    return ProjectorSet(avg, cols, delta)
+    return ProjectorSet(avg, cols)
 
 
 def _word_state(ch, word):

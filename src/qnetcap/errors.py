@@ -75,15 +75,26 @@ def whole_number(value, what: str) -> int:
     return whole
 
 
+def real_floats(values, what: str) -> list[float]:
+    """``values`` as floats when each is a real number, not a bool (a whole
+    number or Fraction beyond the float range reads as inf of its sign);
+    otherwise a SchemaError naming ``what`` they are and the values at fault."""
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+    if bad:
+        raise SchemaError(f"{what} must be real numbers, got {bad}")
+    floats = []
+    for v in values:
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            floats.append(math.inf if v > 0 else -math.inf)
+    return floats
+
+
 def finite_reals(values, what: str) -> list[float]:
-    """``values`` as floats when each is a real number, not a bool, and
-    finite as a float; otherwise a SchemaError naming ``what`` they are."""
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
-        raise SchemaError(f"{what} must be real numbers, got {values}")
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:  # a whole number or Fraction beyond the float range
-        floats = [math.inf]
+    """``real_floats(values, what)`` when every float is finite; otherwise
+    a SchemaError naming ``what`` they are."""
+    floats = real_floats(values, what)
     if not all(math.isfinite(v) for v in floats):
         raise SchemaError(f"{what} must be finite, got {floats}")
     return floats

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HERMITICITY_TOL, PROB_SUM_TOL, PSD_TOL, InvariantError
+from .errors import HERMITICITY_TOL, PROB_SUM_TOL, PSD_TOL, InvariantError, real_floats
 
 
 def psd_matrix(entries, what: str = "matrix") -> np.ndarray:
@@ -127,11 +127,13 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(pairs, size: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape != (size * size, 2):
-        raise InvariantError(
-            f"matrix encoding has shape {arr.shape}, expected ({size * size}, 2)"
-        )
+    """The size x size matrix of ``size**2`` row-major [re, im] pairs.  Each
+    number is read by ``errors.real_floats`` (SchemaError); a wrong shape
+    or a non-finite entry is an InvariantError."""
+    if not (isinstance(pairs, list) and len(pairs) == size * size
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise InvariantError(f"matrix encoding must be {size * size} [re, im] pairs")
+    arr = np.array(real_floats([v for p in pairs for v in p], "matrix entries"))
     if not np.all(np.isfinite(arr)):
         raise InvariantError("matrix encoding has non-finite entries")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(size, size)
+    return (arr[0::2] + 1j * arr[1::2]).reshape(size, size)

@@ -254,9 +254,14 @@ class TestParams:
             params_from_json(doc)
 
     def test_mode_parse(self):
-        assert DetectionMode.parse("homodyne") is DetectionMode.HOMODYNE
-        assert DetectionMode.parse("HET") is DetectionMode.HETERODYNE
+        # one spelling per mode: the enum's own values, or a mode itself
+        assert DetectionMode.parse("hom") is DetectionMode.HOMODYNE
+        assert DetectionMode.parse("het") is DetectionMode.HETERODYNE
+        assert DetectionMode.parse("joint") is DetectionMode.JOINT
         assert DetectionMode.parse(DetectionMode.JOINT) is DetectionMode.JOINT
+        for spelling in ("homodyne", "heterodyne", "HET", " hom", "Joint", None, 1, ["hom"]):
+            with pytest.raises(SchemaError, match="unknown detection mode"):
+                DetectionMode.parse(spelling)
         assert DetectionMode.HOMODYNE.exponent == 1
         assert DetectionMode.HETERODYNE.exponent == 0
         assert DetectionMode.JOINT.exponent is None

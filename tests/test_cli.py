@@ -55,20 +55,19 @@ def run(capsys, *argv):
 
 
 # (family, subcommand) -> every flag it defines.  Each is read by the
-# subcommand, except --grid on capacity (kept, with its no-effect note, for
-# old command lines) and on region vsi (its README line passes it).
+# subcommand, except --grid on region vsi (its README line passes it).
 FLAGS = {
-    ("capacity", "p2p-classical"): "--builtin --channel --param --grid --out --povm-angle",
-    ("capacity", "p2p-holevo"): "--builtin --channel --param --grid --out",
-    ("region", "mac"): "--builtin --channel --param --grid --out --uniform",
-    ("region", "vsi"): "--builtin --channel --param --grid --out",
-    ("region", "si"): "--builtin --channel --param --out",
-    ("region", "sato"): "--builtin --channel --param --out",
-    ("region", "hk"): "--builtin --channel --param --seed --out",
-    ("region", "cmg"): "--builtin --channel --param --seed --out --oracle",
-    ("region", "bc-superposition"): "--builtin --channel --param --seed --out",
-    ("region", "bc-marton"): "--builtin --channel --param --seed --out",
-    ("region", "relay-pdf"): "--builtin --channel --param --seed --out",
+    ("capacity", "p2p-classical"): "--builtin --channel --out --povm-angle",
+    ("capacity", "p2p-holevo"): "--builtin --channel --out",
+    ("region", "mac"): "--builtin --channel --grid --out --uniform",
+    ("region", "vsi"): "--builtin --channel --grid --out",
+    ("region", "si"): "--builtin --channel --out",
+    ("region", "sato"): "--builtin --channel --out",
+    ("region", "hk"): "--builtin --channel --seed --out",
+    ("region", "cmg"): "--builtin --channel --seed --out --oracle",
+    ("region", "bc-superposition"): "--builtin --channel --seed --out",
+    ("region", "bc-marton"): "--builtin --channel --seed --out",
+    ("region", "relay-pdf"): "--builtin --channel --seed --out",
     ("bosonic", "p2p"): "--param --grid --out",
     ("bosonic", "vsi"): "--param --channel --mode --lambda --out",
     ("bosonic", "si"): "--param --channel --mode --lambda --out",
@@ -91,13 +90,15 @@ class TestFlags:
             for name, sp in subcommands(fp).items()
         }
         assert defined == {key: set(flags.split()) for key, flags in FLAGS.items()}
-        assert sum(map(len, defined.values())) == 86
+        assert sum(map(len, defined.values())) == 73
 
     @pytest.mark.parametrize("line", [
         "region cmg --builtin bb84_qmac --grid 1",
         "capacity p2p-holevo --builtin bb84_p2p --delta 0.1",
         "bosonic p2p --param 0.9 1 --mode hom",
         "region hk --builtin bb84_qmac --delta 0.1",
+        # builtin parameters go in the name
+        "region vsi --builtin theta_swap --param 1.2",
     ])
     def test_flag_of_another_subcommand_exits_2(self, capsys, line):
         with pytest.raises(SystemExit) as exit_:
@@ -139,15 +140,6 @@ class TestCapacity:
                              str(path), "--povm-angle", "0.3")
         assert (code, out, err) == (2, "", "error: POVM dim 2 vs state dim 3\n")
 
-    def test_grid_refinement_monotone(self, capsys):
-        values = []
-        for grid in ("5", "41"):
-            code, out, _ = run(capsys, "capacity", "p2p-holevo", "--builtin",
-                               "bb84_p2p", "--grid", grid)
-            assert code == 0
-            values.append(float(out))
-        assert values[1] >= values[0] - 1e-12
-
     def test_out_json(self, capsys, tmp_path):
         path = tmp_path / "cap.json"
         code, out, _ = run(capsys, "capacity", "p2p-holevo", "--builtin",
@@ -170,18 +162,11 @@ class TestCapacity:
         assert "exactly one" in err
 
     def test_bad_grid(self, capsys):
-        code, _, err = run(capsys, "capacity", "p2p-holevo", "--builtin",
-                           "bb84_p2p", "--grid", "1")
-        assert code == 2
-        assert "--grid" in err
-
-    @pytest.mark.parametrize("sub", ["p2p-holevo", "p2p-classical"])
-    def test_grid_has_no_effect(self, capsys, sub):
-        args = ("capacity", sub, "--builtin", "bb84_p2p")
-        _, plain, plain_err = run(capsys, *args)
-        code, out, err = run(capsys, *args, "--grid", "5")
-        assert code == 0 and out == plain and plain_err == ""
-        assert err.startswith("note: --grid has no effect") and err.count("\n") == 1
+        # the iteration needs no grid, so capacity defines no --grid flag
+        with pytest.raises(SystemExit) as exit_:
+            main(["capacity", "p2p-holevo", "--builtin", "bb84_p2p", "--grid", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --grid 1" in capsys.readouterr().err
 
     def test_unconverged_warning(self, capsys, tmp_path):
         # |0>, |+>, |1>: the optimum drops |+>, which the iteration only
@@ -258,8 +243,8 @@ class TestRegion:
             assert 0.0 <= r1 and 0.0 <= r2
 
     def test_vsi_pi_half_origin(self, capsys):
-        code, out, _ = run(capsys, "region", "vsi", "--builtin", "theta_swap",
-                           "--param", "1.5707963267948966")
+        code, out, _ = run(capsys, "region", "vsi", "--builtin",
+                           "theta_swap(1.5707963267948966)")
         assert code == 0
         doc = json.loads(out)
         for ineq in doc["ineqs"]:
@@ -267,8 +252,8 @@ class TestRegion:
 
     def test_vsi_csv(self, capsys, tmp_path):
         path = tmp_path / "vsi.csv"
-        code, _, _ = run(capsys, "region", "vsi", "--builtin", "theta_swap",
-                         "--param", "1.2", "--out", str(path))
+        code, _, _ = run(capsys, "region", "vsi", "--builtin", "theta_swap(1.2)",
+                         "--out", str(path))
         assert code == 0
         assert path.read_text().startswith("theta,R1,R2")
 
@@ -436,6 +421,14 @@ class TestBosonic:
         assert code == 0
         assert "condition: true" in out
 
+    @pytest.mark.parametrize("mode", ["homodyne", "heterodyne", "HET"])
+    def test_mode_has_one_spelling(self, capsys, mode):
+        code, out, err = run(capsys, "bosonic", "vsi", "--mode", mode, "--param",
+                             "0.0625", "0.5", "0.5", "0.0625", "1", "1", "1", "1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: unknown detection mode {mode!r};"
+                       " expected hom, het, or joint\n")
+
     def test_hk_region(self, capsys, tmp_path):
         path = tmp_path / "bhk.json"
         code, _, _ = run(capsys, "bosonic", "hk", "--mode", "hom",
@@ -600,29 +593,11 @@ class TestSim:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestThreadCap:
-    def test_cap_applied(self, capsys, monkeypatch):
-        monkeypatch.setenv("QNETCAP_THREADS", "3")
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        code, _, _ = run(capsys, "capacity", "p2p-holevo", "--builtin",
-                         "bb84_p2p")
-        assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    def test_bad_cap_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("QNETCAP_THREADS", "many")
-        code, _, err = run(capsys, "capacity", "p2p-holevo", "--builtin",
-                           "bb84_p2p")
-        assert code == 2
-        assert "QNETCAP_THREADS" in err
-
-
 class TestMalformedInput:
     """Non-finite numbers and malformed files are schema errors (exit 2)."""
 
     MATRIX = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    BB84 = dump_channel(builtin("bb84_p2p"))
     CHANNEL_DOCS = {
         "empty alphabet": {"alphabets": [[]], "dims": [2], "outputs": {}},
         "second alphabet empty": {"alphabets": [["0"], []], "dims": [2], "outputs": {}},
@@ -644,6 +619,12 @@ class TestMalformedInput:
         "unknown output": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": MATRIX, "9": MATRIX}},
         "matrix not numbers": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": "junk"}},
         "matrix too short": {"alphabets": [["0"]], "dims": [2], "outputs": {"0": [[1.0, 0.0]]}},
+        # bb84_p2p with a JSON integer too large for a float, once an
+        # OverflowError (exit 1), or with booleans, once read as 1.0 and 0.0 (exit 0)
+        "401-digit entry": {**BB84, "outputs": {
+            **BB84["outputs"], "0": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}},
+        "boolean entries": {**BB84, "outputs": {
+            **BB84["outputs"], "0": [[True, False], [0, 0], [0, 0], [False, False]]}},
         "document a list": [1, 2],
         "document null": None,
     }
@@ -701,6 +682,17 @@ class TestMalformedInput:
         code, out, err = run(capsys, "region", "vsi", "--builtin", name)
         assert (code, out) == (2, "")
         assert err.startswith("error: theta_swap parameters must be finite")
+
+    @pytest.mark.parametrize("grid", ["1", "1000001", "1" * 401],
+                             ids=["1", "1000001", "401 digits"])
+    @pytest.mark.parametrize("argv", [("region", "mac", "--builtin", "bb84_qmac"),
+                                      ("bosonic", "p2p", "--param", "0.9", "1")],
+                             ids=lambda argv: argv[0])
+    def test_grid_out_of_range(self, capsys, argv, grid):
+        # a 401-digit grid once ended in an OverflowError traceback (exit 1)
+        code, out, err = run(capsys, *argv, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid must be from 2 to 1000000, got {grid}\n"
 
     def test_nan_povm_angle(self, capsys):
         code, out, err = run(capsys, "capacity", "p2p-classical", "--builtin",

@@ -202,21 +202,21 @@ class TestProjectorSet:
         skew = np.stack([eye[:, 0], (eye[:, 0] + eye[:, 1]) / np.sqrt(2)], axis=1)
         for avg, cols in [(eye, (2.0 * eye,)), (eye, (skew,)), (eye[:, :2] * 0.5, ())]:
             with pytest.raises(InvariantError, match="not orthonormal"):
-                ProjectorSet(avg, cols, 0.3)
+                ProjectorSet(avg, cols)
 
     def test_shape_mismatch(self):
         eye4, eye8 = np.eye(4), np.eye(8)
         with pytest.raises(SchemaError):
-            ProjectorSet(eye4, (eye8[:, :2],), 0.3)
+            ProjectorSet(eye4, (eye8[:, :2],))
         with pytest.raises(SchemaError):
-            ProjectorSet(eye4, (eye4, eye4[0]), 0.3)
+            ProjectorSet(eye4, (eye4, eye4[0]))
         with pytest.raises(SchemaError):
-            ProjectorSet(eye4[0], (), 0.3)
+            ProjectorSet(eye4[0], ())
 
     def test_dense_projectors_derived_from_columns(self):
         eye = np.eye(4, dtype=complex)
         v = np.stack([eye[:, 0], (eye[:, 1] + 1j * eye[:, 2]) / np.sqrt(2)], axis=1)
-        projs = ProjectorSet(eye, (v, eye[:, :0]), 0.3)
+        projs = ProjectorSet(eye, (v, eye[:, :0]))
         assert np.array_equal(projs.average, eye)
         assert np.array_equal(projs.conditional[0], v @ v.conj().T)
         assert not projs.conditional[1].any() and projs.conditional[1].shape == (4, 4)
@@ -227,7 +227,7 @@ class TestProjectorSet:
         ch = mixed_channel()
         cb = Codebook.random(("a", "b"), 6, 0.6, seed=3)
         projs = projector_set(ch, cb, 0.3)
-        again = ProjectorSet(projs.average_columns, projs.columns, projs.delta)
+        again = ProjectorSet(projs.average_columns, projs.columns)
         assert np.array_equal(again.average, projs.average)
         for a, b in zip(again.conditional, projs.conditional, strict=True):
             assert np.array_equal(a, b)

@@ -310,7 +310,7 @@ class TestThetaSwapClosedForms:
     @pytest.mark.parametrize("theta", [1.2, 2.0])
     def test_entropy_formulas(self, theta):
         rng = np.random.default_rng(23)
-        ch = builtin("theta_swap", [theta])
+        ch = builtin(f"theta_swap({theta})")
         c2 = np.cos(theta) ** 2
         s2 = np.sin(theta) ** 2
         for _ in range(3):
@@ -350,8 +350,8 @@ class TestThetaSwapClosedForms:
 
 class TestVsi:
     def test_window(self):
-        assert vsi_check(builtin("theta_swap", [1.5]), grid=9)
-        assert not vsi_check(builtin("theta_swap", [0.5]), grid=9)
+        assert vsi_check(builtin("theta_swap(1.5)"), grid=9)
+        assert not vsi_check(builtin("theta_swap(0.5)"), grid=9)
 
     def test_product_channel_fails(self):
         # both outputs carry only the own sender's symbol: cross info is 0
@@ -372,12 +372,12 @@ class TestVsi:
         assert not vsi_check(ch, grid=5)
 
     def test_full_swap_capacity_vanishes(self):
-        region = vsi_capacity(builtin("theta_swap", [np.pi / 2]), uniform_no_ts())
+        region = vsi_capacity(builtin(f"theta_swap({np.pi / 2})"), uniform_no_ts())
         for _, b in region.inequalities:
             assert b < 1e-6
 
     def test_vsi_inside_si_inside_mac(self):
-        ch = builtin("theta_swap", [1.5])
+        ch = builtin("theta_swap(1.5)")
         dist = uniform_no_ts()
         vsi = vsi_capacity(ch, dist)
         si = si_capacity(ch, dist)
@@ -392,7 +392,7 @@ class TestVsi:
                 assert mac.contains([r1, r2], tol=1e-7)
 
     def test_sato_sum_uses_joint_output(self):
-        ch = builtin("theta_swap", [1.5])
+        ch = builtin("theta_swap(1.5)")
         dist = uniform_no_ts()
         sato = sato_outer(ch, dist)
         si = si_capacity(ch, dist)
@@ -403,7 +403,7 @@ class TestVsi:
         assert sum_of(sato) > sum_of(si) + 0.1
 
     def test_time_sharing_mixes_rectangles(self):
-        ch = builtin("theta_swap", [1.5])
+        ch = builtin("theta_swap(1.5)")
         q = ProbDist(("0", "1"), [0.5, 0.5])
         skew1 = ProbDist(("0", "1"), [0.9, 0.1])
         skew2 = ProbDist(("0", "1"), [0.1, 0.9])
@@ -434,7 +434,7 @@ class TestHkRegion:
         assert not region.contains([i1 + 1e-6, i2 + 1e-6])
 
     def test_all_common_reaches_strong_interference_sums(self):
-        ch = builtin("theta_swap", [1.5])
+        ch = builtin("theta_swap(1.5)")
         dist = hk_assignment(ch, False, False, UNIF2, UNIF2)
         region = hk_region(ch, dist)
         st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
@@ -481,7 +481,7 @@ class TestHkRegion:
         assert len(solves) == len(quantum) < 2 * len(terms)
 
     def test_contains_successive_decoding_corners(self):
-        ch = builtin("theta_swap", [1.2])
+        ch = builtin("theta_swap(1.2)")
         corners = successive_decoding_corners(ch, UNIF2, UNIF2)
         regions = [
             hk_region(ch, hk_assignment(ch, per1, per2, UNIF2, UNIF2))
@@ -510,7 +510,7 @@ class TestCmgRegion:
             assert disagree == 0
 
     def test_contains_matched_hk(self):
-        ch = builtin("theta_swap", [1.2])
+        ch = builtin("theta_swap(1.2)")
         for seed in (3, 4):
             hk_dist = random_hk_distribution(ch, seed)
             hk = hk_region(ch, hk_dist)

@@ -1,6 +1,9 @@
+import fractions
+
 import numpy as np
 import pytest
 
+from qnetcap.errors import SchemaError
 from qnetcap.qstate import (
     DensityMatrix,
     InvariantError,
@@ -126,6 +129,22 @@ class TestJson:
         pairs[3] = [float("nan"), 0.0]
         with pytest.raises(InvariantError):
             matrix_from_json(pairs, 2)
+
+    @pytest.mark.parametrize("entry, error", [
+        (True, SchemaError), ("1", SchemaError), (None, SchemaError),
+        (10**400, InvariantError), (-(10**400), InvariantError),
+        (fractions.Fraction(-(10**400)), InvariantError),
+    ], ids=["bool", "string", "null", "huge", "-huge", "-huge fraction"])
+    def test_entries_follow_the_number_rule(self, entry, error):
+        # a real number, not a bool, finite as a float
+        pairs = matrix_to_json(np.eye(2) / 2)
+        pairs[3] = [entry, 0.0]
+        with pytest.raises(error):
+            matrix_from_json(pairs, 2)
+
+    def test_whole_and_rational_entries_read_as_floats(self):
+        pairs = [[1, 0], [0, 0], [0, 0], [fractions.Fraction(1, 2), np.float32(0)]]
+        assert np.array_equal(matrix_from_json(pairs, 2), np.diag([1.0, 0.5]))
 
     def test_row_major_order(self):
         m = np.array([[1.0, 2.0j], [3.0, 4.0]])
