@@ -185,6 +185,12 @@ class Povm:
         semidefinite, and the remainder's least eigenvalue is
         1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
         smaller of B^dagger B and B B^dagger.
+
+        The elements are the read-only slices of one (K + 1, d, d) block.
+        Each L is written into its slice and symmetrized there, through
+        one reused d x d buffer for L^dagger, and the remainder is
+        I - (E_1 + ... + E_K) summed in that order, so every element has
+        the bytes of (L + L.conj().T) / 2.0 and np.eye(d) - sum(elements).
         """
         bs = tuple(np.array(b, dtype=complex) for b in factors)
         if not bs:
@@ -194,8 +200,22 @@ class Povm:
             if b.ndim != 2 or b.shape[0] != d:
                 raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
             b.setflags(write=False)
-        lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in bs)]
-        mats = (*lams, np.eye(d, dtype=complex) - sum(lams))
+        block = np.empty((len(bs) + 1, d, d), dtype=complex)
+        adjoint = np.empty((d, d), dtype=complex)
+        for b, lam in zip(bs, block):
+            np.matmul(b, b.conj().T, out=lam)
+            np.conjugate(lam.T, out=adjoint)
+            lam += adjoint
+            # complex division as in the formula; *= 0.5 differs from it
+            # in the sign of some zeros
+            lam /= 2.0
+        rest = block[-1]
+        rest[...] = block[0]
+        for lam in block[1:-1]:
+            rest += lam
+        np.subtract(np.eye(d, dtype=complex), rest, out=rest)
+        block.setflags(write=False)
+        mats = tuple(block)
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0

@@ -261,7 +261,15 @@ class TestPovm:
         assert np.array_equal(povm.elements[0], np.diag([0.25, 0.25]))
         assert np.array_equal(povm.elements[1], np.diag([0.75, 0.75]))
         assert not povm.factors[0].flags.writeable
-        assert not povm.elements[0].flags.writeable
+        for e in povm.elements:
+            assert not e.flags.writeable
+            assert e.base is None or not e.base.flags.writeable
+
+    def test_complete_zero_width_factor(self):
+        # an empty conditional typical set gives a d x 0 factor
+        povm = Povm.from_factors([np.eye(4)[:, :2], np.zeros((4, 0))])
+        assert np.array_equal(povm.elements[1], np.zeros((4, 4)))
+        assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 1.0]))
 
     def test_measurement_probabilities(self):
         povm = Povm.qubit_projective(0.0)

@@ -420,7 +420,25 @@ class TestFactorPovm:
             for e in povm.elements:
                 assert np.array_equal(e, e.conj().T)
                 assert not e.flags.writeable
+                assert e.base is None or not e.base.flags.writeable
             assert np.max(np.abs(sum(povm.elements) - np.eye(povm.dim))) <= 1e-14
+
+    @pytest.mark.parametrize("ch, n, seed, width", [(builtin("bb84_p2p"), 8, 1, 1),
+                                                    (mixed_channel(), 6, 3, 32),
+                                                    (mixed_channel(), 7, 1, 96)])
+    def test_elements_have_the_bytes_of_the_formula(self, ch, n, seed, width):
+        # the perfbench stage codebook, whose factors are single columns,
+        # and mixed ones with wider factors; the order of the sums is part
+        # of the bytes, and at n = 7 so is the sign of zeros that halving
+        # by `* 0.5` instead of `/ 2.0` would keep
+        cb = Codebook.random(ch.single_alphabet(), n, 0.6, seed=seed)
+        povm = square_root_measurement(ch, cb, 0.4)
+        assert max(b.shape[1] for b in povm.factors) == width
+        lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in povm.factors)]
+        want = (*lams, np.eye(povm.dim, dtype=complex) - sum(lams))
+        assert len(povm.elements) == len(want) == cb.M + 1
+        for got, ref in zip(povm.elements, want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_shape_checks(self):
         with pytest.raises(SchemaError):
