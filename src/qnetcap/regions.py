@@ -84,29 +84,26 @@ def intersect(a: HalfspaceRegion, b: HalfspaceRegion) -> HalfspaceRegion:
     return HalfspaceRegion(a.coordinate_names, a.inequalities + b.inequalities)
 
 
-def _normalize_rows(rows):
-    """Scale rows to unit max coefficient, drop tautologies, dedupe; entries
-    after (c, b) ride along as part of the dedupe key.
+def _normalize(coeffs, bounds, history):
+    """Scale each row of the stack c . R <= b to unit max |c|, drop
+    tautologies, and keep the first of the rows that share c and b rounded
+    to 10 decimals and their entry of ``history``.
 
     A row with no coefficients left and a negative bound is an infeasibility
-    witness; the caller decides how to report it.
+    witness.
     """
-    out = []
-    seen = set()
-    for c, b, *rest in rows:
-        scale = float(np.max(np.abs(c)))
-        if scale < ZERO_COEFF_TOL:
-            if b < -INFO_CLAMP:
-                raise InvariantError("inequality system is infeasible")
-            continue
-        c = c / scale
-        b = b / scale
-        key = (*np.round(c, 10), round(b, 10), *rest)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((c, b, *rest))
-    return out
+    scale = np.abs(coeffs).max(axis=1)
+    live = scale >= ZERO_COEFF_TOL
+    if np.any(bounds[~live] < -INFO_CLAMP):
+        raise InvariantError("inequality system is infeasible")
+    coeffs, bounds = coeffs[live] / scale[live, None], bounds[live] / scale[live]
+    history = [h for h, alive in zip(history, live.tolist()) if alive]
+    first = {}
+    keys = zip(map(tuple, np.round(coeffs, 10).tolist()), np.round(bounds, 10).tolist(), history)
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    rows = list(first.values())
+    return coeffs[rows], bounds[rows], [history[i] for i in rows]
 
 
 # perfbench/layertrace.py counts LP calls by wrapping this name; the library makes none
@@ -123,11 +120,13 @@ class _Polygon:
 
     Built once per row set: every pairwise intersection of the rows and the
     two axes, and the candidate recession rays (both axes and +- the
-    perpendicular of each row), each with a count of the active rows it
-    violates by more than POLYGON_TOL or climbs; switching a row moves one
-    column of counts.  Every candidate that meets the active rows lies in
-    their polygon and every vertex and extreme ray of it is a candidate, so
-    the maximum over candidates is exact.
+    perpendicular of each row).  Tables of shape (rows, candidates) hold
+    each row's value at every point and whether it climbs along every ray,
+    and each candidate has a count of the active rows it violates by more
+    than POLYGON_TOL or climbs; switching a row moves the counts by its line
+    of the tables.  Every candidate that meets the active rows lies in their
+    polygon and every vertex and extreme ray of it is a candidate, so the
+    maximum over candidates is exact, also with inactive rows' candidates.
     """
 
     def __init__(self, rows, dim):
@@ -143,68 +142,44 @@ class _Polygon:
         points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
                            lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
         self.points = points[np.all(points >= -POLYGON_TOL, axis=1)]
-        self.outside = self.points @ coeffs.T > bounds + POLYGON_TOL
+        self.heights = coeffs @ self.points.T
+        self.outside = self.heights > bounds[:, None] + POLYGON_TOL
         perps = coeffs[:, ::-1] * [-1.0, 1.0]
         rays = np.concatenate([np.eye(2), perps, -perps])
         rays = rays[np.any(rays != 0.0, axis=1)]
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
         self.rays = rays[np.all(rays >= -POLYGON_TOL, axis=1)]
-        self.climbing = self.rays @ coeffs.T > POLYGON_TOL
-        self.violated = self.outside.sum(axis=1)
-        self.blocked = self.climbing.sum(axis=1)
+        self.climbing = coeffs @ self.rays.T > POLYGON_TOL
+        self.violated = self.outside.sum(axis=0)
+        self.blocked = self.climbing.sum(axis=0)
 
     def switch(self, i, step):
         """Make row ``i`` active (step +1) or inactive (step -1)."""
-        self.violated += step * self.outside[:, i]
-        self.blocked += step * self.climbing[:, i]
+        self.violated += step * self.outside[i]
+        self.blocked += step * self.climbing[i]
 
-    def support(self, c):
-        """max c . R over the polygon of the active rows, or inf when it is
-        unbounded along c."""
-        c = np.asarray(c, dtype=float)
-        if np.any(self.rays[self.blocked == 0, : c.size] @ c > POLYGON_TOL):
+    def support(self, i):
+        """max c . R over the polygon of the active rows for the c of row
+        ``i``, or inf when the polygon is unbounded along it."""
+        if self.climbing[i][self.blocked == 0].any():
             return np.inf
-        return float(np.max(self.points[self.violated == 0, : c.size] @ c))
+        return float(self.heights[i][self.violated == 0].max())
 
 
 def _exact_prune(rows, dim):
     """Drop redundant rows over one or two coordinates: rows are tested in
     order, each against the rows still kept other than itself, and dropped
     when their support value is at most b + POLYGON_TOL; a row along which the
-    others are unbounded is kept."""
+    others are unbounded is kept.  Support values are read from the tables
+    of one ``_Polygon``; the kept rows are the objects passed in."""
     polygon = _Polygon(rows, dim)
     kept = []
-    for i, (c, b) in enumerate(rows):
+    for i, (_, b) in enumerate(rows):
         polygon.switch(i, -1)
-        if not polygon.support(c) <= b + POLYGON_TOL:
+        if not polygon.support(i) <= b + POLYGON_TOL:
             polygon.switch(i, +1)
             kept.append(rows[i])
     return kept
-
-
-def _eliminate_variable(rows, col, max_history):
-    """One Fourier-Motzkin step removing the variable at index ``col`` from
-    rows (c, b, history); a combined row whose history has more than
-    ``max_history`` members is not formed."""
-    combined, pos, neg = [], [], []
-    for row in rows:
-        v = row[0][col]
-        if abs(v) < ZERO_COEFF_TOL:
-            combined.append(row)
-        elif v > 0:
-            pos.append(row)
-        else:
-            neg.append(row)
-    for cp, bp, hp in pos:
-        for cn, bn, hn in neg:
-            if (hp | hn).bit_count() > max_history:
-                continue
-            # scale so the col coefficients cancel exactly
-            c = cp * (-cn[col]) + cn * cp[col]
-            b = bp * (-cn[col]) + bn * cp[col]
-            c[col] = 0.0
-            combined.append((c, b, hp | hn))
-    return combined
 
 
 def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegion:
@@ -213,8 +188,12 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
 
     ``keep_matrix`` rows express each new coordinate as a nonnegative
     combination of the old ones (e.g. R1 = R1p + R1c).  Old coordinates are
-    eliminated one at a time (fewest pairings first); the final rows are
-    pruned exactly (``_exact_prune``).
+    eliminated one at a time (fewest pairings first) on the whole stack of
+    rows: one coefficient matrix, one bound vector and one history per row.
+    A step keeps the rows without the coordinate, then adds every pair of a
+    row with a positive and a row with a negative coefficient that Kohler's
+    rule allows (positive rows outer), and normalises the stack
+    (``_normalize``).  The final rows are pruned exactly (``_exact_prune``).
 
     Each row carries its history, the original rows it combines, as a
     bitmask.  After s eliminations a row is lambda . (A, b) with lambda >= 0
@@ -227,7 +206,14 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     formed with their supports as histories, if rows that differ in history
     are never merged.
     """
-    m = np.array(keep_matrix, dtype=float)
+    try:
+        m = np.array(keep_matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvariantError(f"projection map is not a matrix: {exc}") from None
+    if m.ndim != 2 or not m.size:
+        raise InvariantError(f"projection map of shape {m.shape} is not a nonempty matrix")
+    if not np.all(np.isfinite(m)):
+        raise InvariantError("projection map has a non-finite entry")
     new_names = tuple(str(n) for n in new_names)
     k, n = m.shape
     if len(new_names) != k:
@@ -239,35 +225,41 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     if np.any(m < 0):
         raise InvariantError("projection map must have nonnegative entries")
 
-    # extended variable order: (new coords, old coords)
-    rows = []
-    for c, b in region.inequalities:
-        rows.append((np.concatenate([np.zeros(k), c]), b))
-    for j in range(k):
-        eq = np.concatenate([-np.eye(k)[j], m[j]])
-        rows.append((eq.copy(), 0.0))
-        rows.append((-eq, 0.0))
-    for i in range(n):
-        row = np.zeros(k + n)
-        row[k + i] = -1.0
-        rows.append((row, 0.0))
-
-    rows = _normalize_rows([(c, b, 1 << i) for i, (c, b) in enumerate(rows)])
+    # extended variable order (new coords, old coords): the region's rows,
+    # s_j >= m_j . R and s_j <= m_j . R for each j, then R >= 0
+    eq = np.concatenate([-np.eye(k), m], axis=1)
+    coeffs = np.concatenate([
+        np.concatenate([np.zeros((len(region.inequalities), k)),
+                        np.reshape([c for c, _ in region.inequalities], (-1, n))], axis=1),
+        np.stack([eq, -eq], axis=1).reshape(2 * k, k + n),
+        -np.eye(n, k + n, k),
+    ])
+    bounds = np.zeros(len(coeffs))
+    bounds[: len(region.inequalities)] = [b for _, b in region.inequalities]
+    coeffs, bounds, history = _normalize(coeffs, bounds, [1 << i for i in range(len(coeffs))])
     remaining = list(range(k, k + n))
     while remaining:
-        # fewest-products heuristic
-        def cost(col):
-            p = sum(1 for c, _, _ in rows if c[col] > ZERO_COEFF_TOL)
-            q = sum(1 for c, _, _ in rows if c[col] < -ZERO_COEFF_TOL)
-            return p * q
-
-        col = min(remaining, key=cost)
+        pairings = np.sum(coeffs > ZERO_COEFF_TOL, axis=0) * np.sum(coeffs < -ZERO_COEFF_TOL, axis=0)
+        col = min(remaining, key=pairings.__getitem__)
         remaining.remove(col)
-        eliminated = n - len(remaining)
-        rows = _normalize_rows(_eliminate_variable(rows, col, eliminated + 1))
+        most = n - len(remaining) + 1  # members of a history after this step
+        v = coeffs[:, col]
+        zero = np.abs(v) < ZERO_COEFF_TOL
+        neg = np.nonzero(v <= -ZERO_COEFF_TOL)[0].tolist()
+        pairs = [(i, j) for i in np.nonzero(v >= ZERO_COEFF_TOL)[0].tolist() for j in neg
+                 if (history[i] | history[j]).bit_count() <= most]
+        p, q = np.reshape(np.array(pairs, dtype=int), (-1, 2)).T
+        # scale so the col coefficients cancel exactly: -(x y) + y x is +0.0
+        combined = coeffs[p] * -v[q, None] + coeffs[q] * v[p, None]
+        coeffs, bounds, history = _normalize(
+            np.concatenate([coeffs[zero], combined]),
+            np.concatenate([bounds[zero], bounds[p] * -v[q] + bounds[q] * v[p]]),
+            [history[i] for i in np.flatnonzero(zero).tolist()]
+            + [history[i] | history[j] for i, j in pairs],
+        )
 
-    final = _normalize_rows([(c[:k].copy(), b) for c, b, _ in rows])
-    final = _exact_prune(final, k)
+    coeffs, bounds, _ = _normalize(coeffs[:, :k], bounds, [0] * len(bounds))
+    final = _exact_prune(list(zip(coeffs, bounds)), k)
     if not final:
         # no constraint is left, or each is redundant against nonnegativity
         raise InvariantError("projection produced an unbounded region")
@@ -286,15 +278,19 @@ def implied_share(a: HalfspaceRegion, b: HalfspaceRegion) -> float:
         )
     if a.dim > 2:
         raise InvariantError(f"exact comparison needs at most 2 coordinates, got {a.dim}")
-
-    def implied(rows, region):
-        support = _Polygon(region.inequalities, region.dim).support
-        return sum(support(c) <= bound + MEMBERSHIP_TOL for c, bound in rows)
-
-    rows = len(a.inequalities) + len(b.inequalities)
-    if rows == 0:
+    rows = a.inequalities + b.inequalities
+    if not rows:
         return 1.0
-    return (implied(a.inequalities, b) + implied(b.inequalities, a)) / rows
+    # one polygon over both regions, read with one region's rows switched off
+    polygon = _Polygon(rows, a.dim)
+    implied = 0
+    for side in (range(len(a.inequalities)), range(len(a.inequalities), len(rows))):
+        for i in side:
+            polygon.switch(i, -1)
+        implied += sum(polygon.support(i) <= rows[i][1] + MEMBERSHIP_TOL for i in side)
+        for i in side:
+            polygon.switch(i, +1)
+    return implied / len(rows)
 
 
 def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:

@@ -3,12 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from fm_loop import loop_exact_prune, loop_fm_project, loop_implied_share
 from lp_prune import lp_prune
 from scipy.optimize import linprog
 
-from qnetcap import regions
+from qnetcap import network, regions
 from qnetcap.channels import builtin, theta_swap
 from qnetcap.network import (
+    cmg_informations,
     cmg_region,
     cmg_region_via_projection,
     random_cmg_distribution,
@@ -139,6 +141,19 @@ class TestIntersect:
 
 
 class TestFmProject:
+    @pytest.fixture(autouse=True)
+    def same_rows_as_row_loop(self, monkeypatch):
+        """Every projection these tests make has the rows, byte for byte, of
+        the row-loop reference."""
+        stacked = fm_project
+
+        def checked(region, m, names):
+            proj = stacked(region, m, names)
+            assert repr(proj.inequalities) == repr(loop_fm_project(region, m, names).inequalities)
+            return proj
+
+        monkeypatch.setitem(globals(), "fm_project", checked)
+
     def test_box_onto_sum(self):
         box = HalfspaceRegion(("x", "y"), [([1, 0], 1.0), ([0, 1], 1.0)])
         proj = fm_project(box, [[1, 1]], ("s",))
@@ -220,6 +235,82 @@ class TestFmProject:
         proj = fm_project(sys1, [[1, 1]], ("R1",))
         assert proj.contains([0.8])
         assert not proj.contains([0.81])
+
+    @pytest.mark.parametrize("m", [[1, 1], [[1, 1], [1]], [[1, np.nan]], [[np.inf, 1]]],
+                             ids=["one-dimensional", "ragged", "nan", "inf"])
+    def test_malformed_map_rejected(self, m):
+        # checked before any elimination: no RuntimeWarning, no late error
+        box = HalfspaceRegion(("x", "y"), [([1, 0], 1.0), ([0, 1], 1.0)])
+        with pytest.raises(InvariantError, match="projection map"):
+            fm_project(box, m, ("s",))
+
+
+def projected(project, region, m):
+    """The repr of the rows ``project`` gives, or the InvariantError it raises."""
+    try:
+        return repr(project(region, m, ("s1", "s2")[: len(m)]).inequalities)
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+class TestStackedParity:
+    """The stacked projection gives the rows of the row-loop reference
+    (``tests/fm_loop.py``), keeps the same row objects in the prune and
+    implies the same share."""
+
+    @pytest.mark.parametrize("channel", ["bb84_qmac", "theta_swap(1.2)"])
+    def test_common_message_systems(self, monkeypatch, channel):
+        # seeds 0-49 x Q sizes 1-3 hold criterion 4's systems (bb84_qmac, Q of 2, seeds 1-3)
+        systems = []
+        stacked = network.fm_project
+        monkeypatch.setattr(network, "fm_project",
+                            lambda *args: systems.append(args) or stacked(*args))
+        ch = builtin("bb84_qmac") if channel == "bb84_qmac" else theta_swap(1.2)
+        for q_size, seed in itertools.product((1, 2, 3), range(50)):
+            q = cmg_informations(ch, random_cmg_distribution(ch, seed, q_size=q_size))
+            region, direct = network._cmg_projected(q), network._cmg_direct(q)
+            assert implied_share(direct, region) == loop_implied_share(direct, region)
+        assert len(systems) == 150
+        for region, m, _ in systems:
+            assert projected(fm_project, region, m) == projected(loop_fm_project, region, m)
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(10)
+        outcomes = set()
+        for _ in range(300):
+            dim, n_rows = int(rng.integers(2, 6)), int(rng.integers(3, 10))
+            if rng.random() < 0.5:  # small integers: ties, duplicates and zero rows
+                coeffs, bounds = rng.integers(-1, 3, size=(n_rows, dim)), rng.integers(0, 4, n_rows)
+            else:
+                coeffs, bounds = rng.uniform(-0.5, 1.5, (n_rows, dim)), rng.uniform(0.0, 2.0, n_rows)
+            region = HalfspaceRegion([f"x{i}" for i in range(dim)], list(zip(coeffs, bounds)))
+            m = rng.integers(0, 2, size=(int(rng.integers(1, 3)), dim))
+            outcome = projected(fm_project, region, m)
+            assert outcome == projected(loop_fm_project, region, m)
+            outcomes.add(outcome.startswith("InvariantError"))
+        assert outcomes == {False, True}
+
+    def test_prune_keeps_the_same_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n_rows = int(rng.integers(1, 10))
+            if rng.random() < 0.5:
+                coeffs, bounds = rng.integers(-1, 3, size=(n_rows, 2)), rng.integers(0, 4, n_rows)
+            else:
+                coeffs, bounds = rng.uniform(-0.3, 1.0, (n_rows, 2)), rng.uniform(0.0, 2.0, n_rows)
+            rows = [(c.astype(float), float(b)) for c, b in zip(coeffs, bounds)]
+            assert [id(r) for r in _exact_prune(rows, 2)] == [id(r) for r in loop_exact_prune(rows, 2)]
+
+    def test_implied_share_of_random_pairs(self):
+        rng = np.random.default_rng(12)
+        shares = set()
+        for _ in range(500):
+            a, b = (HalfspaceRegion(("R1", "R2"), [(rng.integers(0, 3, 2), rng.integers(0, 4))
+                                                   for _ in range(int(rng.integers(0, 5)))])
+                    for _ in range(2))
+            shares.add(implied_share(a, b))
+            assert implied_share(a, b) == loop_implied_share(a, b)
+        assert len(shares) > 5
 
 
 def assert_same_prune(rows, dim):
