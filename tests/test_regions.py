@@ -236,13 +236,22 @@ class TestFmProject:
         assert proj.contains([0.8])
         assert not proj.contains([0.81])
 
-    @pytest.mark.parametrize("m", [[1, 1], [[1, 1], [1]], [[1, np.nan]], [[np.inf, 1]]],
-                             ids=["one-dimensional", "ragged", "nan", "inf"])
+    @pytest.mark.parametrize("m", [[1, 1], [[1, 1], [1]], [[1, np.nan]], [[np.inf, 1]],
+                                   np.zeros((0, 2))],
+                             ids=["one-dimensional", "ragged", "nan", "inf", "empty"])
     def test_malformed_map_rejected(self, m):
         # checked before any elimination: no RuntimeWarning, no late error
         box = HalfspaceRegion(("x", "y"), [([1, 0], 1.0), ([0, 1], 1.0)])
         with pytest.raises(InvariantError, match="projection map"):
             fm_project(box, m, ("s",))
+
+
+def random_rows(rng, n_rows, dim):
+    """Coefficients and bounds of ``n_rows`` rows: small integers (ties,
+    duplicates and zero rows) or uniform draws, with equal odds."""
+    if rng.random() < 0.5:
+        return rng.integers(-1, 3, (n_rows, dim)).astype(float), rng.integers(0, 4, n_rows) * 1.0
+    return rng.uniform(-0.5, 1.5, (n_rows, dim)), rng.uniform(0.0, 2.0, n_rows)
 
 
 def projected(project, region, m):
@@ -278,12 +287,9 @@ class TestStackedParity:
         rng = np.random.default_rng(10)
         outcomes = set()
         for _ in range(300):
-            dim, n_rows = int(rng.integers(2, 6)), int(rng.integers(3, 10))
-            if rng.random() < 0.5:  # small integers: ties, duplicates and zero rows
-                coeffs, bounds = rng.integers(-1, 3, size=(n_rows, dim)), rng.integers(0, 4, n_rows)
-            else:
-                coeffs, bounds = rng.uniform(-0.5, 1.5, (n_rows, dim)), rng.uniform(0.0, 2.0, n_rows)
-            region = HalfspaceRegion([f"x{i}" for i in range(dim)], list(zip(coeffs, bounds)))
+            dim = int(rng.integers(2, 6))
+            rows = zip(*random_rows(rng, int(rng.integers(3, 10)), dim))
+            region = HalfspaceRegion([f"x{i}" for i in range(dim)], rows)
             m = rng.integers(0, 2, size=(int(rng.integers(1, 3)), dim))
             outcome = projected(fm_project, region, m)
             assert outcome == projected(loop_fm_project, region, m)
@@ -293,12 +299,7 @@ class TestStackedParity:
     def test_prune_keeps_the_same_rows(self):
         rng = np.random.default_rng(11)
         for _ in range(2000):
-            n_rows = int(rng.integers(1, 10))
-            if rng.random() < 0.5:
-                coeffs, bounds = rng.integers(-1, 3, size=(n_rows, 2)), rng.integers(0, 4, n_rows)
-            else:
-                coeffs, bounds = rng.uniform(-0.3, 1.0, (n_rows, 2)), rng.uniform(0.0, 2.0, n_rows)
-            rows = [(c.astype(float), float(b)) for c, b in zip(coeffs, bounds)]
+            rows = list(zip(*random_rows(rng, int(rng.integers(1, 10)), 2)))
             assert [id(r) for r in _exact_prune(rows, 2)] == [id(r) for r in loop_exact_prune(rows, 2)]
 
     def test_implied_share_of_random_pairs(self):
