@@ -5,7 +5,7 @@ projectors sandwiched into a square-root measurement.  The exact average
 error falls from n = 2 to n = 8 but not monotonically: at these tiny
 blocklengths the sample-entropy lattice is coarse, and the width-0.4
 window around H(rho) = 0.6009 happens to capture less of the average
-state at n = 6 (about 79%) than at n = 4 (about 90%).  The asymptotic
+state at n = 6 (about 78%) than at n = 4 (about 90%).  The asymptotic
 story only smooths out once the lattice is fine.  Writes srm_sweep.csv.
 """
 

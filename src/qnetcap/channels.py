@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import PROB_SUM_TOL, PSD_TOL, InvariantError, SchemaError, finite_reals
+from .errors import PROB_SUM_TOL, InvariantError, SchemaError, finite_reals
 from .qstate import (
     DensityMatrix,
     ket_projector,
@@ -124,14 +124,15 @@ class Povm:
     sum(E) - I, which bounds |Tr[(sum(E) - I) rho]| / ||rho||_1, so with a
     state's own trace defect the outcome probabilities sum to 1 within
     DERIVED_SUM_TOL, the tolerance of a transition row.  Outcomes are
-    numbered by element order.  ``factors`` and ``info`` are None and
-    empty here; ``from_factors`` sets them.
+    numbered by element order.
     """
 
     def __init__(self, elements):
         mats = [np.asarray(e, dtype=complex) for e in elements]
         if not mats:
             raise SchemaError("empty POVM")
+        if mats[0].ndim != 2:
+            raise SchemaError(f"element 0 has shape {mats[0].shape}, want a matrix")
         d = mats[0].shape[0]
         for k, e in enumerate(mats):
             if e.shape != (d, d):
@@ -140,14 +141,9 @@ class Povm:
         defect = float(np.linalg.norm(sum(mats) - np.eye(d), 2))
         if defect > PROB_SUM_TOL:
             raise InvariantError(f"POVM completeness defect {defect:.3e}")
-        self._finish(mats)
-
-    def _finish(self, mats, factors=None, info=None):
         for e in mats:
             e.setflags(write=False)
         self.elements = mats
-        self.factors = factors
-        self.info = dict(info) if info else {}
 
     @property
     def dim(self) -> int:
@@ -168,62 +164,6 @@ class Povm:
         v0 = np.array([np.cos(angle), np.sin(angle)])
         v1 = np.array([-np.sin(angle), np.cos(angle)])
         return cls([np.outer(v0, v0), np.outer(v1, v1)])
-
-    @classmethod
-    def from_factors(cls, factors, info=None) -> "Povm":
-        """Elements B_k B_k^dagger of d x r_k factors B_k, plus the remainder
-        I - sum_k B_k B_k^dagger as the final outcome; ``info`` is kept as a
-        dict of construction diagnostics.
-
-        Only the factors are checked; they are kept, copied and read-only,
-        as the ``factors`` tuple, so a caller can read Tr[E_k rho] as the
-        sum over B_k's columns b of b^dagger rho b.  Each element
-        (L + L^dagger)/2, with L = B_k B_k^dagger, is exactly Hermitian and
-        the remainder makes the sum the identity, so no dense check could
-        fail.  Positivity is certified from the factors instead of by an
-        eigensolve per element: each B_k B_k^dagger is positive
-        semidefinite, and the remainder's least eigenvalue is
-        1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
-        smaller of B^dagger B and B B^dagger.
-
-        The elements are the read-only slices of one (K + 1, d, d) block.
-        Each L is written into its slice and symmetrized there, through
-        one reused d x d buffer for L^dagger, and the remainder is
-        I - (E_1 + ... + E_K) summed in that order, so every element has
-        the bytes of (L + L.conj().T) / 2.0 and np.eye(d) - sum(elements).
-        """
-        bs = tuple(np.array(b, dtype=complex) for b in factors)
-        if not bs:
-            raise SchemaError("empty POVM")
-        d = bs[0].shape[0]
-        for k, b in enumerate(bs):
-            if b.ndim != 2 or b.shape[0] != d:
-                raise SchemaError(f"factor {k} has shape {b.shape}, want ({d}, r)")
-            b.setflags(write=False)
-        block = np.empty((len(bs) + 1, d, d), dtype=complex)
-        adjoint = np.empty((d, d), dtype=complex)
-        for b, lam in zip(bs, block):
-            np.matmul(b, b.conj().T, out=lam)
-            np.conjugate(lam.T, out=adjoint)
-            lam += adjoint
-            # complex division as in the formula; *= 0.5 differs from it
-            # in the sign of some zeros
-            lam /= 2.0
-        rest = block[-1]
-        rest[...] = block[0]
-        for lam in block[1:-1]:
-            rest += lam
-        np.subtract(np.eye(d, dtype=complex), rest, out=rest)
-        block.setflags(write=False)
-        mats = tuple(block)
-        stack = np.concatenate(bs, axis=1)
-        gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
-        low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
-        if not low >= PSD_TOL:
-            raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
-        povm = cls.__new__(cls)
-        povm._finish(mats, bs, info)
-        return povm
 
 
 def measurement_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

@@ -235,18 +235,16 @@ def _emit_rows(header, rows, out):
 
 
 def _emit_region(region, out):
-    """The region as indented JSON on stdout, its boundary sweep to a
-    ``.csv`` file, or ``save_region_json`` to any other file."""
+    """The region's boundary sweep to a ``.csv`` file, or else its indented
+    JSON, with the same bytes on stdout and in any other file."""
     import json
 
-    from .regions import boundary_sample, region_to_json, save_region_json
+    from .regions import boundary_sample, region_to_json
 
-    if out is None:
-        _emit(json.dumps(region_to_json(region), indent=2) + "\n", out)
-    elif str(out).endswith(".csv"):
+    if out is not None and str(out).endswith(".csv"):
         _emit_rows("theta,R1,R2", boundary_sample(region, 181), out)
     else:
-        _deliver(lambda p: save_region_json(region, p), out)
+        _emit(json.dumps(region_to_json(region), indent=2) + "\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ full-rank one costs what applying rho_x does.
 no projector, S, POVM element or word state.  The columns are the data
 of a ``ProjectorSet``; its dense projectors are derived from them.
 ``projector_set`` and ``square_root_measurement`` return dense d x d
-matrices; the POVM also keeps its factors B_m, which certify its
-positivity in place of an eigensolve per element, and from which
-``exact_error`` reads each hit with the sweep's own formula, forming no
-word state.  A byte budget on the dense matrices bounds n, and it also
-bounds the sweep, so the sweep accepts exactly the codebooks whose dense
-measurement could be built.  Each check runs once, at the entry point
-where its input arrives.
+matrices.  The measurement is an ``SrmPovm``: its factors B_m, which
+certify its positivity in place of an eigensolve per element, and the
+dense elements derived from them.  ``exact_error`` scores only an
+``SrmPovm``, reading each hit from its factors with the sweep's own
+formula, and forms no word state.  A byte budget on the dense matrices
+bounds n, and it also bounds the sweep, so the sweep accepts exactly the
+codebooks whose dense measurement could be built.  Each check runs
+once, at the entry point where its input arrives.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -49,9 +50,8 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import Povm
 from .entropic import ProbDist, _entropy_bits, transition_matrix
-from .errors import (EIG_CUTOFF, PINV_RELATIVE_CUTOFF, PROJECTOR_TOL, InvariantError,
+from .errors import (EIG_CUTOFF, PINV_RELATIVE_CUTOFF, PROJECTOR_TOL, PSD_TOL, InvariantError,
                      SchemaError, whole_number)
 
 # bytes of dense arrays one call may keep at once: complex d x d matrices
@@ -344,11 +344,6 @@ def projector_set(ch, codebook, delta):
     return ProjectorSet(avg, cols)
 
 
-def _word_state(ch, word):
-    mats = [ch.output(x).entries for x in word]
-    return reduce(np.kron, mats) if len(mats) > 1 else mats[0]
-
-
 def _detection_columns(avg_cols, cols):
     """W = [W_1 ... W_M] with W_m = P_avg V_m, so the detection operator
     P_m = P_avg C_m P_avg equals W_m W_m^dagger; also the M + 1 block
@@ -390,19 +385,88 @@ def _srm_factors(w):
     return u[:, keep] @ xh[keep], int(keep.sum()), cutoff
 
 
+@dataclass(frozen=True)
+class SrmPovm:
+    """Square-root measurement: elements B_k B_k^dagger of d x r_k factors
+    B_k, plus the remainder I - sum_k B_k B_k^dagger as the final
+    (failure) outcome; ``info`` is a dict of construction diagnostics.
+
+    Only the factors are checked (SchemaError unless each is a matrix
+    with the row count of the first); they are kept, copied and
+    read-only, as the ``factors`` tuple, so a caller can read
+    Tr[E_k rho] as the sum over B_k's columns b of b^dagger rho b.  Each
+    element (L + L^dagger)/2, with L = B_k B_k^dagger, is exactly
+    Hermitian and the remainder makes the sum the identity, so no dense
+    check could fail.  Positivity is certified from the factors instead
+    of by an eigensolve per element: each B_k B_k^dagger is positive
+    semidefinite, and the remainder's least eigenvalue is
+    1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
+    smaller of B^dagger B and B B^dagger (InvariantError below PSD_TOL).
+
+    The dense ``elements`` are the read-only slices of one (K + 1, d, d)
+    block.  Each L is written into its slice and symmetrized there,
+    through one reused d x d buffer for L^dagger, and the remainder is
+    I - (E_1 + ... + E_K) summed in that order, so every element has the
+    bytes of (L + L.conj().T) / 2.0 and np.eye(d) - sum(elements).
+    """
+
+    factors: tuple
+    info: dict
+    elements: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        bs = tuple(np.array(b, dtype=complex) for b in self.factors)
+        if not bs:
+            raise SchemaError("empty POVM")
+        rows = bs[0].shape[:1] if bs[0].ndim == 2 else None
+        for k, b in enumerate(bs):
+            if b.ndim != 2 or b.shape[:1] != rows:
+                raise SchemaError(f"factor {k} has shape {b.shape}; every factor needs "
+                                  "two axes and the same row count")
+            b.setflags(write=False)
+        d = rows[0]
+        block = np.empty((len(bs) + 1, d, d), dtype=complex)
+        adjoint = np.empty((d, d), dtype=complex)
+        for b, lam in zip(bs, block):
+            np.matmul(b, b.conj().T, out=lam)
+            np.conjugate(lam.T, out=adjoint)
+            lam += adjoint
+            # complex division as in the formula; *= 0.5 differs from it
+            # in the sign of some zeros
+            lam /= 2.0
+        rest = block[-1]
+        rest[...] = block[0]
+        for lam in block[1:-1]:
+            rest += lam
+        np.subtract(np.eye(d, dtype=complex), rest, out=rest)
+        block.setflags(write=False)
+        stack = np.concatenate(bs, axis=1)
+        gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
+        low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
+        if not low >= PSD_TOL:
+            raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
+        object.__setattr__(self, "factors", bs)
+        object.__setattr__(self, "info", dict(self.info))
+        object.__setattr__(self, "elements", tuple(block))
+
+    @property
+    def dim(self) -> int:
+        return self.factors[0].shape[0]
+
+
 def square_root_measurement(ch, codebook, delta, projs=None):
     """Square-root (pretty good) measurement for the codebook.
 
     Each detection operator P_m = W_m W_m^dagger sandwiches the
     codeword's conditional projector between average projectors; the
-    POVM normalizes them by S^{-1/2} on the support of
+    measurement normalizes them by S^{-1/2} on the support of
     S = sum P_m = W W^dagger, as Lambda_m = B_m B_m^dagger with
     B = S^{-1/2} W (see ``_srm_factors``), and appends the remainder as
-    the final (failure) outcome; the POVM keeps the factors B_m, which
-    certify its positivity.  The support rank and pseudo-inverse cutoff
-    are reported in the POVM's info dict, as ``s_rank`` and
-    ``pinv_cutoff``, so rank deficiency is visible rather than silently
-    absorbed.
+    the final (failure) outcome.  It is returned as an ``SrmPovm`` of the
+    factors B_m, which certify its positivity.  The support rank and
+    pseudo-inverse cutoff are reported in its info dict, as ``s_rank``
+    and ``pinv_cutoff``, so rank deficiency is visible rather than
+    silently absorbed.
     """
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
@@ -410,31 +474,26 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     _check_projectors(ch, codebook, projs)
     w, edges = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
-    return Povm.from_factors(np.split(b, edges[1:-1], axis=1),
-                             info={"s_rank": rank, "pinv_cutoff": cutoff})
+    return SrmPovm(np.split(b, edges[1:-1], axis=1), {"s_rank": rank, "pinv_cutoff": cutoff})
 
 
-def exact_error(ch, codebook, povm):
-    """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly.
+def exact_error(ch, codebook, srm):
+    """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly, for
+    the square-root measurement ``srm`` (an ``SrmPovm`` with a factor B_m
+    for every message; anything else is a SchemaError).
 
-    A POVM with a factor B_m for every message (``Povm.from_factors``)
-    is read from them as ``srm_error_sweep`` reads its own, through the
-    letters' state factors (``_column_weights``); any other is read from
-    its dense elements.
+    Each hit is read from B_m as ``srm_error_sweep`` reads its own,
+    through the letters' state factors (``_column_weights``), so no word
+    state is formed.
     """
-    if len(povm) < codebook.M:
-        raise SchemaError(f"POVM has {len(povm)} outcomes for {codebook.M} messages")
+    if not isinstance(srm, SrmPovm):
+        raise SchemaError(f"exact_error scores an SrmPovm, got {type(srm).__name__}")
+    if len(srm.factors) < codebook.M:
+        raise SchemaError(f"POVM has {len(srm.factors)} factors for {codebook.M} messages")
     d = ch.output_dim ** codebook.n
-    if povm.dim != d:
-        raise SchemaError(f"POVM acts on dimension {povm.dim}, codewords on {d}")
-    if povm.factors is not None and len(povm.factors) >= codebook.M:
-        return _factor_error(_codeword_spectra(ch, codebook), codebook.codewords,
-                             povm.factors)
-    # Tr[Lambda rho] as an elementwise sum; rho is Hermitian
-    return _mean_error(
-        np.vdot(_word_state(ch, word), lam).real
-        for word, lam in zip(codebook.codewords, povm.elements)
-    )
+    if srm.dim != d:
+        raise SchemaError(f"POVM acts on dimension {srm.dim}, codewords on {d}")
+    return _factor_error(_codeword_spectra(ch, codebook), codebook.codewords, srm.factors)
 
 
 def _mean_error(hits):

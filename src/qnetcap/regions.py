@@ -11,9 +11,6 @@ Of the package it imports only ``errors``.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .errors import INFO_CLAMP, MEMBERSHIP_TOL, POLYGON_TOL, ZERO_COEFF_TOL, InvariantError
@@ -359,10 +356,6 @@ def region_from_json(doc) -> HalfspaceRegion:
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"bad region document: {exc}") from None
     return HalfspaceRegion(names, rows)
-
-
-def save_region_json(region: HalfspaceRegion, path) -> None:
-    Path(path).write_text(json.dumps(region_to_json(region), sort_keys=True) + "\n")
 
 
 def polymatroid_slacks(quantities: dict) -> dict:

@@ -50,8 +50,7 @@ def square_root_measurement(ch, codebook, delta, projs=None):
         lam = inv_root @ p @ inv_root
         lams.append((lam + lam.conj().T) / 2.0)
     povm = Povm([*lams, np.eye(s.shape[0], dtype=complex) - sum(lams)])
-    povm.info = {"s_rank": int(keep.sum()), "pinv_cutoff": cutoff}
-    return povm
+    return povm, {"s_rank": int(keep.sum()), "pinv_cutoff": cutoff}
 
 
 def exact_error(ch, codebook, povm):

@@ -193,6 +193,8 @@ class TestPovm:
             Povm([])
         with pytest.raises(SchemaError, match="element 1 has shape"):
             Povm([np.eye(2), np.eye(3)])
+        with pytest.raises(SchemaError, match=r"element 0 has shape \(\)"):
+            Povm([1.0])
 
     def test_state_rule_applies_to_elements(self):
         # the Hermiticity tolerance of a state (1e-10), not a looser one
@@ -247,29 +249,6 @@ class TestPovm:
         rows = induced_classical_channel(CqChannel((("0",),), {("0",): rho}), povm)
         assert abs(rows.sum() - 1.0) > PROB_SUM_TOL
         assert classical_capacity_BA(rows).value == 0.0
-
-    def test_complete_appends_remainder(self):
-        povm = Povm.from_factors([np.diag([0.5, 0.5])])
-        assert len(povm) == 2
-        assert np.allclose(povm.elements[1], np.diag([0.75, 0.75]))
-
-    def test_complete_does_not_alias_caller_arrays(self):
-        factor = np.diag([0.5, 0.5]).astype(complex)
-        povm = Povm.from_factors([factor])
-        factor[0, 0] = 1.0
-        assert np.array_equal(povm.factors[0], np.diag([0.5, 0.5]))
-        assert np.array_equal(povm.elements[0], np.diag([0.25, 0.25]))
-        assert np.array_equal(povm.elements[1], np.diag([0.75, 0.75]))
-        assert not povm.factors[0].flags.writeable
-        for e in povm.elements:
-            assert not e.flags.writeable
-            assert e.base is None or not e.base.flags.writeable
-
-    def test_complete_zero_width_factor(self):
-        # an empty conditional typical set gives a d x 0 factor
-        povm = Povm.from_factors([np.eye(4)[:, :2], np.zeros((4, 0))])
-        assert np.array_equal(povm.elements[1], np.zeros((4, 4)))
-        assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 1.0]))
 
     def test_measurement_probabilities(self):
         povm = Povm.qubit_projective(0.0)

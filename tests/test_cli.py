@@ -17,7 +17,6 @@ from qnetcap.regions import (
     boundary_sample,
     region_from_json,
     region_to_json,
-    save_region_json,
 )
 
 H_BB84 = 0.6008760366928562
@@ -294,11 +293,13 @@ class TestRegion:
                            "--seed", "1", "--oracle", "--out", str(path))
         assert code == 0 and out == "oracle agreement: 1.000000\n"
         assert len(builds) == 1
-        # the emitted region is the direct one
-        ref = tmp_path / "direct.json"
+        # the emitted region is the direct one, as stdout prints it
         ch = builtin("bb84_qmac")
-        save_region_json(network.cmg_region(ch, network.random_cmg_distribution(ch, 1)), ref)
-        assert path.read_bytes() == ref.read_bytes()
+        direct = network.cmg_region(ch, network.random_cmg_distribution(ch, 1))
+        assert path.read_text() == json.dumps(region_to_json(direct), indent=2) + "\n"
+        _, out, _ = run(capsys, "region", "cmg", "--builtin", "bb84_qmac", "--seed", "1",
+                        "--oracle")
+        assert path.read_text() == out[out.index("{"):]
 
     @pytest.mark.parametrize("argv", [
         ("mac", "--uniform"), ("mac", "--grid", "5"), ("vsi",), ("si",), ("sato",),
@@ -334,18 +335,18 @@ class TestRegion:
 
     @pytest.mark.parametrize("line", REGION_ARTIFACTS)
     def test_region_artifacts(self, capsys, tmp_path, line):
-        # stdout, --out .json and --out .csv all write the library's region
+        # stdout, --out .json and --out .csv all write the library's region;
+        # the .json file has the bytes of the JSON on stdout
         name, region_of = REGION_ARTIFACTS[line]
         lib = region_of(builtin(name))
         argv = ["region", *line.split(), "--builtin", name]
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out[out.index("{"):] == json.dumps(region_to_json(lib), indent=2) + "\n"
-        ref = tmp_path / "ref.json"
-        save_region_json(lib, ref)
+        text = out[out.index("{"):]
+        assert text == json.dumps(region_to_json(lib), indent=2) + "\n"
         sweep = "".join(f"{t:.10g},{r1:.10g},{r2:.10g}\n"
                         for t, r1, r2 in boundary_sample(lib, 181))
-        for path, expected in ((tmp_path / "x.json", ref.read_bytes()),
+        for path, expected in ((tmp_path / "x.json", text.encode()),
                                (tmp_path / "x.csv", ("theta,R1,R2\n" + sweep).encode())):
             assert run(capsys, *argv, "--out", str(path))[0] == 0
             assert path.read_bytes() == expected
@@ -438,6 +439,16 @@ class TestBosonic:
         assert code == 0
         region = region_from_json(json.loads(path.read_text()))
         assert len(region.inequalities) == 9
+
+    @pytest.mark.parametrize("sub", ["vsi", "si", "hk"])
+    def test_region_json_file_is_stdout(self, capsys, tmp_path, sub):
+        # vsi and si print their condition line before the region
+        argv = ["bosonic", sub, "--param", "0.3", "0.6", "0.6", "0.3", "100", "100", "1", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "x.json"
+        assert run(capsys, *argv, "--out", str(path)) == (0, out[:out.index("{")], "")
+        assert path.read_text() == out[out.index("{"):]
 
     def test_lambda_out_of_range(self, capsys):
         code, _, err = run(capsys, "bosonic", "hk", "--param", "0.3", "0.6",

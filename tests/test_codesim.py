@@ -13,6 +13,7 @@ from qnetcap.codesim import (
     CLASSICAL_CHUNK_BYTES,
     Codebook,
     ProjectorSet,
+    SrmPovm,
     classical_typical_decode_sim,
     cond_typical_projector,
     exact_error,
@@ -397,7 +398,7 @@ class TestFactorPovm:
 
     def test_matches_dense_elements(self):
         povm, factors = self.srm_factors()
-        rebuilt = Povm.from_factors(factors)
+        rebuilt = SrmPovm(factors, povm.info)
         for a, b in zip(rebuilt.elements, povm.elements, strict=True):
             assert np.max(np.abs(a - b)) <= 1e-10
 
@@ -406,7 +407,7 @@ class TestFactorPovm:
         m = max(range(len(factors)), key=lambda k: factors[k].shape[1])
         factors[m] = 1.01 * factors[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
-            Povm.from_factors(factors)
+            SrmPovm(factors, povm.info)
         scaled = list(povm.elements[:-1])
         scaled[m] = 1.01**2 * scaled[m]
         with pytest.raises(InvariantError, match="eigenvalue"):
@@ -414,9 +415,9 @@ class TestFactorPovm:
 
     def test_elements_exactly_hermitian_and_complete(self):
         # the seeded SRM and a POVM rebuilt from other factors of its
-        # elements; from_factors checks neither property on the dense side
+        # elements; SrmPovm checks neither property on the dense side
         srm, factors = self.srm_factors()
-        for povm in (srm, Povm.from_factors(factors)):
+        for povm in (srm, SrmPovm(factors, srm.info)):
             for e in povm.elements:
                 assert np.array_equal(e, e.conj().T)
                 assert not e.flags.writeable
@@ -441,42 +442,66 @@ class TestFactorPovm:
             assert got.tobytes() == ref.tobytes()
 
     def test_shape_checks(self):
-        with pytest.raises(SchemaError):
-            Povm.from_factors([])
-        with pytest.raises(SchemaError):
-            Povm.from_factors([np.eye(4)[:, :2], np.eye(2)])
+        # a scalar factor has no row count to compare the others with
+        for factors in ([], [np.eye(4)[:, :2], np.eye(2)], [1.0], [np.ones(4)],
+                        [np.eye(2), np.ones((2, 2, 1))]):
+            with pytest.raises(SchemaError, match="empty POVM|factor"):
+                SrmPovm(factors, {})
+
+    def test_appends_remainder(self):
+        povm = SrmPovm([np.diag([0.5, 0.5])], {})
+        assert len(povm.elements) == 2
+        assert np.allclose(povm.elements[1], np.diag([0.75, 0.75]))
+
+    def test_does_not_alias_caller_arrays(self):
+        factor = np.diag([0.5, 0.5]).astype(complex)
+        info = {"s_rank": 2}
+        povm = SrmPovm([factor], info)
+        factor[0, 0] = 1.0
+        info["s_rank"] = 0
+        assert povm.info == {"s_rank": 2}
+        assert np.array_equal(povm.factors[0], np.diag([0.5, 0.5]))
+        assert np.array_equal(povm.elements[0], np.diag([0.25, 0.25]))
+        assert np.array_equal(povm.elements[1], np.diag([0.75, 0.75]))
+        assert not povm.factors[0].flags.writeable
+        for e in povm.elements:
+            assert not e.flags.writeable
+            assert e.base is None or not e.base.flags.writeable
+
+    def test_zero_width_factor(self):
+        # an empty conditional typical set gives a d x 0 factor
+        povm = SrmPovm([np.eye(4)[:, :2], np.zeros((4, 0))], {})
+        assert np.array_equal(povm.elements[1], np.zeros((4, 4)))
+        assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 1.0]))
 
 
 class TestExactError:
-    def test_uniform_guess(self):
-        ch = builtin("bb84_p2p")
-        cb = Codebook.random(("0", "1"), 3, 2 / 3, seed=2)
-        m = cb.M
-        assert m == 4
-        eye = np.eye(8, dtype=complex)
-        guess = Povm([eye / m] * m + [np.zeros((8, 8), dtype=complex)])
-        assert np.isclose(exact_error(ch, cb, guess), 1.0 - 1.0 / m, atol=1e-12)
-
     def test_povm_too_small(self):
+        # SRMs of one and of M - 1 codewords: every message needs its own factor
         ch = builtin("bb84_p2p")
         cb = Codebook.random(("0", "1"), 2, 1.0, seed=0)
         assert cb.M == 4
-        lone = Povm([np.eye(4, dtype=complex)])
-        with pytest.raises(SchemaError):
-            exact_error(ch, cb, lone)
+        for m in (1, 3):
+            fewer = square_root_measurement(ch, Codebook(n=2, codewords=cb.codewords[:m]), 0.4)
+            with pytest.raises(SchemaError, match=f"{m} factors for 4 messages"):
+                exact_error(ch, cb, fewer)
 
     def test_povm_of_wrong_dimension(self):
-        # a POVM on 8 dimensions against two qubit channel uses, whether
-        # read from its factors or from its dense elements
+        # an SRM on 8 dimensions against two qubit channel uses
         ch = builtin("bb84_p2p")
         cb = Codebook.random(("0", "1"), 2, 0.5, seed=0)
         assert cb.M == 2
         eye = np.eye(8, dtype=complex)
-        povms = (Povm.from_factors([eye[:, :2], eye[:, 2:4]]),
-                 Povm([eye / 4, eye / 4, eye / 2]))
-        for povm in povms:
-            with pytest.raises(SchemaError, match="dimension 8"):
-                exact_error(ch, cb, povm)
+        with pytest.raises(SchemaError, match="dimension 8"):
+            exact_error(ch, cb, SrmPovm([eye[:, :2], eye[:, 2:4]], {}))
+
+    def test_dense_povm_rejected(self):
+        # a checked dense measurement of the right size is not an SRM
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 2, 0.5, seed=0)
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(SchemaError, match="scores an SrmPovm, got Povm"):
+            exact_error(ch, cb, Povm([eye / 4, eye / 4, eye / 2]))
 
 
 def assert_dense_parity(ch, cb, delta, rate=None, seed=None):
@@ -486,10 +511,10 @@ def assert_dense_parity(ch, cb, delta, rate=None, seed=None):
     blocklength, rate and seed."""
     projs = projector_set(ch, cb, delta)
     povm = square_root_measurement(ch, cb, delta, projs=projs)
-    ref = srm_dense.square_root_measurement(ch, cb, delta, projs=projs)
-    assert povm.info["s_rank"] == ref.info["s_rank"]
-    assert abs(povm.info["pinv_cutoff"] - ref.info["pinv_cutoff"]) <= (
-        1e-12 * ref.info["pinv_cutoff"]
+    ref, ref_info = srm_dense.square_root_measurement(ch, cb, delta, projs=projs)
+    assert povm.info["s_rank"] == ref_info["s_rank"]
+    assert abs(povm.info["pinv_cutoff"] - ref_info["pinv_cutoff"]) <= (
+        1e-12 * ref_info["pinv_cutoff"]
     )
     for e, r in zip(povm.elements, ref.elements, strict=True):
         assert np.max(np.abs(e - r)) <= 1e-12
@@ -541,7 +566,7 @@ class TestDenseParity:
             raise AssertionError("the sweep built a dense object")
 
         monkeypatch.setattr(codesim, "ProjectorSet", refuse)
-        monkeypatch.setattr(codesim, "Povm", refuse)
+        monkeypatch.setattr(codesim, "SrmPovm", refuse)
         rows = srm_error_sweep(mixed_channel(), 0.6, (2, 5), 0.4, range(2))
         assert [r[:3] for r in rows] == [(2, 0.6, 0), (2, 0.6, 1), (5, 0.6, 0), (5, 0.6, 1)]
 
@@ -559,13 +584,13 @@ class TestDenseParity:
         assert len(povm.factors) == cb.M
         assert not any(b.flags.writeable for b in povm.factors)
         with monkeypatch.context() as patch:
-            for module, name in ((codesim, "_span_projector"), (codesim, "_word_state"),
-                                 (channels.Povm, "__init__"),
-                                 (channels.Povm, "from_factors")):
+            for module, name in ((codesim, "_span_projector"),
+                                 (codesim.SrmPovm, "__post_init__"),
+                                 (channels.Povm, "__init__")):
                 patch.setattr(module, name, refuse)
             err = exact_error(ch, cb, povm)
             hn = hn_diagnostic(ch, cb, projs)
-        ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+        ref, _ = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
         assert abs(err - srm_dense.exact_error(ch, cb, ref)) <= 1e-12
         assert abs(hn - srm_dense.hn_diagnostic(ch, cb, projs)) <= 1e-12
 
@@ -644,7 +669,7 @@ class TestFactoredHits:
                 cb = Codebook.random(("a", "b", "c"), n, rate, seed)
                 projs = projector_set(ch, cb, 0.4)
                 povm = square_root_measurement(ch, cb, 0.4, projs=projs)
-                ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+                ref, _ = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
                 assert_hit_parity(ch, cb, 0.4, projs, povm, ref, rate, seed)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -683,7 +708,7 @@ class TestFactoredHits:
             cb = Codebook.random(("a", "b", "c", "d"), n, 0.4, seed)
             projs = projector_set(ch, cb, 0.4)
             povm = square_root_measurement(ch, cb, 0.4, projs=projs)
-            ref = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
+            ref, _ = srm_dense.square_root_measurement(ch, cb, 0.4, projs=projs)
             moved += assert_hit_parity(ch, cb, 0.4, projs, povm, ref, 0.4, seed,
                                        err_tol=hit_tol, hn_tol=(4 * cb.M - 2) * hit_tol)
         # what is dropped shows: the values leave the 1e-12 of exact parity
@@ -695,9 +720,9 @@ class TestErrorTrend:
         # The mean error decays overall, but not pointwise: the average
         # projector keeps eigenvalue strings with at most floor(0.3037 n)
         # minor-eigenvalue slots here, so its captured weight dips at n=6
-        # (0.786, vs 0.896 at n=4 and 0.903 at n=8) and the error bumps
-        # with it. Freeze that shape so a silent change to the window
-        # convention shows up.
+        # (0.7848, vs 0.8951 at n=4 and 0.9007 at n=8; see
+        # TestTypicalWindowWeight) and the error bumps with it. Freeze
+        # that shape so a silent change to the window convention shows up.
         ch = builtin("bb84_p2p")
         rows = srm_error_sweep(
             ch, rate=0.3, blocklengths=(2, 4, 6, 8), delta=0.4, seeds=range(5)
@@ -723,6 +748,52 @@ class TestErrorTrend:
         assert lines[0] == "n,R,seed,delta,exact_error,hn_bound"
         assert len(lines) == 3
         assert lines[1].startswith("2,0.3,0,0.4,")
+
+
+def window_weight(n, delta=0.4):
+    """W(n) = Tr[P rho^(x)n] for rho the uniform mean output of bb84_p2p,
+    eigenvalues (1 +- 1/sqrt(2))/2, and P its delta-typical projector, by
+    the O(n) binomial count: the product eigenvectors with k major factors
+    have sample entropy -(k log major + (n - k) log minor)/n, and P keeps
+    them when that is within delta of H(rho)."""
+    major = (1 + 1 / math.sqrt(2)) / 2
+    minor = 1 - major
+    h = binary_entropy(major)
+    return sum(math.comb(n, k) * major**k * minor**(n - k) for k in range(n + 1)
+               if abs(-(k * math.log2(major) + (n - k) * math.log2(minor)) / n - h) <= delta)
+
+
+class TestTypicalWindowWeight:
+    """The weight of the average typical window behind criterion 7's
+    non-monotone mean error (rate 0.3, width 0.4, uniform prior)."""
+
+    @staticmethod
+    def mean_output(ch):
+        return DensityMatrix(sum(0.5 * ch.output(x).entries for x in ("0", "1")), ch.dims)
+
+    def test_count_is_the_projector_weight(self):
+        rho = self.mean_output(builtin("bb84_p2p"))
+        for n in range(1, 9):
+            dense = reduce(np.kron, [rho.entries] * n)
+            weight = np.vdot(dense, typical_projector(rho, n, 0.4)).real
+            assert abs(weight - window_weight(n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_decoder_window_is_the_uniform_mean_window(self, n):
+        # Codebook.random records the uniform prior, so the decoder's
+        # average projector is the window of the uniform mean output, not
+        # of the codebook's letter frequencies
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), n, 0.3, seed=0)
+        assert list(cb.prior.weights) == [0.5, 0.5]
+        want = typical_projector(self.mean_output(ch), n, 0.4)
+        assert np.array_equal(projector_set(ch, cb, 0.4).average, want)
+
+    def test_weight_dips(self):
+        weights = {n: window_weight(n) for n in range(2, 41, 2)}
+        assert (round(weights[4], 4), round(weights[6], 4)) == (0.8951, 0.7848)
+        dips = [n for n in range(4, 41, 2) if weights[n] < weights[n - 2]]
+        assert dips == [6, 12, 16, 22, 26, 32, 36]
 
 
 class TestClassicalSim:
