@@ -14,7 +14,8 @@ Subpackages are organized by layer:
 
 The top-level package stays import-light; submodules load on first access so
 the command-line entry point reports flag and JSON-syntax errors before any
-numerical library is pulled in.
+numerical library is pulled in, and runs the closed-form ``bosonic`` commands
+without numpy.
 """
 
 import importlib

@@ -21,7 +21,6 @@ import numbers
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvariantError, SchemaError, read_json, whole_number
@@ -49,6 +48,15 @@ _REGION_KINDS = tuple(_REGIONS)
 
 _SIM_BLOCKLENGTHS = (2, 4, 6, 8)
 
+# what --out writes: the suffix of its one format, or None for a region, which
+# writes its boundary sweep to a .csv file and the JSON of stdout to any other
+_OUT_HELP = {
+    ".csv": "output CSV file; default stdout",
+    ".json": "output JSON file; default stdout",
+    None: "output file: the region's boundary sweep (theta,R1,R2) for a .csv"
+          " name, else the JSON of stdout; default stdout",
+}
+
 # largest --grid: a million signal powers, or points per simplex edge, is far
 # past any plot, while a grid too large for memory (or for a float) would end
 # in a traceback instead of an argument error
@@ -57,9 +65,10 @@ _GRID_MAX = 10**6
 
 def _check_flags(args):
     """Reject flag values no command accepts: a grid outside 2 to _GRID_MAX,
-    a non-finite number, a negative delta, a seed outside 64 bits, and
-    anything but exactly one channel (for ``bosonic``, parameter) source.
-    Each check reads its flag only where the subcommand defines it."""
+    a non-finite number, a negative delta, a seed outside 64 bits, an
+    ``--out`` name with the suffix of the format the command does not write,
+    and anything but exactly one channel (for ``bosonic``, parameter)
+    source.  Each check reads its flag only where the subcommand defines it."""
     flags = vars(args)
     if not 2 <= flags.get("grid", 2) <= _GRID_MAX:
         raise SchemaError(f"--grid must be from 2 to {_GRID_MAX}, got {args.grid}")
@@ -77,6 +86,12 @@ def _check_flags(args):
         raise SchemaError(f"--delta must be >= 0, got {args.delta}")
     if not 0 <= flags.get("seed", 0) < 2**64:
         raise SchemaError(f"--seed must fit in 64 bits, got {args.seed}")
+    # region mac writes a region only with --uniform
+    suffix = None if flags.get("uniform") else args.out_suffix
+    out = args.out or ""
+    if suffix is not None and out.endswith((".csv", ".json")) and not out.endswith(suffix):
+        raise SchemaError(f"--out {out}: {args.command} {args.subcommand} writes"
+                          f" {suffix[1:].upper()}; use a {suffix} name")
     if args.command != "bosonic":
         if (args.builtin is None) == (args.channel is None):
             raise SchemaError("give exactly one channel source (--builtin or --channel)")
@@ -104,9 +119,9 @@ def _add_seed_flag(sp):
     sp.add_argument("--seed", type=int, default=0, metavar="U64")
 
 
-def _add_out_flag(sp):
-    sp.add_argument("--out", metavar="PATH",
-                    help="output file (.csv or .json); default stdout")
+def _add_out_flag(sp, suffix, help_text=None):
+    sp.add_argument("--out", metavar="PATH", help=help_text or _OUT_HELP[suffix])
+    sp.set_defaults(out_suffix=suffix)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("p2p-classical", "p2p-holevo"):
         sp = cap_sub.add_parser(name)
         _add_channel_flags(sp)
-        _add_out_flag(sp)
+        _add_out_flag(sp, ".json")
         if name == "p2p-classical":
             sp.add_argument(
                 "--povm-angle",
@@ -142,14 +157,19 @@ def build_parser() -> argparse.ArgumentParser:
             _add_grid_flag(sp)
         if _REGIONS[name][0] is not None:
             _add_seed_flag(sp)
-        _add_out_flag(sp)
         if name == "mac":
+            _add_out_flag(sp, ".csv", "output CSV file of the grid union; with"
+                          " --uniform, as for any region, the boundary sweep"
+                          " (theta,R1,R2) for a .csv name, else the JSON of"
+                          " stdout; default stdout")
             sp.add_argument(
                 "--uniform",
                 action="store_true",
                 help="single uniform product distribution instead of the"
                 " grid union",
             )
+        else:
+            _add_out_flag(sp, ".json" if name == "relay-pdf" else None)
         if name == "cmg":
             sp.add_argument(
                 "--oracle",
@@ -163,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = bos_sub.add_parser("p2p")
     _add_param_flag(sp, "eta NB")
     _add_grid_flag(sp, help_text="signal powers from 0.01 to 100 (2 to 10**6)")
-    _add_out_flag(sp)
+    _add_out_flag(sp, ".csv")
     for name in ("vsi", "si", "hk"):
         sp = bos_sub.add_parser(name)
         _add_param_flag(sp, "eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2")
@@ -173,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="detection mode: hom, het, or joint")
         sp.add_argument("--lambda", dest="lam", nargs=2, type=float,
                         metavar="F", help="rate-split fractions in [0, 1]")
-        _add_out_flag(sp)
+        _add_out_flag(sp, None)
 
     sim = commands.add_parser("sim", help="decoder simulations")
     sim_sub = sim.add_subparsers(dest="subcommand", required=True)
@@ -188,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--delta", type=float, default=0.4, metavar="F",
                         help="typicality width")
         _add_seed_flag(sp)
-        _add_out_flag(sp)
+        _add_out_flag(sp, ".csv")
     return parser
 
 
@@ -333,6 +353,8 @@ def _cmd_region(args) -> int:
 
 
 def _bosonic_params(args, doc):
+    from dataclasses import replace
+
     from .bosonic import BosonicICParams, DetectionMode, params_from_json
 
     if args.channel is not None:
@@ -346,8 +368,16 @@ def _bosonic_params(args, doc):
     return params, mode
 
 
+def _signal_powers(n):
+    """``n`` signal powers from 0.01 to 100 spaced evenly in log, with the
+    exponents and end points of ``np.geomspace(0.01, 100.0, n)``; an
+    interior power may differ from numpy's in its last bit."""
+    step = 4.0 / (n - 1)
+    return [0.01] + [10.0 ** (i * step - 2.0) for i in range(1, n - 1)] + [100.0]
+
+
 def _cmd_bosonic(args) -> int:
-    # flag and JSON-syntax errors are reported before numpy is imported
+    # closed forms: only a region's .csv boundary sweep loads numpy
     doc = None
     if args.subcommand == "p2p":
         if len(args.param) != 2:
@@ -358,8 +388,6 @@ def _cmd_bosonic(args) -> int:
         raise SchemaError(
             "expected 8 parameters: eta11 eta12 eta21 eta22 NS1 NS2 NB1 NB2"
         )
-
-    import numpy as np
 
     from .bosonic import (
         bosonic_hk_region,
@@ -375,7 +403,7 @@ def _cmd_bosonic(args) -> int:
         rows = [
             (ns, c_homodyne(eta, ns, nb), c_heterodyne(eta, ns, nb),
              c_holevo(eta, ns, nb))
-            for ns in np.geomspace(0.01, 100.0, args.grid)
+            for ns in _signal_powers(args.grid)
         ]
         _emit_rows("NS,hom,het,holevo", rows, args.out)
         return EXIT_OK

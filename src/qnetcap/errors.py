@@ -52,13 +52,19 @@ PINV_RELATIVE_CUTOFF = 1e-10  # SRM support: S eigenvalues above this x max
 
 def read_json(path, what: str):
     """Parse the JSON file at ``path``; an unreadable or malformed file is a
-    SchemaError naming ``what`` the file should hold."""
+    SchemaError naming ``what`` the file should hold.  JSON (RFC 8259) has
+    no NaN, Infinity or -Infinity, so the file may hold none of them, not
+    even under a key its reader ignores."""
+
+    def non_finite(name):
+        raise SchemaError(f"{what} file {path} is not JSON: non-finite number {name}")
+
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {what} file {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} file {path} is not JSON: {exc}") from None
 

@@ -7,51 +7,61 @@ redundancy pruning, the exact equality test ``equivalent`` for regions of one
 or two coordinates (with ``implied_share``, the share of rows each region
 implies of the other), 2-D boundary sampling for plots, and JSON export.
 Of the package it imports only ``errors``.
+Regions hold plain floats, so building and printing one needs no numpy;
+only the functions that do array work import it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import numbers
 
 from .errors import INFO_CLAMP, MEMBERSHIP_TOL, POLYGON_TOL, ZERO_COEFF_TOL, InvariantError
 
 
 def clamp_information(values):
     """Zero out roundoff negatives of an information quantity or rate bound
-    (returned as a float) or of an array of them; anything below
-    -INFO_CLAMP is an entropic bug."""
+    (a real number, returned as a float) or of an array of them; anything
+    below -INFO_CLAMP is an entropic bug.  A zero of either sign reads as
+    0.0, and a number needs no numpy."""
+    if isinstance(values, numbers.Real):
+        v = float(values)
+        if v < -INFO_CLAMP:
+            raise InvariantError(f"information quantity {v:.3e} below clamp")
+        return 0.0 if v <= 0.0 else v
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     if (v < -INFO_CLAMP).any():
         raise InvariantError(f"information quantity {float(v.min()):.3e} below clamp")
-    return np.maximum(v, 0.0) if v.ndim else max(float(v), 0.0)
+    return np.maximum(v, 0.0)
 
 
 class HalfspaceRegion:
     """Inequalities c . R <= b over named coordinates, with implicit R >= 0.
 
-    Bounds pass ``clamp_information``: roundoff negatives read as 0, and
-    lower bounds signal an upstream entropic bug.
+    Each row is a pair (c, b): a tuple of floats and a float.  Bounds pass
+    ``clamp_information``: roundoff negatives read as 0, and lower bounds
+    signal an upstream entropic bug.
     """
 
     def __init__(self, coordinate_names, inequalities):
         names = tuple(str(n) for n in coordinate_names)
         if len(names) != len(set(names)):
             raise InvariantError(f"repeated coordinate names {names}")
-        coefficients, bounds = [], []
+        rows = []
         for coeffs, bound in inequalities:
-            c = np.array(coeffs, dtype=float).reshape(-1)
-            if c.size != len(names):
+            c = tuple(map(float, coeffs))
+            if len(c) != len(names):
                 raise InvariantError(
-                    f"coefficient vector of length {c.size} for {len(names)} coordinates"
+                    f"coefficient vector of length {len(c)} for {len(names)} coordinates"
                 )
             b = float(bound)
-            if not np.isfinite(b) or not np.all(np.isfinite(c)):
+            if not all(map(math.isfinite, c + (b,))):
                 raise InvariantError("non-finite inequality")
-            c.setflags(write=False)
-            coefficients.append(c)
-            bounds.append(b)
+            rows.append((c, clamp_information(b)))
         self.coordinate_names = names
-        self.inequalities = tuple(zip(coefficients, clamp_information(bounds).tolist()))
+        self.inequalities = tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -59,6 +69,8 @@ class HalfspaceRegion:
 
     def contains(self, point, tol: float = MEMBERSHIP_TOL) -> bool:
         """Whether ``point`` satisfies every row and R >= 0 to within ``tol``."""
+        import numpy as np
+
         p = np.asarray(point, dtype=float).reshape(-1)
         if p.size != self.dim:
             raise InvariantError(f"point of length {p.size} in {self.dim}-D region")
@@ -89,6 +101,8 @@ def _normalize(coeffs, bounds, history):
     A row with no coefficients left and a negative bound is an infeasibility
     witness.
     """
+    import numpy as np
+
     scale = np.abs(coeffs).max(axis=1)
     live = scale >= ZERO_COEFF_TOL
     if np.any(bounds[~live] < -INFO_CLAMP):
@@ -127,6 +141,8 @@ class _Polygon:
     """
 
     def __init__(self, rows, dim):
+        import numpy as np
+
         coeffs = np.zeros((len(rows), 2))
         coeffs[:, :dim] = np.reshape([c for c, _ in rows], (-1, dim))
         bounds = np.array([b for _, b in rows], dtype=float)
@@ -159,7 +175,7 @@ class _Polygon:
         """max c . R over the polygon of the active rows for the c of row
         ``i``, or inf when the polygon is unbounded along it."""
         if self.climbing[i][self.blocked == 0].any():
-            return np.inf
+            return math.inf
         return float(self.heights[i][self.violated == 0].max())
 
 
@@ -203,6 +219,8 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     formed with their supports as histories, if rows that differ in history
     are never merged.
     """
+    import numpy as np
+
     try:
         m = np.array(keep_matrix, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -297,13 +315,15 @@ def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:
     return implied_share(a, b) == 1.0
 
 
-def radial_extents(coeffs, bounds, thetas) -> np.ndarray:
+def radial_extents(coeffs, bounds, thetas):
     """Distance from the origin to the boundary of {c . R <= b, R >= 0}
     along each direction (cos theta, sin theta), for a stack of bound
     vectors that share one set of coefficient rows.
 
     ``coeffs`` is (rows, 2), ``bounds`` is (G, rows); returns (G, angles).
     """
+    import numpy as np
+
     coeffs = np.asarray(coeffs, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     speed = coeffs[:, :1] * np.cos(thetas) + coeffs[:, 1:] * np.sin(thetas)
@@ -323,6 +343,8 @@ def boundary_sample(region: HalfspaceRegion, n_angles: int):
     Returns a list of (theta, R1, R2) with (R1, R2) the farthest region point
     along direction (cos theta, sin theta).
     """
+    import numpy as np
+
     if region.dim != 2:
         raise InvariantError(f"boundary sweep needs a 2-D region, got {region.dim}-D")
     if n_angles < 2:
@@ -341,7 +363,7 @@ def region_to_json(region: HalfspaceRegion) -> dict:
     return {
         "coords": list(region.coordinate_names),
         "ineqs": [
-            {"c": [float(v) + 0.0 for v in c], "b": float(b)}
+            {"c": [v + 0.0 for v in c], "b": b}
             for c, b in region.inequalities
         ],
     }

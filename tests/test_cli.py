@@ -105,6 +105,47 @@ class TestFlags:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_out_help_names_what_it_writes(self):
+        # one format, or for a region the format its suffix chooses
+        helps = {
+            (family, name): next(a.help for a in sp._actions if "--out" in a.option_strings)
+            for family, fp in subcommands(build_parser()).items()
+            for name, sp in subcommands(fp).items()
+        }
+        writes = {key: help_text.split(";")[0] for key, help_text in helps.items()}
+        region = ("output file: the region's boundary sweep (theta,R1,R2) for a"
+                  " .csv name, else the JSON of stdout")
+        assert writes == {
+            key: "output JSON file" if key[0] == "capacity" or key[1] == "relay-pdf"
+            else "output CSV file" if key[0] == "sim" or key[1] == "p2p"
+            else "output CSV file of the grid union" if key[1] == "mac"
+            else region
+            for key in FLAGS
+        }
+
+    @pytest.mark.parametrize("line", [
+        "capacity p2p-holevo --builtin bb84_p2p --out x.csv",
+        "capacity p2p-classical --builtin bb84_p2p --out x.csv",
+        "region relay-pdf --builtin bb84_relay --out x.csv",
+        "region mac --builtin bb84_qmac --grid 3 --out x.json",
+        "bosonic p2p --param 0.9 1 --out x.json",
+        "sim quantum --builtin bb84_p2p --param 0.3 1 --out x.json",
+        "sim classical --builtin bb84_p2p --param 0.1 6 20 --out x.json",
+    ])
+    def test_out_suffix_of_the_other_format_exits_2(self, capsys, tmp_path, monkeypatch,
+                                                    line):
+        monkeypatch.chdir(tmp_path)
+        argv = line.split()
+        other = ".json" if line.endswith(".csv") else ".csv"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --out {argv[-1]}: {argv[0]} {argv[1]} writes"
+                       f" {other[1:].upper()}; use a {other} name\n")
+        assert list(tmp_path.iterdir()) == []
+        # any other suffix is the file's name only
+        assert run(capsys, *argv[:-1], "x.txt")[0] == 0
+        assert os.listdir(tmp_path) == ["x.txt"]
+
     def test_bosonic_p2p_reads_only_param(self, capsys):
         code, out, err = run(capsys, "bosonic", "p2p")
         assert (code, out, err) == (2, "", "error: expected 2 parameters: eta NB\n")
@@ -414,6 +455,61 @@ class TestBosonic:
         for line in out.strip().split("\n")[1:]:
             _, hom, het, holevo = map(float, line.split(","))
             assert holevo >= max(hom, het) > 0.0
+
+    # README parameters, then seeded (eta, NB) draws with NB from 1e-3 to 1e3
+    P2P_DRAWS = [(0.9, 1.0)] + [
+        (float(eta), float(10**lg))
+        for eta, lg in np.random.default_rng(0).uniform((0.0, -3.0), (1.0, 3.0), (3, 2))
+    ]
+
+    @pytest.mark.parametrize("eta,nb", P2P_DRAWS, ids=["readme", "draw0", "draw1", "draw2"])
+    def test_p2p_rows_match_geomspace(self, eta, nb):
+        # the signal powers are computed without numpy; where Python's power
+        # differs from np.power in the last bit, the CSV row must not
+        from qnetcap.bosonic import c_heterodyne, c_holevo, c_homodyne
+        from qnetcap.cli import _cell, _signal_powers
+
+        def row(ns):
+            rates = (f(eta, ns, nb) for f in (c_homodyne, c_heterodyne, c_holevo))
+            return ",".join(map(_cell, (ns, *rates)))
+
+        for n in range(2, 1201):
+            ours, theirs = _signal_powers(n), np.geomspace(0.01, 100.0, n).tolist()
+            assert len(ours) == n and ours[0] == theirs[0] and ours[-1] == theirs[-1]
+            for x, y in zip(ours, theirs):
+                if x != y:
+                    assert row(x) == row(y), (n, x, y)
+
+    def test_closed_forms_run_without_numpy(self, capsys, tmp_path, monkeypatch):
+        # each command prints what it prints with numpy loaded
+        import subprocess
+        import sys
+
+        import qnetcap
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(json.dumps(
+            {"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100, 100], "NB": [1, 1],
+             "lambda": [0.8, 0.8], "mode": "het"}))
+        params = "--param 0.3 0.6 0.6 0.3 100 100 1 1 --lambda 0.8 0.8"
+        lines = ["bosonic p2p --param 0.9 1.0 --grid 41"] + [
+            f"bosonic {sub} {source}" for sub in ("vsi", "si", "hk")
+            for source in (params, "--channel params.json")
+        ]
+        script = (
+            "import sys\n"
+            "from qnetcap.cli import main\n"
+            "for line in sys.argv[1:]:\n"
+            "    assert main(line.split()) == 0, line\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, *lines], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        expected = [run(capsys, *line.split()) for line in lines]
+        assert all(code == 0 and err == "" for code, _, err in expected)
+        assert done.stdout == "".join(out for _, out, _ in expected) + "False\n"
 
     def test_vsi_condition_printed(self, capsys):
         code, out, _ = run(capsys, "bosonic", "vsi", "--mode", "het",
@@ -753,6 +849,13 @@ class TestMalformedInput:
 
         (tmp_path / "bad_bosonic.json").write_text('{"eta": [[0.3, 0.6], [0.6')
         (tmp_path / "bad.json").write_text('{"alphabets": [["0", "1"]], "dims": [2')
+        # JSON has no NaN, Infinity or -Infinity, even under a key no reader reads
+        channel = json.dumps(dump_channel(builtin("bb84_p2p")))
+        (tmp_path / "nan.json").write_text(channel.replace("1.0", "NaN", 1))
+        (tmp_path / "inf.json").write_text(channel[:-1] + ', "note": Infinity}')
+        bosonic = '{"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100, 100], "NB": [1, 1]'
+        (tmp_path / "bos_inf.json").write_text(bosonic.replace("100,", "-Infinity,") + "}")
+        (tmp_path / "bos_nan.json").write_text(bosonic + ', "note": [NaN]}')
         script = (
             "import sys\n"
             "from qnetcap.cli import main\n"
@@ -764,13 +867,19 @@ class TestMalformedInput:
             "    'capacity p2p-holevo --channel bad.json',\n"
             "    'region mac --channel bad.json',\n"
             "    'sim quantum --channel bad.json --param 0.3',\n"
+            "    'capacity p2p-holevo --channel nan.json',\n"
+            "    'region mac --channel inf.json',\n"
+            "    'bosonic hk --channel bos_inf.json',\n"
+            "    'bosonic vsi --channel bos_nan.json',\n"
+            "    'capacity p2p-holevo --builtin bb84_p2p --out c.csv',\n"
+            "    'sim quantum --builtin bb84_p2p --param 0.3 --out s.json',\n"
             ")]\n"
             "print(codes, 'numpy' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)
-        assert done.stdout == "[2, 2, 2, 2, 2, 2, 2] False\n"
+        assert done.stdout == f"{[2] * 13} False\n"
         bad_channel = ("error: channel file bad.json is not JSON: Expecting ',' delimiter:"
                        " line 1 column 39 (char 38)\n")
         assert done.stderr == (
@@ -779,7 +888,27 @@ class TestMalformedInput:
             " Expecting ',' delimiter: line 1 column 26 (char 25)\n"
             "error: --param must be finite, got [0.9, nan]\n"
             "error: --povm-angle must be finite, got [nan]\n"
-        ) + 3 * bad_channel
+        ) + 3 * bad_channel + (
+            "error: channel file nan.json is not JSON: non-finite number NaN\n"
+            "error: channel file inf.json is not JSON: non-finite number Infinity\n"
+            "error: bosonic parameter file bos_inf.json is not JSON:"
+            " non-finite number -Infinity\n"
+            "error: bosonic parameter file bos_nan.json is not JSON: non-finite number NaN\n"
+            "error: --out c.csv: capacity p2p-holevo writes JSON; use a .json name\n"
+            "error: --out s.json: sim quantum writes CSV; use a .csv name\n"
+        )
+        assert "c.csv" not in os.listdir(tmp_path) and "s.json" not in os.listdir(tmp_path)
+
+    def test_float_overflow_is_valid_json(self, capsys, tmp_path):
+        # 1e999 is a JSON number that parses to inf; the matrix check
+        # rejects it once the file has been read
+        doc = dump_channel(builtin("bb84_p2p"))
+        doc["outputs"]["0"][0][0] = 1e999
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+        code, out, err = run(capsys, "capacity", "p2p-holevo", "--channel", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: output for input '0': matrix encoding has non-finite entries\n"
 
     def test_unreadable_bosonic_json(self, capsys, tmp_path):
         code, out, err = run(capsys, "bosonic", "hk", "--channel", str(tmp_path))

@@ -5,9 +5,9 @@ ones: booleans, integers too large for a float, non-finite numbers, wrong
 shapes, duplicates, and missing or extra keys.  The inputs are channel
 documents under every channel command, bosonic parameter documents under
 ``bosonic vsi|si|hk``, and the command line of every subcommand, including
-the spellings the command line no longer accepts.  Every run must exit 0, 2
-or 3 with no other exception escaping, and a run that exits 0 must print no
-nan or inf.  The generator is seeded and uses only the standard library.
+the spellings the command line no longer accepts and ``--out`` names of
+every suffix.  Every run must exit 0, 2 or 3 with no other exception
+escaping, and a run that exits 0 must print no nan or inf.  The generator is seeded and uses only the standard library.
 """
 
 import contextlib
@@ -68,6 +68,9 @@ TOKENS = ["true", "nan", "inf", "-inf", "1" * 401, "-" + "1" * 401, "1e400", "0"
 REMOVED = [["--param", "1.2"], ["--grid", "5"], ["--mode", "homodyne"],
            ["--mode", "heterodyne"], ["--builtin", "theta_swap", "--param", "1.2"],
            ["--threads", "2"]]
+# --out names: a region's format follows the suffix, any other command's
+# .csv or .json name must match the one format it writes
+OUT_NAMES = ["out.csv", "out.json", "out.txt", "out"]
 
 
 class Pairs(list):
@@ -196,6 +199,7 @@ def test_command_lines(workdir, line):
     rng = random.Random(line)
     base = line.split()
     runs = [base + extra for extra in REMOVED]
+    runs += [base + ["--out", name] for name in OUT_NAMES]
     for k in range(2, len(base)):  # every token after the subcommand
         runs += [base[:k] + [token] + base[k + 1:] for token in rng.sample(TOKENS, 4)]
         runs.append(base[:k] + base[k + 1:])  # missing
