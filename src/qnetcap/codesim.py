@@ -23,16 +23,17 @@ use at a time, so a rank-1 output shrinks the work at every use and a
 full-rank one costs what applying rho_x does.
 ``srm_error_sweep`` therefore forms no d x d operator:
 no projector, S, POVM element or word state.  The columns are the data
-of a ``ProjectorSet``; its dense projectors are derived from them.
-``projector_set`` and ``square_root_measurement`` return dense d x d
-matrices.  The measurement is an ``SrmPovm``: its factors B_m, which
-certify its positivity in place of an eigensolve per element, and the
-dense elements derived from them.  ``exact_error`` scores only an
-``SrmPovm``, reading each hit from its factors with the sweep's own
-formula, and forms no word state.  A byte budget on the dense matrices
-bounds n, and it also bounds the sweep, so the sweep accepts exactly the
-codebooks whose dense measurement could be built.  Each check runs
-once, at the entry point where its input arrives.
+of a ``ProjectorSet``; its dense d x d projectors are derived from them
+on first read.  The measurement is an ``SrmPovm``: its factors B_m,
+which certify its positivity in place of an eigensolve per element, and
+the dense elements, likewise derived on first read.  ``exact_error``
+scores only an ``SrmPovm``, reading each hit from its factors with the
+sweep's own formula, and ``hn_diagnostic`` reads only columns, so
+neither forms a d x d matrix.  A byte budget on the dense matrices that
+reading every view would keep bounds n, and it also bounds the sweep,
+so the sweep accepts exactly the codebooks whose dense measurement
+could be built.  Each check runs once, at the entry point where its
+input arrives.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -75,9 +76,9 @@ def _check_budget(dim, n, mats):
 
 
 def _srm_matrices(m_count):
-    """Dense matrices alive while an SRM is built: the projector set
-    (average plus one per codeword) and the POVM (one per codeword plus
-    the remainder)."""
+    """Dense matrices an SRM keeps once its views are read: the projector
+    set's (average plus one per codeword) and the POVM's (one per
+    codeword plus the remainder)."""
     return 2 * (m_count + 1)
 
 
@@ -270,14 +271,13 @@ class ProjectorSet:
     matrix V_m per codeword; the decoder reads only these.  The
     constructor checks that every block has d rows (SchemaError) and
     orthonormal columns (InvariantError), so each V V^dagger is a
-    projector, and derives the dense ``average`` and ``conditional``
-    projectors from them.  All arrays are read-only.
+    projector.  The dense ``average`` and ``conditional`` projectors are
+    derived from the columns on first read and kept, so a decoder that
+    reads only columns forms no d x d matrix.  All arrays are read-only.
     """
 
     average_columns: np.ndarray
     columns: tuple
-    average: np.ndarray = field(init=False, repr=False)
-    conditional: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         avg = np.array(self.average_columns, dtype=complex)
@@ -291,14 +291,23 @@ class ProjectorSet:
                                   "needs two axes and the same row count")
         for what, v in blocks.items():
             _check_orthonormal(v, what)
-        dense = _span_projector(avg)
-        conds = tuple(_span_projector(v) for v in cols)
-        for a in (avg, dense) + cols + conds:
+        for a in (avg,) + cols:
             a.setflags(write=False)
         object.__setattr__(self, "average_columns", avg)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "average", dense)
-        object.__setattr__(self, "conditional", conds)
+
+    @cached_property
+    def average(self) -> np.ndarray:
+        dense = _span_projector(self.average_columns)
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def conditional(self) -> tuple:
+        conds = tuple(_span_projector(v) for v in self.columns)
+        for a in conds:
+            a.setflags(write=False)
+        return conds
 
 
 def _codebook_frequencies(ch, codebook):
@@ -403,16 +412,16 @@ class SrmPovm:
     1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
     smaller of B^dagger B and B B^dagger (InvariantError below PSD_TOL).
 
-    The dense ``elements`` are the read-only slices of one (K + 1, d, d)
-    block.  Each L is written into its slice and symmetrized there,
-    through one reused d x d buffer for L^dagger, and the remainder is
-    I - (E_1 + ... + E_K) summed in that order, so every element has the
-    bytes of (L + L.conj().T) / 2.0 and np.eye(d) - sum(elements).
+    The dense ``elements`` are built on first read and kept, as the
+    read-only slices of one (K + 1, d, d) block.  Each L is written into
+    its slice and symmetrized there, through one reused d x d buffer for
+    L^dagger, and the remainder is I - (E_1 + ... + E_K) summed in that
+    order, so every element has the bytes of (L + L.conj().T) / 2.0 and
+    np.eye(d) - sum(elements).
     """
 
     factors: tuple
     info: dict
-    elements: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         bs = tuple(np.array(b, dtype=complex) for b in self.factors)
@@ -425,6 +434,17 @@ class SrmPovm:
                                   "two axes and the same row count")
             b.setflags(write=False)
         d = rows[0]
+        stack = np.concatenate(bs, axis=1)
+        gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
+        low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
+        if not low >= PSD_TOL:
+            raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
+        object.__setattr__(self, "factors", bs)
+        object.__setattr__(self, "info", dict(self.info))
+
+    @cached_property
+    def elements(self) -> tuple:
+        bs, d = self.factors, self.dim
         block = np.empty((len(bs) + 1, d, d), dtype=complex)
         adjoint = np.empty((d, d), dtype=complex)
         for b, lam in zip(bs, block):
@@ -440,14 +460,7 @@ class SrmPovm:
             rest += lam
         np.subtract(np.eye(d, dtype=complex), rest, out=rest)
         block.setflags(write=False)
-        stack = np.concatenate(bs, axis=1)
-        gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
-        low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
-        if not low >= PSD_TOL:
-            raise InvariantError(f"element {len(bs)} is not PSD: min eigenvalue {low:.3e}")
-        object.__setattr__(self, "factors", bs)
-        object.__setattr__(self, "info", dict(self.info))
-        object.__setattr__(self, "elements", tuple(block))
+        return tuple(block)
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import classical_loop
@@ -473,6 +474,53 @@ class TestFactorPovm:
         povm = SrmPovm([np.eye(4)[:, :2], np.zeros((4, 0))], {})
         assert np.array_equal(povm.elements[1], np.zeros((4, 4)))
         assert np.array_equal(povm.elements[2], np.diag([0.0, 0.0, 1.0, 1.0]))
+
+
+class TestDenseViews:
+    def test_views_are_built_on_first_read(self):
+        ch = mixed_channel()
+        cb = Codebook.random(("a", "b"), 6, 0.6, seed=3)
+        projs = projector_set(ch, cb, 0.4)
+        povm = square_root_measurement(ch, cb, 0.4, projs=projs)
+        assert not {"average", "conditional"} & vars(projs).keys()
+        assert "elements" not in vars(povm)
+        d = povm.dim
+
+        def span(v):
+            return np.eye(d, dtype=complex) if v.shape[1] == d else v @ v.conj().T
+
+        lams = [(lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in povm.factors)]
+        for obj, name, want in (
+            (projs, "average", [span(projs.average_columns)]),
+            (projs, "conditional", [span(v) for v in projs.columns]),
+            (povm, "elements", [*lams, np.eye(d, dtype=complex) - sum(lams)]),
+        ):
+            first = getattr(obj, name)
+            assert getattr(obj, name) is first
+            got = [first] if name == "average" else first
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert not any(g.flags.writeable for g in got)
+
+    def test_stages_keep_no_dense_matrix(self):
+        # the perfbench srm-decoder stage codebook (d = 256, M = 28); two
+        # d x d complex matrices are 2 MiB
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 8, 0.6, seed=1)
+        stage = {}
+        stages = {
+            "projs": lambda: projector_set(ch, cb, 0.4),
+            "povm": lambda: square_root_measurement(ch, cb, 0.4, projs=stage["projs"]),
+            "err": lambda: exact_error(ch, cb, stage["povm"]),
+            "hn": lambda: hn_diagnostic(ch, cb, stage["projs"]),
+        }
+        for key, run in stages.items():
+            tracemalloc.start()
+            try:
+                stage[key] = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, key
 
 
 class TestExactError:
