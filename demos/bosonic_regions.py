@@ -3,7 +3,8 @@
 Point-to-point first: over a lossy thermal channel, homodyne wins at low
 photon number (less detection noise), heterodyne wins at high photon
 number (twice the bandwidth), and joint detection beats both everywhere.
-Writes the curves to bosonic_p2p.csv.
+Writes the curves to bosonic_p2p.csv with the README command
+``qnetcap bosonic p2p --param 0.9 1.0 --grid 41``.
 
 Then the two-sender networks.  A weakly coupled beam-splitter network
 (direct transmissivity 1/16, cross 1/2) satisfies the very-strong
@@ -12,31 +13,20 @@ interference-free rectangle.  A strongly coupled one (direct 0.3, cross
 0.6) gives the pentagon with a shared sum bound.
 """
 
-import csv
-
-import numpy as np
+import sys
 
 from qnetcap.bosonic import (
     BosonicICParams,
     bosonic_si,
     bosonic_vsi,
     c_heterodyne,
-    c_holevo,
     c_homodyne,
 )
+from qnetcap.cli import main
 
-with open("bosonic_p2p.csv", "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["NS", "hom", "het", "holevo"])
-    for ns in np.logspace(-2, 2, 41):
-        writer.writerow(
-            [f"{v:.10g}" for v in (
-                ns,
-                c_homodyne(0.9, ns, 1.0),
-                c_heterodyne(0.9, ns, 1.0),
-                c_holevo(0.9, ns, 1.0),
-            )]
-        )
+code = main("bosonic p2p --param 0.9 1.0 --grid 41 --out bosonic_p2p.csv".split())
+if code != 0:
+    sys.exit(code)
 print("wrote bosonic_p2p.csv (eta = 0.9, NB = 1)")
 print(f"crossover: hom {c_homodyne(0.9, 1.0, 1.0):.4f} vs "
       f"het {c_heterodyne(0.9, 1.0, 1.0):.4f} at NS = 1; "

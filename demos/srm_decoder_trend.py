@@ -6,25 +6,25 @@ error falls from n = 2 to n = 8 but not monotonically: at these tiny
 blocklengths the sample-entropy lattice is coarse, and the width-0.4
 window around H(rho) = 0.6009 happens to capture less of the average
 state at n = 6 (about 78%) than at n = 4 (about 90%).  The asymptotic
-story only smooths out once the lattice is fine.  Writes srm_sweep.csv.
+story only smooths out once the lattice is fine.  Writes srm_sweep.csv
+with ``qnetcap sim quantum --builtin bb84_p2p --param 0.3 20 --delta 0.4
+--seed 0``: blocklengths 2, 4, 6 and 8, seeds 0 to 19.
 """
+
+import sys
 
 import numpy as np
 
-from qnetcap.channels import builtin
-from qnetcap.codesim import export_error_csv, srm_error_sweep
+from qnetcap.cli import main
 
-ch = builtin("bb84_p2p")
-blocklengths = (2, 4, 6, 8)
-rows = srm_error_sweep(
-    ch, rate=0.3, blocklengths=blocklengths, delta=0.4, seeds=range(20)
-)
+code = main("sim quantum --builtin bb84_p2p --param 0.3 20 --delta 0.4 --seed 0"
+            " --out srm_sweep.csv".split())
+if code != 0:
+    sys.exit(code)
+rows = np.loadtxt("srm_sweep.csv", delimiter=",", skiprows=1)
 
 print(" n   mean exact error   mean diagnostic bound")
-for n in blocklengths:
-    errs = [r[4] for r in rows if r[0] == n]
-    bounds = [r[5] for r in rows if r[0] == n]
-    print(f"{n:2d}   {np.mean(errs):16.4f}   {np.mean(bounds):21.4f}")
-
-export_error_csv(rows, "srm_sweep.csv")
+for n in (2, 4, 6, 8):
+    block = rows[rows[:, 0] == n]
+    print(f"{n:2d}   {np.mean(block[:, 4]):16.4f}   {np.mean(block[:, 5]):21.4f}")
 print("wrote srm_sweep.csv (20 seeds per blocklength)")

@@ -1,6 +1,6 @@
 """Capacity and achievable-rate regions for classical-quantum network channels.
 
-Subpackages are organized by layer:
+Modules, by layer:
 
 * ``errors``    error types and standard-library-only input checks
 * ``qstate``    the matrix rule for states and POVM elements, density matrices, partial trace
@@ -12,34 +12,10 @@ Subpackages are organized by layer:
 * ``codesim``   exact small-blocklength decoder simulation (typical projectors, SRM)
 * ``cli``       command-line surface
 
-The top-level package stays import-light; submodules load on first access so
-the command-line entry point reports flag and JSON-syntax errors before any
-numerical library is pulled in, and runs the closed-form ``bosonic`` commands
-without numpy.
+The package itself imports nothing: a caller imports the submodule it
+uses, so the command-line entry point reports flag and JSON-syntax errors
+before any numerical library is pulled in, and runs the closed-form
+``bosonic`` commands without numpy.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "errors",
-    "qstate",
-    "entropic",
-    "channels",
-    "regions",
-    "network",
-    "bosonic",
-    "codesim",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

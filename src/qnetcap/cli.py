@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import numbers
 import os
@@ -254,17 +255,20 @@ def _emit_rows(header, rows, out):
     _emit("\n".join(lines) + "\n", out)
 
 
+def _emit_json(doc, out):
+    """``doc`` as indented JSON, the one layout of every JSON artifact."""
+    _emit(json.dumps(doc, indent=2) + "\n", out)
+
+
 def _emit_region(region, out):
     """The region's boundary sweep to a ``.csv`` file, or else its indented
     JSON, with the same bytes on stdout and in any other file."""
-    import json
-
     from .regions import boundary_sample, region_to_json
 
     if out is not None and str(out).endswith(".csv"):
         _emit_rows("theta,R1,R2", boundary_sample(region, 181), out)
     else:
-        _emit(json.dumps(region_to_json(region), indent=2) + "\n", out)
+        _emit_json(region_to_json(region), out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +310,7 @@ def _cmd_capacity(args) -> int:
     value, dist = result
     print(format(value, ".10g"))
     if args.out is not None:
-        import json
-
-        doc = {"capacity": value, "input_distribution": list(dist.weights)}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit_json({"capacity": value, "input_distribution": list(dist.weights)}, args.out)
     return EXIT_OK
 
 
@@ -344,9 +345,7 @@ def _cmd_region(args) -> int:
     if args.subcommand == "relay-pdf":  # a single rate, not a region
         print(format(result, ".10g"))
         if args.out is not None:
-            import json
-
-            _emit(json.dumps({"rate": result}) + "\n", args.out)
+            _emit_json({"rate": result}, args.out)
     else:
         _emit_region(result, args.out)
     return EXIT_OK

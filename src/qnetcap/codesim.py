@@ -44,7 +44,6 @@ typicality rules serves as a baseline.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -257,6 +256,19 @@ def cond_typical_projector(ch, xn, delta):
     return _span_projector(_cond_typical_columns(spectra, word, ch.output_dim, delta))
 
 
+def _blocks(arrays, what):
+    """Complex copies of ``arrays``, read-only, each a matrix with the row
+    count of the first (SchemaError); block k is named ``what`` k."""
+    blocks = tuple(np.array(a, dtype=complex) for a in arrays)
+    rows = blocks[0].shape[:1] if blocks and blocks[0].ndim == 2 else None
+    for k, b in enumerate(blocks):
+        if b.ndim != 2 or b.shape[:1] != rows:
+            raise SchemaError(f"{what} {k} has shape {b.shape}; every {what} needs "
+                              "two axes and the same row count")
+        b.setflags(write=False)
+    return blocks
+
+
 def _check_orthonormal(v, what):
     if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) > PROJECTOR_TOL:
         raise InvariantError(f"{what} columns are not orthonormal")
@@ -280,21 +292,13 @@ class ProjectorSet:
     columns: tuple
 
     def __post_init__(self):
-        avg = np.array(self.average_columns, dtype=complex)
-        cols = tuple(np.array(v, dtype=complex) for v in self.columns)
-        blocks = {"average projector": avg}
-        blocks.update((f"conditional projector {m}", v) for m, v in enumerate(cols))
-        rows = avg.shape[:1] if avg.ndim == 2 else None
-        for what, v in blocks.items():
-            if v.ndim != 2 or v.shape[:1] != rows:
-                raise SchemaError(f"{what} columns have shape {v.shape}; every block "
-                                  "needs two axes and the same row count")
-        for what, v in blocks.items():
-            _check_orthonormal(v, what)
-        for a in (avg,) + cols:
-            a.setflags(write=False)
+        # block 0 is the average projector's, block m + 1 codeword m's
+        avg, *cols = _blocks((self.average_columns, *self.columns), "projector block")
+        _check_orthonormal(avg, "average projector")
+        for m, v in enumerate(cols):
+            _check_orthonormal(v, f"conditional projector {m}")
         object.__setattr__(self, "average_columns", avg)
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "columns", tuple(cols))
 
     @cached_property
     def average(self) -> np.ndarray:
@@ -364,17 +368,15 @@ def _detection_columns(avg_cols, cols):
     return v, np.cumsum([0] + [c.shape[1] for c in cols])
 
 
-def _check_projectors(ch, codebook, projs):
-    """A projector set of this codebook's shape: one conditional projector
-    per message, each on the output space of an n-letter word."""
-    if len(projs.columns) != codebook.M:
-        raise SchemaError(
-            f"{len(projs.columns)} conditional projectors for {codebook.M} messages"
-        )
-    d = ch.output_dim ** codebook.n
-    if projs.average_columns.shape[0] != d:
-        raise SchemaError(f"projectors act on dimension {projs.average_columns.shape[0]}, "
-                          f"codewords on {d}")
+def _check_blocks(ch, codebook, blocks, d, what):
+    """One SRM stage block per message (a conditional projector's columns or
+    a measurement factor), acting on dimension ``d``, the output space of an
+    n-letter word."""
+    if len(blocks) != codebook.M:
+        raise SchemaError(f"{len(blocks)} {what} for {codebook.M} messages")
+    want = ch.output_dim ** codebook.n
+    if d != want:
+        raise SchemaError(f"{what} act on dimension {d}, codewords on {want}")
 
 
 def _srm_factors(w):
@@ -424,16 +426,10 @@ class SrmPovm:
     info: dict
 
     def __post_init__(self):
-        bs = tuple(np.array(b, dtype=complex) for b in self.factors)
+        bs = _blocks(self.factors, "factor")
         if not bs:
             raise SchemaError("empty POVM")
-        rows = bs[0].shape[:1] if bs[0].ndim == 2 else None
-        for k, b in enumerate(bs):
-            if b.ndim != 2 or b.shape[:1] != rows:
-                raise SchemaError(f"factor {k} has shape {b.shape}; every factor needs "
-                                  "two axes and the same row count")
-            b.setflags(write=False)
-        d = rows[0]
+        d = bs[0].shape[0]
         stack = np.concatenate(bs, axis=1)
         gram = stack.conj().T @ stack if stack.shape[1] < d else stack @ stack.conj().T
         low = 1.0 - float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 1.0
@@ -484,7 +480,8 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
         projs = projector_set(ch, codebook, delta)
-    _check_projectors(ch, codebook, projs)
+    _check_blocks(ch, codebook, projs.columns, projs.average_columns.shape[0],
+                  "conditional projectors")
     w, edges = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
     return SrmPovm(np.split(b, edges[1:-1], axis=1), {"s_rank": rank, "pinv_cutoff": cutoff})
@@ -492,8 +489,8 @@ def square_root_measurement(ch, codebook, delta, projs=None):
 
 def exact_error(ch, codebook, srm):
     """Average over messages of 1 - Tr[Lambda_m rho_{x^n(m)}], exactly, for
-    the square-root measurement ``srm`` (an ``SrmPovm`` with a factor B_m
-    for every message; anything else is a SchemaError).
+    the square-root measurement ``srm`` (an ``SrmPovm`` with one factor B_m
+    per message; anything else is a SchemaError).
 
     Each hit is read from B_m as ``srm_error_sweep`` reads its own,
     through the letters' state factors (``_column_weights``), so no word
@@ -501,11 +498,7 @@ def exact_error(ch, codebook, srm):
     """
     if not isinstance(srm, SrmPovm):
         raise SchemaError(f"exact_error scores an SrmPovm, got {type(srm).__name__}")
-    if len(srm.factors) < codebook.M:
-        raise SchemaError(f"POVM has {len(srm.factors)} factors for {codebook.M} messages")
-    d = ch.output_dim ** codebook.n
-    if srm.dim != d:
-        raise SchemaError(f"POVM acts on dimension {srm.dim}, codewords on {d}")
+    _check_blocks(ch, codebook, srm.factors, srm.dim, "factors")
     return _factor_error(_codeword_spectra(ch, codebook), codebook.codewords, srm.factors)
 
 
@@ -581,7 +574,8 @@ def hn_diagnostic(ch, codebook, projs):
     exact error (and above 1) at these blocklengths.  Tr[P_k rho_m] is
     the sum over W_k's columns of w^dagger rho_m w.
     """
-    _check_projectors(ch, codebook, projs)
+    _check_blocks(ch, codebook, projs.columns, projs.average_columns.shape[0],
+                  "conditional projectors")
     w, edges = _detection_columns(projs.average_columns, projs.columns)
     return _hn_bound(ch, _codeword_spectra(ch, codebook), codebook.codewords, w, edges)
 
@@ -619,17 +613,6 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
                 )
             )
     return rows
-
-
-def export_error_csv(rows, path):
-    """Write sweep rows with the standard header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "R", "seed", "delta", "exact_error", "hn_bound"])
-        for n, rate, seed, delta, err, hn in rows:
-            writer.writerow(
-                [n, f"{rate:.10g}", seed, f"{delta:.10g}", f"{err:.10g}", f"{hn:.10g}"]
-            )
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,9 @@ class TestCapacity:
         code, out, _ = run(capsys, "capacity", "p2p-holevo", "--builtin",
                            "bb84_p2p", "--out", str(path))
         assert code == 0
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        doc = json.loads(text)
         assert abs(doc["capacity"] - float(out)) < 1e-9
         assert abs(sum(doc["input_distribution"]) - 1.0) < 1e-9
 
@@ -392,11 +394,16 @@ class TestRegion:
             assert run(capsys, *argv, "--out", str(path))[0] == 0
             assert path.read_bytes() == expected
 
-    def test_relay_pdf_rate(self, capsys):
+    def test_relay_pdf_rate(self, capsys, tmp_path):
+        path = tmp_path / "r.json"
         code, out, _ = run(capsys, "region", "relay-pdf", "--builtin",
-                           "bb84_relay", "--seed", "3")
+                           "bb84_relay", "--seed", "3", "--out", str(path))
         assert code == 0
         assert float(out) >= 0.0
+        # the indented layout of every JSON artifact
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert format(json.loads(text)["rate"], ".10g") + "\n" == out
 
     @pytest.mark.parametrize("path,reason", [
         (os.path.join("nodir", "x.csv"), "[Errno 2] No such file or directory"),

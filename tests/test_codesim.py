@@ -18,7 +18,6 @@ from qnetcap.codesim import (
     classical_typical_decode_sim,
     cond_typical_projector,
     exact_error,
-    export_error_csv,
     hn_diagnostic,
     message_count,
     projector_set,
@@ -534,6 +533,17 @@ class TestExactError:
             with pytest.raises(SchemaError, match=f"{m} factors for 4 messages"):
                 exact_error(ch, cb, fewer)
 
+    def test_povm_of_a_larger_codebook(self):
+        # scored against the SRM of all five codewords, the first three would
+        # read 0.4097; their own SRM gives 0.2112
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 4, 0.6, seed=1)
+        first3 = Codebook(n=4, codewords=cb.codewords[:3])
+        with pytest.raises(SchemaError, match="5 factors for 3 messages"):
+            exact_error(ch, first3, square_root_measurement(ch, cb, 0.4))
+        own = exact_error(ch, first3, square_root_measurement(ch, first3, 0.4))
+        assert abs(own - 0.2112) < 1e-4
+
     def test_povm_of_wrong_dimension(self):
         # an SRM on 8 dimensions against two qubit channel uses
         ch = builtin("bb84_p2p")
@@ -784,18 +794,6 @@ class TestErrorTrend:
         assert avg[8] < avg[6]
         assert avg[8] < avg[2]
         assert avg[6] > avg[4]
-
-    def test_csv_export(self, tmp_path):
-        ch = builtin("bb84_p2p")
-        rows = srm_error_sweep(
-            ch, rate=0.3, blocklengths=(2,), delta=0.4, seeds=(0, 1)
-        )
-        out = tmp_path / "sweep.csv"
-        export_error_csv(rows, out)
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "n,R,seed,delta,exact_error,hn_bound"
-        assert len(lines) == 3
-        assert lines[1].startswith("2,0.3,0,0.4,")
 
 
 def window_weight(n, delta=0.4):

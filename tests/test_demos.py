@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and writes the CSV it announces."""
+"""Each demo script runs to completion and writes the CSV it announces,
+with the bytes of the command line that its docstring names."""
 
 import os
 import subprocess
@@ -10,13 +11,15 @@ import pytest
 import qnetcap
 
 DEMOS = Path(__file__).parents[1] / "demos"
-# demo -> the CSV its docstring says it writes, or None
+# demo -> the CSV its docstring says it writes and the command that writes
+# it, or None
 WRITES = {
-    "bosonic_regions.py": "bosonic_p2p.csv",
+    "bosonic_regions.py": ("bosonic_p2p.csv", "bosonic p2p --param 0.9 1.0 --grid 41"),
     "cmg_vs_projection.py": None,
     "point_to_point_bb84.py": None,
-    "qmac_pentagon.py": "qmac_boundary.csv",
-    "srm_decoder_trend.py": "srm_sweep.csv",
+    "qmac_pentagon.py": ("qmac_boundary.csv", "region mac --builtin bb84_qmac --grid 21"),
+    "srm_decoder_trend.py": ("srm_sweep.csv", "sim quantum --builtin bb84_p2p"
+                             " --param 0.3 20 --delta 0.4 --seed 0"),
     "theta_swap_interference.py": None,
 }
 
@@ -31,6 +34,10 @@ def test_demo_runs(name, tmp_path):
     done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    csv = WRITES[name]
-    if csv is not None:
-        assert (tmp_path / csv).stat().st_size > 0
+    if WRITES[name] is not None:
+        csv, command = WRITES[name]
+        cli = tmp_path / "cli"
+        cli.mkdir()
+        subprocess.run([sys.executable, "-m", "qnetcap.cli", *command.split(), "--out", csv],
+                       cwd=cli, env=env, check=True, timeout=120)
+        assert (tmp_path / csv).read_bytes() == (cli / csv).read_bytes()
