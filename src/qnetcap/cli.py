@@ -74,13 +74,13 @@ def _check_flags(args):
     if not 2 <= flags.get("grid", 2) <= _GRID_MAX:
         raise SchemaError(f"--grid must be from 2 to {_GRID_MAX}, got {args.grid}")
     delta, povm_angle = flags.get("delta"), flags.get("povm_angle")
-    numbers = {
+    finite = {
         "--delta": [] if delta is None else [delta],
         "--param": flags.get("param", []),
         "--povm-angle": [] if povm_angle is None else [povm_angle],
         "--lambda": flags.get("lam") or [],
     }
-    for flag, values in numbers.items():
+    for flag, values in finite.items():
         if not all(math.isfinite(v) for v in values):
             raise SchemaError(f"{flag} must be finite, got {values}")
     if delta is not None and delta < 0:

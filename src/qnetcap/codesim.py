@@ -414,12 +414,9 @@ class SrmPovm:
     1 - lambda_max(B^dagger B) for B = [B_1 ... B_K], read from the
     smaller of B^dagger B and B B^dagger (InvariantError below PSD_TOL).
 
-    The dense ``elements`` are built on first read and kept, as the
-    read-only slices of one (K + 1, d, d) block.  Each L is written into
-    its slice and symmetrized there, through one reused d x d buffer for
-    L^dagger, and the remainder is I - (E_1 + ... + E_K) summed in that
-    order, so every element has the bytes of (L + L.conj().T) / 2.0 and
-    np.eye(d) - sum(elements).
+    The dense ``elements`` are built on first read and kept, read-only,
+    straight from that formula: each is (L + L.conj().T) / 2.0 and the
+    remainder is np.eye(d) - sum(elements).
     """
 
     factors: tuple
@@ -440,23 +437,12 @@ class SrmPovm:
 
     @cached_property
     def elements(self) -> tuple:
-        bs, d = self.factors, self.dim
-        block = np.empty((len(bs) + 1, d, d), dtype=complex)
-        adjoint = np.empty((d, d), dtype=complex)
-        for b, lam in zip(bs, block):
-            np.matmul(b, b.conj().T, out=lam)
-            np.conjugate(lam.T, out=adjoint)
-            lam += adjoint
-            # complex division as in the formula; *= 0.5 differs from it
-            # in the sign of some zeros
-            lam /= 2.0
-        rest = block[-1]
-        rest[...] = block[0]
-        for lam in block[1:-1]:
-            rest += lam
-        np.subtract(np.eye(d, dtype=complex), rest, out=rest)
-        block.setflags(write=False)
-        return tuple(block)
+        # one unsymmetrized product L is alive at a time
+        lams = tuple((lam + lam.conj().T) / 2.0 for lam in (b @ b.conj().T for b in self.factors))
+        elements = (*lams, np.eye(self.dim) - sum(lams))
+        for e in elements:
+            e.setflags(write=False)
+        return elements
 
     @property
     def dim(self) -> int:

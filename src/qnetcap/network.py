@@ -5,9 +5,10 @@ A ``CodeDistribution`` is a random-coding scheme's input distribution: its
 parts, its deterministic input maps and its structure (factors in sampling
 order, register order, how each channel input is read).  Every network rate
 bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``; each region
-names its terms as data, evaluates each distinct term once and sums them
-row by row.  The five ``random_*_distribution`` generators are one seeded
-draw that walks the same layout.
+names its terms and rows as data, and one evaluator, ``_terms``, computes
+every term, on one state or on a stack of grid tables; the entropies a
+state keeps are the only cache.  The five ``random_*_distribution``
+generators are one seeded draw that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same system.
 """
@@ -275,22 +276,34 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
 p2p_state = mac_state = cts_state = hk_state = cmg_state = superposition_state = marton_state = relay_state = joint_state  # noqa: E501
 
 
+def _terms(st: LabeledCqState, ch: CqChannel, terms: dict, probs=None) -> dict:
+    """Each unclamped I(A;B|C) of ``terms`` (name -> (A, B, C), register and
+    output names separated by spaces, B1 and B2 standing for receivers 1 and
+    2) on ``st``, or on each table of the stack ``probs``.  A repeated term
+    re-reads the entropies ``st`` keeps."""
+    receivers = dict(zip(("B1", "B2"), _receiver_names(ch)))
+    out = {}
+    for name, spec in terms.items():
+        a, b, c = (frozenset(receivers.get(n, n) for n in part.split()) for part in spec)
+        out[name] = conditional_mutual_information(st, a, b, c, probs=probs)
+    return out
+
+
 def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict) -> dict:
-    """Each I(A;B|C) of ``terms`` (name -> (A, B, C), register and output
-    names separated by spaces, B1 and B2 standing for receivers 1 and 2) on
-    the joint state of a ``kind`` distribution, clamped; equal terms are
-    evaluated once."""
+    """``_terms`` on the joint state of a ``kind`` distribution, clamped."""
     if dist.kind != kind:
         raise SchemaError(f"need a {kind} distribution, got {dist.kind}")
-    st = joint_state(ch, dist)
-    receivers = dict(zip(("B1", "B2"), _receiver_names(ch)))
-    values, out = {}, {}
-    for name, spec in terms.items():
-        key = tuple(frozenset(receivers.get(n, n) for n in part.split()) for part in spec)
-        if key not in values:
-            values[key] = clamp_information(conditional_mutual_information(st, *key))
-        out[name] = values[key]
-    return out
+    return {n: clamp_information(v) for n, v in _terms(joint_state(ch, dist), ch, terms).items()}
+
+
+def _grid_terms(ch: CqChannel, terms: dict, grid: int):
+    """``_terms`` at every product input distribution of a two-input
+    channel's simplex grid, one dict of arrays per ``_grid_pairs`` chunk; the
+    stacked tables share the conditional states of the uniform one."""
+    a1, a2 = input_pair(ch)
+    st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
+    for probs in _grid_pairs(len(a1), len(a2), grid):
+        yield _terms(st, ch, terms, probs)
 
 
 def _rows(values: dict, rows) -> list:
@@ -403,14 +416,13 @@ _MAC_ANGLES = 61
 
 _MAC_TERMS = {"X1": ("X1", "B1 B2", "X2"), "X2": ("X2", "B1 B2", "X1"),
               "X1X2": ("X1 X2", "B1 B2", "")}
+_MAC_ROWS = [([1, 0], ["X1"]), ([0, 1], ["X2"]), ([1, 1], ["X1X2"])]
 
 
 def mac_region(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> HalfspaceRegion:
     """Pentagon {R1 <= I(X1;B|X2), R2 <= I(X2;B|X1), R1+R2 <= I(X1X2;B)}."""
     t = _informations(ch, CodeDistribution.mac(p1, p2), "mac", _MAC_TERMS)
-    return HalfspaceRegion(
-        ("R1", "R2"), [([1, 0], t["X1"]), ([0, 1], t["X2"]), ([1, 1], t["X1X2"])]
-    )
+    return HalfspaceRegion(("R1", "R2"), _rows(t, _MAC_ROWS))
 
 
 def mac_region_union(ch: CqChannel, grid: int = 21):
@@ -418,18 +430,11 @@ def mac_region_union(ch: CqChannel, grid: int = 21):
 
     Returns _MAC_ANGLES rows (theta, R1, R2), like boundary_sample.
     """
-    a1, a2 = input_pair(ch)
-    st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
-    b = set(ch.output_names)
-    coeffs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    coeffs = np.array([c for c, _ in _MAC_ROWS], dtype=float)
     thetas = np.linspace(0.0, np.pi / 2, _MAC_ANGLES)
     radii = np.zeros(_MAC_ANGLES)
-    for probs in _grid_pairs(len(a1), len(a2), grid):
-        bounds = np.stack([
-            conditional_mutual_information(st, {"X1"}, b, {"X2"}, probs=probs),
-            conditional_mutual_information(st, {"X2"}, b, {"X1"}, probs=probs),
-            conditional_mutual_information(st, {"X1", "X2"}, b, probs=probs),
-        ], axis=1)
+    for t in _grid_terms(ch, _MAC_TERMS, grid):
+        bounds = np.stack([b for _, b in _rows(t, _MAC_ROWS)], axis=1)
         radii = np.maximum(radii, radial_extents(coeffs, clamp_information(bounds),
                                                  thetas).max(axis=0))
     return [
@@ -470,15 +475,10 @@ def vsi_check(ch: CqChannel, grid: int = 21) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
     I(X2;B2|X1) <= I(X2;B1), within INFO_CLAMP, for every product input
     distribution on the grid."""
-    a1, a2 = input_pair(ch)
-    b1, b2 = _receiver_names(ch)
-    st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
-    for probs in _grid_pairs(len(a1), len(a2), grid):
-        own1 = conditional_mutual_information(st, {"X1"}, {b1}, {"X2"}, probs=probs)
-        cross1 = conditional_mutual_information(st, {"X1"}, {b2}, probs=probs)
-        own2 = conditional_mutual_information(st, {"X2"}, {b2}, {"X1"}, probs=probs)
-        cross2 = conditional_mutual_information(st, {"X2"}, {b1}, probs=probs)
-        if np.any(own1 > cross1 + INFO_CLAMP) or np.any(own2 > cross2 + INFO_CLAMP):
+    terms = {n: _CORNER_TERMS[n] for n in ("X1;B1|X2", "X1;B2", "X2;B2|X1", "X2;B1")}
+    for i in _grid_terms(ch, terms, grid):
+        if (np.any(i["X1;B1|X2"] > i["X1;B2"] + INFO_CLAMP)
+                or np.any(i["X2;B2|X1"] > i["X2;B1"] + INFO_CLAMP)):
             return False
     return True
 

@@ -461,9 +461,9 @@ class TestHkRegion:
     def test_each_distinct_entropy_diagonalized_once(self, monkeypatch):
         real_cmi, terms = network.conditional_mutual_information, []
 
-        def recorded(st, a, b, c=()):
+        def recorded(st, a, b, c=(), probs=None):
             terms.append((set(a), set(b), set(c)))
-            return real_cmi(st, a, b, c)
+            return real_cmi(st, a, b, c, probs=probs)
 
         real_eig, solves = np.linalg.eigvalsh, []
 
@@ -471,14 +471,22 @@ class TestHkRegion:
             solves.append(len(m))
             return real_eig(m)
 
-        ch = theta_swap(1.2)
-        dist = random_hk_distribution(ch, 0)
+        ch, qmac = theta_swap(1.2), bb84_qmac()
+        # on bb84_qmac both receivers read B, so corner and sum terms repeat
+        cases = [
+            (hk_region, ch, random_hk_distribution(ch, 0)),
+            (si_capacity, qmac, uniform_no_ts()),
+            (successive_decoding_corners, qmac, UNIF2, UNIF2),
+        ]
         monkeypatch.setattr(network, "conditional_mutual_information", recorded)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        hk_region(ch, dist)
-        # B holds the quantum outputs: H(BC) and H(ABC) need an eigensolve
-        quantum = {frozenset(s) for a, b, c in terms for s in (b | c, a | b | c)}
-        assert len(solves) == len(quantum) < 2 * len(terms)
+        for region, *args in cases:
+            terms.clear()
+            solves.clear()
+            region(*args)
+            # B holds the quantum outputs: H(BC) and H(ABC) need an eigensolve
+            quantum = {frozenset(s) for a, b, c in terms for s in (b | c, a | b | c)}
+            assert len(solves) == len(quantum) < 2 * len(terms)
 
     def test_contains_successive_decoding_corners(self):
         ch = builtin("theta_swap(1.2)")
@@ -893,12 +901,16 @@ def grid_pairs(ch, grid):
 class TestStackedSweeps:
     """Grid sweeps and sparse builders against the row loop in ``cq_loop``."""
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
-    def test_vsi_informations_match_per_point_states(self, theta):
-        ch = theta_swap(theta)
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda t=t: theta_swap(t), id=str(t)) for t in (0.5, 1.0, 2.5)),
+        pytest.param(bb84_qmac, id="bb84_qmac"),
+    ])
+    def test_vsi_informations_match_per_point_states(self, make):
+        ch = make()
         regs = [("X1", ch.input_alphabets[0]), ("X2", ch.input_alphabets[1])]
         names = ch.output_names
-        b1, b2 = names
+        # a single-output channel is read as both receivers sharing its system
+        b1, b2 = names[0], names[-1]
         specs = {
             "own1": ({"X1"}, {b1}, {"X2"}),
             "cross1": ({"X1"}, {b2}, ()),
@@ -917,6 +929,10 @@ class TestStackedSweeps:
         verdict = bool(np.all(loop["own1"] <= loop["cross1"] + 1e-9)
                        and np.all(loop["own2"] <= loop["cross2"] + 1e-9))
         assert vsi_check(ch, grid=5) == verdict
+
+    def test_vsi_verdicts_on_a_single_output_channel(self):
+        ch = bb84_qmac()
+        assert [vsi_check(ch, grid=g) for g in (2, 3, 5, 11)] == [True, False, False, False]
 
     def test_mac_union_is_max_of_per_region_samples(self):
         ch = bb84_qmac()
