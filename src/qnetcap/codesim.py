@@ -35,6 +35,11 @@ so the sweep accepts exactly the codebooks whose dense measurement
 could be built.  Each check runs once, at the entry point where its
 input arrives.
 
+One batched builder, ``_typical_columns``, makes every typical
+projector's columns, a codebook's average and conditional ones in one
+pass; ``srm_error_sweep`` diagonalises each input letter's output state
+once per sweep and each codebook's mean output state once.
+
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
 the ensemble window is so loose that every sequence qualifies, and no
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -161,30 +166,38 @@ def _spectrum(entries):
     return vecs, logs, entropy, factor_h
 
 
-def _sequence_columns(bases, logs, n, dim, center, delta):
-    """Orthonormal columns: the product eigenvectors whose per-sequence
-    sample entropy sits within delta of the target value.
+def _typical_columns(spectra, words, centers, delta):
+    """Orthonormal columns of K typical projectors, built in one pass:
+    block k is spanned by the product eigenvectors of word k whose
+    per-sequence sample entropy sits within delta of ``centers[k]``.
 
-    ``bases[i]`` and ``logs[i]`` give position i's eigenvectors and log
-    eigenvalues; a sequence with any zero-weight eigenvector is never
-    typical.  When every sequence is typical the columns are the
-    standard basis, so the projector is exactly the identity.
+    ``spectra`` are ``_spectrum`` results of states of one dimension and
+    ``words`` a (K, n) integer array indexing them, position by position.
+    The log weights are summed from the left, the order of an outer sum,
+    and every (word, sequence) column comes from one n-step Kronecker
+    recursion; a sequence with any zero-weight eigenvector is never
+    typical.  A word whose every sequence is typical gets the standard
+    basis, so its projector is exactly the identity.
     """
-    total = reduce(np.add.outer, logs).ravel() if n > 1 else logs[0]
+    k_count, n = words.shape
+    dim = len(spectra[0][1])
+    logs = np.array([s[1] for s in spectra])
+    total = logs[words[:, 0]]
+    for pos in range(1, n):
+        total = (total[:, :, None] + logs[words[:, pos]][:, None, :]).reshape(k_count, -1)
     with np.errstate(invalid="ignore"):
-        mask = np.abs(-total / n - center) <= delta
-    full = dim**n
-    if mask.all():
-        return np.eye(full, dtype=complex)
-    sel = np.flatnonzero(mask)
-    if len(sel) == 0:
-        return np.zeros((full, 0), dtype=complex)
-    digits = np.stack(np.unravel_index(sel, (dim,) * n), axis=1)
-    cols = np.ones((len(sel), 1), dtype=complex)
+        mask = np.abs(-total / n - np.asarray(centers)[:, None]) <= delta
+    full = mask.all(axis=1)
+    which, seq = np.nonzero(mask & ~full[:, None])
+    digits = np.unravel_index(seq, (dim,) * n)
+    bases = np.array([s[0] for s in spectra])
+    cols = np.ones((len(seq), 1), dtype=complex)
     for pos in range(n):
-        u = bases[pos][:, digits[:, pos]].T
-        cols = (cols[:, :, None] * u[:, None, :]).reshape(len(sel), -1)
-    return cols.T
+        u = bases[words[which, pos], :, digits[pos]]
+        cols = (cols[:, :, None] * u[:, None, :]).reshape(len(seq), dim ** (pos + 1))
+    edges = np.searchsorted(which, np.arange(k_count + 1))
+    return [np.eye(dim**n, dtype=complex) if full[k] else cols[edges[k]:edges[k + 1]].T
+            for k in range(k_count)]
 
 
 def _span_projector(v):
@@ -204,20 +217,18 @@ def _check_decoder_args(ch, delta):
     _check_delta(delta)
 
 
-def _typical_columns(entries, n, delta):
-    vecs, logs, entropy, _ = _spectrum(entries)
-    return _sequence_columns([vecs] * n, [logs] * n, n, len(entries), entropy, delta)
-
-
 def typical_projector(rho, n, delta):
     """Projector onto the delta-typical subspace of n copies of rho, the
     thesis's typical projector: rank at most 2^{n(H(rho)+delta)}, and
     weight Tr[P rho^{(x)n}] the chance that rho's spectrum draws a typical
-    sequence."""
+    sequence.  Its columns come from the batched builder
+    ``_typical_columns``, with one word."""
     _check_blocklength(n)
     _check_delta(delta)
     _check_budget(rho.dim, n, 1)
-    return _span_projector(_typical_columns(rho.entries, n, delta))
+    spectrum = _spectrum(rho.entries)
+    (cols,) = _typical_columns([spectrum], np.zeros((1, n), dtype=int), [spectrum[2]], delta)
+    return _span_projector(cols)
 
 
 def _symbol_spectra(ch, symbols):
@@ -230,22 +241,15 @@ def _codeword_spectra(ch, codebook):
     return _symbol_spectra(ch, (x for w in codebook.codewords for x in w))
 
 
-def _cond_typical_columns(spectra, word, dim, delta):
-    """Columns of the conditional typical projector of ``word`` from the
-    per-symbol ``spectra`` of ``_symbol_spectra``."""
-    h_emp = float(np.mean([spectra[x][2] for x in word]))
-    bases = [spectra[x][0] for x in word]
-    logs = [spectra[x][1] for x in word]
-    return _sequence_columns(bases, logs, len(word), dim, h_emp, delta)
-
-
 def cond_typical_projector(ch, xn, delta):
     """Projector onto outputs typical for the given input word, the
     thesis's conditionally typical projector: rank at most
     2^{n(H(B|X=x^n)+delta)}, and it holds all of a pure output word.
 
     The typicality center is the empirical conditional entropy: the mean
-    output entropy of the symbols actually appearing in ``xn``.
+    output entropy of the symbols actually appearing in ``xn``.  Its
+    columns come from the batched builder ``_typical_columns``, with one
+    word, after one eigensolve per distinct symbol.
     """
     word = tuple(str(s) for s in xn)
     _check_decoder_args(ch, delta)
@@ -253,7 +257,10 @@ def cond_typical_projector(ch, xn, delta):
         raise SchemaError("empty input word")
     _check_budget(ch.output_dim, len(word), 1)
     spectra = _symbol_spectra(ch, word)
-    return _span_projector(_cond_typical_columns(spectra, word, ch.output_dim, delta))
+    states = [spectra[x] for x in word]
+    center = np.mean([s[2] for s in states])
+    (cols,) = _typical_columns(states, np.arange(len(word))[None], [center], delta)
+    return _span_projector(cols)
 
 
 def _blocks(arrays, what):
@@ -328,21 +335,25 @@ def _codebook_frequencies(ch, codebook):
 
 def _decoder_columns(ch, codebook, delta, spectra):
     """Orthonormal columns of the average typical projector and of each
-    codeword's conditional typical projector, given the codeword symbols'
-    ``spectra``.
+    codeword's conditional typical projector, given ``spectra`` of at
+    least the codeword symbols, from one ``_typical_columns`` pass.
 
     The average projector is the typical projector of the mean output
     state under the codebook's prior (or its empirical symbol
-    frequencies when no prior is recorded).
+    frequencies when no prior is recorded), centred on its own entropy;
+    each codeword's is centred on the mean entropy of its symbols.
     """
     freq = _codebook_frequencies(ch, codebook)
-    mean = sum(
+    mean = _spectrum(sum(
         freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
-    )
-    avg = _typical_columns(mean, codebook.n, delta)
-    return avg, tuple(
-        _cond_typical_columns(spectra, w, ch.output_dim, delta) for w in codebook.codewords
-    )
+    ))
+    states = [mean, *spectra.values()]
+    index = {x: i for i, x in enumerate(spectra, 1)}
+    words = np.array([[0] * codebook.n] + [[index[x] for x in w] for w in codebook.codewords])
+    entropies = np.array([s[2] for s in states])
+    centers = np.concatenate([[mean[2]], np.mean(entropies[words[1:]], axis=1)])
+    avg, *cols = _typical_columns(states, words, centers, delta)
+    return avg, tuple(cols)
 
 
 def projector_set(ch, codebook, delta):
@@ -580,11 +591,11 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     # reject the whole sweep before computing anything
     for n in blocklengths:
         _check_budget(ch.output_dim, n, _srm_matrices(message_count(n, rate)))
+    spectra = _symbol_spectra(ch, alphabet)
     rows = []
     for n in blocklengths:
         for seed in seeds:
             cb = Codebook.random(alphabet, n, rate, seed, prior)
-            spectra = _codeword_spectra(ch, cb)
             avg, cols = _decoder_columns(ch, cb, delta, spectra)
             w, edges = _detection_columns(avg, cols)
             b, _, _ = _srm_factors(w)

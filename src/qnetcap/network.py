@@ -474,7 +474,12 @@ def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> di
 def vsi_check(ch: CqChannel, grid: int = 21) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
     I(X2;B2|X1) <= I(X2;B1), within INFO_CLAMP, for every product input
-    distribution on the grid."""
+    distribution on the grid.  A grid below 3 is a SchemaError: it visits
+    only deterministic inputs, where every information is 0, so every
+    channel would pass."""
+    if grid < 3:
+        raise SchemaError(f"vsi_check grid {grid} < 3 visits only deterministic inputs, "
+                          "where every information is 0, so it would pass every channel")
     terms = {n: _CORNER_TERMS[n] for n in ("X1;B1|X2", "X1;B2", "X2;B2|X1", "X2;B1")}
     for i in _grid_terms(ch, terms, grid):
         if (np.any(i["X1;B1|X2"] > i["X1;B2"] + INFO_CLAMP)

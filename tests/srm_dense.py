@@ -7,6 +7,12 @@ error is a dense trace Tr[Lambda_m rho_m], and the diagnostic runs an
 M^2 loop of dense traces Tr[P_k rho_m].  Each trace of a product is
 taken as an elementwise sum over the two dense matrices.  Parity tests
 compare the column form against it.
+
+It also keeps the per-word typical-projector column builder that
+``codesim`` used before it built every word's columns in one batched
+pass (``sequence_columns``, and the projectors' columns built with it
+one word at a time), so the batched builder can be held to it byte for
+byte.
 """
 
 from functools import reduce
@@ -14,8 +20,57 @@ from functools import reduce
 import numpy as np
 
 from qnetcap.channels import Povm, SchemaError
-from qnetcap.codesim import projector_set
+from qnetcap.codesim import _codebook_frequencies, _spectrum, projector_set
 from qnetcap.errors import PINV_RELATIVE_CUTOFF
+
+
+def sequence_columns(bases, logs, n, dim, center, delta):
+    """Orthonormal columns: the product eigenvectors whose per-sequence
+    sample entropy sits within delta of the target value.
+
+    ``bases[i]`` and ``logs[i]`` give position i's eigenvectors and log
+    eigenvalues; a sequence with any zero-weight eigenvector is never
+    typical.  When every sequence is typical the columns are the
+    standard basis, so the projector is exactly the identity.
+    """
+    total = reduce(np.add.outer, logs).ravel() if n > 1 else logs[0]
+    with np.errstate(invalid="ignore"):
+        mask = np.abs(-total / n - center) <= delta
+    full = dim**n
+    if mask.all():
+        return np.eye(full, dtype=complex)
+    sel = np.flatnonzero(mask)
+    if len(sel) == 0:
+        return np.zeros((full, 0), dtype=complex)
+    digits = np.stack(np.unravel_index(sel, (dim,) * n), axis=1)
+    cols = np.ones((len(sel), 1), dtype=complex)
+    for pos in range(n):
+        u = bases[pos][:, digits[:, pos]].T
+        cols = (cols[:, :, None] * u[:, None, :]).reshape(len(sel), -1)
+    return cols.T
+
+
+def typical_columns(entries, n, delta):
+    vecs, logs, entropy, _ = _spectrum(entries)
+    return sequence_columns([vecs] * n, [logs] * n, n, len(entries), entropy, delta)
+
+
+def cond_typical_columns(ch, word, delta):
+    """Centred on the mean output entropy of the word's symbols."""
+    spectra = {x: _spectrum(ch.output(x).entries) for x in word}
+    h_emp = float(np.mean([spectra[x][2] for x in word]))
+    bases = [spectra[x][0] for x in word]
+    logs = [spectra[x][1] for x in word]
+    return sequence_columns(bases, logs, len(word), ch.output_dim, h_emp, delta)
+
+
+def decoder_columns(ch, codebook, delta):
+    """The average projector's columns, then each codeword's conditional
+    projector's, one word at a time."""
+    freq = _codebook_frequencies(ch, codebook)
+    mean = sum(freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0])
+    return [typical_columns(mean, codebook.n, delta),
+            *(cond_typical_columns(ch, w, delta) for w in codebook.codewords)]
 
 
 def _word_state(ch, word):

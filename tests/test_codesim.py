@@ -692,6 +692,71 @@ class TestDenseParity:
         assert exact_error(ch, cb, povm) == 1.0
 
 
+def assert_same_array(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class _Proxy:
+    """A module whose named attributes are replaced and the rest read
+    through."""
+
+    def __init__(self, real, **replaced):
+        self._real = real
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class TestBatchedColumns:
+    """Every typical projector's columns come from one batched builder;
+    the per-word builder it replaced is kept in ``srm_dense``."""
+
+    def test_matches_per_word_reference(self):
+        import qnetcap.codesim as codesim
+
+        kinds = set()
+        for ch in (builtin("bb84_p2p"), mixed_channel()):
+            alphabet = ch.input_alphabets[0]
+            for n in range(1, 7):
+                d = ch.output_dim**n
+                cb = Codebook.random(alphabet, n, 0.6, seed=n)
+                for delta in (0.0, 0.1, 0.25, 0.4, 1.0, 5.0):
+                    projs = projector_set(ch, cb, delta)
+                    ref = srm_dense.decoder_columns(ch, cb, delta)
+                    for got, want in zip((projs.average_columns, *projs.columns), ref,
+                                         strict=True):
+                        assert_same_array(got, want)
+                        r = want.shape[1]
+                        kinds.add("empty" if r == 0 else "all typical" if r == d else "partial")
+                    word = cb.codewords[-1]
+                    assert_same_array(cond_typical_projector(ch, word, delta),
+                                      codesim._span_projector(
+                                          srm_dense.cond_typical_columns(ch, word, delta)))
+                    for x in alphabet:
+                        rho = ch.output(x)
+                        assert_same_array(typical_projector(rho, n, delta),
+                                          codesim._span_projector(
+                                              srm_dense.typical_columns(rho.entries, n, delta)))
+        assert kinds == {"empty", "all typical", "partial"}
+
+    @pytest.mark.parametrize("ch", [builtin("bb84_p2p"), mixed_channel()], ids=["bb84", "mixed"])
+    def test_sweep_diagonalises_each_letter_once(self, ch, monkeypatch):
+        import qnetcap.codesim as codesim
+
+        shapes = []
+
+        def eigh(a):
+            shapes.append(a.shape)
+            return np.linalg.eigh(a)
+
+        monkeypatch.setattr(codesim, "np", _Proxy(np, linalg=_Proxy(np.linalg, eigh=eigh)))
+        rows = srm_error_sweep(ch, 0.6, (2, 3, 5), 0.4, range(4))
+        # one per input letter, then one per codebook for its mean output state
+        assert len(shapes) == len(ch.input_alphabets[0]) + len(rows) == 14
+
+
 def rotated_state(probs, seed):
     """diag(probs) in a seeded random basis, so an eigensolve returns its
     zero eigenvalues as roundoff rather than exact zeros."""

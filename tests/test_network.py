@@ -932,7 +932,10 @@ class TestStackedSweeps:
 
     def test_vsi_verdicts_on_a_single_output_channel(self):
         ch = bb84_qmac()
-        assert [vsi_check(ch, grid=g) for g in (2, 3, 5, 11)] == [True, False, False, False]
+        assert [vsi_check(ch, grid=g) for g in (3, 5, 11)] == [False, False, False]
+        # grid 2 visits only deterministic inputs, where every information is 0
+        with pytest.raises(SchemaError, match="grid 2 < 3"):
+            vsi_check(ch, grid=2)
 
     def test_mac_union_is_max_of_per_region_samples(self):
         ch = bb84_qmac()
