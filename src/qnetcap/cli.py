@@ -112,7 +112,7 @@ def _add_channel_flags(sp):
     sp.add_argument("--channel", metavar="PATH", help="channel description JSON")
 
 
-def _add_grid_flag(sp, help_text="grid resolution (2 to 10**6)"):
+def _add_grid_flag(sp, help_text):
     sp.add_argument("--grid", type=int, default=21, metavar="N", help=help_text)
 
 
@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_channel_flags(sp)
         # mac reads --grid; vsi accepts and ignores it, as its README line shows
         if name in ("mac", "vsi"):
-            _add_grid_flag(sp)
+            _add_grid_flag(sp, "points per simplex edge (3 to 10**6)" if name == "mac"
+                           else "accepted and ignored")
         if _REGIONS[name][0] is not None:
             _add_seed_flag(sp)
         if name == "mac":
@@ -275,25 +276,21 @@ def _emit_region(region, out):
 # command handlers
 
 
-def _read_channel(args):
-    """The ``--channel`` document, read before any numerical import so a
-    file that is not JSON is reported first; None for ``--builtin``."""
-    return None if args.channel is None else read_json(args.channel, "channel")
-
-
-def _load_cq_channel(args, doc):
+def _load_cq_channel(args):
+    """The channel of ``--builtin`` or ``--channel``.  A ``--channel`` file
+    is read with the standard library before numpy loads, so a file that is
+    not JSON is reported first."""
+    doc = None if args.channel is None else read_json(args.channel, "channel")
     from .channels import builtin, load_channel
 
     return builtin(args.builtin) if args.channel is None else load_channel(doc)
 
 
 def _cmd_capacity(args) -> int:
-    doc = _read_channel(args)
-
+    ch = _load_cq_channel(args)
     from .channels import Povm, induced_classical_channel
     from .network import classical_capacity_BA, hsw_capacity
 
-    ch = _load_cq_channel(args, doc)
     if args.subcommand == "p2p-classical":
         if args.povm_angle is not None:
             povm = Povm.qubit_projective(args.povm_angle)
@@ -315,12 +312,10 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    doc = _read_channel(args)
-
+    ch = _load_cq_channel(args)
     from . import network
     from .entropic import ProbDist
 
-    ch = _load_cq_channel(args, doc)
     if args.subcommand == "mac" and not args.uniform:
         _emit_rows("theta,R1,R2", network.mac_region_union(ch, grid=args.grid), args.out)
         return EXIT_OK
@@ -433,12 +428,10 @@ def _cmd_sim(args) -> int:
         rate = args.param[0]
         n = whole_number(args.param[1], "blocklength")
         trials = whole_number(args.param[2], "trial count")
-    doc = _read_channel(args)
-
+    ch = _load_cq_channel(args)
     from .channels import Povm, induced_classical_channel
     from .entropic import ProbDist
 
-    ch = _load_cq_channel(args, doc)
     if args.subcommand == "quantum":
         from .codesim import srm_error_sweep
 

@@ -322,8 +322,11 @@ class ProjectorSet:
 
 
 def _codebook_frequencies(ch, codebook):
+    """The codebook's prior, over the channel input alphabet, or else its symbol frequencies."""
     alphabet = ch.input_alphabets[0]
     if codebook.prior is not None:
+        if set(codebook.prior.symbols) != set(alphabet):
+            raise SchemaError("prior must be over the channel input alphabet")
         return codebook.prior
     counts = {s: 0 for s in alphabet}
     for w in codebook.codewords:
@@ -358,11 +361,9 @@ def _decoder_columns(ch, codebook, delta, spectra):
 
 def projector_set(ch, codebook, delta):
     """Build the decoder's projectors for a codebook (see
-    ``_decoder_columns`` for the average projector)."""
+    ``_decoder_columns`` for the average projector).  A codeword symbol the
+    channel has no output for is a SchemaError from ``CqChannel.output``."""
     _check_decoder_args(ch, delta)
-    unknown = {x for w in codebook.codewords for x in w} - set(ch.input_alphabets[0])
-    if unknown:
-        raise SchemaError(f"codeword symbol {min(unknown)!r} is not a channel input")
     _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
     avg, cols = _decoder_columns(ch, codebook, delta, _codeword_spectra(ch, codebook))
     return ProjectorSet(avg, cols)
@@ -379,10 +380,14 @@ def _detection_columns(avg_cols, cols):
     return v, np.cumsum([0] + [c.shape[1] for c in cols])
 
 
-def _check_blocks(ch, codebook, blocks, d, what):
-    """One SRM stage block per message (a conditional projector's columns or
-    a measurement factor), acting on dimension ``d``, the output space of an
-    n-letter word."""
+def _check_stage(ch, codebook, stage, kind, rule):
+    """An SRM stage is a ``kind``, as ``rule`` says, with one block per message
+    (a ProjectorSet's conditional projector columns or an SrmPovm's factors)
+    acting on the output space of an n-letter word; else a SchemaError."""
+    if not isinstance(stage, kind):
+        raise SchemaError(f"{rule}, got {type(stage).__name__}")
+    blocks, d, what = ((stage.factors, stage.dim, "factors") if kind is SrmPovm else
+                       (stage.columns, stage.average_columns.shape[0], "conditional projectors"))
     if len(blocks) != codebook.M:
         raise SchemaError(f"{len(blocks)} {what} for {codebook.M} messages")
     want = ch.output_dim ** codebook.n
@@ -472,13 +477,14 @@ def square_root_measurement(ch, codebook, delta, projs=None):
     factors B_m, which certify its positivity.  The support rank and
     pseudo-inverse cutoff are reported in its info dict, as ``s_rank``
     and ``pinv_cutoff``, so rank deficiency is visible rather than
-    silently absorbed.
+    silently absorbed.  ``projs``, if given, must be this codebook's
+    ``ProjectorSet`` (see ``_check_stage``).
     """
     _check_budget(ch.output_dim, codebook.n, _srm_matrices(codebook.M))
     if projs is None:
         projs = projector_set(ch, codebook, delta)
-    _check_blocks(ch, codebook, projs.columns, projs.average_columns.shape[0],
-                  "conditional projectors")
+    _check_stage(ch, codebook, projs, ProjectorSet,
+                 "square_root_measurement reads a ProjectorSet")
     w, edges = _detection_columns(projs.average_columns, projs.columns)
     b, rank, cutoff = _srm_factors(w)
     return SrmPovm(np.split(b, edges[1:-1], axis=1), {"s_rank": rank, "pinv_cutoff": cutoff})
@@ -493,9 +499,7 @@ def exact_error(ch, codebook, srm):
     through the letters' state factors (``_column_weights``), so no word
     state is formed.
     """
-    if not isinstance(srm, SrmPovm):
-        raise SchemaError(f"exact_error scores an SrmPovm, got {type(srm).__name__}")
-    _check_blocks(ch, codebook, srm.factors, srm.dim, "factors")
+    _check_stage(ch, codebook, srm, SrmPovm, "exact_error scores an SrmPovm")
     return _factor_error(_codeword_spectra(ch, codebook), codebook.codewords, srm.factors)
 
 
@@ -569,10 +573,10 @@ def hn_diagnostic(ch, codebook, projs):
     An operator-union bound on the square-root measurement's error,
     evaluated exactly.  It is a diagnostic column, often far above the
     exact error (and above 1) at these blocklengths.  Tr[P_k rho_m] is
-    the sum over W_k's columns of w^dagger rho_m w.
+    the sum over W_k's columns of w^dagger rho_m w.  ``projs`` must be the
+    codebook's ``ProjectorSet`` (see ``_check_stage``).
     """
-    _check_blocks(ch, codebook, projs.columns, projs.average_columns.shape[0],
-                  "conditional projectors")
+    _check_stage(ch, codebook, projs, ProjectorSet, "hn_diagnostic reads a ProjectorSet")
     w, edges = _detection_columns(projs.average_columns, projs.columns)
     return _hn_bound(ch, _codeword_spectra(ch, codebook), codebook.codewords, w, edges)
 

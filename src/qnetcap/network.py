@@ -10,7 +10,8 @@ every term, on one state or on a stack of grid tables; the entropies a
 state keeps are the only cache.  The five ``random_*_distribution``
 generators are one seeded draw that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
-single-output channel, in which case both receivers observe the same system.
+single-output channel, in which case both receivers observe the same
+system; broadcast and relay ones need two outputs (``_TWO_OUTPUT_KINDS``).
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ _LAYOUTS = {
     "marton": ([("U1U2", "U1 U2", "")], "U1 U2", [("f", "U1 U2")]),
     "relay-pdf": ([("UXX1", "U X X1", "")], "U X X1", ["X", "X1"]),
 }
+# kinds whose receivers B1 and B2 are distinct outputs (relay: B1 and B)
+_TWO_OUTPUT_KINDS = ("superposition", "marton", "relay-pdf")
 
 
 def _keys(alphabets: dict, registers: str) -> tuple:
@@ -290,16 +293,24 @@ def _terms(st: LabeledCqState, ch: CqChannel, terms: dict, probs=None) -> dict:
 
 
 def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict) -> dict:
-    """``_terms`` on the joint state of a ``kind`` distribution, clamped."""
+    """``_terms`` on the joint state of a ``kind`` distribution, clamped; a
+    ``_TWO_OUTPUT_KINDS`` kind needs a channel with two outputs."""
     if dist.kind != kind:
         raise SchemaError(f"need a {kind} distribution, got {dist.kind}")
+    if kind in _TWO_OUTPUT_KINDS and len(ch.output_names) != 2:
+        raise SchemaError(f"a {kind} distribution needs a two-output channel, "
+                          f"got {len(ch.output_names)} output(s)")
     return {n: clamp_information(v) for n, v in _terms(joint_state(ch, dist), ch, terms).items()}
 
 
 def _grid_terms(ch: CqChannel, terms: dict, grid: int):
     """``_terms`` at every product input distribution of a two-input
     channel's simplex grid, one dict of arrays per ``_grid_pairs`` chunk; the
-    stacked tables share the conditional states of the uniform one."""
+    stacked tables share the conditional states of the uniform one.  A grid
+    below 3, which visits only deterministic inputs, is a SchemaError."""
+    if grid < 3:
+        raise SchemaError(f"grid {grid} < 3 visits only deterministic inputs, "
+                          "where every information is 0")
     a1, a2 = input_pair(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     for probs in _grid_pairs(len(a1), len(a2), grid):
@@ -426,7 +437,7 @@ def mac_region(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> HalfspaceRegion:
 
 
 def mac_region_union(ch: CqChannel, grid: int = 21):
-    """Pointwise-max boundary of mac_region over a product simplex grid.
+    """Pointwise-max boundary of mac_region over a product simplex grid (>= 3).
 
     Returns _MAC_ANGLES rows (theta, R1, R2), like boundary_sample.
     """
@@ -474,12 +485,7 @@ def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> di
 def vsi_check(ch: CqChannel, grid: int = 21) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
     I(X2;B2|X1) <= I(X2;B1), within INFO_CLAMP, for every product input
-    distribution on the grid.  A grid below 3 is a SchemaError: it visits
-    only deterministic inputs, where every information is 0, so every
-    channel would pass."""
-    if grid < 3:
-        raise SchemaError(f"vsi_check grid {grid} < 3 visits only deterministic inputs, "
-                          "where every information is 0, so it would pass every channel")
+    distribution on the grid (>= 3, see ``_grid_terms``)."""
     terms = {n: _CORNER_TERMS[n] for n in ("X1;B1|X2", "X1;B2", "X2;B2|X1", "X2;B1")}
     for i in _grid_terms(ch, terms, grid):
         if (np.any(i["X1;B1|X2"] > i["X1;B2"] + INFO_CLAMP)
@@ -641,8 +647,6 @@ def cmg_regions(ch: CqChannel, dist: CodeDistribution):
 def superposition_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Cloud-center coding: receiver 2 decodes the cloud W at rate R,
     receiver 1 decodes W and the satellite X at extra rate R1."""
-    if len(bc.output_names) != 2:
-        raise SchemaError("superposition needs a two-output broadcast channel")
     t = _informations(bc, dist, "superposition", {
         "X;B1|W": ("X", "B1", "W"), "W;B2": ("W", "B2", ""), "X;B1": ("X", "B1", "")})
     rows = [([1, 0], t["X;B1|W"]), ([0, 1], t["W;B2"]), ([1, 1], t["X;B1"])]
@@ -651,8 +655,6 @@ def superposition_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegi
 
 def marton_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
     """Binning over correlated auxiliaries U1, U2 with x = f(u1, u2)."""
-    if len(bc.output_names) != 2:
-        raise SchemaError("marton needs a two-output broadcast channel")
     t = _informations(bc, dist, "marton", {
         "U1;B1": ("U1", "B1", ""), "U2;B2": ("U2", "B2", ""), "U1;U2": ("U1", "U2", "")})
     # the binning penalty can exceed the single-user rates; an empty claim
@@ -667,9 +669,7 @@ def marton_region(bc: CqChannel, dist: CodeDistribution) -> HalfspaceRegion:
 
 def relay_pdf_rate(rc: CqChannel, dist: CodeDistribution) -> float:
     """Partial decode-and-forward: the relay decodes the part U of the
-    message; rate min{I(X X1;B), I(U;B1|X1) + I(X;B|X1 U)}."""
-    if len(rc.output_names) != 2:
-        raise SchemaError("relay needs a two-output channel (B1, B)")
+    message; rate min{I(X X1;B), I(U;B1|X1) + I(X;B|X1 U)}, outputs (B1, B)."""
     # receiver 1 is the relay, receiver 2 the destination
     t = _informations(rc, dist, "relay-pdf", {
         "XX1;B": ("X X1", "B2", ""), "U;B1|X1": ("U", "B1", "X1"),

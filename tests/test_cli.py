@@ -808,6 +808,31 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == f"error: --grid must be from 2 to 1000000, got {grid}\n"
 
+    def test_region_mac_grid_2_exits_2(self, capsys):
+        # bosonic p2p still takes a grid of 2; the grid union once printed 0
+        # in every direction at grid 2
+        code, out, err = run(capsys, "region", "mac", "--builtin", "bb84_qmac", "--grid", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: grid 2 < 3 visits only deterministic inputs,"
+                       " where every information is 0\n")
+        assert run(capsys, "bosonic", "p2p", "--param", "0.9", "1", "--grid", "2")[0] == 0
+
+    ONE_SOURCE = "give exactly one parameter source (--param or --channel)"
+    REJECTED = {
+        "negative delta": ("sim quantum --builtin bb84_p2p --param 0.3 --delta -0.1",
+                           "--delta must be >= 0, got -0.1"),
+        "no codebooks": ("sim quantum --builtin bb84_p2p --param 0.3 0",
+                         "codebook count must be >= 1, got 0"),
+        "both sources": ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1 --channel p.json",
+                         ONE_SOURCE),
+        "no source": ("bosonic hk", ONE_SOURCE),
+    }
+
+    @pytest.mark.parametrize("line, message", REJECTED.values(), ids=REJECTED.keys())
+    def test_argument_rule(self, capsys, line, message):
+        code, out, err = run(capsys, *line.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_nan_povm_angle(self, capsys):
         code, out, err = run(capsys, "capacity", "p2p-classical", "--builtin",
                              "bb84_p2p", "--povm-angle", "nan")

@@ -71,6 +71,25 @@ class TestCodebook:
                 ("0", "1"), 3, 0.5, seed=0, prior=ProbDist(("x", "y"), [0.5, 0.5])
             )
 
+    @pytest.mark.parametrize("prior", [ProbDist(("a", "b"), [0.5, 0.5]),
+                                       ProbDist(("0", "1", "2"), [0.4, 0.4, 0.2])],
+                             ids=["other symbols", "extra symbol"])
+    def test_prior_over_other_symbols_meets_the_channel(self, prior):
+        # a bare ValueError from ProbDist.prob, or an average projector of a
+        # "mean state" of trace 0.8
+        cb = Codebook(n=2, codewords=(("0", "1"), ("1", "0")), prior=prior)
+        for build in (projector_set, square_root_measurement):
+            with pytest.raises(SchemaError, match="prior must be over the channel input alphabet"):
+                build(builtin("bb84_p2p"), cb, 0.4)
+
+    def test_prior_in_another_order_is_the_same_prior(self):
+        ch = builtin("bb84_p2p")
+        words = (("0", "1"), ("1", "1"))
+        ordered = Codebook(n=2, codewords=words, prior=ProbDist(("0", "1"), [0.3, 0.7]))
+        swapped = Codebook(n=2, codewords=words, prior=ProbDist(("1", "0"), [0.7, 0.3]))
+        a, b = projector_set(ch, ordered, 0.4), projector_set(ch, swapped, 0.4)
+        assert np.array_equal(a.average_columns, b.average_columns)
+
 
 class TestTypicalProjector:
     def test_pure_state_rank_one(self):
@@ -243,7 +262,7 @@ class TestProjectorSet:
                 srm_error_sweep(ch, 0.6, (3,), delta, (0,))
             with pytest.raises(SchemaError):
                 cond_typical_projector(ch, ("a", "b"), delta)
-        with pytest.raises(SchemaError, match="'z' is not a channel input"):
+        with pytest.raises(SchemaError, match=r"no output for input \('z',\)"):
             projector_set(ch, Codebook(n=2, codewords=(("a", "z"),)), 0.3)
         with pytest.raises(SchemaError):
             projector_set(builtin("bb84_qmac"), cb, 0.3)
@@ -368,6 +387,19 @@ class TestSquareRootMeasurement:
             hn_diagnostic(ch, short, projs)
         with pytest.raises(SchemaError, match="dimension 16, codewords on 4"):
             square_root_measurement(ch, short, 0.4, projs=projs)
+
+    def test_stages_reject_the_wrong_stage_type(self):
+        # an SrmPovm where projectors belong once raised an AttributeError
+        ch = builtin("bb84_p2p")
+        cb = Codebook.random(("0", "1"), 4, 0.6, seed=1)
+        povm = square_root_measurement(ch, cb, 0.4)
+        with pytest.raises(SchemaError, match="^hn_diagnostic reads a ProjectorSet, got SrmPovm$"):
+            hn_diagnostic(ch, cb, povm)
+        with pytest.raises(SchemaError, match="^square_root_measurement reads a ProjectorSet, "
+                                              "got SrmPovm$"):
+            square_root_measurement(ch, cb, 0.4, projs=povm)
+        with pytest.raises(SchemaError, match="^exact_error scores an SrmPovm, got ProjectorSet$"):
+            exact_error(ch, cb, projector_set(ch, cb, 0.4))
 
     def test_relabeling_invariance(self):
         ch = builtin("bb84_p2p")

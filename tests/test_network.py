@@ -295,6 +295,13 @@ class TestMacRegion:
         ):
             assert np.hypot(r1, r2) >= np.hypot(m1, m2) - 1e-9
 
+    def test_union_rejects_a_grid_below_3(self, monkeypatch):
+        # grid 2 visits only deterministic inputs: its union was 0 in every
+        # direction, where grid 3 reaches 0.6009
+        monkeypatch.setattr(network, "joint_state", lambda *args: pytest.fail("state built"))
+        with pytest.raises(SchemaError, match="grid 2 < 3"):
+            mac_region_union(builtin("bb84_qmac"), grid=2)
+
     def test_union_monotone_in_grid(self):
         ch = builtin("bb84_qmac")
         coarse = mac_region_union(ch, grid=3)
@@ -773,6 +780,20 @@ def test_entry_point_rejects_wrong_kind_and_channel(name):
         for other in dists.keys() - {kind}:
             with pytest.raises(SchemaError):
                 fn(right[channel], dists[other])
+
+
+def test_two_output_kinds_share_one_rule():
+    # bb84_p2p has the broadcast channel's one input and bb84_qmac the relay
+    # channel's two, but each has one output
+    p2p, qmac = builtin("bb84_p2p"), builtin("bb84_qmac")
+    cases = [(superposition_region, p2p, random_superposition_distribution(p2p, 1)),
+             (marton_region, p2p, random_marton_distribution(p2p, 1)),
+             (relay_pdf_rate, qmac, random_relay_distribution(qmac, 1))]
+    for fn, ch, dist in cases:
+        with pytest.raises(SchemaError) as err:
+            fn(ch, dist)
+        assert str(err.value) == (f"a {dist.kind} distribution needs a two-output channel,"
+                                  " got 1 output(s)")
 
 
 def test_alphabets_recorded_at_construction():
