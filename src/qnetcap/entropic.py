@@ -8,15 +8,17 @@ marginalize the table directly instead of building any matrix.
 
 Entropies are stacked eigensolves: each H(S) forms every group block
 sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
-of G tables sharing the conditional states, and diagonalizes them in one
-``np.linalg.eigvalsh`` call.  Reduced blocks are computed once per quantum
-subset and kept on the state.  Only user input (``ProbDist``, the table given
-to ``LabeledCqState``, a transition matrix) is validated, each by the one
-probability rule of ``_probabilities``; intermediates are plain arrays.
+of G tables sharing the conditional states (``LabeledCqState.on_tables``),
+and diagonalizes them in one ``np.linalg.eigvalsh`` call.  Reduced blocks are
+computed once per quantum subset and kept on the state.  Only user input
+(``ProbDist``, the table given to ``LabeledCqState``, a transition matrix) is
+validated, each by the one probability rule of ``_probabilities``;
+intermediates are plain arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -140,7 +142,8 @@ class LabeledCqState:
 
     The table is held as arrays in its own row order (the register symbol
     indices, probabilities and conditional matrices of each row), plus one
-    zero row that pads classical groups of unequal size.
+    zero row that pads classical groups of unequal size.  ``on_tables`` gives
+    the same state under a stack of G tables, whose entropies are arrays.
     """
 
     def __init__(self, registers, table, quantum_names):
@@ -181,7 +184,7 @@ class LabeledCqState:
         self.dims = dims
         d = int(np.prod(dims))
         self._codes = np.array(codes, dtype=np.intp).reshape(len(codes), -1)
-        self._probs = np.append(probs, 0.0)[None]
+        self._probs = np.append(probs, 0.0)
         self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
         self._slots = {}
         self._reduced = {}
@@ -218,56 +221,59 @@ class LabeledCqState:
             self._reduced[key] = reduce_blocks(self._blocks, self.dims, key)
         return self._reduced[key]
 
-    def entropy(self, names, probs=None):
-        """Joint entropy H(S) of any mix of classical and quantum names, bits.
+    def on_tables(self, probs) -> "LabeledCqState":
+        """This state under a stack of G probability tables of shape
+        (G, |A1|, ..., |Ak|) in place of its own, sharing its conditional
+        states, row groups and reduced blocks; entries at tuples missing from
+        the table are ignored.  Its ``entropy`` returns arrays of G values,
+        kept on the stack like a state's."""
+        probs = np.asarray(probs, dtype=float)
+        stack = copy.copy(self)
+        stack._probs = np.zeros((len(probs), len(self._codes) + 1))
+        stack._probs[:, :-1] = probs[(slice(None),) + tuple(self._codes.T)]
+        stack._entropies = {}
+        return stack
 
-        With ``probs``, a stack of G probability tables of shape
-        (G, |A1|, ..., |Ak|) that replace the state's own probabilities and
-        share its conditional states, returns the G entropies as an array.
-        Entries of ``probs`` at tuples missing from the table are ignored.
+    def entropy(self, names):
+        """Joint entropy H(S) of any mix of classical and quantum names, bits.
 
         H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
         classical group c are summed in table order, and all group blocks go
-        through one stacked eigensolve.  Without ``probs`` each subset is
-        evaluated once per state and its value kept.
+        through one stacked eigensolve.  Each subset is evaluated once per
+        state and its value kept, and a subset with quantum names also keeps
+        the H(p_C) of its classical names C that it computes on the way.
         """
         classical, quantum = self._split(names)
-        if probs is None:
-            key = (tuple(classical), tuple(quantum))
-            if key in self._entropies:
-                return self._entropies[key]
-            rows = self._probs
-        else:
-            probs = np.asarray(probs, dtype=float)
-            rows = np.zeros((len(probs), len(self._codes) + 1))
-            rows[:, :-1] = probs[(slice(None),) + tuple(self._codes.T)]
+        key = (tuple(classical), tuple(quantum))
+        if key in self._entropies:
+            return self._entropies[key]
         slots = self._group_slots(classical)
-        members = rows[:, slots]  # (G, groups, members)
+        members = self._probs[..., slots]  # ([G,] groups, members)
         # cumulative sums keep the table-order accumulation of a row loop
         weights = members.cumsum(axis=-1)[..., -1]
         h = _entropy_bits(weights)
         if quantum:
+            self._entropies[key[0], ()] = h if h.ndim else float(h)
             blocks = self._reduced_blocks(quantum)[slots]
-            mixed = (members[..., None, None] * blocks).cumsum(axis=2)[:, :, -1]
+            mixed = (members[..., None, None] * blocks).cumsum(axis=-3)[..., -1, :, :]
             live = weights > 0.0
             pc = weights[live]
             spectra = np.linalg.eigvalsh(mixed[live] / pc[:, None, None])
             terms = np.zeros(weights.shape)
             terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
-            h = terms.cumsum(axis=-1)[:, -1] + h
-        if probs is not None:
-            return h
-        self._entropies[key] = float(h[0])
+            h = terms.cumsum(axis=-1)[..., -1] + h
+        self._entropies[key] = h if h.ndim else float(h)
         return self._entropies[key]
 
 
-def conditional_mutual_information(state: LabeledCqState, a, b, c=(), probs=None):
-    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), in bits.
+def conditional_mutual_information(state: LabeledCqState, a, b, c=()):
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), in bits, an array on a
+    stack of tables (``LabeledCqState.on_tables``).
 
     A and C must be classical register names; B may mix classical registers
     and quantum subsystem labels.  With C empty this is the plain mutual
-    information I(A;B).  ``probs`` is a stack of probability tables as in
-    ``LabeledCqState.entropy``; with it the result is an array.
+    information I(A;B).  H(C) comes last, so it is read from what H(BC) kept
+    when B is quantum.
     """
     a, b, c = set(a), set(b), set(c)
     if (a & b) or (a & c) or (b & c):
@@ -275,12 +281,11 @@ def conditional_mutual_information(state: LabeledCqState, a, b, c=(), probs=None
     quantum = set(state.quantum_names)
     if a & quantum or c & quantum:
         raise InvariantError("A and C must be classical register sets")
-    h_c = state.entropy(c, probs) if c else 0.0
     return (
-        state.entropy(a | c, probs)
-        + state.entropy(b | c, probs)
-        - state.entropy(a | b | c, probs)
-        - h_c
+        state.entropy(a | c)
+        + state.entropy(b | c)
+        - state.entropy(a | b | c)
+        - (state.entropy(c) if c else 0.0)
     )
 
 

@@ -6,9 +6,10 @@ parts, its deterministic input maps and its structure (factors in sampling
 order, register order, how each channel input is read).  Every network rate
 bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``; each region
 names its terms and rows as data, and one evaluator, ``_terms``, computes
-every term, on one state or on a stack of grid tables; the entropies a
-state keeps are the only cache.  The five ``random_*_distribution``
-generators are one seeded draw that walks the same layout.
+every term on one state, which may be a stack of grid tables
+(``LabeledCqState.on_tables``); the entropies a state keeps are the only
+cache.  The five ``random_*_distribution`` generators are one seeded draw
+that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same
 system; broadcast and relay ones need two outputs (``_TWO_OUTPUT_KINDS``).
@@ -279,16 +280,16 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
 p2p_state = mac_state = cts_state = hk_state = cmg_state = superposition_state = marton_state = relay_state = joint_state  # noqa: E501
 
 
-def _terms(st: LabeledCqState, ch: CqChannel, terms: dict, probs=None) -> dict:
+def _terms(st: LabeledCqState, ch: CqChannel, terms: dict) -> dict:
     """Each unclamped I(A;B|C) of ``terms`` (name -> (A, B, C), register and
     output names separated by spaces, B1 and B2 standing for receivers 1 and
-    2) on ``st``, or on each table of the stack ``probs``.  A repeated term
-    re-reads the entropies ``st`` keeps."""
+    2) on ``st``: a float per term, or an array on a stack of tables.  A
+    repeated term re-reads the entropies ``st`` keeps."""
     receivers = dict(zip(("B1", "B2"), _receiver_names(ch)))
     out = {}
     for name, spec in terms.items():
         a, b, c = (frozenset(receivers.get(n, n) for n in part.split()) for part in spec)
-        out[name] = conditional_mutual_information(st, a, b, c, probs=probs)
+        out[name] = conditional_mutual_information(st, a, b, c)
     return out
 
 
@@ -303,18 +304,19 @@ def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict)
     return {n: clamp_information(v) for n, v in _terms(joint_state(ch, dist), ch, terms).items()}
 
 
-def _grid_terms(ch: CqChannel, terms: dict, grid: int):
-    """``_terms`` at every product input distribution of a two-input
-    channel's simplex grid, one dict of arrays per ``_grid_pairs`` chunk; the
-    stacked tables share the conditional states of the uniform one.  A grid
-    below 3, which visits only deterministic inputs, is a SchemaError."""
+def _grid_states(ch: CqChannel, grid: int):
+    """The product input distributions of a two-input channel's simplex
+    grid, one stacked state (``LabeledCqState.on_tables``) per
+    ``_grid_pairs`` chunk, each sharing the conditional states of the
+    uniform one; ``_terms`` on a stack computes each entropy once per chunk.
+    A grid below 3, which visits only deterministic inputs, is a SchemaError."""
     if grid < 3:
         raise SchemaError(f"grid {grid} < 3 visits only deterministic inputs, "
                           "where every information is 0")
     a1, a2 = input_pair(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
     for probs in _grid_pairs(len(a1), len(a2), grid):
-        yield _terms(st, ch, terms, probs)
+        yield st.on_tables(probs)
 
 
 def _rows(values: dict, rows) -> list:
@@ -444,7 +446,8 @@ def mac_region_union(ch: CqChannel, grid: int = 21):
     coeffs = np.array([c for c, _ in _MAC_ROWS], dtype=float)
     thetas = np.linspace(0.0, np.pi / 2, _MAC_ANGLES)
     radii = np.zeros(_MAC_ANGLES)
-    for t in _grid_terms(ch, _MAC_TERMS, grid):
+    for st in _grid_states(ch, grid):
+        t = _terms(st, ch, _MAC_TERMS)
         bounds = np.stack([b for _, b in _rows(t, _MAC_ROWS)], axis=1)
         radii = np.maximum(radii, radial_extents(coeffs, clamp_information(bounds),
                                                  thetas).max(axis=0))
@@ -485,12 +488,13 @@ def successive_decoding_corners(ch: CqChannel, p1: ProbDist, p2: ProbDist) -> di
 def vsi_check(ch: CqChannel, grid: int = 21) -> bool:
     """Whether cross observations dominate: I(X1;B1|X2) <= I(X1;B2) and
     I(X2;B2|X1) <= I(X2;B1), within INFO_CLAMP, for every product input
-    distribution on the grid (>= 3, see ``_grid_terms``)."""
-    terms = {n: _CORNER_TERMS[n] for n in ("X1;B1|X2", "X1;B2", "X2;B2|X1", "X2;B1")}
-    for i in _grid_terms(ch, terms, grid):
-        if (np.any(i["X1;B1|X2"] > i["X1;B2"] + INFO_CLAMP)
-                or np.any(i["X2;B2|X1"] > i["X2;B1"] + INFO_CLAMP)):
-            return False
+    distribution on the grid (>= 3, see ``_grid_states``).  Each chunk
+    checks the two (own, cross) pairs in turn and stops at a violation."""
+    for st in _grid_states(ch, grid):
+        for own, cross in (("X1;B1|X2", "X1;B2"), ("X2;B2|X1", "X2;B1")):
+            i = _terms(st, ch, {n: _CORNER_TERMS[n] for n in (own, cross)})
+            if np.any(i[own] > i[cross] + INFO_CLAMP):
+                return False
     return True
 
 

@@ -47,6 +47,9 @@ REGION_ARTIFACTS = {
 }
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -283,6 +286,20 @@ class TestRegion:
         for line in lines[1:]:
             theta, r1, r2 = map(float, line.split(","))
             assert 0.0 <= r1 and 0.0 <= r2
+
+    # the exact bytes of a grid union's stdout or --out file; a platform
+    # whose bytes differ is a finding to report, not a tolerance to add
+    @pytest.mark.parametrize("argv, golden", [
+        ("--builtin bb84_qmac --grid 21", "region_mac_bb84_qmac_grid21.txt"),
+        ("--builtin theta_swap(1.2) --grid 11 --out union.csv",
+         "region_mac_theta_swap_grid11.csv"),
+    ])
+    def test_mac_union_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "region", "mac", *argv.split())
+        assert code == 0
+        got = (tmp_path / "union.csv").read_bytes() if "--out" in argv else out.encode()
+        assert got == (GOLDEN / golden).read_bytes()
 
     def test_vsi_pi_half_origin(self, capsys):
         code, out, _ = run(capsys, "region", "vsi", "--builtin",

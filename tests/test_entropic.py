@@ -347,8 +347,9 @@ class TestStackedParity:
         st = LabeledCqState(
             registers, {key: (1 / 6, rho) for key, rho in states.items()}, names
         )
+        stacked_st = st.on_tables(stack)
         for subset in all_subsets(["X", "Y", "B1", "B2"]):
-            stacked = st.entropy(subset, probs=stack)
+            stacked = stacked_st.entropy(subset)
             for g in range(len(stack)):
                 table = {key: (stack[g][key], rho) for key, rho in states.items()}
                 expect = loop_entropy(registers, table, names, subset)
@@ -373,3 +374,38 @@ class TestEntropyMemo:
         monkeypatch.undo()
         fresh = [LabeledCqState(*args).entropy(subset) for subset in subsets]
         assert first == again == fresh
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_classical_part_kept_on_the_way_is_exact(self, monkeypatch, stacked):
+        rng = np.random.default_rng(15)
+        keys = list(itertools.product((0, 1), (0, 1, 2)))
+        weights = rng.dirichlet(np.ones(len(keys)))
+        table = {key: (w, rand_two_part(rng, 2, 2)) for key, w in zip(keys, weights)}
+        args = ([("X", (0, 1)), ("Y", (0, 1, 2))], table, ("B1", "B2"))
+        stack = rng.dirichlet(np.ones(len(keys)), size=4).reshape(4, 2, 3)
+        stack[1, 0] = 0.0
+        stack[1] /= stack[1].sum()
+
+        def state():
+            st = LabeledCqState(*args)
+            return st.on_tables(stack) if stacked else st
+
+        subsets = all_subsets(["X", "Y", "B1", "B2"])
+        classical = [s for s in subsets if not s & {"B1", "B2"}]
+        st = state()
+        for subset in subsets:
+            if subset & {"B1", "B2"}:
+                st.entropy(subset)
+        calls = []
+        real_eig, real_group = np.linalg.eigvalsh, LabeledCqState._group_slots
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or real_eig(m))
+        monkeypatch.setattr(LabeledCqState, "_group_slots",
+                            lambda self, c: calls.append(c) or real_group(self, c))
+        kept = [st.entropy(subset) for subset in classical]
+        assert not calls
+        monkeypatch.undo()
+        fresh = [state().entropy(subset) for subset in classical]
+        if stacked:
+            assert [h.tobytes() for h in kept] == [h.tobytes() for h in fresh]
+        else:
+            assert kept == fresh and all(type(h) is float for h in kept)

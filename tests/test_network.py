@@ -199,10 +199,10 @@ class TestHswCapacity:
         st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
         b = set(ch.output_names)
         chi = conditional_mutual_information(
-            st, {"X"}, b, probs=res.distribution.weights[None])
+            st.on_tables(res.distribution.weights[None]), {"X"}, b)
         assert abs(res.value - chi[0]) <= 1e-12
         grid = np.array(list(simplex_grid(len(alphabet), 11)))
-        best = conditional_mutual_information(st, {"X"}, b, probs=grid).max()
+        best = conditional_mutual_information(st.on_tables(grid), {"X"}, b).max()
         assert res.value >= best - 1e-9
 
     def test_bb84_value(self):
@@ -468,15 +468,19 @@ class TestHkRegion:
     def test_each_distinct_entropy_diagonalized_once(self, monkeypatch):
         real_cmi, terms = network.conditional_mutual_information, []
 
-        def recorded(st, a, b, c=(), probs=None):
-            terms.append((set(a), set(b), set(c)))
-            return real_cmi(st, a, b, c, probs=probs)
+        def recorded(st, a, b, c=()):
+            terms.append((st, set(a), set(b), set(c)))
+            return real_cmi(st, a, b, c)
 
         real_eig, solves = np.linalg.eigvalsh, []
 
         def counted(m):
             solves.append(len(m))
             return real_eig(m)
+
+        def quantum(recorded):
+            # B holds the quantum outputs: H(BC) and H(ABC) need an eigensolve
+            return {frozenset(s) for _, a, b, c in recorded for s in (b | c, a | b | c)}
 
         ch, qmac = theta_swap(1.2), bb84_qmac()
         # on bb84_qmac both receivers read B, so corner and sum terms repeat
@@ -485,15 +489,43 @@ class TestHkRegion:
             (si_capacity, qmac, uniform_no_ts()),
             (successive_decoding_corners, qmac, UNIF2, UNIF2),
         ]
+        # the grid sweeps run in several chunks, one stacked state each
+        inside, outside = theta_swap(1.5), theta_swap(0.5)
+        sweeps = [
+            (vsi_check, inside, 11, True),
+            (mac_region_union, qmac, 11, None),
+            # grid 3: the first chunk's first (own, cross) pair already fails
+            (vsi_check, outside, 3, False),
+        ]
         monkeypatch.setattr(network, "conditional_mutual_information", recorded)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(network, "_GRID_CHUNK", 7)
         for region, *args in cases:
             terms.clear()
             solves.clear()
             region(*args)
-            # B holds the quantum outputs: H(BC) and H(ABC) need an eigensolve
-            quantum = {frozenset(s) for a, b, c in terms for s in (b | c, a | b | c)}
-            assert len(solves) == len(quantum) < 2 * len(terms)
+            assert len(solves) == len(quantum(terms)) < 2 * len(terms)
+        per_chunk = {}
+        for sweep, sweep_ch, grid, verdict in sweeps:
+            terms.clear()
+            solves.clear()
+            result = sweep(sweep_ch, grid=grid)
+            chunks = {}
+            for term in terms:
+                chunks.setdefault(id(term[0]), []).append(term)
+            subsets = [quantum(chunk) for chunk in chunks.values()]
+            assert len(solves) == sum(map(len, subsets))
+            if verdict is False:
+                # stopped in its first chunk, after the first pair's subsets
+                assert result is False and len(chunks) == 1 and len(terms) == 2
+                assert subsets[0] < per_chunk[vsi_check]
+                continue
+            total = len(list(network._grid_pairs(*map(len, sweep_ch.input_alphabets), grid)))
+            assert len(chunks) == total > 1 and subsets == [subsets[0]] * total
+            assert len(solves) == total * len(subsets[0])
+            assert len(subsets[0]) < 2 * len(terms) // total
+            assert verdict is None or result is verdict
+            per_chunk[sweep] = subsets[0]
 
     def test_contains_successive_decoding_corners(self):
         ch = builtin("theta_swap(1.2)")
@@ -943,7 +975,7 @@ class TestStackedSweeps:
         st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
         loop = {}
         for key, (a, b, c) in specs.items():
-            stacked = conditional_mutual_information(st, a, b, c, probs=stack)
+            stacked = conditional_mutual_information(st.on_tables(stack), a, b, c)
             loop[key] = np.array(
                 [loop_cmi(regs, t, names, a, b, c) for _, _, t in points])
             assert np.max(np.abs(stacked - loop[key])) <= 1e-12, key
@@ -980,7 +1012,7 @@ class TestStackedSweeps:
         names = ch.output_names
         grid = np.array(list(simplex_grid(len(alphabet), 11)))
         st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
-        stacked = conditional_mutual_information(st, {"X"}, set(names), probs=grid)
+        stacked = conditional_mutual_information(st.on_tables(grid), {"X"}, set(names))
         loop = []
         for w in grid:
             table = {(x,): (w[i], ch.output(x)) for i, x in enumerate(alphabet)}
