@@ -36,9 +36,9 @@ could be built.  Each check runs once, at the entry point where its
 input arrives.
 
 One batched builder, ``_typical_columns``, makes every typical
-projector's columns, a codebook's average and conditional ones in one
-pass; ``srm_error_sweep`` diagonalises each input letter's output state
-once per sweep and each codebook's mean output state once.
+projector's columns; ``srm_error_sweep`` diagonalises each input
+letter's and the prior's mean output state once per sweep, and builds
+one average projector per blocklength for every seed's codebook.
 
 Conditional typicality is judged against the empirical conditional
 entropy of the actual codeword, not the ensemble average: at n <= 10
@@ -69,7 +69,7 @@ CLASSICAL_CHUNK_BYTES = 2**19
 
 def _check_budget(dim, n, mats):
     """Reject a call that would keep ``mats`` dense dim^n x dim^n matrices
-    beyond the byte budget, before anything is allocated."""
+    beyond the byte budget, before anything is allocated; else their bytes."""
     need = mats * COMPLEX_BYTES * dim ** (2 * n)
     if need > DENSE_BUDGET_BYTES:
         raise SchemaError(
@@ -77,6 +77,7 @@ def _check_budget(dim, n, mats):
             f"{dim}^{n} x {dim}^{n} matrices, {need / 2**30:.3g} GiB; "
             f"the budget is {DENSE_BUDGET_BYTES / 2**30:.3g} GiB"
         )
+    return need
 
 
 def _srm_matrices(m_count):
@@ -135,15 +136,21 @@ class Codebook:
         The same seed always reproduces the same codebook.
         """
         alphabet = tuple(str(s) for s in alphabet)
-        if prior is None:
-            prior = ProbDist.uniform(alphabet)
-        if tuple(prior.symbols) != alphabet:
-            raise SchemaError("prior must be over the channel input alphabet")
+        prior = _draw_prior(alphabet, prior)
         rng = np.random.default_rng(seed)
         draws = rng.choice(len(alphabet), size=(message_count(n, rate), n),
                            p=prior.weights)
         words = tuple(tuple(alphabet[i] for i in row) for row in draws)
         return cls(n=n, codewords=words, prior=prior)
+
+
+def _draw_prior(alphabet, prior):
+    """``prior``, uniform when None; a SchemaError unless over ``alphabet``."""
+    if prior is None:
+        prior = ProbDist.uniform(alphabet)
+    if tuple(prior.symbols) != alphabet:
+        raise SchemaError("prior must be over the channel input alphabet")
+    return prior
 
 
 def _spectrum(entries):
@@ -336,36 +343,39 @@ def _codebook_frequencies(ch, codebook):
     return ProbDist(alphabet, [counts[s] / total for s in alphabet])
 
 
-def _decoder_columns(ch, codebook, delta, spectra):
-    """Orthonormal columns of the average typical projector and of each
-    codeword's conditional typical projector, given ``spectra`` of at
-    least the codeword symbols, from one ``_typical_columns`` pass.
+def _mean_spectrum(ch, freq):
+    return _spectrum(sum(freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]))
 
-    The average projector is the typical projector of the mean output
-    state under the codebook's prior (or its empirical symbol
-    frequencies when no prior is recorded), centred on its own entropy;
-    each codeword's is centred on the mean entropy of its symbols.
+
+def _decoder_columns(codebooks, spectra, mean, delta):
+    """Orthonormal columns of the average typical projector that codebooks
+    of one blocklength share, and per codebook those of each codeword's
+    conditional typical projector, from one ``_typical_columns`` pass.
+
+    The average projector is that of the mean output state, whose
+    ``_spectrum`` is ``mean``, centred on its own entropy; each
+    codeword's is centred on the mean entropy of its symbols, given
+    ``spectra`` of at least the codeword symbols.
     """
-    freq = _codebook_frequencies(ch, codebook)
-    mean = _spectrum(sum(
-        freq.prob(x) * ch.output(x).entries for x in ch.input_alphabets[0]
-    ))
     states = [mean, *spectra.values()]
     index = {x: i for i, x in enumerate(spectra, 1)}
-    words = np.array([[0] * codebook.n] + [[index[x] for x in w] for w in codebook.codewords])
+    words = np.array([[0] * codebooks[0].n]
+                     + [[index[x] for x in w] for cb in codebooks for w in cb.codewords])
     entropies = np.array([s[2] for s in states])
     centers = np.concatenate([[mean[2]], np.mean(entropies[words[1:]], axis=1)])
     avg, *cols = _typical_columns(states, words, centers, delta)
-    return avg, tuple(cols)
+    edges = np.cumsum([0] + [cb.M for cb in codebooks])
+    return avg, [tuple(cols[a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def projector_set(ch, codebook, delta):
-    """Build the decoder's projectors for a codebook (see
-    ``_decoder_columns`` for the average projector).  A codeword symbol the
-    channel has no output for is a SchemaError from ``CqChannel.output``."""
+    """Build the decoder's projectors for a codebook, the average one from
+    the mean output state under ``_codebook_frequencies``.  A codeword symbol
+    the channel has no output for is a SchemaError from ``CqChannel.output``."""
     _check_decoder_args(ch, delta)
     _check_budget(ch.output_dim, codebook.n, codebook.M + 1)
-    avg, cols = _decoder_columns(ch, codebook, delta, _codeword_spectra(ch, codebook))
+    avg, (cols,) = _decoder_columns([codebook], _codeword_spectra(ch, codebook),
+                                    _mean_spectrum(ch, _codebook_frequencies(ch, codebook)), delta)
     return ProjectorSet(avg, cols)
 
 
@@ -585,34 +595,39 @@ def srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior=None):
     """Exact error and diagnostic rows over blocklengths and seeds.
 
     Returns (n, R, seed, delta, exact_error, hn_bound) tuples in sweep
-    order, one per (blocklength, seed) pair.  Each row comes from the
+    order, one per (blocklength, seed) pair; each blocklength and seed
+    must be a whole number (SchemaError).  Each row comes from the
     projector columns alone: the hit Tr[Lambda_m rho_m] is the sum over
     B_m's columns of b^dagger rho_m b, so no projector, S, POVM element
     or word state is formed.
+
+    All codebooks share the prior's mean output state, diagonalised once,
+    and per blocklength its average projector: each ``_decoder_columns``
+    pass serves as many seeds as the budget admits at one SRM's need.
     """
     _check_decoder_args(ch, delta)
+    blocklengths = tuple(whole_number(n, "blocklength") for n in blocklengths)
+    seeds = tuple(whole_number(s, "seed") for s in seeds)
     alphabet = ch.input_alphabets[0]
+    prior = _draw_prior(alphabet, prior)
     # reject the whole sweep before computing anything
-    for n in blocklengths:
-        _check_budget(ch.output_dim, n, _srm_matrices(message_count(n, rate)))
+    need = {n: _check_budget(ch.output_dim, n, _srm_matrices(message_count(n, rate)))
+            for n in blocklengths}
     spectra = _symbol_spectra(ch, alphabet)
+    mean = _mean_spectrum(ch, prior)
     rows = []
     for n in blocklengths:
-        for seed in seeds:
-            cb = Codebook.random(alphabet, n, rate, seed, prior)
-            avg, cols = _decoder_columns(ch, cb, delta, spectra)
-            w, edges = _detection_columns(avg, cols)
-            b, _, _ = _srm_factors(w)
-            rows.append(
-                (
-                    n,
-                    rate,
-                    seed,
-                    delta,
-                    _factor_error(spectra, cb.codewords, np.split(b, edges[1:-1], axis=1)),
-                    _hn_bound(ch, spectra, cb.codewords, w, edges),
-                )
-            )
+        group = DENSE_BUDGET_BYTES // need[n]
+        for start in range(0, len(seeds), group):
+            part = seeds[start:start + group]
+            books = [Codebook.random(alphabet, n, rate, seed, prior) for seed in part]
+            avg, col_sets = _decoder_columns(books, spectra, mean, delta)
+            for seed, cb, cols in zip(part, books, col_sets):
+                w, edges = _detection_columns(avg, cols)
+                b, _, _ = _srm_factors(w)
+                rows.append((n, rate, seed, delta,
+                             _factor_error(spectra, cb.codewords, np.split(b, edges[1:-1], axis=1)),
+                             _hn_bound(ch, spectra, cb.codewords, w, edges)))
     return rows
 
 

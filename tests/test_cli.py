@@ -609,6 +609,20 @@ class TestSim:
         assert lines[0] == "n,R,seed,delta,exact_error,hn_bound"
         assert len(lines) == 1 + 4 * 2
 
+    # the exact bytes of the README sweep's stdout and of the srm demo's
+    # --out file, so a faster sweep must reproduce every digit
+    @pytest.mark.parametrize("argv, golden", [
+        ("--param 0.3 --delta 0.4 --seed 0", "sim_quantum_bb84_p2p_r0.3.txt"),
+        ("--param 0.3 20 --delta 0.4 --seed 0 --out s.csv",
+         "sim_quantum_bb84_p2p_r0.3_seeds20.csv"),
+    ])
+    def test_quantum_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p", *argv.split())
+        assert code == 0
+        got = (tmp_path / "s.csv").read_bytes() if "--out" in argv else out.encode()
+        assert got == (GOLDEN / golden).read_bytes()
+
     def test_quantum_budget_violation(self, capsys, tmp_path):
         # one dense 4^8 x 4^8 matrix alone exceeds the byte budget
         rng = np.random.default_rng(0)

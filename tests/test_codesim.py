@@ -785,8 +785,117 @@ class TestBatchedColumns:
 
         monkeypatch.setattr(codesim, "np", _Proxy(np, linalg=_Proxy(np.linalg, eigh=eigh)))
         rows = srm_error_sweep(ch, 0.6, (2, 3, 5), 0.4, range(4))
-        # one per input letter, then one per codebook for its mean output state
-        assert len(shapes) == len(ch.input_alphabets[0]) + len(rows) == 14
+        assert len(rows) == 12
+        # one per input letter, then one for the prior's mean output state
+        assert len(shapes) == len(ch.input_alphabets[0]) + 1 == 3
+
+
+# (channel, rate, width, prior) of sweeps whose average projectors are
+# partial, all typical (the maximally mixed mean of a prior on "b") and
+# empty (no sequence is 0.2-typical for diag(0.9, 0.1)), as in
+# TestDenseParity.test_all_typical_and_empty_windows
+SHARED_AVERAGE_CASES = [
+    (builtin("bb84_p2p"), 0.6, 0.4, None),
+    (builtin("bb84_p2p"), 0.6, 0.4, ProbDist(("0", "1"), [0.8, 0.2])),
+    (mixed_channel(), 0.6, 0.4, None),
+    (mixed_channel(), 0.6, 0.25, ProbDist(("a", "b"), [0.3, 0.7])),
+    (mixed_channel(), 0.6, 0.01, ProbDist(("a", "b"), [0.0, 1.0])),
+    (mixed_channel(), 0.6, 0.01, None),
+    (mixed_channel(), 0.6, 0.2, ProbDist(("a", "b"), [1.0, 0.0])),
+]
+SHARED_AVERAGE_IDS = ["bb84", "bb84-skewed", "mixed", "mixed-skewed", "mixed-all-typical",
+                      "mixed-narrow", "mixed-empty"]
+
+
+class TestSharedAverageColumns:
+    """The sweep builds one average projector per blocklength, with the
+    conditional columns of a group of seeds' codebooks in the same pass;
+    every row is the one the one-codebook path gives, bit for bit."""
+
+    @pytest.mark.parametrize("ch, rate, delta, prior", SHARED_AVERAGE_CASES,
+                             ids=SHARED_AVERAGE_IDS)
+    def test_rows_are_the_one_codebook_rows(self, ch, rate, delta, prior):
+        blocklengths, seeds = range(1, 7), range(4)
+        rows = srm_error_sweep(ch, rate, blocklengths, delta, seeds, prior)
+        assert rows == [row for n in blocklengths for seed in seeds
+                        for row in srm_error_sweep(ch, rate, (n,), delta, (seed,), prior)]
+        alphabet = ch.input_alphabets[0]
+        for n, r, seed, d, err, hn in rows:
+            cb = Codebook.random(alphabet, n, rate, seed, prior)
+            projs = projector_set(ch, cb, delta)
+            assert err == exact_error(ch, cb, square_root_measurement(ch, cb, delta, projs=projs))
+            assert hn == hn_diagnostic(ch, cb, projs)
+
+    def test_cases_reach_every_window(self):
+        kinds = set()
+        for ch, rate, delta, prior in SHARED_AVERAGE_CASES:
+            for n in range(1, 7):
+                cb = Codebook.random(ch.input_alphabets[0], n, rate, 0, prior)
+                d = ch.output_dim**n
+                projs = projector_set(ch, cb, delta)
+                for v in (projs.average_columns, *projs.columns):
+                    r = v.shape[1]
+                    kinds.add("empty" if r == 0 else "all typical" if r == d else "partial")
+        assert kinds == {"empty", "all typical", "partial"}
+
+    @pytest.mark.parametrize("ch, rate, delta, prior", SHARED_AVERAGE_CASES,
+                             ids=SHARED_AVERAGE_IDS)
+    def test_budget_groups_keep_the_rows(self, ch, rate, delta, prior, monkeypatch):
+        import qnetcap.codesim as codesim
+
+        passes = []
+        build = codesim._decoder_columns
+
+        def counted(codebooks, *args):
+            passes.append(len(codebooks))
+            return build(codebooks, *args)
+
+        seeds = range(5)
+        for n in range(1, 7):
+            want = srm_error_sweep(ch, rate, (n,), delta, seeds, prior)
+            need = (codesim._srm_matrices(message_count(n, rate)) * codesim.COMPLEX_BYTES
+                    * ch.output_dim ** (2 * n))
+            for per_pass in (1, 2):
+                with monkeypatch.context() as patch:
+                    patch.setattr(codesim, "DENSE_BUDGET_BYTES", per_pass * need)
+                    patch.setattr(codesim, "_decoder_columns", counted)
+                    passes.clear()
+                    assert srm_error_sweep(ch, rate, (n,), delta, seeds, prior) == want
+                assert passes == [per_pass] * (5 // per_pass) + [1] * (5 % per_pass)
+
+
+class TestSweepArguments:
+    """The sweep reads ``blocklengths`` and ``seeds`` once, as whole numbers."""
+
+    def test_generator_seeds(self):
+        ch = mixed_channel()
+        rows = srm_error_sweep(ch, 0.6, [2, 4], 0.4, (s for s in range(3)))
+        assert rows == srm_error_sweep(ch, 0.6, [2, 4], 0.4, [0, 1, 2])
+        assert [r[:3] for r in rows] == [(n, 0.6, s) for n in (2, 4) for s in range(3)]
+
+    def test_generator_blocklengths(self):
+        ch = mixed_channel()
+        rows = srm_error_sweep(ch, 0.6, (n for n in [2, 4]), 0.4, [0, 1])
+        assert rows == srm_error_sweep(ch, 0.6, [2, 4], 0.4, [0, 1])
+        assert len(rows) == 4
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(SchemaError, match="seed must be a whole number, got 1.5"):
+            srm_error_sweep(mixed_channel(), 0.6, [2], 0.4, [0, 1.5])
+
+    def test_fractional_blocklength_rejected(self):
+        with pytest.raises(SchemaError, match="blocklength must be a whole number, got 2.5"):
+            srm_error_sweep(mixed_channel(), 0.6, [2, 2.5], 0.4, [0])
+
+    def test_empty_sweep_builds_nothing(self, monkeypatch):
+        import qnetcap.codesim as codesim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty sweep built typical columns")
+
+        monkeypatch.setattr(codesim, "_typical_columns", refuse)
+        assert srm_error_sweep(mixed_channel(), 0.6, [], 0.4, range(3)) == []
+        assert srm_error_sweep(mixed_channel(), 0.6, [2, 4], 0.4, []) == []
 
 
 def rotated_state(probs, seed):
