@@ -145,12 +145,15 @@ class Codebook:
 
 
 def _draw_prior(alphabet, prior):
-    """``prior``, uniform when None; a SchemaError unless over ``alphabet``."""
+    """``prior`` with its weights in ``alphabet``'s order, uniform when
+    None; a SchemaError unless its symbols are those of ``alphabet``."""
     if prior is None:
-        prior = ProbDist.uniform(alphabet)
-    if tuple(prior.symbols) != alphabet:
+        return ProbDist.uniform(alphabet)
+    if set(prior.symbols) != set(alphabet):
         raise SchemaError("prior must be over the channel input alphabet")
-    return prior
+    if prior.symbols == alphabet:
+        return prior
+    return ProbDist(alphabet, [prior.prob(x) for x in alphabet])
 
 
 def _spectrum(entries):
@@ -332,9 +335,7 @@ def _codebook_frequencies(ch, codebook):
     """The codebook's prior, over the channel input alphabet, or else its symbol frequencies."""
     alphabet = ch.input_alphabets[0]
     if codebook.prior is not None:
-        if set(codebook.prior.symbols) != set(alphabet):
-            raise SchemaError("prior must be over the channel input alphabet")
-        return codebook.prior
+        return _draw_prior(alphabet, codebook.prior)
     counts = {s: 0 for s in alphabet}
     for w in codebook.codewords:
         for s in w:

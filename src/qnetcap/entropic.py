@@ -9,11 +9,11 @@ marginalize the table directly instead of building any matrix.
 Entropies are stacked eigensolves: each H(S) forms every group block
 sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
 of G tables sharing the conditional states (``LabeledCqState.on_tables``),
-and diagonalizes them in one ``np.linalg.eigvalsh`` call.  Reduced blocks are
-computed once per quantum subset and kept on the state.  Only user input
-(``ProbDist``, the table given to ``LabeledCqState``, a transition matrix) is
-validated, each by the one probability rule of ``_probabilities``;
-intermediates are plain arrays.
+and diagonalizes them in one ``np.linalg.eigvalsh`` call.  A state built as a
+product grid (``network.joint_state``) groups its rows by reshaping; reduced
+blocks are kept per quantum subset.  Only user input (``ProbDist``, the table
+given to ``LabeledCqState``, a transition matrix) is validated, each by the
+one probability rule of ``_probabilities``; intermediates are plain arrays.
 """
 
 from __future__ import annotations
@@ -142,25 +142,23 @@ class LabeledCqState:
 
     The table is held as arrays in its own row order (the register symbol
     indices, probabilities and conditional matrices of each row), plus one
-    zero row that pads classical groups of unequal size.  ``on_tables`` gives
-    the same state under a stack of G tables, whose entropies are arrays.
+    zero row that pads classical groups of unequal size; ``joint_state``
+    hands its arrays to ``_arrays`` directly.  ``on_tables`` gives the same
+    state under a stack of G tables, whose entropies are arrays.
     """
 
     def __init__(self, registers, table, quantum_names):
-        self.registers = tuple((str(n), tuple(a)) for n, a in registers)
-        self.register_names = tuple(n for n, _ in self.registers)
-        self.quantum_names = tuple(str(n) for n in quantum_names)
-        if set(self.register_names) & set(self.quantum_names):
-            raise InvariantError("classical and quantum names overlap")
-        index = [{s: i for i, s in enumerate(a)} for _, a in self.registers]
+        registers = tuple((str(n), tuple(a)) for n, a in registers)
+        quantum_names = tuple(str(n) for n in quantum_names)
+        index = [{s: i for i, s in enumerate(a)} for _, a in registers]
         codes, probs, blocks = [], [], []
         dims = None
         for key, (p, rho) in table.items():
             key = tuple(key)
-            if len(key) != len(self.registers):
+            if len(key) != len(registers):
                 raise InvariantError(
                     f"tuple {key} has {len(key)} symbols for "
-                    f"{len(self.registers)} registers"
+                    f"{len(registers)} registers"
                 )
             try:
                 codes.append([ix[s] for ix, s in zip(index, key)])
@@ -176,19 +174,30 @@ class LabeledCqState:
                 )
             probs.append(float(p))
             blocks.append(rho.entries)
-        if dims is not None and len(dims) != len(self.quantum_names):
+        if dims is not None and len(dims) != len(quantum_names):
             raise InvariantError(
-                f"{len(self.quantum_names)} quantum names for {len(dims)} dims"
+                f"{len(quantum_names)} quantum names for {len(dims)} dims"
             )
         probs = _probabilities(probs, "table probabilities", DERIVED_SUM_TOL)
-        self.dims = dims
+        self._arrays(registers, quantum_names, dims,
+                     np.array(codes, dtype=np.intp).reshape(len(codes), -1), probs, blocks)
+
+    def _arrays(self, registers, quantum_names, dims, codes, probs, blocks, axes=None):
+        """The state of N rows: their symbol indices, probabilities and
+        conditional matrices; ``axes``, if given, names the register of each
+        axis of the product grid whose C-order enumeration is the rows."""
+        self.registers = tuple(registers)
+        self.register_names = tuple(n for n, _ in registers)
+        self.quantum_names = quantum_names
+        if set(self.register_names) & set(self.quantum_names):
+            raise InvariantError("classical and quantum names overlap")
         d = int(np.prod(dims))
-        self._codes = np.array(codes, dtype=np.intp).reshape(len(codes), -1)
+        self.dims = dims
+        self._codes = codes
         self._probs = np.append(probs, 0.0)
         self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
-        self._slots = {}
-        self._reduced = {}
-        self._entropies = {}
+        self._axes = axes
+        self._slots, self._reduced, self._entropies = {}, {}, {}
 
     def _split(self, names):
         names = set(names)
@@ -202,18 +211,27 @@ class LabeledCqState:
     def _group_slots(self, classical) -> np.ndarray:
         """Rows grouped by their symbols on ``classical``: a (groups, members)
         array of row indices, groups in order of first appearance and members
-        in table order, padded with the zero row."""
+        in table order, padded with the zero row; by reshaping a product grid."""
         key = tuple(classical)
         if key not in self._slots:
-            groups: dict[tuple, list] = {}
-            for row, code in enumerate(self._codes[:, key].tolist()):
-                groups.setdefault(tuple(code), []).append(row)
-            width = max(len(rows) for rows in groups.values())
-            slots = np.full((len(groups), width), len(self._codes))
-            for i, rows in enumerate(groups.values()):
-                slots[i, : len(rows)] = rows
-            self._slots[key] = slots
+            if self._axes is None:
+                self._slots[key] = self._row_groups(key)
+            else:  # the kept axes first, each group in sampling order
+                sizes = [len(self.registers[r][1]) for r in self._axes]
+                order = sorted(range(len(sizes)), key=lambda i: self._axes[i] not in key)
+                rows = np.arange(len(self._codes)).reshape(sizes).transpose(order)
+                self._slots[key] = rows.reshape(math.prod(rows.shape[: len(key)]), -1)
         return self._slots[key]
+
+    def _row_groups(self, key) -> np.ndarray:
+        groups: dict[tuple, list] = {}
+        for row, code in enumerate(self._codes[:, key].tolist()):
+            groups.setdefault(tuple(code), []).append(row)
+        width = max(len(rows) for rows in groups.values())
+        slots = np.full((len(groups), width), len(self._codes))
+        for i, rows in enumerate(groups.values()):
+            slots[i, : len(rows)] = rows
+        return slots
 
     def _reduced_blocks(self, quantum) -> np.ndarray:
         key = tuple(quantum)

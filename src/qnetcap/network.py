@@ -4,12 +4,12 @@ channels: point-to-point, multiple access, interference, broadcast, and relay.
 A ``CodeDistribution`` is a random-coding scheme's input distribution: its
 parts, its deterministic input maps and its structure (factors in sampling
 order, register order, how each channel input is read).  Every network rate
-bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``; each region
-names its terms and rows as data, and one evaluator, ``_terms``, computes
-every term on one state, which may be a stack of grid tables
-(``LabeledCqState.on_tables``); the entropies a state keeps are the only
-cache.  The five ``random_*_distribution`` generators are one seeded draw
-that walks the same layout.
+bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``, built as the
+product grid of its factors; each region names its terms and rows as data,
+and one evaluator, ``_terms``, computes every term on one state, which may
+be a stack of grid tables (``LabeledCqState.on_tables``); the entropies a
+state keeps are the only cache.  The five ``random_*_distribution``
+generators are one seeded draw that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same
 system; broadcast and relay ones need two outputs (``_TWO_OUTPUT_KINDS``).
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -231,12 +230,16 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
     ``ch``'s outputs: one row per choice of register symbols, holding its
     probability and the channel output at the inputs those symbols give.
 
-    Rows nest the factors in sampling order.  A channel-input register
-    runs over the channel's alphabet, which its own factor must cover
-    exactly and a joint factor may cover in part; any other register runs
-    over ``dist.alphabets``.  A joint factor runs over its joint symbols and
-    puts its weight on its first register and 1.0 on the others.  A row's
-    probability is the product of its register weights in register order.
+    Rows are the C-order product of the factors' choices, one axis per
+    factor in sampling order.  A channel-input register runs over the
+    channel's alphabet, which its own factor must cover exactly and a joint
+    factor may cover in part; any other register runs over
+    ``dist.alphabets``.  A joint factor (unconditional) runs over its joint
+    symbols and puts its weight on its first register.  Each register's
+    codes and weights, and each row's output, are gathered by the rows'
+    choices; a row's probability multiplies its register weights in
+    register order.  If every factor draws one register, the state keeps
+    the factor axes and groups its rows by reshaping.
     """
     if ch.n_inputs != len(dist.inputs):
         raise SchemaError(f"a {dist.kind} distribution needs a "
@@ -244,36 +247,52 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
     alphabets = dict(dist.alphabets)
     drawn_alone = {regs for _, regs, _ in dist.factors}
     for r, a in zip(dist.inputs, ch.input_alphabets):
-        if r in drawn_alone and set(alphabets[r]) != set(a):
-            raise SchemaError(f"{r} is over {alphabets[r]}, but the channel "
-                              f"takes the alphabet {a}")
         if isinstance(r, str):
+            if not set(alphabets[r]) <= set(a) or r in drawn_alone and set(alphabets[r]) != set(a):
+                raise SchemaError(f"{r} is over {alphabets[r]}, but the channel "
+                                  f"takes the alphabet {a}")
             alphabets[r] = a
-    drawn, rows = [], [((), ())]  # (symbols, weights) in sampling order
-    for key, regs, given in dist.factors:
-        regs, at = regs.split(), [drawn.index(g) for g in given.split()]
-        pds = dist.parts[key] if at else {(): dist.parts[key]}
-        if len(regs) > 1:
-            choices = {c: [(s, (float(w),) + (1.0,) * (len(s) - 1)) for s, w in pd.items()]
-                       for c, pd in pds.items()}
         else:
-            choices = {c: [((s,), (pd.prob(s),)) for s in alphabets[regs[0]]]
-                       for c, pd in pds.items()}
-        # conditional parts are keyed by one symbol, or a tuple of several
-        pick = operator.itemgetter(*at) if at else (lambda symbols: ())
-        rows = [(s + cs, w + cw) for s, w in rows for cs, cw in choices[pick(s)]]
-        drawn += regs
+            dist._values_within(**{r[0]: a})
+    factors = [(key, regs.split(), given.split()) for key, regs, given in dist.factors]
+    sizes = [len(dist.parts[key].symbols) if len(regs) > 1 else len(alphabets[regs[0]])
+             for key, regs, _ in factors]
+    codes, weights = {}, {}  # per register, one entry per row
+    for (key, regs, given), choice in zip(factors, np.indices(sizes).reshape(len(sizes), -1)):
+        if len(regs) > 1:
+            pd = dist.parts[key]
+            for k, r in enumerate(regs):
+                codes[r] = np.array([alphabets[r].index(s[k]) for s in pd.symbols])[choice]
+            weights[regs[0]] = pd.weights[choice]
+        else:
+            # conditioning registers are auxiliaries, so the rows of a
+            # conditional part are in the product order of their alphabets
+            r, rows = regs[0], dist.parts[key].values() if given else [dist.parts[key]]
+            table = np.reshape([[pd.prob(s) for s in alphabets[r]] for pd in rows],
+                               [len(alphabets[g]) for g in given] + [-1])
+            codes[r], weights[r] = choice, table[tuple(codes[g] for g in given) + (choice,)]
     names = dist.registers.split()
-    if drawn != names:
-        arrange = operator.itemgetter(*map(drawn.index, names))
-        rows = [(arrange(s), arrange(w)) for s, w in rows]
-    reads = [(None, operator.itemgetter(names.index(r))) if isinstance(r, str) else
-             (dist.maps[r[0]], operator.itemgetter(*map(names.index, r[1].split())))
-             for r in dist.inputs]
-    table = {s: (math.prod(w), ch.output(*[get(s) if f is None else f[get(s)]
-                                           for f, get in reads]))
-             for s, w in rows}
-    return LabeledCqState([(r, alphabets[r]) for r in names], table, ch.output_names)
+    inputs = []
+    for r, a in zip(dist.inputs, ch.input_alphabets):
+        if isinstance(r, str):
+            inputs.append(codes[r])
+            continue
+        regs = r[1].split()
+        lookup = np.zeros([len(alphabets[g]) for g in regs], np.intp)
+        for key, val in dist.maps[r[0]].items():
+            lookup[tuple(map(tuple.index, (alphabets[g] for g in regs), key))] = a.index(val)
+        inputs.append(lookup[tuple(codes[g] for g in regs)])
+    d = ch.output_dim
+    outputs = np.reshape([ch.outputs[t].entries for t in ch.input_tuples()],
+                         [*map(len, ch.input_alphabets), d, d])
+    st = LabeledCqState.__new__(LabeledCqState)
+    st._arrays([(r, alphabets[r]) for r in names], ch.output_names, ch.dims,
+               np.stack([codes[r] for r in names], axis=1),
+               functools.reduce(operator.mul, (weights[r] for r in names if r in weights)),
+               outputs[tuple(inputs)],
+               tuple(names.index(regs) for _, regs, _ in dist.factors)
+               if drawn_alone >= set(names) else None)
+    return st
 
 
 # perfbench/layertrace.py counts state builds by wrapping these names; ROADMAP (A) deletes this line

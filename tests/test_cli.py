@@ -301,6 +301,23 @@ class TestRegion:
         got = (tmp_path / "union.csv").read_bytes() if "--out" in argv else out.encode()
         assert got == (GOLDEN / golden).read_bytes()
 
+    # the exact bytes of region commands on product-grid states (cmg, hk)
+    # and on joint-factor states (relay-pdf, bc-marton), stdout or --out file
+    @pytest.mark.parametrize("argv, golden", [
+        ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
+        ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
+        ("relay-pdf --builtin bb84_relay --seed 3", "region_relay_pdf_bb84_relay_seed3.txt"),
+        ("relay-pdf --builtin bb84_relay --seed 3 --out r.json",
+         "region_relay_pdf_bb84_relay_seed3.json"),
+        ("bc-marton --builtin bb84_bc --seed 4", "region_bc_marton_bb84_bc_seed4.json"),
+    ])
+    def test_region_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "region", *argv.split())
+        assert code == 0
+        got = (tmp_path / "r.json").read_bytes() if "--out" in argv else out.encode()
+        assert got == (GOLDEN / golden).read_bytes()
+
     def test_vsi_pi_half_origin(self, capsys):
         code, out, _ = run(capsys, "region", "vsi", "--builtin",
                            "theta_swap(1.5707963267948966)")

@@ -90,6 +90,25 @@ class TestCodebook:
         a, b = projector_set(ch, ordered, 0.4), projector_set(ch, swapped, 0.4)
         assert np.array_equal(a.average_columns, b.average_columns)
 
+    def test_drawing_under_a_prior_in_another_order(self):
+        ch = builtin("bb84_p2p")
+        ordered, swapped = ProbDist(("0", "1"), [0.3, 0.7]), ProbDist(("1", "0"), [0.7, 0.3])
+        for seed in range(4):
+            a = Codebook.random(("0", "1"), 5, 0.6, seed, prior=ordered)
+            b = Codebook.random(("0", "1"), 5, 0.6, seed, prior=swapped)
+            assert a.codewords == b.codewords
+            assert b.prior.symbols == ("0", "1") and list(b.prior.weights) == [0.3, 0.7]
+        sweep = (ch, 0.3, (2, 4), 0.4, (0, 1, 2))
+        assert repr(srm_error_sweep(*sweep, prior=swapped)) == repr(
+            srm_error_sweep(*sweep, prior=ordered))
+
+    def test_drawing_under_a_prior_over_other_symbols(self):
+        prior = ProbDist(("0", "2"), [0.5, 0.5])
+        with pytest.raises(SchemaError, match="prior must be over the channel input alphabet"):
+            Codebook.random(("0", "1"), 3, 0.5, seed=0, prior=prior)
+        with pytest.raises(SchemaError, match="prior must be over the channel input alphabet"):
+            srm_error_sweep(builtin("bb84_p2p"), 0.3, (2,), 0.4, (0,), prior=prior)
+
 
 class TestTypicalProjector:
     def test_pure_state_rank_one(self):

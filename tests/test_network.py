@@ -2,6 +2,7 @@ import itertools
 import json
 from pathlib import Path
 
+import joint_loop
 import numpy as np
 import pytest
 from cq_loop import loop_cmi, loop_entropy
@@ -9,6 +10,7 @@ from cq_loop import loop_cmi, loop_entropy
 from qnetcap import network
 from qnetcap.channels import CqChannel, SchemaError, bb84_qmac, builtin, theta_swap
 from qnetcap.entropic import (
+    LabeledCqState,
     ProbDist,
     binary_entropy,
     conditional_mutual_information,
@@ -1109,3 +1111,86 @@ class TestStackedSweeps:
                 for subset in itertools.combinations(everything, r):
                     expect = loop_entropy(regs, table, names, subset)
                     assert abs(st.entropy(subset) - expect) <= 1e-12, subset
+
+
+def joint_grid_cases():
+    """(id, channel, distribution) of every layout: Q sizes 1-3, symbols in
+    an order other than the channel's, zero weights and sparse joints."""
+    ic, qmac, p2p = theta_swap(1.2), bb84_qmac(), builtin("bb84_p2p")
+    bc, rc = builtin("bb84_bc"), builtin("bb84_relay")
+    rng = np.random.default_rng(17)
+
+    def draw(symbols=("0", "1")):
+        return ProbDist(symbols, rng.dirichlet(np.ones(len(symbols))))
+
+    swapped, zero = ProbDist(("1", "0"), [0.3, 0.7]), ProbDist(("0", "1"), [0.0, 1.0])
+    pairs = (("0", "0"), ("0", "1"), ("1", "1"))
+    triples = (("u", "0", "0"), ("u", "1", "0"), ("v", "0", "1"), ("v", "1", "1"))
+    cases = [
+        ("p2p", p2p, CodeDistribution.p2p(draw())),
+        ("p2p-swapped", p2p, CodeDistribution.p2p(swapped)),
+        ("mac", ic, CodeDistribution.mac(draw(), draw())),
+        ("mac-swapped-zero", qmac, CodeDistribution.mac(swapped, zero)),
+        ("superposition", bc, CodeDistribution.superposition(
+            draw(("c", "a", "b")), {w: draw() for w in "cab"})),
+        ("superposition-zero", bc, CodeDistribution.superposition(
+            ProbDist(("a", "b"), [1.0, 0.0]), {"a": swapped, "b": zero})),
+        ("marton-sparse", bc, CodeDistribution.marton(
+            ProbDist(pairs, [0.5, 0.3, 0.2]), dict(zip(pairs, "010")), ("0", "1"))),
+        ("relay-sparse", rc, CodeDistribution.relay_pdf(
+            ProbDist(triples, [0.4, 0.0, 0.6, 0.0]))),
+    ]
+    for q in (1, 2, 3):
+        qs = tuple("q%d" % i for i in range(q))
+        cases += [
+            (f"cts-q{q}", ic, CodeDistribution.coded_time_share(
+                draw(qs), {s: draw() for s in qs}, {s: swapped for s in qs})),
+            (f"hk-q{q}", ic, random_hk_distribution(ic, q, q_size=q)),
+            (f"cmg-q{q}", qmac, random_cmg_distribution(qmac, q, q_size=q)),
+            (f"superposition-seed{q}", bc, random_superposition_distribution(bc, q)),
+            (f"marton-seed{q}", bc, random_marton_distribution(bc, q)),
+            (f"relay-seed{q}", rc, random_relay_distribution(rc, q)),
+        ]
+    cases.append(("cts-zero-q", ic, CodeDistribution.coded_time_share(
+        ProbDist(("a", "b"), [0.0, 1.0]), {"a": zero, "b": draw()}, {"a": draw(), "b": zero})))
+    # relay_df_rate's joint over (U, X, X1) = (x, x, x1)
+    xx1 = ProbDist(tuple(itertools.product("01", "01")), [0.1, 0.2, 0.3, 0.4])
+    cases.append(("relay-df", rc, CodeDistribution.relay_pdf(
+        ProbDist([(x, x, x1) for x, x1 in xx1.symbols], xx1.weights))))
+    return cases
+
+
+class TestJointGrid:
+    """``joint_state`` gathers its rows from arrays; the parent's row-by-row
+    builder (``joint_loop``) makes the same state byte for byte."""
+
+    @pytest.mark.parametrize("case", joint_grid_cases(), ids=lambda c: c[0])
+    def test_state_matches_row_loop(self, case):
+        _, ch, dist = case
+        st = joint_state(ch, dist)
+        ref = LabeledCqState(joint_loop.registers(ch, dist), joint_loop.table(ch, dist),
+                             ch.output_names)
+        assert st.registers == ref.registers and st.dims == ref.dims
+        assert st._codes.dtype == ref._codes.dtype and np.array_equal(st._codes, ref._codes)
+        assert st._probs.tobytes() == ref._probs.tobytes()
+        assert st._blocks.tobytes() == ref._blocks.tobytes()
+        k = len(st.registers)
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(range(k), r) for r in range(k + 1)):
+            got, want = st._group_slots(subset), ref._group_slots(subset)
+            assert got.dtype == want.dtype and np.array_equal(got, want), subset
+
+    def test_only_joint_factors_walk_rows(self, monkeypatch):
+        walked = []
+        real = LabeledCqState._row_groups
+        monkeypatch.setattr(LabeledCqState, "_row_groups",
+                            lambda st, key: walked.append(key) or real(st, key))
+        qmac, bc = bb84_qmac(), builtin("bb84_bc")
+        for dist in (random_cmg_distribution(qmac, 1, q_size=3),
+                     random_cmg_distribution(qmac, 2, q_size=1)):
+            cmg_informations(qmac, dist)
+            cmg_region_via_projection(qmac, dist)
+        hk_region(qmac, random_hk_distribution(qmac, 3, q_size=3))
+        assert walked == []
+        marton_region(bc, random_marton_distribution(bc, 1))
+        assert walked
