@@ -9,7 +9,10 @@ marginalize the table directly instead of building any matrix.
 Entropies are stacked eigensolves: each H(S) forms every group block
 sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
 of G tables sharing the conditional states (``LabeledCqState.on_tables``),
-and diagonalizes them in one ``np.linalg.eigvalsh`` call.  A state built as a
+and diagonalizes them in one ``np.linalg.eigvalsh`` call.  A group of one
+row is that row's conditional state whatever the table, so a subset whose
+groups are all one row reads the rows' entropies, diagonalized once per
+state and quantum subset and shared by every stack.  A state built as a
 product grid (``network.joint_state``) groups its rows by reshaping; reduced
 blocks are kept per quantum subset.  Only user input (``ProbDist``, the table
 given to ``LabeledCqState``, a transition matrix) is validated, each by the
@@ -197,7 +200,7 @@ class LabeledCqState:
         self._probs = np.append(probs, 0.0)
         self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
         self._axes = axes
-        self._slots, self._reduced, self._entropies = {}, {}, {}
+        self._slots, self._reduced, self._row_entropies, self._entropies = {}, {}, {}, {}
 
     def _split(self, names):
         names = set(names)
@@ -239,12 +242,21 @@ class LabeledCqState:
             self._reduced[key] = reduce_blocks(self._blocks, self.dims, key)
         return self._reduced[key]
 
+    def _row_entropy(self, quantum) -> np.ndarray:
+        """H(rho_row) on ``quantum`` of every row (the zero row's is 0), from
+        one stacked eigensolve per state, whatever its probability tables."""
+        key = tuple(quantum)
+        if key not in self._row_entropies:
+            spectra = np.linalg.eigvalsh(self._reduced_blocks(key))
+            self._row_entropies[key] = _entropy_bits(spectra, cutoff=EIG_CUTOFF)
+        return self._row_entropies[key]
+
     def on_tables(self, probs) -> "LabeledCqState":
         """This state under a stack of G probability tables of shape
         (G, |A1|, ..., |Ak|) in place of its own, sharing its conditional
-        states, row groups and reduced blocks; entries at tuples missing from
-        the table are ignored.  Its ``entropy`` returns arrays of G values,
-        kept on the stack like a state's."""
+        states, row groups, reduced blocks and row entropies; entries at
+        tuples missing from the table are ignored.  Its ``entropy`` returns
+        arrays of G values, kept on the stack like a state's."""
         probs = np.asarray(probs, dtype=float)
         stack = copy.copy(self)
         stack._probs = np.zeros((len(probs), len(self._codes) + 1))
@@ -257,9 +269,13 @@ class LabeledCqState:
 
         H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
         classical group c are summed in table order, and all group blocks go
-        through one stacked eigensolve.  Each subset is evaluated once per
-        state and its value kept, and a subset with quantum names also keeps
-        the H(p_C) of its classical names C that it computes on the way.
+        through one stacked eigensolve.  When every group is one row, rho_c
+        is that row's state, and H(rho_c) is read from ``_row_entropy``,
+        which diagonalizes each row once per state and quantum subset (a
+        zero-weight row adds exactly 0).  The terms p(c) H(rho_c) are summed
+        in table order.  Each subset is evaluated once per state and its
+        value kept, and a subset with quantum names also keeps the H(p_C) of
+        its classical names C that it computes on the way.
         """
         classical, quantum = self._split(names)
         key = (tuple(classical), tuple(quantum))
@@ -272,13 +288,16 @@ class LabeledCqState:
         h = _entropy_bits(weights)
         if quantum:
             self._entropies[key[0], ()] = h if h.ndim else float(h)
-            blocks = self._reduced_blocks(quantum)[slots]
-            mixed = (members[..., None, None] * blocks).cumsum(axis=-3)[..., -1, :, :]
-            live = weights > 0.0
-            pc = weights[live]
-            spectra = np.linalg.eigvalsh(mixed[live] / pc[:, None, None])
-            terms = np.zeros(weights.shape)
-            terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
+            if slots.shape[1] == 1:  # a one-row group's state is its row's
+                terms = weights * self._row_entropy(quantum)[slots[:, 0]]
+            else:
+                blocks = self._reduced_blocks(quantum)[slots]
+                mixed = (members[..., None, None] * blocks).cumsum(axis=-3)[..., -1, :, :]
+                live = weights > 0.0
+                pc = weights[live]
+                spectra = np.linalg.eigvalsh(mixed[live] / pc[:, None, None])
+                terms = np.zeros(weights.shape)
+                terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
             h = terms.cumsum(axis=-1)[..., -1] + h
         self._entropies[key] = h if h.ndim else float(h)
         return self._entropies[key]

@@ -28,7 +28,7 @@ import numpy as np
 from .channels import CqChannel
 from .entropic import (LabeledCqState, ProbDist, conditional_mutual_information,
                        transition_matrix, von_neumann_entropy)
-from .errors import BA_GAP_TOL, INFO_CLAMP, SUPPORT_RELATIVE_CUTOFF, SchemaError
+from .errors import BA_GAP_TOL, INFO_CLAMP, SUPPORT_RELATIVE_CUTOFF, SchemaError, whole_number
 from .regions import HalfspaceRegion, clamp_information, fm_project, intersect, radial_extents
 
 # grid points evaluated per stacked entropy call; bounds sweep memory
@@ -51,28 +51,23 @@ def input_pair(ch: CqChannel):
     return ch.input_alphabets
 
 
-def simplex_grid(k: int, resolution: int):
+def simplex_grid(k: int, resolution: int) -> np.ndarray:
     """All probability vectors of length k with entries on a uniform grid of
-    ``resolution`` points per edge."""
+    ``resolution`` points per edge, one per row, in lexicographic order of
+    their k - 1 cuts among the ``resolution`` + k - 2 slots."""
     if resolution < 2:
         raise SchemaError(f"grid resolution {resolution} < 2")
     steps = resolution - 1
-    for cuts in itertools.combinations(range(steps + k - 1), k - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + k - 2 - prev)
-        yield np.array(parts, dtype=float) / steps
+    cuts = [(-1, *c, steps + k - 1) for c in itertools.combinations(range(steps + k - 1), k - 1)]
+    return (np.diff(np.array(cuts, dtype=np.intp), axis=1) - 1) / steps
 
 
 def _grid_pairs(k1: int, k2: int, resolution: int):
     """Product distributions p1(x1) p2(x2) over two simplex grids, first
     grid outermost, as stacked (n, k1, k2) tables of at most
-    ``_GRID_CHUNK`` points."""
+    ``_GRID_CHUNK`` points; each grid may be any iterable of rows."""
     inner = np.array(list(simplex_grid(k2, resolution)))
-    points = simplex_grid(k1, resolution)
+    points = iter(simplex_grid(k1, resolution))
     while outer := list(itertools.islice(points, max(1, _GRID_CHUNK // len(inner)))):
         outer = np.array(outer)
         for lo in range(0, len(inner), _GRID_CHUNK):
@@ -328,7 +323,9 @@ def _grid_states(ch: CqChannel, grid: int):
     grid, one stacked state (``LabeledCqState.on_tables``) per
     ``_grid_pairs`` chunk, each sharing the conditional states of the
     uniform one; ``_terms`` on a stack computes each entropy once per chunk.
-    A grid below 3, which visits only deterministic inputs, is a SchemaError."""
+    A grid that is not a whole number (11.0 reads as 11), or below 3, which
+    visits only deterministic inputs, is a SchemaError."""
+    grid = whole_number(grid, "grid")
     if grid < 3:
         raise SchemaError(f"grid {grid} < 3 visits only deterministic inputs, "
                           "where every information is 0")

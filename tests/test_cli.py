@@ -301,8 +301,9 @@ class TestRegion:
         got = (tmp_path / "union.csv").read_bytes() if "--out" in argv else out.encode()
         assert got == (GOLDEN / golden).read_bytes()
 
-    # the exact bytes of region commands on product-grid states (cmg, hk)
-    # and on joint-factor states (relay-pdf, bc-marton), stdout or --out file
+    # the exact bytes of region commands on product-grid states (cmg, hk, the
+    # README's mac and vsi lines, si, sato) and on joint-factor states
+    # (relay-pdf, bc-marton, bc-superposition), stdout or --out file
     @pytest.mark.parametrize("argv, golden", [
         ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
         ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
@@ -310,12 +311,20 @@ class TestRegion:
         ("relay-pdf --builtin bb84_relay --seed 3 --out r.json",
          "region_relay_pdf_bb84_relay_seed3.json"),
         ("bc-marton --builtin bb84_bc --seed 4", "region_bc_marton_bb84_bc_seed4.json"),
+        ("mac --builtin bb84_qmac --uniform --out pentagon.csv",
+         "region_mac_bb84_qmac_uniform.csv"),
+        ("vsi --builtin theta_swap(1.5707963) --grid 21", "region_vsi_theta_swap_pi2_grid21.json"),
+        ("si --builtin theta_swap(1.2)", "region_si_theta_swap_1.2.json"),
+        ("sato --builtin theta_swap(1.2)", "region_sato_theta_swap_1.2.json"),
+        ("bc-superposition --builtin bb84_bc --seed 1",
+         "region_bc_superposition_bb84_bc_seed1.json"),
     ])
     def test_region_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, "region", *argv.split())
+        argv = argv.split()
+        code, out, _ = run(capsys, "region", *argv)
         assert code == 0
-        got = (tmp_path / "r.json").read_bytes() if "--out" in argv else out.encode()
+        got = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out.encode()
         assert got == (GOLDEN / golden).read_bytes()
 
     def test_vsi_pi_half_origin(self, capsys):

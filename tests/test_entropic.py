@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from cq_loop import loop_entropy
 
+from qnetcap.channels import CqChannel
 from qnetcap.codesim import classical_typical_decode_sim
 from qnetcap.entropic import (
     LabeledCqState,
@@ -16,7 +17,7 @@ from qnetcap.entropic import (
     von_neumann_entropy,
 )
 from qnetcap.errors import DERIVED_SUM_TOL, SchemaError
-from qnetcap.network import classical_capacity_BA
+from qnetcap.network import CodeDistribution, classical_capacity_BA, joint_state
 from qnetcap.qstate import DensityMatrix, InvariantError, pure_state
 
 KET0 = np.array([1.0, 0.0])
@@ -354,6 +355,63 @@ class TestStackedParity:
                 table = {key: (stack[g][key], rho) for key, rho in states.items()}
                 expect = loop_entropy(registers, table, names, subset)
                 assert abs(stacked[g] - expect) <= 1e-12, (subset, g)
+
+
+class TestOneRowGroups:
+    """Subsets holding every register group one row each; their entropy is
+    H(p) + sum_row p(row) H(rho_row), against the row loop in ``cq_loop``,
+    which diagonalizes p rho / p, on a two-sender channel with mixed outputs."""
+
+    registers = [("X1", ("0", "1", "2")), ("X2", ("0", "1"))]
+    names = ("B1", "B2")
+    one_row = [{"X1", "X2"} | s for s in all_subsets(["B1", "B2"])]
+
+    def channel(self):
+        rng = np.random.default_rng(17)
+        keys = itertools.product(*(a for _, a in self.registers))
+        return CqChannel([a for _, a in self.registers],
+                         {key: rand_two_part(rng, 2, 2) for key in keys}, self.names)
+
+    def table(self, ch, probs):
+        keys = itertools.product(*(a for _, a in self.registers))
+        return {key: (p, ch.outputs[key]) for key, p in zip(keys, probs.reshape(-1))}
+
+    def test_single_states_match_loop(self):
+        ch = self.channel()
+        p1 = ProbDist(("0", "1", "2"), [0.5, 0.0, 0.5])
+        p2 = ProbDist(("0", "1"), [0.3, 0.7])
+        grid = joint_state(ch, CodeDistribution.mac(p1, p2))
+        table = self.table(ch, np.outer(p1.weights, p2.weights))
+        from_dict = LabeledCqState(self.registers, table, self.names)
+        for subset in self.one_row:
+            expect = loop_entropy(self.registers, table, self.names, subset)
+            assert abs(grid.entropy(subset) - expect) <= 1e-12, subset
+            assert abs(from_dict.entropy(subset) - expect) <= 1e-12, subset
+
+    def test_stacks_with_zero_rows_match_loop(self, monkeypatch):
+        ch = self.channel()
+        uniform = [ProbDist.uniform(a) for _, a in self.registers]
+        st = joint_state(ch, CodeDistribution.mac(*uniform))
+        stack = np.random.default_rng(19).dirichlet(np.ones(6), size=4).reshape(4, 3, 2)
+        stack[1, 0] = 0.0
+        stack[2, :, 1] = 0.0
+        stack[3] = 0.0
+        stack[3, 2, 0] = 1.0
+        stack /= stack.sum(axis=(1, 2), keepdims=True)
+        stacked = st.on_tables(stack)
+        for subset in self.one_row:
+            got = stacked.entropy(subset)
+            for g, probs in enumerate(stack):
+                table = self.table(ch, probs)
+                expect = loop_entropy(self.registers, table, self.names, subset)
+                assert abs(got[g] - expect) <= 1e-12, (subset, g)
+        # the rows' entropies are kept by the state every stack shares
+        solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or real(m))
+        for subset in self.one_row:
+            st.on_tables(stack[::-1]).entropy(subset)
+        assert not solves
 
 
 class TestEntropyMemo:

@@ -113,6 +113,29 @@ class TestSimplexGrid:
         pts = list(simplex_grid(2, 21))
         assert any(np.allclose(p, [0.5, 0.5]) for p in pts)
 
+    @pytest.mark.parametrize("k, resolution", [(1, 5), (2, 2), (2, 21), (3, 11), (5, 6)])
+    def test_points_equal_a_per_point_build(self, k, resolution):
+        # the former generator: each point from its k - 1 cuts, one at a time
+        steps = resolution - 1
+        expect = []
+        for cuts in itertools.combinations(range(steps + k - 1), k - 1):
+            parts, prev = [], -1
+            for c in cuts:
+                parts.append(c - prev - 1)
+                prev = c
+            parts.append(steps + k - 2 - prev)
+            expect.append(np.array(parts, dtype=float) / steps)
+        got = simplex_grid(k, resolution)
+        assert got.shape == (len(expect), k)
+        assert got.tobytes() == np.array(expect).tobytes()
+
+    def test_grid_pairs_read_any_iterable_of_rows(self, monkeypatch):
+        # a grid handed over one row at a time gives the same tables
+        stacked = [t.tobytes() for t in network._grid_pairs(3, 2, 11)]
+        real = network.simplex_grid
+        monkeypatch.setattr(network, "simplex_grid", lambda k, r: iter(list(real(k, r))))
+        assert [t.tobytes() for t in network._grid_pairs(3, 2, 11)] == stacked
+
 
 class TestBlahutArimoto:
     def test_z_channel(self):
@@ -303,6 +326,17 @@ class TestMacRegion:
         monkeypatch.setattr(network, "joint_state", lambda *args: pytest.fail("state built"))
         with pytest.raises(SchemaError, match="grid 2 < 3"):
             mac_region_union(builtin("bb84_qmac"), grid=2)
+
+    @pytest.mark.parametrize("sweep", [mac_region_union, vsi_check])
+    @pytest.mark.parametrize("grid", [11.5, "11", None])
+    def test_sweeps_reject_a_grid_that_is_not_whole(self, sweep, grid):
+        with pytest.raises(SchemaError, match="grid must be a whole number"):
+            sweep(builtin("bb84_qmac"), grid=grid)
+
+    @pytest.mark.parametrize("sweep", [mac_region_union, vsi_check])
+    def test_sweeps_read_a_whole_float_grid_as_its_int(self, sweep):
+        ch = theta_swap(1.2)
+        assert repr(sweep(ch, grid=5.0)) == repr(sweep(ch, grid=5))
 
     def test_union_monotone_in_grid(self):
         ch = builtin("bb84_qmac")
@@ -516,7 +550,12 @@ class TestHkRegion:
             for term in terms:
                 chunks.setdefault(id(term[0]), []).append(term)
             subsets = [quantum(chunk) for chunk in chunks.values()]
-            assert len(solves) == sum(map(len, subsets))
+            # a subset holding every register groups one row each, whose
+            # entropies the chunks share: diagonalized once per sweep
+            registers = set(terms[0][0].register_names)
+            one_row = {s for s in subsets[0] if registers <= s}
+            assert one_row
+            assert len(solves) == len(one_row) + sum(len(s - one_row) for s in subsets)
             if verdict is False:
                 # stopped in its first chunk, after the first pair's subsets
                 assert result is False and len(chunks) == 1 and len(terms) == 2
@@ -524,7 +563,7 @@ class TestHkRegion:
                 continue
             total = len(list(network._grid_pairs(*map(len, sweep_ch.input_alphabets), grid)))
             assert len(chunks) == total > 1 and subsets == [subsets[0]] * total
-            assert len(solves) == total * len(subsets[0])
+            assert len(solves) == len(one_row) + total * len(subsets[0] - one_row)
             assert len(subsets[0]) < 2 * len(terms) // total
             assert verdict is None or result is verdict
             per_chunk[sweep] = subsets[0]
