@@ -12,11 +12,12 @@ of G tables sharing the conditional states (``LabeledCqState.on_tables``),
 and diagonalizes them in one ``np.linalg.eigvalsh`` call.  A group of one
 row is that row's conditional state whatever the table, so a subset whose
 groups are all one row reads the rows' entropies, diagonalized once per
-state and quantum subset and shared by every stack.  A state built as a
-product grid (``network.joint_state``) groups its rows by reshaping; reduced
-blocks are kept per quantum subset.  Only user input (``ProbDist``, the table
-given to ``LabeledCqState``, a transition matrix) is validated, each by the
-one probability rule of ``_probabilities``; intermediates are plain arrays.
+state and quantum subset and shared by every stack.  Every state is a
+product grid, one row per tuple of its register alphabets, and groups its
+rows by reshaping; reduced blocks are kept per quantum subset.  Only user
+input (``ProbDist``, the table given to ``LabeledCqState``, a transition
+matrix) is validated, each by the one probability rule of
+``_probabilities``; intermediates are plain arrays.
 """
 
 from __future__ import annotations
@@ -139,14 +140,15 @@ class LabeledCqState:
     ``registers`` is an ordered list of (name, alphabet) pairs; ``table`` maps
     each full classical symbol tuple to (probability, conditional
     DensityMatrix); ``quantum_names`` labels the subsystems of the conditional
-    matrices, one name per dims slot.  Tuples missing from the table have
-    probability zero.  The probabilities sum to 1 within DERIVED_SUM_TOL, as
-    rows that multiply accepted factors do.
+    matrices, one name per dims slot.  The probabilities sum to 1 within
+    DERIVED_SUM_TOL, as rows that multiply accepted factors do.
 
-    The table is held as arrays in its own row order (the register symbol
-    indices, probabilities and conditional matrices of each row), plus one
-    zero row that pads classical groups of unequal size; ``joint_state``
-    hands its arrays to ``_arrays`` directly.  ``on_tables`` gives the same
+    The state is held as a product grid: the probability and conditional
+    matrix of every tuple of the product of the register alphabets, in the
+    C order of one axis per register.  The table is spread onto its
+    alphabets in register order, and a tuple missing from it is a row of
+    probability 0 with a zero block; ``joint_state`` hands its grid, axes in
+    sampling order, to ``_arrays`` directly.  ``on_tables`` gives the same
     state under a stack of G tables, whose entropies are arrays.
     """
 
@@ -155,7 +157,7 @@ class LabeledCqState:
         quantum_names = tuple(str(n) for n in quantum_names)
         index = [{s: i for i, s in enumerate(a)} for _, a in registers]
         codes, probs, blocks = [], [], []
-        dims = None
+        dims, seen = None, set()
         for key, (p, rho) in table.items():
             key = tuple(key)
             if len(key) != len(registers):
@@ -163,6 +165,9 @@ class LabeledCqState:
                     f"tuple {key} has {len(key)} symbols for "
                     f"{len(registers)} registers"
                 )
+            if key in seen:  # "0" and ("0",) name one tuple, which has one row
+                raise InvariantError(f"tuple {key} is listed twice")
+            seen.add(key)
             try:
                 codes.append([ix[s] for ix, s in zip(index, key)])
             except KeyError:
@@ -181,25 +186,28 @@ class LabeledCqState:
             raise InvariantError(
                 f"{len(quantum_names)} quantum names for {len(dims)} dims"
             )
-        probs = _probabilities(probs, "table probabilities", DERIVED_SUM_TOL)
-        self._arrays(registers, quantum_names, dims,
-                     np.array(codes, dtype=np.intp).reshape(len(codes), -1), probs, blocks)
+        shape = [len(a) for _, a in registers]
+        at = tuple(np.array(codes, dtype=np.intp).reshape(len(codes), len(registers)).T)
+        grid = np.zeros(shape)
+        grid[at] = probs
+        probs = _probabilities(grid.reshape(-1), "table probabilities", DERIVED_SUM_TOL)
+        d = math.prod(dims)
+        grid = np.zeros([*shape, d, d], complex)
+        grid[at] = blocks
+        self._arrays(registers, quantum_names, dims, probs, grid.reshape(-1, d, d),
+                     tuple(range(len(registers))))
 
-    def _arrays(self, registers, quantum_names, dims, codes, probs, blocks, axes=None):
-        """The state of N rows: their symbol indices, probabilities and
-        conditional matrices; ``axes``, if given, names the register of each
-        axis of the product grid whose C-order enumeration is the rows."""
+    def _arrays(self, registers, quantum_names, dims, probs, blocks, axes):
+        """The state of a product grid: the probability and conditional
+        matrix of each row, rows in the C order of the grid whose axes are
+        the registers ``axes`` names, one axis per register."""
         self.registers = tuple(registers)
         self.register_names = tuple(n for n, _ in registers)
         self.quantum_names = quantum_names
         if set(self.register_names) & set(self.quantum_names):
             raise InvariantError("classical and quantum names overlap")
-        d = int(np.prod(dims))
         self.dims = dims
-        self._codes = codes
-        self._probs = np.append(probs, 0.0)
-        self._blocks = np.concatenate([blocks, np.zeros((1, d, d), complex)])
-        self._axes = axes
+        self._probs, self._blocks, self._axes = probs, blocks, axes
         self._slots, self._reduced, self._row_entropies, self._entropies = {}, {}, {}, {}
 
     def _split(self, names):
@@ -212,29 +220,17 @@ class LabeledCqState:
         return classical, quantum
 
     def _group_slots(self, classical) -> np.ndarray:
-        """Rows grouped by their symbols on ``classical``: a (groups, members)
-        array of row indices, groups in order of first appearance and members
-        in table order, padded with the zero row; by reshaping a product grid."""
+        """Rows grouped by their symbols on ``classical``, by reshaping the
+        grid with the kept axes first: a (groups, members) array of row
+        indices, groups in order of first appearance and members in row
+        order, every group as wide as the others."""
         key = tuple(classical)
         if key not in self._slots:
-            if self._axes is None:
-                self._slots[key] = self._row_groups(key)
-            else:  # the kept axes first, each group in sampling order
-                sizes = [len(self.registers[r][1]) for r in self._axes]
-                order = sorted(range(len(sizes)), key=lambda i: self._axes[i] not in key)
-                rows = np.arange(len(self._codes)).reshape(sizes).transpose(order)
-                self._slots[key] = rows.reshape(math.prod(rows.shape[: len(key)]), -1)
+            sizes = [len(self.registers[r][1]) for r in self._axes]
+            order = sorted(range(len(sizes)), key=lambda i: self._axes[i] not in key)
+            rows = np.arange(len(self._blocks)).reshape(sizes).transpose(order)
+            self._slots[key] = rows.reshape(math.prod(rows.shape[: len(key)]), -1)
         return self._slots[key]
-
-    def _row_groups(self, key) -> np.ndarray:
-        groups: dict[tuple, list] = {}
-        for row, code in enumerate(self._codes[:, key].tolist()):
-            groups.setdefault(tuple(code), []).append(row)
-        width = max(len(rows) for rows in groups.values())
-        slots = np.full((len(groups), width), len(self._codes))
-        for i, rows in enumerate(groups.values()):
-            slots[i, : len(rows)] = rows
-        return slots
 
     def _reduced_blocks(self, quantum) -> np.ndarray:
         key = tuple(quantum)
@@ -243,7 +239,7 @@ class LabeledCqState:
         return self._reduced[key]
 
     def _row_entropy(self, quantum) -> np.ndarray:
-        """H(rho_row) on ``quantum`` of every row (the zero row's is 0), from
+        """H(rho_row) on ``quantum`` of every row (a zero block's is 0), from
         one stacked eigensolve per state, whatever its probability tables."""
         key = tuple(quantum)
         if key not in self._row_entropies:
@@ -253,14 +249,16 @@ class LabeledCqState:
 
     def on_tables(self, probs) -> "LabeledCqState":
         """This state under a stack of G probability tables of shape
-        (G, |A1|, ..., |Ak|) in place of its own, sharing its conditional
-        states, row groups, reduced blocks and row entropies; entries at
-        tuples missing from the table are ignored.  Its ``entropy`` returns
-        arrays of G values, kept on the stack like a state's."""
+        (G, |A1|, ..., |Ak|), registers in register order, in place of its
+        own, sharing its conditional states, row groups, reduced blocks and
+        row entropies.  Each entry is the weight of its tuple's row, a tuple
+        missing from a dict table included (its block is zero).  Its
+        ``entropy`` returns arrays of G values, kept on the stack like a
+        state's."""
         probs = np.asarray(probs, dtype=float)
         stack = copy.copy(self)
-        stack._probs = np.zeros((len(probs), len(self._codes) + 1))
-        stack._probs[:, :-1] = probs[(slice(None),) + tuple(self._codes.T)]
+        axes = (0, *(1 + a for a in self._axes))
+        stack._probs = probs.transpose(axes).reshape(len(probs), -1)
         stack._entropies = {}
         return stack
 
@@ -268,12 +266,12 @@ class LabeledCqState:
         """Joint entropy H(S) of any mix of classical and quantum names, bits.
 
         H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
-        classical group c are summed in table order, and all group blocks go
+        classical group c are summed in row order, and all group blocks go
         through one stacked eigensolve.  When every group is one row, rho_c
         is that row's state, and H(rho_c) is read from ``_row_entropy``,
         which diagonalizes each row once per state and quantum subset (a
         zero-weight row adds exactly 0).  The terms p(c) H(rho_c) are summed
-        in table order.  Each subset is evaluated once per state and its
+        in group order.  Each subset is evaluated once per state and its
         value kept, and a subset with quantum names also keeps the H(p_C) of
         its classical names C that it computes on the way.
         """
@@ -283,7 +281,7 @@ class LabeledCqState:
             return self._entropies[key]
         slots = self._group_slots(classical)
         members = self._probs[..., slots]  # ([G,] groups, members)
-        # cumulative sums keep the table-order accumulation of a row loop
+        # cumulative sums keep the row-order accumulation of a row loop
         weights = members.cumsum(axis=-1)[..., -1]
         h = _entropy_bits(weights)
         if quantum:

@@ -77,7 +77,7 @@ def whole_number(value, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
-        raise SchemaError(f"{what} must be a whole number, got {value}")
+        raise SchemaError(f"{what} must be a whole number, got {value!r}")
     return whole
 
 

@@ -5,10 +5,10 @@ A ``CodeDistribution`` is a random-coding scheme's input distribution: its
 parts, its deterministic input maps and its structure (factors in sampling
 order, register order, how each channel input is read).  Every network rate
 bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``, built as the
-product grid of its factors; each region names its terms and rows as data,
-and one evaluator, ``_terms``, computes every term on one state, which may
-be a stack of grid tables (``LabeledCqState.on_tables``); the entropies a
-state keeps are the only cache.  The five ``random_*_distribution``
+product grid of its registers' alphabets; each region names its terms and
+rows as data, and one evaluator, ``_terms``, computes every term on one
+state, which may be a stack of grid tables (``LabeledCqState.on_tables``);
+the entropies a state keeps are the only cache.  The five ``random_*_distribution``
 generators are one seeded draw that walks the same layout.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same
@@ -54,7 +54,9 @@ def input_pair(ch: CqChannel):
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
     """All probability vectors of length k with entries on a uniform grid of
     ``resolution`` points per edge, one per row, in lexicographic order of
-    their k - 1 cuts among the ``resolution`` + k - 2 slots."""
+    their k - 1 cuts among the ``resolution`` + k - 2 slots.  A resolution
+    that is not a whole number (11.0 reads as 11), or below 2, is a SchemaError."""
+    resolution = whole_number(resolution, "grid resolution")
     if resolution < 2:
         raise SchemaError(f"grid resolution {resolution} < 2")
     steps = resolution - 1
@@ -225,16 +227,16 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
     ``ch``'s outputs: one row per choice of register symbols, holding its
     probability and the channel output at the inputs those symbols give.
 
-    Rows are the C-order product of the factors' choices, one axis per
-    factor in sampling order.  A channel-input register runs over the
-    channel's alphabet, which its own factor must cover exactly and a joint
-    factor may cover in part; any other register runs over
-    ``dist.alphabets``.  A joint factor (unconditional) runs over its joint
-    symbols and puts its weight on its first register.  Each register's
-    codes and weights, and each row's output, are gathered by the rows'
-    choices; a row's probability multiplies its register weights in
-    register order.  If every factor draws one register, the state keeps
-    the factor axes and groups its rows by reshaping.
+    Rows are the C-order product of the registers' alphabets, one axis per
+    register in sampling order (a joint factor's registers in its own
+    order).  A channel-input register runs over the channel's alphabet,
+    which its own factor must cover exactly and a joint factor may cover in
+    part; any other register runs over ``dist.alphabets``.  A joint factor
+    (unconditional) is spread onto the product of its registers' alphabets,
+    a tuple it does not list weighing 0, and puts its weight on its first
+    register.  Each register's weights, and each row's output, are gathered
+    by the rows' symbol indices; a row's probability multiplies its
+    register weights in register order.
     """
     if ch.n_inputs != len(dist.inputs):
         raise SchemaError(f"a {dist.kind} distribution needs a "
@@ -250,22 +252,23 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
         else:
             dist._values_within(**{r[0]: a})
     factors = [(key, regs.split(), given.split()) for key, regs, given in dist.factors]
-    sizes = [len(dist.parts[key].symbols) if len(regs) > 1 else len(alphabets[regs[0]])
-             for key, regs, _ in factors]
-    codes, weights = {}, {}  # per register, one entry per row
-    for (key, regs, given), choice in zip(factors, np.indices(sizes).reshape(len(sizes), -1)):
+    axes = [r for _, regs, _ in factors for r in regs]
+    # per register, its symbol index on every row
+    codes = dict(zip(axes, np.indices([len(alphabets[r]) for r in axes]).reshape(len(axes), -1)))
+    weights = {}
+    for key, regs, given in factors:
         if len(regs) > 1:
             pd = dist.parts[key]
-            for k, r in enumerate(regs):
-                codes[r] = np.array([alphabets[r].index(s[k]) for s in pd.symbols])[choice]
-            weights[regs[0]] = pd.weights[choice]
+            at = [[alphabets[r].index(s[k]) for s in pd.symbols] for k, r in enumerate(regs)]
+            table = np.zeros([len(alphabets[r]) for r in regs])
+            table[tuple(at)] = pd.weights
         else:
             # conditioning registers are auxiliaries, so the rows of a
             # conditional part are in the product order of their alphabets
-            r, rows = regs[0], dist.parts[key].values() if given else [dist.parts[key]]
-            table = np.reshape([[pd.prob(s) for s in alphabets[r]] for pd in rows],
+            rows = dist.parts[key].values() if given else [dist.parts[key]]
+            table = np.reshape([[pd.prob(s) for s in alphabets[regs[0]]] for pd in rows],
                                [len(alphabets[g]) for g in given] + [-1])
-            codes[r], weights[r] = choice, table[tuple(codes[g] for g in given) + (choice,)]
+        weights[regs[0]] = table[tuple(codes[g] for g in given + regs)]
     names = dist.registers.split()
     inputs = []
     for r, a in zip(dist.inputs, ch.input_alphabets):
@@ -282,11 +285,8 @@ def joint_state(ch: CqChannel, dist: CodeDistribution) -> LabeledCqState:
                          [*map(len, ch.input_alphabets), d, d])
     st = LabeledCqState.__new__(LabeledCqState)
     st._arrays([(r, alphabets[r]) for r in names], ch.output_names, ch.dims,
-               np.stack([codes[r] for r in names], axis=1),
                functools.reduce(operator.mul, (weights[r] for r in names if r in weights)),
-               outputs[tuple(inputs)],
-               tuple(names.index(regs) for _, regs, _ in dist.factors)
-               if drawn_alone >= set(names) else None)
+               outputs[tuple(inputs)], tuple(map(names.index, axes)))
     return st
 
 

@@ -4,12 +4,15 @@ This is the builder ``joint_state`` used before it gathered its rows from
 arrays: rows nest the factors in sampling order as Python tuples, each
 row's probability is ``math.prod`` of its register weights in register
 order, and each row's output is looked up with ``CqChannel.output``.
-``LabeledCqState(registers, table(ch, dist), ch.output_names)`` is the
-state that builder made; parity tests compare ``joint_state`` against it.
+Parity tests compare ``joint_state``'s rows against ``table``, and its
+row groups against ``row_groups``, the row walk that grouped the rows of
+a state before every state was a product grid.
 """
 
 import math
 import operator
+
+import numpy as np
 
 
 def registers(ch, dist) -> list:
@@ -50,3 +53,13 @@ def table(ch, dist) -> dict:
     return {s: (math.prod(w), ch.output(*[get(s) if f is None else f[get(s)]
                                           for f, get in reads]))
             for s, w in rows}
+
+
+def row_groups(codes, key):
+    """Rows grouped by their symbol indices ``codes`` (rows, registers) on
+    the registers ``key``: a (groups, members) array of row indices, groups
+    in order of first appearance and members in row order."""
+    groups: dict[tuple, list] = {}
+    for row, code in enumerate(codes[:, list(key)].tolist()):
+        groups.setdefault(tuple(code), []).append(row)
+    return np.array(list(groups.values()), dtype=np.intp)

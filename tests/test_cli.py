@@ -301,9 +301,10 @@ class TestRegion:
         got = (tmp_path / "union.csv").read_bytes() if "--out" in argv else out.encode()
         assert got == (GOLDEN / golden).read_bytes()
 
-    # the exact bytes of region commands on product-grid states (cmg, hk, the
-    # README's mac and vsi lines, si, sato) and on joint-factor states
-    # (relay-pdf, bc-marton, bc-superposition), stdout or --out file
+    # the exact bytes of region commands on states of one-register factors
+    # (cmg, hk, the README's mac and vsi lines, si, sato, bc-superposition)
+    # and of joint factors (relay-pdf, bc-marton), and of the README's two
+    # capacity lines, stdout or --out file; a region argv omits "region"
     @pytest.mark.parametrize("argv, golden", [
         ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
         ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
@@ -318,11 +319,16 @@ class TestRegion:
         ("sato --builtin theta_swap(1.2)", "region_sato_theta_swap_1.2.json"),
         ("bc-superposition --builtin bb84_bc --seed 1",
          "region_bc_superposition_bb84_bc_seed1.json"),
+        ("capacity p2p-holevo --builtin bb84_p2p", "capacity_p2p_holevo_bb84_p2p.txt"),
+        ("capacity p2p-classical --builtin bb84_p2p --povm-angle -0.3927",
+         "capacity_p2p_classical_bb84_p2p_angle-0.3927.txt"),
     ])
     def test_region_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
         monkeypatch.chdir(tmp_path)
         argv = argv.split()
-        code, out, _ = run(capsys, "region", *argv)
+        if argv[0] != "capacity":
+            argv.insert(0, "region")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         got = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out.encode()
         assert got == (GOLDEN / golden).read_bytes()

@@ -208,6 +208,15 @@ class TestLabeledCqState:
         with pytest.raises(InvariantError):
             LabeledCqState([("X", (0,))], {(1,): (1.0, pure_state(KET0))}, ("B",))
 
+    @pytest.mark.parametrize("rest", [{}, {"1": (0.5, pure_state(KET0))}])
+    def test_two_keys_naming_one_tuple_rejected(self, rest):
+        # "0" and ("0",) both name the tuple ("0",), whose grid row holds one
+        # state, whether or not the probabilities sum to 1
+        with pytest.raises(InvariantError, match=r"tuple \('0',\) is listed twice"):
+            LabeledCqState([("X", ("0", "1"))],
+                           {"0": (0.5, pure_state(KET0)), ("0",): (0.5, pure_state(KET1)),
+                            **rest}, ("B",))
+
     def test_two_quantum_parts_partial(self):
         rng = np.random.default_rng(23)
         r0, r1 = rand_two_part(rng, 2, 2), rand_two_part(rng, 2, 2)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from pathlib import Path
 
 import joint_loop
@@ -128,6 +129,14 @@ class TestSimplexGrid:
         got = simplex_grid(k, resolution)
         assert got.shape == (len(expect), k)
         assert got.tobytes() == np.array(expect).tobytes()
+
+    @pytest.mark.parametrize("resolution", [11.5, "11", None])
+    def test_rejects_a_resolution_that_is_not_whole(self, resolution):
+        with pytest.raises(SchemaError, match="grid resolution must be a whole number"):
+            simplex_grid(2, resolution)
+
+    def test_reads_a_whole_float_resolution_as_its_int(self):
+        assert simplex_grid(2, 11.0).tobytes() == simplex_grid(2, 11).tobytes()
 
     def test_grid_pairs_read_any_iterable_of_rows(self, monkeypatch):
         # a grid handed over one row at a time gives the same tables
@@ -330,7 +339,8 @@ class TestMacRegion:
     @pytest.mark.parametrize("sweep", [mac_region_union, vsi_check])
     @pytest.mark.parametrize("grid", [11.5, "11", None])
     def test_sweeps_reject_a_grid_that_is_not_whole(self, sweep, grid):
-        with pytest.raises(SchemaError, match="grid must be a whole number"):
+        # the value as written: the string "11" reads '11', not 11
+        with pytest.raises(SchemaError, match=re.escape(f"grid must be a whole number, got {grid!r}")):
             sweep(builtin("bb84_qmac"), grid=grid)
 
     @pytest.mark.parametrize("sweep", [mac_region_union, vsi_check])
@@ -1164,6 +1174,7 @@ def joint_grid_cases():
 
     swapped, zero = ProbDist(("1", "0"), [0.3, 0.7]), ProbDist(("0", "1"), [0.0, 1.0])
     pairs = (("0", "0"), ("0", "1"), ("1", "1"))
+    unordered = (("0", "1"), ("1", "1"), ("0", "0"))
     triples = (("u", "0", "0"), ("u", "1", "0"), ("v", "0", "1"), ("v", "1", "1"))
     cases = [
         ("p2p", p2p, CodeDistribution.p2p(draw())),
@@ -1176,6 +1187,10 @@ def joint_grid_cases():
             ProbDist(("a", "b"), [1.0, 0.0]), {"a": swapped, "b": zero})),
         ("marton-sparse", bc, CodeDistribution.marton(
             ProbDist(pairs, [0.5, 0.3, 0.2]), dict(zip(pairs, "010")), ("0", "1"))),
+        # U1 over ("0", "1") and U2 over ("1", "0"), whose product order
+        # lists (0,1), (0,0), (1,1)
+        ("marton-out-of-order", bc, CodeDistribution.marton(
+            ProbDist(unordered, [0.5, 0.3, 0.2]), dict(zip(unordered, "011")), ("0", "1"))),
         ("relay-sparse", rc, CodeDistribution.relay_pdf(
             ProbDist(triples, [0.4, 0.0, 0.6, 0.0]))),
     ]
@@ -1200,36 +1215,33 @@ def joint_grid_cases():
 
 
 class TestJointGrid:
-    """``joint_state`` gathers its rows from arrays; the parent's row-by-row
-    builder (``joint_loop``) makes the same state byte for byte."""
+    """``joint_state`` is a product grid over its registers' alphabets: the
+    row-by-row builder ``joint_loop.table`` lists the same rows, byte for
+    byte, every row it does not list weighs 0, and reshaping the grid groups
+    rows as walking them (``joint_loop.row_groups``) does."""
 
     @pytest.mark.parametrize("case", joint_grid_cases(), ids=lambda c: c[0])
     def test_state_matches_row_loop(self, case):
         _, ch, dist = case
         st = joint_state(ch, dist)
-        ref = LabeledCqState(joint_loop.registers(ch, dist), joint_loop.table(ch, dist),
-                             ch.output_names)
-        assert st.registers == ref.registers and st.dims == ref.dims
-        assert st._codes.dtype == ref._codes.dtype and np.array_equal(st._codes, ref._codes)
-        assert st._probs.tobytes() == ref._probs.tobytes()
-        assert st._blocks.tobytes() == ref._blocks.tobytes()
+        table = joint_loop.table(ch, dist)
+        assert st.registers == tuple((r, tuple(a)) for r, a in joint_loop.registers(ch, dist))
+        assert st.dims == ch.dims
+        # each row's register symbol indices, from the C order of the axes
+        sizes = [len(st.registers[r][1]) for r in st._axes]
+        codes = np.empty((len(st._probs), len(sizes)), np.intp)
+        codes[:, st._axes] = np.indices(sizes).reshape(len(sizes), -1).T
+        for row, code in enumerate(codes):
+            key = tuple(a[i] for (_, a), i in zip(st.registers, code))
+            if key in table:
+                p, rho = table.pop(key)
+                assert st._probs[row].tobytes() == np.float64(p).tobytes(), key
+                assert st._blocks[row].tobytes() == rho.entries.tobytes(), key
+            else:
+                assert st._probs[row] == 0.0, key
+        assert not table
         k = len(st.registers)
         for subset in itertools.chain.from_iterable(
                 itertools.combinations(range(k), r) for r in range(k + 1)):
-            got, want = st._group_slots(subset), ref._group_slots(subset)
+            got, want = st._group_slots(subset), joint_loop.row_groups(codes, subset)
             assert got.dtype == want.dtype and np.array_equal(got, want), subset
-
-    def test_only_joint_factors_walk_rows(self, monkeypatch):
-        walked = []
-        real = LabeledCqState._row_groups
-        monkeypatch.setattr(LabeledCqState, "_row_groups",
-                            lambda st, key: walked.append(key) or real(st, key))
-        qmac, bc = bb84_qmac(), builtin("bb84_bc")
-        for dist in (random_cmg_distribution(qmac, 1, q_size=3),
-                     random_cmg_distribution(qmac, 2, q_size=1)):
-            cmg_informations(qmac, dist)
-            cmg_region_via_projection(qmac, dist)
-        hk_region(qmac, random_hk_distribution(qmac, 3, q_size=3))
-        assert walked == []
-        marton_region(bc, random_marton_distribution(bc, 1))
-        assert walked
