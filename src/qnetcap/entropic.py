@@ -6,18 +6,16 @@ treated as orthogonal diagonal blocks, so the entropy of a classical/quantum
 subset decomposes as H(p) + sum_c p(c) H(rho_c); subsets with no quantum label
 marginalize the table directly instead of building any matrix.
 
-Entropies are stacked eigensolves: each H(S) forms every group block
-sum_{rows in c} p(row) rho_row at once, for one probability table or a stack
-of G tables sharing the conditional states (``LabeledCqState.on_tables``),
-and diagonalizes them in one ``np.linalg.eigvalsh`` call.  A group of one
-row is that row's conditional state whatever the table, so a subset whose
-groups are all one row reads the rows' entropies, diagonalized once per
-state and quantum subset and shared by every stack.  Every state is a
-product grid, one row per tuple of its register alphabets, and groups its
-rows by reshaping; reduced blocks are kept per quantum subset.  Only user
-input (``ProbDist``, the table given to ``LabeledCqState``, a transition
-matrix) is validated, each by the one probability rule of
-``_probabilities``; intermediates are plain arrays.
+Every state is a product grid, one row per tuple of its register alphabets.
+Each H(S) mixes every group block sum_{rows in c} p(row) rho_row at once and
+diagonalizes them in one ``np.linalg.eigvalsh`` call; a group of one live row
+reads that row's entropy, diagonalized once per state.  A product stack
+(``LabeledCqState.on_tables``) is G tables, products of per-register weights,
+on one state's conditional states.  A group's normalized state depends only on
+the weights of the registers outside the grouping, so it is diagonalized once
+per setting of those.  Only user input (``ProbDist``, the table given to
+``LabeledCqState``, a transition matrix) is validated, by the one probability
+rule of ``_probabilities``; intermediates are plain arrays.
 """
 
 from __future__ import annotations
@@ -207,7 +205,8 @@ class LabeledCqState:
         if set(self.register_names) & set(self.quantum_names):
             raise InvariantError("classical and quantum names overlap")
         self.dims = dims
-        self._probs, self._blocks, self._axes = probs, blocks, axes
+        self._probs, self._blocks, self._axes, self._weights = probs, blocks, axes, None
+        self._shape = tuple(len(registers[r][1]) for r in axes)
         self._slots, self._reduced, self._row_entropies, self._entropies = {}, {}, {}, {}
 
     def _split(self, names):
@@ -226,9 +225,8 @@ class LabeledCqState:
         order, every group as wide as the others."""
         key = tuple(classical)
         if key not in self._slots:
-            sizes = [len(self.registers[r][1]) for r in self._axes]
-            order = sorted(range(len(sizes)), key=lambda i: self._axes[i] not in key)
-            rows = np.arange(len(self._blocks)).reshape(sizes).transpose(order)
+            order = sorted(range(len(self._axes)), key=lambda i: self._axes[i] not in key)
+            rows = np.arange(len(self._blocks)).reshape(self._shape).transpose(order)
             self._slots[key] = rows.reshape(math.prod(rows.shape[: len(key)]), -1)
         return self._slots[key]
 
@@ -247,63 +245,87 @@ class LabeledCqState:
             self._row_entropies[key] = _entropy_bits(spectra, cutoff=EIG_CUTOFF)
         return self._row_entropies[key]
 
-    def on_tables(self, probs) -> "LabeledCqState":
-        """This state under a stack of G probability tables of shape
-        (G, |A1|, ..., |Ak|), registers in register order, in place of its
-        own, sharing its conditional states, row groups, reduced blocks and
-        row entropies.  Each entry is the weight of its tuple's row, a tuple
-        missing from a dict table included (its block is zero).  Its
-        ``entropy`` returns arrays of G values, kept on the stack like a
-        state's."""
-        probs = np.asarray(probs, dtype=float)
+    def on_tables(self, weights) -> "LabeledCqState":
+        """This state under a product stack of tables, sharing its
+        conditional states and what it keeps of them: ``weights`` holds one
+        (G_r, |A_r|) array per register, in register order, and the G =
+        prod_r G_r tables are the products prod_r w_r[g_r, a_r] (a dict
+        table's missing tuple too; its block is zero), points in the C order
+        of (g_1, ..., g_k).  Its ``entropy`` gives arrays of G values."""
         stack = copy.copy(self)
-        axes = (0, *(1 + a for a in self._axes))
-        stack._probs = probs.transpose(axes).reshape(len(probs), -1)
+        stack._weights = [(w, w.sum(-1), w / w.sum(-1, keepdims=True)) for w in map(np.asarray, weights)]
         stack._entropies = {}
         return stack
+
+    def _stack_entropy(self, kept, quantum) -> np.ndarray:
+        """``entropy`` on a product stack; register r's point and symbol are
+        the einsum subscripts g[r] and a[r].  With D the registers outside
+        ``kept``, p(c) is the kept weights times D's sums, and a group's
+        state mixes its rows by D's weights over their sums alone: one
+        ``eigvalsh`` of prod_{r in D} G_r x |groups| matrices (D empty reads
+        ``_row_entropy``), spread over the kept axes by one weighted sum."""
+        g, a = "abcdefghijkl"[: len(self._weights)], "mnopqrstuvwx"[: len(self._weights)]
+        spec = ",".join(g[r] + a[r] if r in kept else g[r] for r in range(len(g)))
+        points = [w if r in kept else s for r, (w, s, _) in enumerate(self._weights)]
+        p = np.einsum(f"{spec}->{g}" + "".join(a[r] for r in kept), *points)
+        h = _entropy_bits(p.reshape(math.prod(p.shape[: len(g)]), -1))
+        if quantum:
+            self._entropies[tuple(kept), ()] = h
+            drop = [r for r in range(len(g)) if r not in kept]
+            rows = "".join(a[r] for r in self._axes)  # the grid's axes, in its own order
+            if drop:
+                sub = "".join(g[r] for r in drop) + "".join(a[r] for r in kept)
+                blocks = self._reduced_blocks(quantum)
+                mixed = np.einsum(",".join(g[r] + a[r] for r in drop) + f",{rows}...->{sub}...",
+                                  *(self._weights[r][2] for r in drop),
+                                  blocks.reshape(self._shape + blocks.shape[1:]))
+                spectra = _entropy_bits(np.linalg.eigvalsh(mixed), cutoff=EIG_CUTOFF)
+            else:
+                sub, spectra = rows, self._row_entropy(quantum).reshape(self._shape)
+            h = np.einsum(f"{spec},{sub}->{g}", *points, spectra).reshape(h.shape) + h
+        return h
 
     def entropy(self, names):
         """Joint entropy H(S) of any mix of classical and quantum names, bits.
 
         H(S) = H(p_C) + sum_c p(c) H(rho_c): the weighted blocks of each
-        classical group c are summed in row order, and all group blocks go
-        through one stacked eigensolve.  When every group is one row, rho_c
-        is that row's state, and H(rho_c) is read from ``_row_entropy``,
-        which diagonalizes each row once per state and quantum subset (a
-        zero-weight row adds exactly 0).  The terms p(c) H(rho_c) are summed
-        in group order.  Each subset is evaluated once per state and its
-        value kept, and a subset with quantum names also keeps the H(p_C) of
-        its classical names C that it computes on the way.
+        classical group c are summed in row order, and all go through one
+        stacked eigensolve; when no group has two rows of nonzero weight,
+        H(rho_c) is read from ``_row_entropy``, diagonalized once per state
+        and quantum subset.  The terms are summed in group order.  A product
+        stack has its own rule (``_stack_entropy``).  Each subset is evaluated
+        once per state and kept, with the H(p_C) it passes on the way.
         """
         classical, quantum = self._split(names)
         key = (tuple(classical), tuple(quantum))
         if key in self._entropies:
             return self._entropies[key]
+        if self._weights is not None:
+            return self._entropies.setdefault(key, self._stack_entropy(classical, quantum))
         slots = self._group_slots(classical)
-        members = self._probs[..., slots]  # ([G,] groups, members)
+        members = self._probs[slots]  # (groups, members)
         # cumulative sums keep the row-order accumulation of a row loop
-        weights = members.cumsum(axis=-1)[..., -1]
-        h = _entropy_bits(weights)
+        weights = members.cumsum(axis=1)[:, -1]
+        h = float(_entropy_bits(weights))
         if quantum:
-            self._entropies[key[0], ()] = h if h.ndim else float(h)
-            if slots.shape[1] == 1:  # a one-row group's state is its row's
-                terms = weights * self._row_entropy(quantum)[slots[:, 0]]
+            self._entropies[key[0], ()] = h
+            if np.count_nonzero(members) == np.count_nonzero(weights):  # one live row per live group
+                terms = (members * self._row_entropy(quantum)[slots]).sum(axis=1)
             else:
                 blocks = self._reduced_blocks(quantum)[slots]
-                mixed = (members[..., None, None] * blocks).cumsum(axis=-3)[..., -1, :, :]
+                mixed = (members[..., None, None] * blocks).cumsum(axis=1)[:, -1]
                 live = weights > 0.0
-                pc = weights[live]
-                spectra = np.linalg.eigvalsh(mixed[live] / pc[:, None, None])
+                spectra = np.linalg.eigvalsh(mixed[live] / weights[live, None, None])
                 terms = np.zeros(weights.shape)
-                terms[live] = pc * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
-            h = terms.cumsum(axis=-1)[..., -1] + h
-        self._entropies[key] = h if h.ndim else float(h)
-        return self._entropies[key]
+                terms[live] = weights[live] * _entropy_bits(spectra, cutoff=EIG_CUTOFF)
+            h = float(terms.cumsum()[-1] + h)
+        self._entropies[key] = h
+        return h
 
 
 def conditional_mutual_information(state: LabeledCqState, a, b, c=()):
     """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), in bits, an array on a
-    stack of tables (``LabeledCqState.on_tables``).
+    product stack (``LabeledCqState.on_tables``).
 
     A and C must be classical register names; B may mix classical registers
     and quantum subsystem labels.  With C empty this is the plain mutual

@@ -7,9 +7,9 @@ order, register order, how each channel input is read).  Every network rate
 bound is an I(A;B|C) of one state, ``joint_state(ch, dist)``, built as the
 product grid of its registers' alphabets; each region names its terms and
 rows as data, and one evaluator, ``_terms``, computes every term on one
-state, which may be a stack of grid tables (``LabeledCqState.on_tables``);
-the entropies a state keeps are the only cache.  The five ``random_*_distribution``
-generators are one seeded draw that walks the same layout.
+state, which may be a product stack of per-sender grid points
+(``LabeledCqState.on_tables``); the entropies a state keeps are the only
+cache.  The five ``random_*_distribution`` generators are one seeded draw.
 Interference-channel operations accept either a two-output channel or a
 single-output channel, in which case both receivers observe the same
 system; broadcast and relay ones need two outputs (``_TWO_OUTPUT_KINDS``).
@@ -66,15 +66,14 @@ def simplex_grid(k: int, resolution: int) -> np.ndarray:
 
 def _grid_pairs(k1: int, k2: int, resolution: int):
     """Product distributions p1(x1) p2(x2) over two simplex grids, first
-    grid outermost, as stacked (n, k1, k2) tables of at most
-    ``_GRID_CHUNK`` points; each grid may be any iterable of rows."""
+    grid outermost, in chunks of at most ``_GRID_CHUNK`` points, each the
+    (outer, inner) grid points it multiplies; a grid may be any iterable of rows."""
     inner = np.array(list(simplex_grid(k2, resolution)))
     points = iter(simplex_grid(k1, resolution))
     while outer := list(itertools.islice(points, max(1, _GRID_CHUNK // len(inner)))):
         outer = np.array(outer)
         for lo in range(0, len(inner), _GRID_CHUNK):
-            w2 = inner[lo : lo + _GRID_CHUNK]
-            yield (outer[:, None, :, None] * w2[None, :, None, :]).reshape(-1, k1, k2)
+            yield outer, inner[lo : lo + _GRID_CHUNK]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ p2p_state = mac_state = cts_state = hk_state = cmg_state = superposition_state =
 def _terms(st: LabeledCqState, ch: CqChannel, terms: dict) -> dict:
     """Each unclamped I(A;B|C) of ``terms`` (name -> (A, B, C), register and
     output names separated by spaces, B1 and B2 standing for receivers 1 and
-    2) on ``st``: a float per term, or an array on a stack of tables.  A
+    2) on ``st``: a float per term, or an array on a product stack.  A
     repeated term re-reads the entropies ``st`` keeps."""
     receivers = dict(zip(("B1", "B2"), _receiver_names(ch)))
     out = {}
@@ -320,10 +319,9 @@ def _informations(ch: CqChannel, dist: CodeDistribution, kind: str, terms: dict)
 
 def _grid_states(ch: CqChannel, grid: int):
     """The product input distributions of a two-input channel's simplex
-    grid, one stacked state (``LabeledCqState.on_tables``) per
-    ``_grid_pairs`` chunk, each sharing the conditional states of the
-    uniform one; ``_terms`` on a stack computes each entropy once per chunk.
-    A grid that is not a whole number (11.0 reads as 11), or below 3, which
+    grid: per ``_grid_pairs`` chunk, the uniform state's product stack
+    (``LabeledCqState.on_tables``) of the chunk's two senders' points.  A
+    grid that is not a whole number (11.0 reads as 11), or below 3, which
     visits only deterministic inputs, is a SchemaError."""
     grid = whole_number(grid, "grid")
     if grid < 3:
@@ -331,8 +329,8 @@ def _grid_states(ch: CqChannel, grid: int):
                           "where every information is 0")
     a1, a2 = input_pair(ch)
     st = joint_state(ch, CodeDistribution.mac(ProbDist.uniform(a1), ProbDist.uniform(a2)))
-    for probs in _grid_pairs(len(a1), len(a2), grid):
-        yield st.on_tables(probs)
+    for pair in _grid_pairs(len(a1), len(a2), grid):
+        yield st.on_tables(pair)
 
 
 def _rows(values: dict, rows) -> list:

@@ -303,8 +303,9 @@ class TestRegion:
 
     # the exact bytes of region commands on states of one-register factors
     # (cmg, hk, the README's mac and vsi lines, si, sato, bc-superposition)
-    # and of joint factors (relay-pdf, bc-marton), and of the README's two
-    # capacity lines, stdout or --out file; a region argv omits "region"
+    # and of joint factors (relay-pdf, bc-marton), and of the README's
+    # capacity, bosonic and sim classical lines, stdout or --out file; a
+    # region argv omits "region"
     @pytest.mark.parametrize("argv, golden", [
         ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
         ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
@@ -322,11 +323,17 @@ class TestRegion:
         ("capacity p2p-holevo --builtin bb84_p2p", "capacity_p2p_holevo_bb84_p2p.txt"),
         ("capacity p2p-classical --builtin bb84_p2p --povm-angle -0.3927",
          "capacity_p2p_classical_bb84_p2p_angle-0.3927.txt"),
+        ("bosonic p2p --param 0.9 1.0 --grid 41 --out curves.csv",
+         "bosonic_p2p_0.9_1.0_grid41.csv"),
+        ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1 --lambda 0.8 0.8",
+         "bosonic_hk_0.3_0.6_0.6_0.3_100_100_1_1_lambda0.8.json"),
+        ("sim classical --builtin bb84_p2p --param 0.1 12 2000 --seed 21",
+         "sim_classical_bb84_p2p_0.1_12_2000_seed21.txt"),
     ])
     def test_region_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
         monkeypatch.chdir(tmp_path)
         argv = argv.split()
-        if argv[0] != "capacity":
+        if argv[0] not in ("capacity", "bosonic", "sim"):
             argv.insert(0, "region")
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -1,11 +1,12 @@
 import decimal
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from cq_loop import loop_entropy
 
-from qnetcap.channels import CqChannel
+from qnetcap.channels import CqChannel, theta_swap
 from qnetcap.codesim import classical_typical_decode_sim
 from qnetcap.entropic import (
     LabeledCqState,
@@ -288,6 +289,23 @@ def all_subsets(names):
     ]
 
 
+def product_tables(weights):
+    """The tables of a product stack (``LabeledCqState.on_tables``), one
+    per point in the C order of the registers' weight rows: the outer
+    product of one row per register."""
+    for rows in itertools.product(*weights):
+        yield functools.reduce(np.multiply.outer, rows)
+
+
+def dirichlet_rows(rng, size, zeros=()):
+    """``size`` = (G, k) Dirichlet rows, entries ``zeros`` (row, column
+    pairs) set to 0 and their rows renormalized."""
+    w = rng.dirichlet(np.ones(size[1]), size=size[0])
+    for g, a in zeros:
+        w[g, a] = 0.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class TestStackedParity:
     """The stacked kernel against the row loop in ``cq_loop``, to 1e-12."""
 
@@ -348,22 +366,70 @@ class TestStackedParity:
         states = {key: rand_two_part(rng, 2, 2) for key in keys}
         registers = [("X", (0, 1)), ("Y", (0, 1, 2))]
         names = ("B1", "B2")
-        stack = rng.dirichlet(np.ones(6), size=5)
-        stack[1, :3] = 0.0
-        stack[1] /= stack[1].sum()
-        stack[2, ::2] = 0.0
-        stack[2] /= stack[2].sum()
-        stack = stack.reshape(5, 2, 3)
+        weights = [dirichlet_rows(rng, (3, 2), zeros=[(1, 0)]),
+                   dirichlet_rows(rng, (2, 3), zeros=[(0, 0), (0, 2)])]
         st = LabeledCqState(
             registers, {key: (1 / 6, rho) for key, rho in states.items()}, names
         )
-        stacked_st = st.on_tables(stack)
+        stacked_st = st.on_tables(weights)
+        tables = list(product_tables(weights))
         for subset in all_subsets(["X", "Y", "B1", "B2"]):
             stacked = stacked_st.entropy(subset)
-            for g in range(len(stack)):
-                table = {key: (stack[g][key], rho) for key, rho in states.items()}
+            assert stacked.shape == (len(tables),)
+            for g, probs in enumerate(tables):
+                table = {key: (probs[key], rho) for key, rho in states.items()}
                 expect = loop_entropy(registers, table, names, subset)
                 assert abs(stacked[g] - expect) <= 1e-12, (subset, g)
+
+    def test_three_register_product_stack_matches_loop(self):
+        # unequal alphabets and stack sizes, mixed two-part outputs, and
+        # zero weights on some axis entries, over every subset
+        rng = np.random.default_rng(23)
+        registers = [("U", ("a", "b", "c")), ("X", (0, 1)), ("Y", (0, 1, 2, 3))]
+        names = ("B1", "B2")
+        keys = list(itertools.product(*(a for _, a in registers)))
+        states = {key: rand_two_part(rng, 2, 3) for key in keys}
+        # X's rows sum to 0.5, 1 and 2: each group's block is normalized by
+        # its own weight, in the loop as by the dropped sums on the stack
+        weights = [dirichlet_rows(rng, (2, 3), zeros=[(1, 1)]),
+                   dirichlet_rows(rng, (3, 2), zeros=[(2, 0)]) * [[0.5], [1.0], [2.0]],
+                   dirichlet_rows(rng, (4, 4), zeros=[(0, 3), (3, 0), (3, 2)])]
+        st = LabeledCqState(
+            registers, {key: (1 / len(keys), rho) for key, rho in states.items()}, names
+        ).on_tables(weights)
+        tables = [{key: (p, states[key]) for key, p in zip(keys, probs.reshape(-1))}
+                  for probs in product_tables(weights)]
+        assert len(tables) == 2 * 3 * 4
+        for subset in all_subsets(["U", "X", "Y", "B1", "B2"]):
+            got = st.entropy(subset)
+            for g, table in enumerate(tables):
+                expect = loop_entropy(registers, table, names, subset)
+                assert abs(got[g] - expect) <= 1e-12, (subset, g)
+
+    def test_product_stack_on_a_permuted_grid_matches_loop(self):
+        # a cmg state keeps its grid axes in sampling order (Q W1 W2 X1 X2),
+        # not register order (Q W1 X1 W2 X2); the stack is in register order
+        ch = theta_swap(1.2)
+        bits = ("0", "1")
+        u = ProbDist.uniform(bits)
+        dist = CodeDistribution.cmg(u, {q: u for q in bits}, {q: u for q in bits},
+                                    {wq: u for wq in itertools.product(bits, bits)},
+                                    {wq: u for wq in itertools.product(bits, bits)})
+        st = joint_state(ch, dist)
+        assert st._axes != tuple(range(5))
+        rng = np.random.default_rng(29)
+        weights = [dirichlet_rows(rng, (n, 2), zeros=z)
+                   for n, z in ((1, ()), (2, [(1, 0)]), (1, ()), (2, ()), (1, [(0, 1)]))]
+        registers = list(st.registers)
+        keys = list(itertools.product(bits, repeat=5))
+        stacked = st.on_tables(weights)
+        tables = [{key: (p, ch.output(key[2], key[4])) for key, p in zip(keys, probs.reshape(-1))}
+                  for probs in product_tables(weights)]
+        for subset in all_subsets(["Q", "W1", "X1", "W2", "X2", "B1", "B2"]):
+            got = stacked.entropy(subset)
+            for g, table in enumerate(tables):
+                expect = loop_entropy(registers, table, ch.output_names, subset)
+                assert abs(got[g] - expect) <= 1e-12, (subset, g)
 
 
 class TestOneRowGroups:
@@ -401,16 +467,13 @@ class TestOneRowGroups:
         ch = self.channel()
         uniform = [ProbDist.uniform(a) for _, a in self.registers]
         st = joint_state(ch, CodeDistribution.mac(*uniform))
-        stack = np.random.default_rng(19).dirichlet(np.ones(6), size=4).reshape(4, 3, 2)
-        stack[1, 0] = 0.0
-        stack[2, :, 1] = 0.0
-        stack[3] = 0.0
-        stack[3, 2, 0] = 1.0
-        stack /= stack.sum(axis=(1, 2), keepdims=True)
-        stacked = st.on_tables(stack)
+        rng = np.random.default_rng(19)
+        weights = [dirichlet_rows(rng, (3, 3), zeros=[(1, 0), (2, 0), (2, 1)]),
+                   dirichlet_rows(rng, (2, 2), zeros=[(1, 1)])]
+        stacked = st.on_tables(weights)
         for subset in self.one_row:
             got = stacked.entropy(subset)
-            for g, probs in enumerate(stack):
+            for g, probs in enumerate(product_tables(weights)):
                 table = self.table(ch, probs)
                 expect = loop_entropy(self.registers, table, self.names, subset)
                 assert abs(got[g] - expect) <= 1e-12, (subset, g)
@@ -419,7 +482,7 @@ class TestOneRowGroups:
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or real(m))
         for subset in self.one_row:
-            st.on_tables(stack[::-1]).entropy(subset)
+            st.on_tables([w[::-1] for w in weights]).entropy(subset)
         assert not solves
 
 
@@ -449,9 +512,7 @@ class TestEntropyMemo:
         weights = rng.dirichlet(np.ones(len(keys)))
         table = {key: (w, rand_two_part(rng, 2, 2)) for key, w in zip(keys, weights)}
         args = ([("X", (0, 1)), ("Y", (0, 1, 2))], table, ("B1", "B2"))
-        stack = rng.dirichlet(np.ones(len(keys)), size=4).reshape(4, 2, 3)
-        stack[1, 0] = 0.0
-        stack[1] /= stack[1].sum()
+        stack = [dirichlet_rows(rng, (2, 2), zeros=[(1, 0)]), dirichlet_rows(rng, (2, 3))]
 
         def state():
             st = LabeledCqState(*args)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -139,11 +140,14 @@ class TestSimplexGrid:
         assert simplex_grid(2, 11.0).tobytes() == simplex_grid(2, 11).tobytes()
 
     def test_grid_pairs_read_any_iterable_of_rows(self, monkeypatch):
-        # a grid handed over one row at a time gives the same tables
-        stacked = [t.tobytes() for t in network._grid_pairs(3, 2, 11)]
+        # a grid handed over one row at a time gives the same chunks
+        def chunks():
+            return [(o.tobytes(), i.tobytes()) for o, i in network._grid_pairs(3, 2, 11)]
+
+        stacked = chunks()
         real = network.simplex_grid
         monkeypatch.setattr(network, "simplex_grid", lambda k, r: iter(list(real(k, r))))
-        assert [t.tobytes() for t in network._grid_pairs(3, 2, 11)] == stacked
+        assert chunks() == stacked
 
 
 class TestBlahutArimoto:
@@ -233,10 +237,10 @@ class TestHswCapacity:
         st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
         b = set(ch.output_names)
         chi = conditional_mutual_information(
-            st.on_tables(res.distribution.weights[None]), {"X"}, b)
+            st.on_tables([res.distribution.weights[None]]), {"X"}, b)
         assert abs(res.value - chi[0]) <= 1e-12
-        grid = np.array(list(simplex_grid(len(alphabet), 11)))
-        best = conditional_mutual_information(st.on_tables(grid), {"X"}, b).max()
+        grid = simplex_grid(len(alphabet), 11)
+        best = conditional_mutual_information(st.on_tables([grid]), {"X"}, b).max()
         assert res.value >= best - 1e-9
 
     def test_bb84_value(self):
@@ -521,7 +525,8 @@ class TestHkRegion:
         real_eig, solves = np.linalg.eigvalsh, []
 
         def counted(m):
-            solves.append(len(m))
+            # the number of matrices in one call
+            solves.append(math.prod(np.shape(m)[:-2]))
             return real_eig(m)
 
         def quantum(recorded):
@@ -535,7 +540,7 @@ class TestHkRegion:
             (si_capacity, qmac, uniform_no_ts()),
             (successive_decoding_corners, qmac, UNIF2, UNIF2),
         ]
-        # the grid sweeps run in several chunks, one stacked state each
+        # the grid sweeps run in several chunks, one product stack each
         inside, outside = theta_swap(1.5), theta_swap(0.5)
         sweeps = [
             (vsi_check, inside, 11, True),
@@ -560,23 +565,46 @@ class TestHkRegion:
             for term in terms:
                 chunks.setdefault(id(term[0]), []).append(term)
             subsets = [quantum(chunk) for chunk in chunks.values()]
-            # a subset holding every register groups one row each, whose
-            # entropies the chunks share: diagonalized once per sweep
-            registers = set(terms[0][0].register_names)
-            one_row = {s for s in subsets[0] if registers <= s}
+            alphabets = dict(zip(("X1", "X2"), map(len, sweep_ch.input_alphabets)))
+            pairs = network._grid_pairs(*alphabets.values(), grid)
+            # the rule: a subset keeping registers K is G_D x groups matrices
+            # per chunk, G_D the product of the dropped registers' point
+            # counts and groups that of the kept alphabets; one keeping
+            # every register reads the rows' entropies, diagonalized once
+            # per sweep, one matrix per row
+            rows = math.prod(alphabets.values())
+            one_row = {s for s in subsets[0] if set(alphabets) <= s}
             assert one_row
+            expect = len(one_row) * rows
+            for subset, (outer, inner) in zip(subsets, pairs):
+                sizes = dict(zip(alphabets, (len(outer), len(inner))))
+                for s in subset - one_row:
+                    expect += math.prod(alphabets[r] if r in s else sizes[r] for r in alphabets)
+            assert sum(solves) == expect
+            # one eigvalsh call per distinct subset, rows once per sweep
             assert len(solves) == len(one_row) + sum(len(s - one_row) for s in subsets)
             if verdict is False:
                 # stopped in its first chunk, after the first pair's subsets
                 assert result is False and len(chunks) == 1 and len(terms) == 2
                 assert subsets[0] < per_chunk[vsi_check]
                 continue
-            total = len(list(network._grid_pairs(*map(len, sweep_ch.input_alphabets), grid)))
+            total = len(list(network._grid_pairs(*alphabets.values(), grid)))
             assert len(chunks) == total > 1 and subsets == [subsets[0]] * total
-            assert len(solves) == len(one_row) + total * len(subsets[0] - one_row)
             assert len(subsets[0]) < 2 * len(terms) // total
             assert verdict is None or result is verdict
             per_chunk[sweep] = subsets[0]
+
+    def test_vsi_sweep_matrix_count_is_pinned(self, monkeypatch):
+        real_eig, solves = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(
+            math.prod(np.shape(m)[:-2])) or real_eig(m))
+        assert vsi_check(theta_swap(1.5), grid=11)
+        # the channel's four outputs are checked on construction; one chunk
+        # of 11 x 11 points: H(B1) and H(B2) at all 121 points, H(X1 B2) and
+        # H(X2 B1) at 11 settings of the dropped sender x 2 groups, and
+        # H(X1 X2 B1), H(X1 X2 B2) once per row
+        assert sum(solves) == 4 + 2 * 121 + 2 * 11 * 2 + 2 * 4 == 298
+        assert len(solves) == 10
 
     def test_contains_successive_decoding_corners(self):
         ch = builtin("theta_swap(1.2)")
@@ -717,6 +745,18 @@ class TestRelay:
         direct = conditional_mutual_information(st, {"X", "X1"}, {"B"})
         hop = conditional_mutual_information(st, {"X"}, {"B1"}, {"X1"})
         assert np.isclose(rate, min(direct, hop), atol=1e-9)
+
+    def test_df_groups_of_one_live_row_read_row_entropies(self, monkeypatch):
+        # on the (x, x, x1) joint, every group that drops U or X has one row
+        # of nonzero weight, so only H(B) and H(X1 B1) mix rows
+        rc = builtin("bb84_relay")
+        joint_xx1 = ProbDist([(x, x1) for x in "01" for x1 in "01"], [0.1, 0.2, 0.3, 0.4])
+        real_eig, solves = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(
+            math.prod(np.shape(m)[:-2])) or real_eig(m))
+        relay_df_rate(rc, joint_xx1)
+        # rows of B and of B1, once each; H(B) one matrix; H(X1 B1) two
+        assert sorted(solves) == [1, 2, 8, 8]
 
     def test_trivial_u_fixed_relay_input(self):
         rc = builtin("bb84_relay")
@@ -1022,7 +1062,7 @@ class TestStackedSweeps:
             "cross2": ({"X2"}, {b1}, ()),
         }
         points = list(grid_pairs(ch, 5))
-        stack = np.array([np.outer(w1, w2) for w1, w2, _ in points])
+        stack = [simplex_grid(len(a), 5) for a in ch.input_alphabets]
         st = joint_state(ch, CodeDistribution.mac(UNIF2, UNIF2))
         loop = {}
         for key, (a, b, c) in specs.items():
@@ -1063,7 +1103,7 @@ class TestStackedSweeps:
         names = ch.output_names
         grid = np.array(list(simplex_grid(len(alphabet), 11)))
         st = joint_state(ch, CodeDistribution.p2p(ProbDist.uniform(alphabet)))
-        stacked = conditional_mutual_information(st.on_tables(grid), {"X"}, set(names))
+        stacked = conditional_mutual_information(st.on_tables([grid]), {"X"}, set(names))
         loop = []
         for w in grid:
             table = {(x,): (w[i], ch.output(x)) for i, x in enumerate(alphabet)}
