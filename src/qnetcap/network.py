@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CqChannel
-from .entropic import (LabeledCqState, ProbDist, conditional_mutual_information,
-                       transition_matrix, von_neumann_entropy)
-from .errors import BA_GAP_TOL, INFO_CLAMP, SUPPORT_RELATIVE_CUTOFF, SchemaError, whole_number
+from .entropic import (LabeledCqState, ProbDist, _entropy_bits, conditional_mutual_information,
+                       transition_matrix)
+from .errors import (BA_GAP_TOL, EIG_CUTOFF, INFO_CLAMP, SUPPORT_RELATIVE_CUTOFF, SchemaError,
+                     whole_number)
 from .regions import HalfspaceRegion, clamp_information, fm_project, intersect, radial_extents
 
 # grid points evaluated per stacked entropy call; bounds sweep memory
@@ -403,7 +404,8 @@ def hsw_capacity(ch: CqChannel, max_iter: int = 20000, *, grid_resolution=None):
     Each step takes one ``eigh`` of sigma = sum_x p_x rho_x and every
     D(rho_x || sigma) = -H(rho_x) - Tr[rho_x log sigma] on sigma's support
     (eigenvalues above ``SUPPORT_RELATIVE_CUTOFF`` times the largest; rho_x
-    has no weight off it whenever p_x > 0).  ``grid_resolution`` has no
+    has no weight off it whenever p_x > 0); every H(rho_x) comes from one
+    ``eigvalsh`` of the stack of outputs.  ``grid_resolution`` has no
     effect.
     """
     alphabet = ch.single_alphabet()
@@ -411,7 +413,7 @@ def hsw_capacity(ch: CqChannel, max_iter: int = 20000, *, grid_resolution=None):
         warnings.warn("hsw_capacity no longer searches a grid; grid_resolution "
                       "has no effect", DeprecationWarning, stacklevel=2)
     rhos = np.stack([ch.output(x).entries for x in alphabet])
-    neg_h = -np.array([von_neumann_entropy(ch.output(x)) for x in alphabet])
+    neg_h = -_entropy_bits(np.linalg.eigvalsh(rhos), cutoff=EIG_CUTOFF)
 
     def divergences(p):
         w, v = np.linalg.eigh(np.tensordot(p, rhos, axes=1))

@@ -6,6 +6,11 @@ Fourier-Motzkin projection onto one or two new coordinates with exact
 redundancy pruning, the exact equality test ``equivalent`` for regions of one
 or two coordinates (with ``implied_share``, the share of rows each region
 implies of the other), 2-D boundary sampling for plots, and JSON export.
+The prune and ``implied_share`` read support values in array passes over
+one table of candidate points and rays (``_Polygon``).  A support value
+only falls as rows become active, so two passes settle most rows of the
+prune, kept or dropped, whatever the order of the rows; only rows that
+neither pass settles are tested one at a time in their order.
 Of the package it imports only ``errors``.
 Regions hold plain floats, so building and printing one needs no numpy;
 only the functions that do array work import it.
@@ -98,6 +103,11 @@ def _normalize(coeffs, bounds, history):
     tautologies, and keep the first of the rows that share c and b rounded
     to 10 decimals and their entry of ``history``.
 
+    The key holds the history, so rows of distinct histories never share
+    one: when every history left is distinct no key is built and every row
+    is kept, in order.  Only stacks with a repeated history (the final one,
+    where every history is 0) are deduplicated.
+
     A row with no coefficients left and a negative bound is an infeasibility
     witness.
     """
@@ -105,10 +115,12 @@ def _normalize(coeffs, bounds, history):
 
     scale = np.abs(coeffs).max(axis=1)
     live = scale >= ZERO_COEFF_TOL
-    if np.any(bounds[~live] < -INFO_CLAMP):
+    if (bounds[~live] < -INFO_CLAMP).any():
         raise InvariantError("inequality system is infeasible")
     coeffs, bounds = coeffs[live] / scale[live, None], bounds[live] / scale[live]
     history = [h for h, alive in zip(history, live.tolist()) if alive]
+    if len(set(history)) == len(history):
+        return coeffs, bounds, history
     first = {}
     keys = zip(map(tuple, np.round(coeffs, 10).tolist()), np.round(bounds, 10).tolist(), history)
     for i, key in enumerate(keys):
@@ -125,19 +137,20 @@ def linprog(*args, **kwargs):
 
 
 class _Polygon:
-    """The polygon {c . R <= b for the active (c, b) of rows, R >= 0} over
-    ``dim`` = 1 or 2 coordinates (1-D is 2-D with R2 = 0), every row active
-    at first.  Every b must be >= 0, so the origin is feasible.
+    """The polygons {c . R <= b for the active (c, b) of rows, R >= 0} over
+    ``dim`` = 1 or 2 coordinates (1-D is 2-D with R2 = 0), for any set of
+    active rows.  Every b must be >= 0, so the origin is feasible.
 
     Built once per row set: every pairwise intersection of the rows and the
     two axes, and the candidate recession rays (both axes and +- the
     perpendicular of each row).  Tables of shape (rows, candidates) hold
-    each row's value at every point and whether it climbs along every ray,
-    and each candidate has a count of the active rows it violates by more
-    than POLYGON_TOL or climbs; switching a row moves the counts by its line
-    of the tables.  Every candidate that meets the active rows lies in their
-    polygon and every vertex and extreme ray of it is a candidate, so the
-    maximum over candidates is exact, also with inactive rows' candidates.
+    each row's value at every point, whether it violates the point by more
+    than POLYGON_TOL and whether it climbs along every ray.  Every candidate
+    that meets the active rows lies in their polygon and every vertex and
+    extreme ray of it is a candidate, so the maximum over candidates is
+    exact, also with inactive rows' candidates.  The candidates that meet a
+    set of rows shrink as rows join it, so a support value can only fall as
+    rows become active.
     """
 
     def __init__(self, rows, dim):
@@ -148,51 +161,62 @@ class _Polygon:
         bounds = np.array([b for _, b in rows], dtype=float)
         lines = np.concatenate([coeffs, -np.eye(2)])
         rhs = np.concatenate([bounds, [0.0, 0.0]])
-        i, j = np.triu_indices(len(lines), 1)
+        i, j = np.nonzero(np.arange(len(lines))[:, None] < np.arange(len(lines)))  # pairs i < j
         det = lines[i, 0] * lines[j, 1] - lines[i, 1] * lines[j, 0]
         crossing = np.abs(det) > ZERO_COEFF_TOL  # parallel lines do not meet
         i, j, det = i[crossing], j[crossing], det[crossing]
         points = np.stack([rhs[i] * lines[j, 1] - rhs[j] * lines[i, 1],
                            lines[i, 0] * rhs[j] - lines[j, 0] * rhs[i]], axis=1) / det[:, None]
-        self.points = points[np.all(points >= -POLYGON_TOL, axis=1)]
-        self.heights = coeffs @ self.points.T
+        points = points[(points >= -POLYGON_TOL).all(axis=1)]
+        self.heights = coeffs @ points.T
+        self.bounds = bounds
         self.outside = self.heights > bounds[:, None] + POLYGON_TOL
         perps = coeffs[:, ::-1] * [-1.0, 1.0]
         rays = np.concatenate([np.eye(2), perps, -perps])
-        rays = rays[np.any(rays != 0.0, axis=1)]
+        rays = rays[(rays != 0.0).any(axis=1)]
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        self.rays = rays[np.all(rays >= -POLYGON_TOL, axis=1)]
-        self.climbing = coeffs @ self.rays.T > POLYGON_TOL
-        self.violated = self.outside.sum(axis=0)
-        self.blocked = self.climbing.sum(axis=0)
+        self.climbing = coeffs @ rays[(rays >= -POLYGON_TOL).all(axis=1)].T > POLYGON_TOL
 
-    def switch(self, i, step):
-        """Make row ``i`` active (step +1) or inactive (step -1)."""
-        self.violated += step * self.outside[i]
-        self.blocked += step * self.climbing[i]
+    def supports(self, active):
+        """max c . R for the c of every row over the polygon of the rows of
+        the boolean mask ``active`` other than itself, or inf where that
+        polygon is unbounded along c: one array pass over the tables."""
+        import numpy as np
 
-    def support(self, i):
-        """max c . R over the polygon of the active rows for the c of row
-        ``i``, or inf when the polygon is unbounded along it."""
-        if self.climbing[i][self.blocked == 0].any():
-            return math.inf
-        return float(self.heights[i][self.violated == 0].max())
+        violated = self.outside[active].sum(axis=0)
+        blocked = self.climbing[active].sum(axis=0)
+        # a candidate meets the active rows other than row i when none of
+        # them, or row i alone, violates or climbs it
+        own = active[:, None]
+        feasible = (violated == 0) | (violated == 1) & own & self.outside
+        free = (blocked == 0) | (blocked == 1) & own & self.climbing
+        values = np.where(feasible, self.heights, -math.inf).max(axis=1)
+        return np.where((self.climbing & free).any(axis=1), math.inf, values)
 
 
 def _exact_prune(rows, dim):
     """Drop redundant rows over one or two coordinates: rows are tested in
     order, each against the rows still kept other than itself, and dropped
     when their support value is at most b + POLYGON_TOL; a row along which the
-    others are unbounded is kept.  Support values are read from the tables
-    of one ``_Polygon``; the kept rows are the objects passed in."""
+    others are unbounded is kept.  The kept rows are the objects passed in.
+
+    In that walk a row is tested with at most every other row active and at
+    least the rows that every order keeps, and its support value only falls
+    as rows become active (``_Polygon``).  So two passes over one polygon
+    decide a row whatever the order: a row that all the other rows do not
+    imply is kept, and a row that those always-kept rows imply is dropped.
+    Only the rows neither pass decides are walked in order, each with the
+    rows kept so far and every later row active, as the full walk has them.
+    """
+    import numpy as np
+
     polygon = _Polygon(rows, dim)
-    kept = []
-    for i, (_, b) in enumerate(rows):
-        polygon.switch(i, -1)
-        if not polygon.support(i) <= b + POLYGON_TOL:
-            polygon.switch(i, +1)
-            kept.append(rows[i])
-    return kept
+    limits = polygon.bounds + POLYGON_TOL
+    kept = polygon.supports(np.ones(len(rows), dtype=bool)) > limits
+    order = np.arange(len(rows))
+    for i in np.flatnonzero(~kept & (polygon.supports(kept) > limits)).tolist():
+        kept[i] = polygon.supports(kept | (order > i))[i] > limits[i]
+    return [rows[i] for i in np.flatnonzero(kept).tolist()]
 
 
 def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegion:
@@ -254,7 +278,7 @@ def fm_project(region: HalfspaceRegion, keep_matrix, new_names) -> HalfspaceRegi
     coeffs, bounds, history = _normalize(coeffs, bounds, [1 << i for i in range(len(coeffs))])
     remaining = list(range(k, k + n))
     while remaining:
-        pairings = np.sum(coeffs > ZERO_COEFF_TOL, axis=0) * np.sum(coeffs < -ZERO_COEFF_TOL, axis=0)
+        pairings = (coeffs > ZERO_COEFF_TOL).sum(axis=0) * (coeffs < -ZERO_COEFF_TOL).sum(axis=0)
         col = min(remaining, key=pairings.__getitem__)
         remaining.remove(col)
         most = n - len(remaining) + 1  # members of a history after this step
@@ -296,16 +320,14 @@ def implied_share(a: HalfspaceRegion, b: HalfspaceRegion) -> float:
     rows = a.inequalities + b.inequalities
     if not rows:
         return 1.0
-    # one polygon over both regions, read with one region's rows switched off
+    import numpy as np
+
+    # one polygon over both regions, each side read with the other side's rows active
     polygon = _Polygon(rows, a.dim)
-    implied = 0
-    for side in (range(len(a.inequalities)), range(len(a.inequalities), len(rows))):
-        for i in side:
-            polygon.switch(i, -1)
-        implied += sum(polygon.support(i) <= rows[i][1] + MEMBERSHIP_TOL for i in side)
-        for i in side:
-            polygon.switch(i, +1)
-    return implied / len(rows)
+    limits = polygon.bounds + MEMBERSHIP_TOL
+    in_b = np.arange(len(rows)) >= len(a.inequalities)
+    implied = np.where(in_b, polygon.supports(~in_b), polygon.supports(in_b)) <= limits
+    return int(implied.sum()) / len(rows)
 
 
 def equivalent(a: HalfspaceRegion, b: HalfspaceRegion) -> bool:

@@ -308,6 +308,8 @@ class TestRegion:
     # region argv omits "region"
     @pytest.mark.parametrize("argv, golden", [
         ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
+        ("cmg --builtin theta_swap(1.2) --seed 2 --oracle",
+         "region_cmg_theta_swap_1.2_seed2_oracle.txt"),
         ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
         ("relay-pdf --builtin bb84_relay --seed 3", "region_relay_pdf_bb84_relay_seed3.txt"),
         ("relay-pdf --builtin bb84_relay --seed 3 --out r.json",

@@ -68,6 +68,7 @@ def test_every_imported_name_is_read():
 # documents it.
 KEPT_WITHOUT_CALLER = {
     "entropic.shannon_entropy": "README Library: Shannon entropy",
+    "entropic.von_neumann_entropy": "README Library: Shannon/von Neumann entropies",
     "entropic.binary_entropy": "README Library: Shannon entropy of a bit",
     "entropic.g_thermal": "README Library: the thermal-state entropy",
     "regions.region_from_json": "reader of the public region_to_json format",

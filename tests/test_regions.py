@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from fm_loop import loop_exact_prune, loop_fm_project, loop_implied_share
+from fm_loop import _normalize_rows, loop_exact_prune, loop_fm_project, loop_implied_share
 from lp_prune import lp_prune
 from scipy.optimize import linprog
 
@@ -261,13 +261,34 @@ def projected(project, region, m):
         return f"InvariantError: {exc}"
 
 
+@pytest.fixture
+def polygons(monkeypatch):
+    """Every ``_Polygon`` built while the test runs, counting its
+    ``supports`` passes: the two of the prune (or of ``implied_share``) and
+    one more per row left to the prune's in-order walk."""
+    made = []
+
+    class Counted(regions._Polygon):
+        def __init__(self, rows, dim):
+            super().__init__(rows, dim)
+            self.passes = 0
+            made.append(self)
+
+        def supports(self, active):
+            self.passes += 1
+            return super().supports(active)
+
+    monkeypatch.setattr(regions, "_Polygon", Counted)
+    return made
+
+
 class TestStackedParity:
     """The stacked projection gives the rows of the row-loop reference
     (``tests/fm_loop.py``), keeps the same row objects in the prune and
     implies the same share."""
 
     @pytest.mark.parametrize("channel", ["bb84_qmac", "theta_swap(1.2)"])
-    def test_common_message_systems(self, monkeypatch, channel):
+    def test_common_message_systems(self, monkeypatch, polygons, channel):
         # seeds 0-49 x Q sizes 1-3 hold criterion 4's systems (bb84_qmac, Q of 2, seeds 1-3)
         systems = []
         stacked = network.fm_project
@@ -281,6 +302,9 @@ class TestStackedParity:
         assert len(systems) == 150
         for region, m, _ in systems:
             assert projected(fm_project, region, m) == projected(loop_fm_project, region, m)
+        # two prunes and one share per system, every row decided by the two passes
+        assert len(polygons) == 450
+        assert [p.passes for p in polygons] == [2] * 450
 
     def test_random_systems(self):
         rng = np.random.default_rng(10)
@@ -295,11 +319,26 @@ class TestStackedParity:
             outcomes.add(outcome.startswith("InvariantError"))
         assert outcomes == {False, True}
 
-    def test_prune_keeps_the_same_rows(self):
+    def test_prune_keeps_the_same_rows(self, polygons):
         rng = np.random.default_rng(11)
         for _ in range(2000):
             rows = list(zip(*random_rows(rng, int(rng.integers(1, 10)), 2)))
             assert [id(r) for r in _exact_prune(rows, 2)] == [id(r) for r in loop_exact_prune(rows, 2)]
+        # ties and rows that imply each other leave rows to the in-order walk here
+        assert len(polygons) == 2000
+        assert sum(p.passes > 2 for p in polygons) == 149
+
+    def test_normalize_dedups_rows_of_one_history(self):
+        # rows 0 and 1 share a history and differ beyond 1e-10; rows 2 and 3
+        # share one and round equal; row 4 rounds equal to row 2 in another history
+        coeffs = np.array([[2.0, 1.0], [1.0, 0.5 + 3e-10], [0.0, -3.0], [0.0, -1.0], [0.0, -1.0]])
+        bounds = np.array([2.0, 1.0, 3.0, 1.0 + 2e-11, 1.0])
+        history = [3, 3, 5, 5, 6]
+        got = regions._normalize(coeffs, bounds, history)
+        want = _normalize_rows(zip(coeffs, bounds, history))
+        assert len(got[2]) == 4
+        assert repr([(c.tolist(), b, h) for c, b, h in zip(*got)]) == repr(
+            [(c.tolist(), b, h) for c, b, h in want])
 
     def test_implied_share_of_random_pairs(self):
         rng = np.random.default_rng(12)
