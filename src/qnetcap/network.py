@@ -55,8 +55,12 @@ def input_pair(ch: CqChannel):
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
     """All probability vectors of length k with entries on a uniform grid of
     ``resolution`` points per edge, one per row, in lexicographic order of
-    their k - 1 cuts among the ``resolution`` + k - 2 slots.  A resolution
-    that is not a whole number (11.0 reads as 11), or below 2, is a SchemaError."""
+    their k - 1 cuts among the ``resolution`` + k - 2 slots.  A length or
+    resolution that is not a whole number (1.0 reads as 1, 11.0 as 11), a
+    length below 1 or a resolution below 2 is a SchemaError."""
+    k = whole_number(k, "grid length")
+    if k < 1:
+        raise SchemaError(f"grid length {k} < 1")
     resolution = whole_number(resolution, "grid resolution")
     if resolution < 2:
         raise SchemaError(f"grid resolution {resolution} < 2")

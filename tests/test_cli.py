@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden import rewrite
 
 from qnetcap import network
 from qnetcap.channels import CqChannel, builtin, dump_channel
@@ -47,13 +48,30 @@ REGION_ARTIFACTS = {
 }
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROWS = rewrite.rows()
+
+
+# each row of tests/golden/COMMANDS: its exit code and fixture bytes; a platform
+# whose bytes differ is a finding to report, not a tolerance to add
+@pytest.mark.parametrize("code, fixture, argv", ROWS, ids=[" ".join(a) for *_, a in ROWS])
+def test_golden_command(code, fixture, argv):
+    got, data = rewrite.run(argv)
+    assert got == code
+    if fixture is not None:
+        assert data == (rewrite.GOLDEN / fixture).read_bytes()
+
+
+def test_every_fixture_is_read_and_exists():
+    named = {f for _, f, _ in ROWS if f}
+    named |= {f"demo_{p.stem}.txt" for p in rewrite.DEMOS.glob("*.py")}  # demos' stdout
+    files = {p.name for p in rewrite.GOLDEN.iterdir() if p.is_file()}
+    assert files - {"COMMANDS", "rewrite.py"} == named
 
 
 # (family, subcommand) -> every flag it defines.  Each is read by the
@@ -286,61 +304,6 @@ class TestRegion:
         for line in lines[1:]:
             theta, r1, r2 = map(float, line.split(","))
             assert 0.0 <= r1 and 0.0 <= r2
-
-    # the exact bytes of a grid union's stdout or --out file; a platform
-    # whose bytes differ is a finding to report, not a tolerance to add
-    @pytest.mark.parametrize("argv, golden", [
-        ("--builtin bb84_qmac --grid 21", "region_mac_bb84_qmac_grid21.txt"),
-        ("--builtin theta_swap(1.2) --grid 11 --out union.csv",
-         "region_mac_theta_swap_grid11.csv"),
-    ])
-    def test_mac_union_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
-        monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, "region", "mac", *argv.split())
-        assert code == 0
-        got = (tmp_path / "union.csv").read_bytes() if "--out" in argv else out.encode()
-        assert got == (GOLDEN / golden).read_bytes()
-
-    # the exact bytes of region commands on states of one-register factors
-    # (cmg, hk, the README's mac and vsi lines, si, sato, bc-superposition)
-    # and of joint factors (relay-pdf, bc-marton), and of the README's
-    # capacity, bosonic and sim classical lines, stdout or --out file; a
-    # region argv omits "region"
-    @pytest.mark.parametrize("argv, golden", [
-        ("cmg --builtin bb84_qmac --seed 1 --oracle", "region_cmg_bb84_qmac_seed1_oracle.txt"),
-        ("cmg --builtin theta_swap(1.2) --seed 2 --oracle",
-         "region_cmg_theta_swap_1.2_seed2_oracle.txt"),
-        ("hk --builtin bb84_qmac --seed 2", "region_hk_bb84_qmac_seed2.json"),
-        ("relay-pdf --builtin bb84_relay --seed 3", "region_relay_pdf_bb84_relay_seed3.txt"),
-        ("relay-pdf --builtin bb84_relay --seed 3 --out r.json",
-         "region_relay_pdf_bb84_relay_seed3.json"),
-        ("bc-marton --builtin bb84_bc --seed 4", "region_bc_marton_bb84_bc_seed4.json"),
-        ("mac --builtin bb84_qmac --uniform --out pentagon.csv",
-         "region_mac_bb84_qmac_uniform.csv"),
-        ("vsi --builtin theta_swap(1.5707963) --grid 21", "region_vsi_theta_swap_pi2_grid21.json"),
-        ("si --builtin theta_swap(1.2)", "region_si_theta_swap_1.2.json"),
-        ("sato --builtin theta_swap(1.2)", "region_sato_theta_swap_1.2.json"),
-        ("bc-superposition --builtin bb84_bc --seed 1",
-         "region_bc_superposition_bb84_bc_seed1.json"),
-        ("capacity p2p-holevo --builtin bb84_p2p", "capacity_p2p_holevo_bb84_p2p.txt"),
-        ("capacity p2p-classical --builtin bb84_p2p --povm-angle -0.3927",
-         "capacity_p2p_classical_bb84_p2p_angle-0.3927.txt"),
-        ("bosonic p2p --param 0.9 1.0 --grid 41 --out curves.csv",
-         "bosonic_p2p_0.9_1.0_grid41.csv"),
-        ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1 --lambda 0.8 0.8",
-         "bosonic_hk_0.3_0.6_0.6_0.3_100_100_1_1_lambda0.8.json"),
-        ("sim classical --builtin bb84_p2p --param 0.1 12 2000 --seed 21",
-         "sim_classical_bb84_p2p_0.1_12_2000_seed21.txt"),
-    ])
-    def test_region_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
-        monkeypatch.chdir(tmp_path)
-        argv = argv.split()
-        if argv[0] not in ("capacity", "bosonic", "sim"):
-            argv.insert(0, "region")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        got = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out.encode()
-        assert got == (GOLDEN / golden).read_bytes()
 
     def test_vsi_pi_half_origin(self, capsys):
         code, out, _ = run(capsys, "region", "vsi", "--builtin",
@@ -649,20 +612,6 @@ class TestSim:
         lines = a.read_text().strip().split("\n")
         assert lines[0] == "n,R,seed,delta,exact_error,hn_bound"
         assert len(lines) == 1 + 4 * 2
-
-    # the exact bytes of the README sweep's stdout and of the srm demo's
-    # --out file, so a faster sweep must reproduce every digit
-    @pytest.mark.parametrize("argv, golden", [
-        ("--param 0.3 --delta 0.4 --seed 0", "sim_quantum_bb84_p2p_r0.3.txt"),
-        ("--param 0.3 20 --delta 0.4 --seed 0 --out s.csv",
-         "sim_quantum_bb84_p2p_r0.3_seeds20.csv"),
-    ])
-    def test_quantum_golden_bytes(self, capsys, tmp_path, monkeypatch, argv, golden):
-        monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, "sim", "quantum", "--builtin", "bb84_p2p", *argv.split())
-        assert code == 0
-        got = (tmp_path / "s.csv").read_bytes() if "--out" in argv else out.encode()
-        assert got == (GOLDEN / golden).read_bytes()
 
     def test_quantum_budget_violation(self, capsys, tmp_path):
         # one dense 4^8 x 4^8 matrix alone exceeds the byte budget

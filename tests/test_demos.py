@@ -1,43 +1,30 @@
-"""Each demo script runs to completion and writes the CSV it announces,
-with the bytes of the command line that its docstring names."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Each demo script runs to completion with the stdout of its fixture, and
+writes the CSV it announces with the bytes of the fixture of the
+tests/golden/COMMANDS row for the command line that its docstring names."""
 
 import pytest
+from golden import rewrite
 
-import qnetcap
-
-DEMOS = Path(__file__).parents[1] / "demos"
-# demo -> the CSV its docstring says it writes and the command that writes
-# it, or None
+# demo -> the CSV its docstring says it writes and that row's fixture, or None
 WRITES = {
-    "bosonic_regions.py": ("bosonic_p2p.csv", "bosonic p2p --param 0.9 1.0 --grid 41"),
+    "bosonic_regions.py": ("bosonic_p2p.csv", "bosonic_p2p_0.9_1.0_grid41.csv"),
     "cmg_vs_projection.py": None,
     "point_to_point_bb84.py": None,
-    "qmac_pentagon.py": ("qmac_boundary.csv", "region mac --builtin bb84_qmac --grid 21"),
-    "srm_decoder_trend.py": ("srm_sweep.csv", "sim quantum --builtin bb84_p2p"
-                             " --param 0.3 20 --delta 0.4 --seed 0"),
+    "qmac_pentagon.py": ("qmac_boundary.csv", "region_mac_bb84_qmac_grid21.txt"),
+    "srm_decoder_trend.py": ("srm_sweep.csv", "sim_quantum_bb84_p2p_r0.3_seeds20.csv"),
     "theta_swap_interference.py": None,
 }
 
 
 def test_every_demo_listed():
-    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(WRITES)
+    assert sorted(p.name for p in rewrite.DEMOS.glob("*.py")) == sorted(WRITES)
 
 
 @pytest.mark.parametrize("name", sorted(WRITES))
 def test_demo_runs(name, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(qnetcap.__file__).parents[1]))
-    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    done = rewrite.run_demo(name, tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (rewrite.GOLDEN / f"demo_{name[:-3]}.txt").read_bytes()
     if WRITES[name] is not None:
-        csv, command = WRITES[name]
-        cli = tmp_path / "cli"
-        cli.mkdir()
-        subprocess.run([sys.executable, "-m", "qnetcap.cli", *command.split(), "--out", csv],
-                       cwd=cli, env=env, check=True, timeout=120)
-        assert (tmp_path / csv).read_bytes() == (cli / csv).read_bytes()
+        csv, fixture = WRITES[name]
+        assert (tmp_path / csv).read_bytes() == (rewrite.GOLDEN / fixture).read_bytes()

@@ -139,6 +139,14 @@ class TestSimplexGrid:
     def test_reads_a_whole_float_resolution_as_its_int(self):
         assert simplex_grid(2, 11.0).tobytes() == simplex_grid(2, 11).tobytes()
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, "2", None])
+    def test_rejects_a_length_that_is_not_a_whole_number_from_1(self, k):
+        with pytest.raises(SchemaError, match="grid length"):
+            simplex_grid(k, 3)
+
+    def test_reads_a_whole_float_length_as_its_int(self):
+        assert simplex_grid(1.0, 3).tobytes() == simplex_grid(1, 3).tobytes()
+
     def test_grid_pairs_read_any_iterable_of_rows(self, monkeypatch):
         # a grid handed over one row at a time gives the same chunks
         def chunks():
@@ -148,6 +156,21 @@ class TestSimplexGrid:
         real = network.simplex_grid
         monkeypatch.setattr(network, "simplex_grid", lambda k, r: iter(list(real(k, r))))
         assert chunks() == stacked
+
+    def test_sweeps_read_a_grid_handed_over_once(self, monkeypatch):
+        # a generator that yields each row once, as perfbench/layertrace.py's
+        # wrapper does, gives the verdicts and unions of the stacked grid
+        def sweeps():
+            thetas = (1.0, 1.5, np.pi / 2, 2.1, 0.5, 2.5)
+            return ([vsi_check(theta_swap(t), grid=11) for t in thetas],
+                    [repr(mac_region_union(ch, grid=11))
+                     for ch in (builtin("bb84_qmac"), theta_swap(1.2))])
+
+        stacked = sweeps()
+        assert stacked[0] == [True] * 4 + [False] * 2
+        real = network.simplex_grid
+        monkeypatch.setattr(network, "simplex_grid", lambda k, r: (row for row in real(k, r)))
+        assert sweeps() == stacked
 
 
 class TestBlahutArimoto:
