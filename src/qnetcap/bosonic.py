@@ -10,8 +10,10 @@ state is ever represented numerically.
 
 Every rate is one function of signal power P received over
 treat-as-noise power U at a receiver whose environment port carries
-etabar N_B thermal photons.  Coherent detection is parameterized by a
-bandwidth exponent i (1 for homodyne, 0 for heterodyne), giving
+etabar N_B thermal photons, in a detection mode named by one of the
+strings "hom", "het" and "joint" and by nothing else.  Coherent
+detection is parameterized by a bandwidth exponent i (1 for homodyne,
+0 for heterodyne), giving
 
     (1/2^i) log2(1 + 4^i P / (4^i U + 2^i etabar N_B + 1)),
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import (CLOSED_FORM_TOL, ETA_CONSISTENCY_TOL, InvariantError, SchemaError,
                      finite_reals)
@@ -37,30 +38,9 @@ _TRANSMISSIVITY = "a transmissivity in [0, 1]"
 _PHOTON_NUMBER = "a photon number >= 0"
 
 
-class DetectionMode(Enum):
-    HOMODYNE = "hom"
-    HETERODYNE = "het"
-    JOINT = "joint"
-
-    @property
-    def exponent(self):
-        """Bandwidth exponent of the coherent detectors; None for joint."""
-        if self is DetectionMode.HOMODYNE:
-            return 1
-        if self is DetectionMode.HETERODYNE:
-            return 0
-        return None
-
-    @classmethod
-    def parse(cls, value):
-        """The mode whose value is ``value`` (hom, het or joint), or
-        ``value`` itself when it is a mode; anything else is a SchemaError."""
-        try:
-            return cls(value)
-        except ValueError:
-            raise SchemaError(
-                f"unknown detection mode {value!r}; expected hom, het, or joint"
-            ) from None
+# each detection mode -> the bandwidth exponent of its coherent detectors
+# (None for joint detection); these strings are the modes' only names
+_EXPONENTS = {"hom": 1, "het": 0, "joint": None}
 
 
 @dataclass(frozen=True)
@@ -135,9 +115,9 @@ def _pair(value, what):
 
 
 def params_from_json(doc):
-    """Build (BosonicICParams, DetectionMode) from a parameter document:
-    "eta" is two rows of two numbers, "NS", "NB" and the optional
-    "lambda" two numbers each, and "mode" an optional detection mode."""
+    """Build (BosonicICParams, mode) from a parameter document: "eta" is
+    two rows of two numbers, "NS", "NB" and the optional "lambda" two
+    numbers each, and the optional "mode" hom, het or joint (the default)."""
     if not isinstance(doc, dict):
         raise SchemaError("bosonic parameter document must be an object")
     try:
@@ -147,7 +127,8 @@ def params_from_json(doc):
     except KeyError as missing:
         raise SchemaError(f"parameter document lacks key {missing}") from None
     lam = doc.get("lambda", [1.0, 1.0])
-    mode = DetectionMode.parse(doc.get("mode", "joint"))
+    mode = doc.get("mode", "joint")
+    _check_mode(mode)
     if not (isinstance(eta, (list, tuple)) and len(eta) == 2):
         raise SchemaError("'eta' must be a list of two rows")
     (e11, e12), (e21, e22) = (_pair(row, "each 'eta' row") for row in eta)
@@ -160,25 +141,30 @@ def params_from_json(doc):
 def c_homodyne(eta, N_S, N_B):
     """Single-quadrature detection capacity of the lossy thermal channel."""
     _check_p2p(eta, N_S, N_B)
-    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.HOMODYNE)
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, "hom")
 
 
 def c_heterodyne(eta, N_S, N_B):
     """Dual-quadrature detection capacity of the lossy thermal channel."""
     _check_p2p(eta, N_S, N_B)
-    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.HETERODYNE)
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, "het")
 
 
 def c_holevo(eta, N_S, N_B):
     """Joint-detection rate of coherent encodings over the lossy thermal
     channel: the entropy gained by the signal over the background alone."""
     _check_p2p(eta, N_S, N_B)
-    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, DetectionMode.JOINT)
+    return _rate(eta * N_S, 0.0, 1.0 - eta, N_B, "joint")
 
 
 def _check_range(name, value, upper, what):
     if not (math.isfinite(value) and 0.0 <= value <= upper):
         raise SchemaError(f"{name} = {value} is not {what}")
+
+
+def _check_mode(mode):
+    if not (isinstance(mode, str) and mode in _EXPONENTS):
+        raise SchemaError(f"unknown detection mode {mode!r}; expected hom, het, or joint")
 
 
 def _check_p2p(eta, N_S, N_B):
@@ -226,10 +212,11 @@ def _rate(P, U, etabar, N_B, mode):
     """Rate of signal power P over treat-as-noise power U at a receiver
     whose environment port (fraction etabar) admits N_B thermal photons.
     A result below -CLOSED_FORM_TOL (or nan) is an InvariantError."""
-    if mode is DetectionMode.JOINT:
+    i = _EXPONENTS[mode]
+    if i is None:
         nats = _thermal_gain(P, U + etabar * N_B)
     else:
-        four, two = 4.0**mode.exponent, 2.0**mode.exponent
+        four, two = 4.0**i, 2.0**i
         nats = math.log1p(four * P / (four * U + two * etabar * N_B + 1.0)) / two
     rate = nats / math.log(2.0)
     if not rate >= -CLOSED_FORM_TOL:
@@ -254,7 +241,7 @@ def bosonic_vsi(params, mode):
     rectangle is the capacity region; it is returned either way.
     """
     p = params
-    mode = DetectionMode.parse(mode)
+    _check_mode(mode)
     t1, t2 = _receiver_rates(p, mode)
     x1, x2 = _receiver_rates(p, mode, U1=p.eta11 * p.NS1, U2=p.eta22 * p.NS2)
     cond = (
@@ -278,7 +265,7 @@ def bosonic_si(params, mode):
     total-power sum bounds) is the capacity region.
     """
     p = params
-    mode = DetectionMode.parse(mode)
+    _check_mode(mode)
     t1, t2 = _receiver_rates(p, mode)
     cond = (
         t1(p.eta21 * p.NS2) >= t2(p.eta22 * p.NS2) - CLOSED_FORM_TOL
@@ -311,7 +298,7 @@ def bosonic_hk_region(params, mode):
     useful order.
     """
     p = params
-    mode = DetectionMode.parse(mode)
+    _check_mode(mode)
     p1 = p.eta11 * p.NS1
     p2 = p.eta22 * p.NS2
     p1p = p.lambda1 * p1

@@ -68,8 +68,9 @@ def _check_flags(args):
     """Reject flag values no command accepts: a grid outside 2 to _GRID_MAX,
     a non-finite number, a negative delta, a seed outside 64 bits, an
     ``--out`` name with the suffix of the format the command does not write,
-    and anything but exactly one channel (for ``bosonic``, parameter)
-    source.  Each check reads its flag only where the subcommand defines it."""
+    anything but exactly one channel (for ``bosonic``, parameter) source,
+    and ``--mode`` or ``--lambda`` beside a ``--channel`` document.  Each
+    check reads its flag only where the subcommand defines it."""
     flags = vars(args)
     if not 2 <= flags.get("grid", 2) <= _GRID_MAX:
         raise SchemaError(f"--grid must be from 2 to {_GRID_MAX}, got {args.grid}")
@@ -98,6 +99,8 @@ def _check_flags(args):
             raise SchemaError("give exactly one channel source (--builtin or --channel)")
     elif "channel" in flags and bool(args.param) == bool(args.channel):
         raise SchemaError("give exactly one parameter source (--param or --channel)")
+    elif flags.get("channel") is not None and (args.mode, flags.get("lam")) != (None, None):
+        raise SchemaError("--mode and --lambda go with --param, not --channel")
 
 
 def _add_param_flag(sp, help_text):
@@ -192,9 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--channel", metavar="PATH",
                         help="bosonic parameter JSON")
         sp.add_argument("--mode", metavar="M",
-                        help="detection mode: hom, het, or joint")
-        sp.add_argument("--lambda", dest="lam", nargs=2, type=float,
-                        metavar="F", help="rate-split fractions in [0, 1]")
+                        help="detection mode: hom, het, or joint (default)")
+        if name == "hk":
+            sp.add_argument("--lambda", dest="lam", nargs=2, type=float,
+                            metavar="F", help="rate-split fractions in [0, 1]")
         _add_out_flag(sp, None)
 
     sim = commands.add_parser("sim", help="decoder simulations")
@@ -347,19 +351,13 @@ def _cmd_region(args) -> int:
 
 
 def _bosonic_params(args, doc):
-    from dataclasses import replace
-
-    from .bosonic import BosonicICParams, DetectionMode, params_from_json
+    """(params, mode) of the ``--channel`` document, or of ``--param``."""
+    from .bosonic import BosonicICParams, params_from_json
 
     if args.channel is not None:
-        params, mode = params_from_json(doc)
-    else:
-        params, mode = BosonicICParams(*args.param), DetectionMode.JOINT
-    if args.lam is not None:
-        params = replace(params, lambda1=args.lam[0], lambda2=args.lam[1])
-    if args.mode is not None:
-        mode = DetectionMode.parse(args.mode)
-    return params, mode
+        return params_from_json(doc)
+    params = BosonicICParams(*args.param, *(vars(args).get("lam") or ()))
+    return params, "joint" if args.mode is None else args.mode
 
 
 def _signal_powers(n):

@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ import pytest
 import qnetcap.bosonic as bosonic
 from qnetcap.bosonic import (
     BosonicICParams,
-    DetectionMode,
     bosonic_hk_region,
     bosonic_si,
     bosonic_vsi,
@@ -155,7 +156,7 @@ class TestScalars:
         for P in (1e-12, 1e-3, 0.5, 1.0, 1.5, 50.0, 1e6, 1e20):
             for base in (0.0, 1e-12, 0.3, 1.0, 1e3, 5e14, 1e40):
                 exact = exact_thermal_gain(P, base)
-                got = bosonic._rate(P, base, 0.0, 0.0, DetectionMode.JOINT)
+                got = bosonic._rate(P, base, 0.0, 0.0, "joint")
                 assert got == pytest.approx(exact, rel=2e-15, abs=0.0), (P, base)
 
     @pytest.mark.parametrize("nb", [1e15, 1e306])
@@ -230,7 +231,7 @@ class TestParams:
                "NB": [1.0, 1.0], "lambda": [0.3, 0.7], "mode": "het"}
         q, mode = params_from_json(doc)
         assert q == p
-        assert mode is DetectionMode.HETERODYNE
+        assert mode == "het"
         with pytest.raises(SchemaError):
             params_from_json({"eta": [[0.1, 0.1]], "NS": [1, 1]})
         with pytest.raises(SchemaError):
@@ -253,18 +254,20 @@ class TestParams:
         with pytest.raises(SchemaError, match=f"^{what} "):
             params_from_json(doc)
 
-    def test_mode_parse(self):
-        # one spelling per mode: the enum's own values, or a mode itself
-        assert DetectionMode.parse("hom") is DetectionMode.HOMODYNE
-        assert DetectionMode.parse("het") is DetectionMode.HETERODYNE
-        assert DetectionMode.parse("joint") is DetectionMode.JOINT
-        assert DetectionMode.parse(DetectionMode.JOINT) is DetectionMode.JOINT
-        for spelling in ("homodyne", "heterodyne", "HET", " hom", "Joint", None, 1, ["hom"]):
-            with pytest.raises(SchemaError, match="unknown detection mode"):
-                DetectionMode.parse(spelling)
-        assert DetectionMode.HOMODYNE.exponent == 1
-        assert DetectionMode.HETERODYNE.exponent == 0
-        assert DetectionMode.JOINT.exponent is None
+    @pytest.mark.parametrize("spelling", ["homodyne", "HET", " hom", "Joint", None, 1, ["hom"]],
+                             ids=["homodyne", "HET", " hom", "Joint", "None", "1", "list"])
+    def test_mode_has_one_spelling(self, spelling):
+        # a mode is one of the strings hom, het and joint wherever it arrives:
+        # each function that takes one, and the "mode" of a document
+        message = (f"^unknown detection mode {re.escape(repr(spelling))};"
+                   " expected hom, het, or joint$")
+        for entry in (bosonic_vsi, bosonic_si, bosonic_hk_region):
+            with pytest.raises(SchemaError, match=message):
+                entry(strong_int_params(), spelling)
+        doc = {"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100.0, 100.0], "NB": [1.0, 1.0],
+               "mode": spelling}
+        with pytest.raises(SchemaError, match=message):
+            params_from_json(doc)
 
 
 class TestVsi:
@@ -412,6 +415,41 @@ class TestThresholdsAsRates:
                 held["si"] += si
         # both verdicts occur, so the comparison is not vacuous
         assert 0 < held["vsi"] < 2000 and 0 < held["si"] < 2000, held
+
+
+def swap_senders(p):
+    """The network with its senders, and so its receivers, exchanged."""
+    return BosonicICParams(p.eta22, p.eta21, p.eta12, p.eta11, p.NS2, p.NS1,
+                           p.NB2, p.NB1, p.lambda2, p.lambda1)
+
+
+class TestSenderSwap:
+    def test_swap_keeps_verdicts_and_mirrors_regions(self):
+        # each region of the swapped network is the R1 <-> R2 mirror of the
+        # original's, row for row, and each interference test keeps its verdict
+        rng = np.random.default_rng(41)
+        checked, held = 0, {"bosonic_vsi": 0, "bosonic_si": 0}
+        while checked < 300:
+            p = random_passive_network(rng)
+            if p is None:
+                continue
+            checked += 1
+            p = dataclasses.replace(p, lambda1=rng.uniform(), lambda2=rng.uniform())
+            q = swap_senders(p)
+            for mode in ("hom", "het", "joint"):
+                pairs = [(bosonic_hk_region(p, mode), bosonic_hk_region(q, mode))]
+                for test in (bosonic_vsi, bosonic_si):
+                    (verdict, region), (swapped, mirror) = test(p, mode), test(q, mode)
+                    assert verdict == swapped, (test.__name__, mode, p)
+                    held[test.__name__] += verdict
+                    pairs.append((region, mirror))
+                for region, mirror in pairs:
+                    rows = sorted(((c2, c1), b) for (c1, c2), b in region.inequalities)
+                    mirrored = sorted(mirror.inequalities)
+                    assert [c for c, _ in rows] == [c for c, _ in mirrored]
+                    assert max(abs(b - d) for (_, b), (_, d) in zip(rows, mirrored)) <= 1e-12
+        # both verdicts occur, so the comparison is not vacuous
+        assert all(0 < n < 900 for n in held.values()), held
 
 
 class TestHkRegion:

@@ -89,12 +89,37 @@ FLAGS = {
     ("region", "bc-marton"): "--builtin --channel --seed --out",
     ("region", "relay-pdf"): "--builtin --channel --seed --out",
     ("bosonic", "p2p"): "--param --grid --out",
-    ("bosonic", "vsi"): "--param --channel --mode --lambda --out",
-    ("bosonic", "si"): "--param --channel --mode --lambda --out",
+    ("bosonic", "vsi"): "--param --channel --mode --out",
+    ("bosonic", "si"): "--param --channel --mode --out",
     ("bosonic", "hk"): "--param --channel --mode --lambda --out",
     ("sim", "quantum"): "--builtin --channel --param --delta --seed --out",
     ("sim", "classical"): "--builtin --channel --param --delta --seed --out",
 }
+
+
+# one row per value flag of a subcommand: a command line and two settings of
+# the flag ("": left off), which must print or write different bytes.  Only
+# the ignored --grid of region vsi has no row.
+READS = [
+    ("capacity p2p-classical --builtin bb84_p2p", "", "--povm-angle -0.3927"),
+    ("region mac --builtin bb84_qmac", "--grid 4", "--grid 5"),
+    ("region mac --builtin bb84_qmac --grid 3", "", "--uniform"),
+    ("region hk --builtin bb84_qmac", "--seed 1", "--seed 2"),
+    ("region cmg --builtin bb84_qmac", "--seed 1", "--seed 2"),
+    ("region cmg --builtin bb84_qmac --seed 1", "", "--oracle"),
+    ("region bc-superposition --builtin bb84_bc", "--seed 1", "--seed 2"),
+    ("region bc-marton --builtin bb84_bc", "--seed 1", "--seed 2"),
+    ("region relay-pdf --builtin bb84_relay", "--seed 1", "--seed 2"),
+    ("bosonic p2p --param 0.9 1.0", "--grid 5", "--grid 6"),
+    ("bosonic vsi --param 0.0625 0.5 0.5 0.0625 1 1 1 1", "--mode hom", "--mode het"),
+    ("bosonic si --param 0.3 0.6 0.6 0.3 100 100 1 1", "--mode hom", "--mode het"),
+    ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1", "--mode hom", "--mode het"),
+    ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1", "", "--lambda 0.8 0.8"),
+    ("sim quantum --builtin bb84_p2p --param 0.3 1", "--seed 1", "--seed 2"),
+    ("sim quantum --builtin bb84_p2p --param 0.3 1", "--delta 0.3", "--delta 0.5"),
+    ("sim classical --builtin bb84_p2p --param 0.1 6 20", "--seed 1", "--seed 2"),
+    ("sim classical --builtin bb84_p2p --param 0.1 6 20", "--delta 0.3", "--delta 0.5"),
+]
 
 
 def subcommands(parser):
@@ -110,12 +135,14 @@ class TestFlags:
             for name, sp in subcommands(fp).items()
         }
         assert defined == {key: set(flags.split()) for key, flags in FLAGS.items()}
-        assert sum(map(len, defined.values())) == 73
+        assert sum(map(len, defined.values())) == 71
 
     @pytest.mark.parametrize("line", [
         "region cmg --builtin bb84_qmac --grid 1",
         "capacity p2p-holevo --builtin bb84_p2p --delta 0.1",
         "bosonic p2p --param 0.9 1 --mode hom",
+        # only hk splits the senders' power
+        "bosonic si --param 0.3 0.6 0.6 0.3 100 100 1 1 --lambda 0.8 0.8",
         "region hk --builtin bb84_qmac --delta 0.1",
         # builtin parameters go in the name
         "region vsi --builtin theta_swap --param 1.2",
@@ -125,6 +152,24 @@ class TestFlags:
             main(line.split())
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_value_flag_has_a_read_row(self):
+        sources = {"--builtin", "--channel", "--param", "--out", "-h", "--help"}
+        defined = {
+            (f"{family} {name}", o)
+            for family, fp in subcommands(build_parser()).items()
+            for name, sp in subcommands(fp).items()
+            for a in sp._actions for o in a.option_strings if o not in sources
+        }
+        rows = {(" ".join(line.split()[:2]), b.split()[0]) for line, _, b in READS}
+        assert rows == defined - {("region vsi", "--grid")}
+
+    @pytest.mark.parametrize("line, a, b", READS, ids=[f"{r[0]} {r[2]}" for r in READS])
+    def test_value_flag_is_read(self, line, a, b):
+        (code_a, bytes_a), (code_b, bytes_b) = (
+            rewrite.run(f"{line} {setting}".split()) for setting in (a, b))
+        assert (code_a, code_b) == (0, 0)
+        assert bytes_a != bytes_b
 
     def test_out_help_names_what_it_writes(self):
         # one format, or for a region the format its suffix chooses
@@ -519,10 +564,11 @@ class TestBosonic:
         (tmp_path / "params.json").write_text(json.dumps(
             {"eta": [[0.3, 0.6], [0.6, 0.3]], "NS": [100, 100], "NB": [1, 1],
              "lambda": [0.8, 0.8], "mode": "het"}))
-        params = "--param 0.3 0.6 0.6 0.3 100 100 1 1 --lambda 0.8 0.8"
+        params = "--param 0.3 0.6 0.6 0.3 100 100 1 1"
         lines = ["bosonic p2p --param 0.9 1.0 --grid 41"] + [
-            f"bosonic {sub} {source}" for sub in ("vsi", "si", "hk")
-            for source in (params, "--channel params.json")
+            f"bosonic {sub} {source}"
+            for sub, split in (("vsi", ""), ("si", ""), ("hk", " --lambda 0.8 0.8"))
+            for source in (params + split, "--channel params.json")
         ]
         script = (
             "import sys\n"
@@ -546,7 +592,8 @@ class TestBosonic:
         assert code == 0
         assert "condition: true" in out
 
-    @pytest.mark.parametrize("mode", ["homodyne", "heterodyne", "HET"])
+    @pytest.mark.parametrize("mode", ["homodyne", "heterodyne", "HET", " hom", "Joint",
+                                      "None", "1", '["hom"]'])
     def test_mode_has_one_spelling(self, capsys, mode):
         code, out, err = run(capsys, "bosonic", "vsi", "--mode", mode, "--param",
                              "0.0625", "0.5", "0.5", "0.0625", "1", "1", "1", "1")
@@ -839,6 +886,7 @@ class TestMalformedInput:
         assert run(capsys, "bosonic", "p2p", "--param", "0.9", "1", "--grid", "2")[0] == 0
 
     ONE_SOURCE = "give exactly one parameter source (--param or --channel)"
+    DOCUMENT = "--mode and --lambda go with --param, not --channel"
     REJECTED = {
         "negative delta": ("sim quantum --builtin bb84_p2p --param 0.3 --delta -0.1",
                            "--delta must be >= 0, got -0.1"),
@@ -847,6 +895,10 @@ class TestMalformedInput:
         "both sources": ("bosonic hk --param 0.3 0.6 0.6 0.3 100 100 1 1 --channel p.json",
                          ONE_SOURCE),
         "no source": ("bosonic hk", ONE_SOURCE),
+        # a document is the whole parameter set; p.json does not exist, so
+        # the rule is checked before the file is read
+        "mode beside document": ("bosonic vsi --channel p.json --mode het", DOCUMENT),
+        "lambda beside document": ("bosonic hk --channel p.json --lambda 0.5 0.5", DOCUMENT),
     }
 
     @pytest.mark.parametrize("line, message", REJECTED.values(), ids=REJECTED.keys())
